@@ -12,7 +12,7 @@
 //! the sweep machinery.
 
 use crate::exec::Executor;
-use crate::program::Program;
+use crate::program::{DataCell, Program};
 use exynos_trace::sample::SlicePlan;
 use exynos_trace::suite::{SliceSpec, SuiteKind, WorkloadSpec};
 use exynos_trace::{BoxedGen, FingerprintHasher, TraceError, TraceSource};
@@ -114,7 +114,13 @@ impl TraceSource for AsmSource {
         }
         h.write_u64(self.prog.data().len() as u64);
         for cell in self.prog.data() {
-            h.write_str(&format!("{cell:?}"));
+            let (tag, payload) = match *cell {
+                DataCell::Word(w) => (0, w),
+                DataCell::TextAddr(idx) => (1, idx as u64),
+                DataCell::DataAddr(off) => (2, off),
+            };
+            h.write_u64(tag);
+            h.write_u64(payload);
         }
         match self.restart_after {
             None => h.write_bool(false),
@@ -206,6 +212,19 @@ mod tests {
         assert_ne!(fp(&a), fp(&other), "same name, different program must differ");
         let bounded = a.clone().with_restart_after(Some(4_000));
         assert_ne!(fp(&a), fp(&bounded), "restart bound changes the stream");
+    }
+
+    #[test]
+    fn fingerprint_tracks_every_data_word() {
+        let fp = |src: &str| {
+            let mut h = FingerprintHasher::new();
+            AsmSource::assemble("k", src).unwrap().fingerprint_into(&mut h);
+            h.finish()
+        };
+        let prog = |word: &str| format!(".data\ntab: .word 1, {word}, main\n.text\nmain:\n    b main\n");
+        assert_eq!(fp(&prog("2")), fp(&prog("2")));
+        assert_ne!(fp(&prog("2")), fp(&prog("3")), "one data word changed");
+        assert_ne!(fp(&prog("2")), fp(&prog("tab")), "a word vs a data address");
     }
 
     #[test]

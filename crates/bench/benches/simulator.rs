@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
-use exynos_core::sim::Simulator;
 use exynos_trace::{standard_suite, SlicePlan};
 
 fn bench_simulator(c: &mut Criterion) {

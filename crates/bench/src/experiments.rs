@@ -1,6 +1,7 @@
 //! Experiment functions regenerating every table and figure in the
 //! paper's evaluation. Each returns structured data; the `harness` binary
 //! prints it, and the Criterion benches time representative kernels.
+//! Every catalog sweep, cold or warm, goes through [`sweep`].
 
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::FrontEnd;
@@ -9,33 +10,25 @@ use exynos_branch::indirect::{IndirectConfig, IndirectPredictor};
 use exynos_branch::shp::{apply_bias_delta, Shp, ShpConfig};
 use exynos_branch::storage_budget;
 use exynos_branch::ubtb::{MicroBtb, UbtbConfig};
-use exynos_core::batch::{CachedStream, ChunkCache};
+use exynos_core::batch::{lockstep, CachedStream, ChunkCache};
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
-use exynos_core::sim::Simulator;
-use std::sync::Arc;
+use exynos_core::sim::{Simulator, SliceResult};
+use exynos_core::SimError;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
-use exynos_trace::{standard_suite, SlicePlan, SliceSpec, TraceGen};
+use exynos_trace::{standard_suite, SlicePlan, SliceSpec, TraceError, TraceGen};
+use std::sync::Arc;
+use std::time::Instant;
 
-/// Unwrap a simulation result: benchmark traces are clean and run with no
-/// fault injector, so a `SimError` here is a harness bug worth aborting on.
-pub fn must<T>(r: Result<T, exynos_core::SimError>) -> T {
+/// Unwrap the result of a figure kernel: its traces are clean and run
+/// with no fault injector, so an error here is a harness bug worth
+/// aborting on. The sweep engine itself is fallible ([`sweep`]).
+fn must<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
     match r {
         Ok(v) => v,
         Err(e) => panic!("benchmark simulation failed: {e}"),
-    }
-}
-
-/// Build a catalog slice's generator. The embedded catalogs are all
-/// well-formed, so a build failure here is a harness bug worth aborting
-/// on; fallible callers (the service tier) go through
-/// [`SliceSpec::build`](exynos_trace::SliceSpec::build) directly.
-pub fn must_gen(slice: &exynos_trace::SliceSpec) -> exynos_trace::BoxedGen {
-    match slice.build() {
-        Ok(g) => g,
-        Err(e) => panic!("workload '{}' failed to build: {e}", slice.name),
     }
 }
 
@@ -47,20 +40,16 @@ pub const PROGRAM_REGION_BASE: u64 = 500_000;
 /// The sweep catalog: the synthetic standard suite at `scale`, plus —
 /// when `programs` is set — the embedded `exynos-asm` corpus as
 /// `program/*` slices. Both populations build through the same fallible
-/// [`TraceSource`](exynos_trace::TraceSource) API; the corpus is
-/// embedded and well-formed, so a build failure here is a harness bug.
-pub fn catalog_suite(scale: usize, programs: bool) -> Vec<SliceSpec> {
+/// [`TraceSource`](exynos_trace::TraceSource) API.
+pub fn catalog_suite(scale: usize, programs: bool) -> Result<Vec<SliceSpec>, TraceError> {
     let mut suite = standard_suite(scale);
     if programs {
-        match exynos_asm::corpus_slices(SlicePlan::default(), PROGRAM_REGION_BASE) {
-            Ok(slices) => suite.extend(slices),
-            Err(e) => panic!("embedded program corpus failed to assemble: {e}"),
-        }
+        suite.extend(exynos_asm::corpus_slices(SlicePlan::default(), PROGRAM_REGION_BASE)?);
     }
     // Collapse any program slices with identical content digests onto one
     // shared source (drops duplicate assemblies; see the trace crate).
     exynos_trace::dedupe_shared_sources(&mut suite);
-    suite
+    Ok(suite)
 }
 
 /// A compact per-slice, per-generation result record.
@@ -78,182 +67,34 @@ pub struct SliceRecord {
     pub load_latency: f64,
 }
 
-/// Run the full suite (at `scale`) across all six generations with the
-/// given windows, on [`crate::sweep::default_threads`] worker threads.
-/// This is the engine behind Figs. 9, 16 and 17; it routes through the
-/// batched lockstep engine ([`run_population_batched`]), which is
-/// bit-identical to the scalar reference.
-pub fn run_population(scale: usize, warmup: u64, detail: u64) -> Vec<SliceRecord> {
-    run_population_batched(scale, warmup, detail, crate::sweep::default_threads())
-}
-
-/// The scalar reference engine, with an explicit worker-thread count.
-///
-/// Every (generation, slice) pair is an independent job — its own
-/// `Simulator` built from an owned config and a freshly seeded generator
-/// — so the jobs run on the work-stealing executor and are re-assembled
-/// in catalog order (generation-major, slice-minor), exactly the order
-/// the old serial nested loop produced. Output is bit-identical for any
-/// `threads`, and the batched engine is gated against this path.
-pub fn run_population_with_threads(
-    scale: usize,
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    run_suite_with_threads(&standard_suite(scale), warmup, detail, threads)
-}
-
-/// [`run_population_with_threads`] over an explicit slice catalog (e.g.
-/// [`catalog_suite`] with programs mixed in).
-pub fn run_suite_with_threads(
-    suite: &[SliceSpec],
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = must(SimBuilder::config(cfg.clone()).build());
-        let mut gen = must_gen(slice);
-        let r = must(sim.run_slice(&mut *gen, SlicePlan::new(warmup, detail)));
+impl SliceRecord {
+    /// The record of slice `name` on generation `gen` from its detail
+    /// window's result.
+    pub fn from_result(name: &str, gen: &'static str, r: &SliceResult) -> SliceRecord {
         SliceRecord {
-            name: slice.name.clone(),
-            gen: cfg.gen.name(),
+            name: name.to_owned(),
+            gen,
             ipc: r.ipc,
             mpki: r.mpki,
             load_latency: r.avg_load_latency,
         }
-    })
-}
-
-/// [`run_population`] through the batched lockstep engine: one job per
-/// *slice*, each advancing all six generations over a single shared
-/// generator (see [`crate::batch::PopulationBatch`]). Whenever the
-/// catalog groups >= 2 members on the same slice — always, with six
-/// generations — the trace is generated once per group instead of once
-/// per member. Records are re-assembled into catalog order
-/// (generation-major, slice-minor), bit-identical to
-/// [`run_population_with_threads`] at the same windows.
-pub fn run_population_batched(
-    scale: usize,
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    run_suite_batched(&standard_suite(scale), warmup, detail, threads)
-}
-
-/// [`run_population_batched`] over an explicit slice catalog (e.g.
-/// [`catalog_suite`] with programs mixed in). Bit-identical to
-/// [`run_suite_with_threads`] on the same catalog and windows.
-pub fn run_suite_batched(
-    suite: &[SliceSpec],
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    if gens.len() < 2 {
-        return run_suite_with_threads(suite, warmup, detail, threads);
     }
-    let per_slice: Vec<Vec<SliceRecord>> = crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let mut batch = crate::batch::PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
-        }
-        let mut gen = must_gen(slice);
-        let results = must(batch.run_slice_lockstep(&mut *gen, SlicePlan::new(warmup, detail)));
-        gens.iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
-                name: slice.name.clone(),
-                gen: cfg.gen.name(),
-                ipc: r.ipc,
-                mpki: r.mpki,
-                load_latency: r.avg_load_latency,
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for s in 0..per_gen {
-            out.push(per_slice[s][g].clone());
-        }
-    }
-    out
 }
 
-/// [`run_suite_batched`] through the shared [`ChunkCache`]: one lockstep
-/// job per slice, each pulling its decoded record blocks through `cache`
-/// (keyed by [`SliceSpec::stream_fingerprint`]). With `pipelined`, each
-/// job double-buffers: a producer thread materializes chunk k+1 while
-/// the batch steps chunk k. Bit-identical to [`run_suite_batched`] and
-/// [`run_suite_with_threads`] for any cache budget (including zero) in
-/// either mode; repeated sweeps over the same catalog are served from
-/// resident chunks.
-pub fn run_suite_cached(
-    suite: &[SliceSpec],
-    warmup: u64,
-    detail: u64,
-    threads: usize,
-    cache: &Arc<ChunkCache>,
-    pipelined: bool,
-) -> Vec<SliceRecord> {
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    let per_slice: Vec<Vec<SliceRecord>> = crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let mut batch = crate::batch::PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(must(SimBuilder::config(cfg.clone()).build()));
-        }
-        let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
-        let results =
-            must(batch.run_slice_cached(&mut stream, SlicePlan::new(warmup, detail), pipelined));
-        gens.iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
-                name: slice.name.clone(),
-                gen: cfg.gen.name(),
-                ipc: r.ipc,
-                mpki: r.mpki,
-                load_latency: r.avg_load_latency,
-            })
-            .collect()
-    });
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for s in 0..per_gen {
-            out.push(per_slice[s][g].clone());
-        }
-    }
-    out
-}
-
-/// A pool of warmed checkpoint images, one per (generation, slice) job
-/// of the population sweep, in job order (generation-major,
-/// slice-minor). Building the pool pays each job's warmup exactly once;
-/// every subsequent measured sweep forks from the in-memory image and
-/// pays only the detail window — bit-identical to the cold run by the
-/// checkpoint/resume invariant.
+/// A pool of warmed simulators, one per (generation, slice) job of the
+/// population sweep over `standard_suite(scale)`, in job order
+/// (generation-major, slice-minor). Building the pool pays each job's
+/// warmup exactly once; every later sweep forks the residents by clone
+/// and pays only the detail window — bit-identical to the cold run.
+/// The pool holds no checkpoint images: code that needs one encodes its
+/// own simulator ([`Simulator::checkpoint`]).
 #[derive(Debug)]
 pub struct WarmPool {
-    /// Checkpoint image per job, job order.
-    images: Vec<Vec<u8>>,
-    /// The warmed simulators themselves, job order — the decoded states
-    /// the images were snapshotted from. Forking by [`WarmPool::resident`]
-    /// clone skips the snapshot codec entirely; the images remain the
-    /// serialization-facing API (service checkpoints, on-disk pools).
+    /// The warmed simulators, job order.
     residents: Vec<Simulator>,
     /// Catalog scale the pool was built at.
     scale: usize,
-    /// Warmup instructions burned into every image.
+    /// Warmup instructions every resident has stepped.
     warmup: u64,
 }
 
@@ -263,33 +104,28 @@ impl WarmPool {
         self.scale
     }
 
-    /// Warmup instructions burned into every image.
+    /// Warmup instructions every resident has stepped.
     pub fn warmup(&self) -> u64 {
         self.warmup
     }
 
-    /// Number of checkpoint images (one per job).
+    /// Number of warmed simulators (one per job).
     pub fn jobs(&self) -> usize {
-        self.images.len()
+        self.residents.len()
     }
 
-    /// Total bytes held across all images.
+    /// Bytes held in checkpoint images: always 0, since the pool holds
+    /// none. Kept for `perfbench/src/entry.rs`; it goes with that file's
+    /// own adaptation.
     pub fn bytes(&self) -> usize {
-        self.images.iter().map(Vec::len).sum()
+        0
     }
 
-    /// Borrow job `i`'s checkpoint image (job order: generation-major,
-    /// slice-minor).
-    pub fn image(&self, i: usize) -> &[u8] {
-        &self.images[i]
-    }
-
-    /// Fork job `i`'s warmed simulator by cloning the resident state —
-    /// no snapshot decode. The clone carries no cancel token (runtime
-    /// state is not part of the warmed identity); attach one with
-    /// [`Simulator::set_cancel_token`] if the job needs it. By the
-    /// checkpoint bit-identity invariant the clone behaves exactly like
-    /// [`Simulator::resume_with_config`] on [`WarmPool::image`]`(i)`.
+    /// Fork job `i`'s warmed simulator (job order: generation-major,
+    /// slice-minor) by cloning the resident state. The clone carries no
+    /// cancel token (runtime state is not part of the warmed identity);
+    /// attach one with [`Simulator::set_cancel_token`] if the job needs
+    /// it.
     pub fn resident(&self, i: usize) -> Simulator {
         let mut sim = self.residents[i].clone();
         sim.clear_cancel_token();
@@ -297,251 +133,174 @@ impl WarmPool {
     }
 }
 
-/// Warm one simulator per (generation, slice) job for `warmup`
-/// instructions and snapshot each into an in-memory [`WarmPool`].
-pub fn build_warm_pool(scale: usize, warmup: u64, threads: usize) -> WarmPool {
-    let suite = standard_suite(scale);
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    let warmed = crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = must(SimBuilder::config(cfg.clone()).build());
-        let mut gen = must_gen(slice);
-        must(sim.run_warmup(&mut *gen, warmup));
-        let image = sim.checkpoint();
-        (image, sim)
-    });
-    let (images, residents) = warmed.into_iter().unzip();
-    WarmPool { images, residents, scale, warmup }
-}
-
-/// Fallible, cancellable [`build_warm_pool`]: every warming simulator
-/// carries `cancel`, so a deadline or an explicit cancel surfaces as a
-/// typed [`SimError`](exynos_core::SimError) instead of a panic. The
-/// service tier builds its shared pools through this path; the images
-/// are bit-identical to [`build_warm_pool`]'s (the cancel token is
-/// runtime-only state and never reaches a checkpoint).
+/// Warm one simulator per (generation, slice) job of
+/// `standard_suite(scale)` for `warmup` instructions into a [`WarmPool`].
+/// Every warming simulator carries `cancel`, so a deadline or an explicit
+/// cancel surfaces as a typed [`SimError`] instead of a panic.
 pub fn try_build_warm_pool(
     scale: usize,
     warmup: u64,
     threads: usize,
     cancel: &exynos_core::cancel::CancelToken,
-) -> Result<WarmPool, exynos_core::SimError> {
+) -> Result<WarmPool, SimError> {
     let suite = standard_suite(scale);
     let gens = CoreConfig::all_generations();
     let per_gen = suite.len();
-    let warmed = crate::sweep::run_indexed_result(gens.len() * per_gen, threads, |i| {
+    let residents = crate::sweep::run_indexed_result(gens.len() * per_gen, threads, |i| {
         let cfg = &gens[i / per_gen];
         let slice = &suite[i % per_gen];
         let mut sim = SimBuilder::config(cfg.clone()).cancel_token(cancel.clone()).build()?;
         let mut gen = slice.build()?;
         sim.run_warmup(&mut *gen, warmup)?;
-        let image = sim.checkpoint();
         // Residents outlive the building job; they must not carry its
         // cancel token (a later deadline on job A canceling job B).
         sim.clear_cancel_token();
-        Ok((image, sim))
+        Ok(sim)
     })?;
-    let (images, residents) = warmed.into_iter().unzip();
-    Ok(WarmPool { images, residents, scale, warmup })
+    Ok(WarmPool { residents, scale, warmup })
 }
 
-/// [`run_population`], but forking every job from its warmed image in
-/// `pool` instead of re-running the warmup. Routes through the batched
-/// lockstep engine ([`run_population_warm_batched`]); results are
-/// bit-identical to the cold path at the same (scale, warmup, detail).
-pub fn run_population_warm(pool: &WarmPool, detail: u64, threads: usize) -> Vec<SliceRecord> {
-    run_population_warm_batched(pool, detail, threads)
+/// Where the members of a [`sweep`] start.
+#[derive(Debug, Clone, Copy)]
+pub enum Start<'a> {
+    /// Fresh simulators over `suite`, stepped through `warmup` records
+    /// before the detail window.
+    Cold {
+        /// The slice catalog.
+        suite: &'a [SliceSpec],
+        /// Warmup records per slice.
+        warmup: u64,
+    },
+    /// Clones of a pool's residents over the pool's catalog; each
+    /// slice's stream starts where the pool's warmup stopped.
+    Warm(&'a WarmPool),
 }
 
-/// The scalar warm reference: one job per (generation, slice), each
-/// resuming its own image and fast-forwarding its own generator.
-/// Bit-identical to the cold scalar path; the batched warm engine is
-/// gated against this one.
-pub fn run_population_warm_scalar(pool: &WarmPool, detail: u64, threads: usize) -> Vec<SliceRecord> {
-    let suite = standard_suite(pool.scale);
+/// Wall-clock decomposition of a [`sweep`], summed over its slice groups
+/// (aggregate worker-seconds when `threads > 1`, not wall). `prep_s`
+/// covers building or forking the members and positioning the stream;
+/// `stepping_s` covers the lockstep stepping itself (warmup included on
+/// a cold start).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct WarmTiming {
+    /// Seconds spent building or forking members.
+    pub prep_s: f64,
+    /// Seconds spent stepping.
+    pub stepping_s: f64,
+}
+
+/// The sweep engine behind Figs. 9, 16 and 17: every slice of the
+/// catalog across all six generations, `detail` measured records each.
+///
+/// One job per slice runs on the work-stealing executor: it builds (or
+/// forks) the six generation members and steps them in [`lockstep`] over
+/// one [`CachedStream`] through `cache`, so each record is decoded once
+/// per group. A zero-budget cache is a pure pass-through (the uncached
+/// sweep); a shared cache serves repeated sweeps from resident chunks.
+/// Records come back in catalog order (generation-major, slice-minor)
+/// and are bit-identical to [`scalar_sweep`] for any thread count and
+/// any cache budget, warm or cold. The first failing slice (lowest
+/// index) is returned as its typed error.
+pub fn sweep(
+    start: Start<'_>,
+    detail: u64,
+    threads: usize,
+    cache: &Arc<ChunkCache>,
+) -> Result<(Vec<SliceRecord>, WarmTiming), SimError> {
+    let gens = CoreConfig::all_generations();
+    let pool_suite;
+    let (suite, warmup) = match start {
+        Start::Cold { suite, warmup } => (suite, warmup),
+        Start::Warm(pool) => {
+            pool_suite = standard_suite(pool.scale);
+            (&pool_suite[..], 0)
+        }
+    };
+    let per_slice = crate::sweep::run_indexed_result(suite.len(), threads, |s| {
+        let slice = &suite[s];
+        let t0 = Instant::now();
+        let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
+        let mut members = match start {
+            Start::Cold { .. } => gens
+                .iter()
+                .map(|cfg| SimBuilder::config(cfg.clone()).build())
+                .collect::<Result<Vec<_>, _>>()?,
+            Start::Warm(pool) => {
+                // Cursor-skip the warmup: no records are generated unless
+                // a later miss needs the generator fast-forwarded.
+                stream.skip(pool.warmup);
+                (0..gens.len()).map(|g| pool.resident(g * suite.len() + s)).collect()
+            }
+        };
+        let prep_s = t0.elapsed().as_secs_f64();
+        let t1 = Instant::now();
+        let results = lockstep(&mut members, &mut stream, SlicePlan::new(warmup, detail))?;
+        let timing = WarmTiming { prep_s, stepping_s: t1.elapsed().as_secs_f64() };
+        let records: Vec<SliceRecord> = gens
+            .iter()
+            .zip(&results)
+            .map(|(cfg, r)| SliceRecord::from_result(&slice.name, cfg.gen.name(), r))
+            .collect();
+        Ok((records, timing))
+    })?;
+    let mut timing = WarmTiming::default();
+    for (_, t) in &per_slice {
+        timing.prep_s += t.prep_s;
+        timing.stepping_s += t.stepping_s;
+    }
+    let mut out = Vec::with_capacity(gens.len() * suite.len());
+    for g in 0..gens.len() {
+        out.extend(per_slice.iter().map(|(records, _)| records[g].clone()));
+    }
+    Ok((out, timing))
+}
+
+/// The scalar reference sweep, the oracle [`sweep`] is tested against:
+/// one job per (generation, slice) pair, each its own simulator running
+/// [`Simulator::run_slice`] over its own freshly seeded generator, in
+/// catalog order (generation-major, slice-minor) for any `threads`.
+pub fn scalar_sweep(
+    suite: &[SliceSpec],
+    warmup: u64,
+    detail: u64,
+    threads: usize,
+) -> Result<Vec<SliceRecord>, SimError> {
     let gens = CoreConfig::all_generations();
     let per_gen = suite.len();
-    crate::sweep::run_indexed(gens.len() * per_gen, threads, |i| {
+    crate::sweep::run_indexed_result(gens.len() * per_gen, threads, |i| {
         let cfg = &gens[i / per_gen];
         let slice = &suite[i % per_gen];
-        let mut sim = match Simulator::resume_with_config(cfg.clone(), &pool.images[i]) {
-            Ok(sim) => sim,
-            Err(e) => panic!("warm pool image {i} failed to resume: {e}"),
-        };
-        let mut gen = must_gen(slice);
-        // Fast-forward the freshly seeded generator to where the warmed
-        // simulator stopped consuming it.
-        for _ in 0..sim.stats().instructions {
-            let _ = gen.next_inst();
-        }
-        let r = must(sim.run_slice(&mut *gen, SlicePlan::new(0, detail)));
-        SliceRecord {
-            name: slice.name.clone(),
-            gen: cfg.gen.name(),
-            ipc: r.ipc,
-            mpki: r.mpki,
-            load_latency: r.avg_load_latency,
-        }
+        let mut sim = SimBuilder::config(cfg.clone()).build()?;
+        let mut gen = slice.build()?;
+        let r = sim.run_slice(&mut *gen, SlicePlan::new(warmup, detail))?;
+        Ok(SliceRecord::from_result(&slice.name, cfg.gen.name(), &r))
     })
 }
 
-/// Wall-clock decomposition of a warm sweep, split at the measurement
-/// boundary the reported throughput must respect: `prep_s` covers image
-/// decode plus the shared generator fast-forward (work the warm pool
-/// exists to make cheap, but which executes no simulator steps), and
-/// `stepping_s` covers only post-resume detail stepping —
-/// `stepped_insts / stepping_s` is the honest warm steps/s. With
-/// `threads > 1` the two times are summed across workers (aggregate
-/// worker-seconds, not wall).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WarmTiming {
-    /// Seconds spent resuming images and fast-forwarding generators.
-    pub prep_s: f64,
-    /// Seconds spent executing post-resume detail steps.
-    pub stepping_s: f64,
-    /// Instructions actually executed after resume.
-    pub stepped_insts: u64,
-}
-
-/// [`run_population_warm`] exposing where the time went; the records are
-/// identical, the [`WarmTiming`] feeds the `bench` subcommand's warm
-/// throughput accounting.
-pub fn run_population_warm_timed(
-    pool: &WarmPool,
+/// [`sweep`] from a cold start through a pass-through cache, panicking
+/// on a simulation error. Kept for `perfbench/src/entry.rs`; it goes
+/// with that file's own adaptation.
+pub fn run_suite_batched(
+    suite: &[SliceSpec],
+    warmup: u64,
     detail: u64,
     threads: usize,
-) -> (Vec<SliceRecord>, WarmTiming) {
-    assemble_warm(run_warm_slice_groups(pool, detail, threads, None))
+) -> Vec<SliceRecord> {
+    let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+    must(sweep(Start::Cold { suite, warmup }, detail, threads, &cache)).0
 }
 
-/// The resident-fork warm sweep: members clone the pool's decoded
-/// simulator states (no snapshot codec) and the generator fast-forward
-/// becomes a [`CachedStream::skip`] — free wherever the stream's chunks
-/// are already resident in `cache`. `prep_s` shrinks to the clone cost;
-/// records stay bit-identical to [`run_population_warm_timed`] and the
-/// scalar warm/cold references.
+/// [`sweep`] from `pool` through `cache`, panicking on a simulation
+/// error. The last argument has no effect. Kept for
+/// `perfbench/src/entry.rs`; it goes with that file's own adaptation.
 pub fn run_population_warm_resident(
     pool: &WarmPool,
     detail: u64,
     threads: usize,
     cache: &Arc<ChunkCache>,
-    pipelined: bool,
+    _pipelined: bool,
 ) -> (Vec<SliceRecord>, WarmTiming) {
-    assemble_warm(run_warm_slice_groups(pool, detail, threads, Some((cache, pipelined))))
-}
-
-fn assemble_warm(
-    per_slice: Vec<(Vec<SliceRecord>, WarmTiming)>,
-) -> (Vec<SliceRecord>, WarmTiming) {
-    let gens = CoreConfig::all_generations();
-    let per_gen = per_slice.len();
-    let mut timing = WarmTiming::default();
-    for (_, t) in &per_slice {
-        timing.prep_s += t.prep_s;
-        timing.stepping_s += t.stepping_s;
-        timing.stepped_insts += t.stepped_insts;
-    }
-    let mut out = Vec::with_capacity(gens.len() * per_gen);
-    for g in 0..gens.len() {
-        for (records, _) in &per_slice {
-            out.push(records[g].clone());
-        }
-    }
-    (out, timing)
-}
-
-/// [`run_population_warm_scalar`] through the batched lockstep engine:
-/// one job per slice, forking all six generations from the pool's
-/// resident states and skipping the shared stream's warmup through a
-/// fresh chunk cache (every member consumed exactly the pool warmup, so
-/// one stream cursor serves the whole group). Bit-identical to the
-/// scalar warm path.
-pub fn run_population_warm_batched(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-) -> Vec<SliceRecord> {
-    let cache = Arc::new(ChunkCache::unbounded());
-    run_population_warm_resident(pool, detail, threads, &cache, false).0
-}
-
-/// One warm lockstep job per slice, returning each slice group's records
-/// (generation order) plus its timing split. `cached` selects the fork
-/// strategy: `None` resumes every member through the snapshot codec and
-/// fast-forwards a private generator (the pre-resident baseline);
-/// `Some((cache, pipelined))` clones the pool's resident states and
-/// skips the warmup on a [`CachedStream`].
-fn run_warm_slice_groups(
-    pool: &WarmPool,
-    detail: u64,
-    threads: usize,
-    cached: Option<(&Arc<ChunkCache>, bool)>,
-) -> Vec<(Vec<SliceRecord>, WarmTiming)> {
-    let suite = standard_suite(pool.scale);
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    crate::sweep::run_indexed(per_gen, threads, |s| {
-        let slice = &suite[s];
-        let t0 = std::time::Instant::now();
-        let mut batch = crate::batch::PopulationBatch::new();
-        for (g, cfg) in gens.iter().enumerate() {
-            let i = g * per_gen + s;
-            let sim = match cached {
-                Some(_) => pool.resident(i),
-                None => match Simulator::resume_with_config(cfg.clone(), pool.image(i)) {
-                    Ok(sim) => sim,
-                    Err(e) => panic!("warm pool image {i} failed to resume: {e}"),
-                },
-            };
-            assert_eq!(
-                sim.stats().instructions,
-                pool.warmup,
-                "warm fork {i} consumed a different warmup than the pool records"
-            );
-            batch.push(sim);
-        }
-        let (records, timing) = match cached {
-            Some((cache, pipelined)) => {
-                // Cursor-skip the warmup: no records are generated unless
-                // a later miss needs the generator fast-forwarded.
-                let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
-                stream.skip(pool.warmup);
-                let prep_s = t0.elapsed().as_secs_f64();
-                let t1 = std::time::Instant::now();
-                let results =
-                    must(batch.run_slice_cached(&mut stream, SlicePlan::new(0, detail), pipelined));
-                (results, (prep_s, t1.elapsed().as_secs_f64()))
-            }
-            None => {
-                // One shared fast-forward for the whole group: every
-                // member consumed exactly `pool.warmup` generator records.
-                let mut gen = must_gen(slice);
-                for _ in 0..pool.warmup {
-                    let _ = gen.next_inst();
-                }
-                let prep_s = t0.elapsed().as_secs_f64();
-                let t1 = std::time::Instant::now();
-                let results = must(batch.run_slice_lockstep(&mut *gen, SlicePlan::new(0, detail)));
-                (results, (prep_s, t1.elapsed().as_secs_f64()))
-            }
-        };
-        let (results, (prep_s, stepping_s)) = (records, timing);
-        let records: Vec<SliceRecord> = gens
-            .iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord {
-                name: slice.name.clone(),
-                gen: cfg.gen.name(),
-                ipc: r.ipc,
-                mpki: r.mpki,
-                load_latency: r.avg_load_latency,
-            })
-            .collect();
-        let stepped_insts = results.iter().map(|r| r.instructions).sum();
-        (records, WarmTiming { prep_s, stepping_s, stepped_insts })
-    })
+    must(sweep(Start::Warm(pool), detail, threads, cache))
 }
 
 /// Mean of a per-generation metric over records.
@@ -916,7 +675,7 @@ pub fn branch_pair_stats() -> (f64, f64, f64) {
         .filter(|s| s.name.starts_with("web/") || s.name.starts_with("specint/"))
     {
         let mut fe = FrontEnd::new(FrontendConfig::m1());
-        let mut gen = must_gen(&slice);
+        let mut gen = must(slice.build());
         for _ in 0..20_000 {
             let inst = gen.next_inst();
             let _ = fe.on_inst(&inst);
@@ -1008,22 +767,19 @@ pub struct Ablation {
     pub without_feature: f64,
 }
 
-/// Run a with/without config pair as a two-member lockstep batch over
-/// one shared generator — the ablation battery's grouping: both members
-/// sit on the same (generation family, trace), so the trace is generated
-/// once per pair. Returns (with, without), bit-identical to running each
-/// member over its own freshly seeded copy of the generator.
-fn ablation_pair(
+/// Run a with/without config pair, each member over its own freshly
+/// built copy of the trace. Returns (with, without).
+fn ablation_pair<G: TraceGen>(
     with_cfg: CoreConfig,
     without_cfg: CoreConfig,
-    gen: &mut dyn exynos_trace::TraceGen,
+    gen: impl Fn() -> G,
     plan: SlicePlan,
-) -> (exynos_core::sim::SliceResult, exynos_core::sim::SliceResult) {
-    let mut batch = crate::batch::PopulationBatch::new();
-    batch.push(must(SimBuilder::config(with_cfg).build()));
-    batch.push(must(SimBuilder::config(without_cfg).build()));
-    let r = must(batch.run_slice_lockstep(gen, plan));
-    (r[0].clone(), r[1].clone())
+) -> (SliceResult, SliceResult) {
+    let run = |cfg: CoreConfig| {
+        let mut sim = must(SimBuilder::config(cfg).build());
+        must(sim.run_slice(&mut gen(), plan))
+    };
+    (run(with_cfg), run(without_cfg))
 }
 
 fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> f64 {
@@ -1154,24 +910,25 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
     // Speculative DRAM read (§IX): avg load latency on a pointer chase.
     // Measured with early page activate off — the two features overlap
     // (both hide the leading edge of a DRAM access), so each is ablated
-    // in isolation. The with/without pair runs as one lockstep batch over
-    // a shared chase.
+    // in isolation.
     battery.push(Box::new(|| {
         let mut with_cfg = CoreConfig::m5();
         with_cfg.spec_read = true;
         with_cfg.dram.early_activate = false;
         let mut without_cfg = with_cfg.clone();
         without_cfg.spec_read = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                working_set: 64 << 20,
-                chains: 4,
-                ..Default::default()
-            },
-            98,
-            4,
-        );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let gen = || {
+            exynos_trace::gen::pointer_chase::PointerChase::new(
+                &exynos_trace::gen::pointer_chase::PointerChaseParams {
+                    working_set: 64 << 20,
+                    chains: 4,
+                    ..Default::default()
+                },
+                98,
+                4,
+            )
+        };
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
         Ablation {
             name: "speculative DRAM read",
             metric: "avg load lat",
@@ -1186,16 +943,18 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         with_cfg.dram.fast_path = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.fast_path = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                working_set: 64 << 20,
-                chains: 2,
-                ..Default::default()
-            },
-            99,
-            4,
-        );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let gen = || {
+            exynos_trace::gen::pointer_chase::PointerChase::new(
+                &exynos_trace::gen::pointer_chase::PointerChaseParams {
+                    working_set: 64 << 20,
+                    chains: 2,
+                    ..Default::default()
+                },
+                99,
+                4,
+            )
+        };
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
         Ablation {
             name: "DRAM data fast path",
             metric: "avg load lat",
@@ -1210,16 +969,18 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         with_cfg.dram.early_activate = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.early_activate = false;
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                working_set: 64 << 20,
-                chains: 2,
-                ..Default::default()
-            },
-            100,
-            4,
-        );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let gen = || {
+            exynos_trace::gen::pointer_chase::PointerChase::new(
+                &exynos_trace::gen::pointer_chase::PointerChaseParams {
+                    working_set: 64 << 20,
+                    chains: 2,
+                    ..Default::default()
+                },
+                100,
+                4,
+            )
+        };
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
         Ablation {
             name: "early page activate",
             metric: "avg load lat",
@@ -1236,17 +997,19 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         without_cfg.buddy = false;
         // Spatial payloads touch the second sector of each chased line's
         // 128 B granule.
-        let mut gen = exynos_trace::gen::pointer_chase::PointerChase::new(
-            &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                working_set: 32 << 20,
-                chains: 4,
-                spatial_payload: true,
-                ..Default::default()
-            },
-            101,
-            4,
-        );
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(5_000, 40_000));
+        let gen = || {
+            exynos_trace::gen::pointer_chase::PointerChase::new(
+                &exynos_trace::gen::pointer_chase::PointerChaseParams {
+                    working_set: 32 << 20,
+                    chains: 4,
+                    spatial_payload: true,
+                    ..Default::default()
+                },
+                101,
+                4,
+            )
+        };
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
         Ablation {
             name: "Buddy prefetcher",
             metric: "IPC (higher=better)",
@@ -1265,20 +1028,22 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         without_cfg.standalone = None;
         // ~700 KB of code walked sequentially: every line is an L1I
         // miss; only an L2-level prefetcher can stay ahead of fetch.
-        let mut gen = MarkovBranches::new(
-            &MarkovParams {
-                sites: 20_000,
-                history_depth: 4,
-                noise: 0.0,
-                work_between: 4,
-                load_frac: 0.0,
-                ..Default::default()
-            },
-            102,
-            4,
-        );
+        let gen = || {
+            MarkovBranches::new(
+                &MarkovParams {
+                    sites: 20_000,
+                    history_depth: 4,
+                    noise: 0.0,
+                    work_between: 4,
+                    load_frac: 0.0,
+                    ..Default::default()
+                },
+                102,
+                4,
+            )
+        };
         let (w, wo) =
-            ablation_pair(with_cfg, without_cfg, &mut gen, SlicePlan::new(10_000, 60_000));
+            ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(10_000, 60_000));
         Ablation {
             name: "standalone L2/L3 prefetcher",
             metric: "IPC (higher=better)",

@@ -2,14 +2,12 @@
 //!
 //! [`experiments`] holds one function per table/figure of the paper's
 //! evaluation; the `harness` binary prints them, and the Criterion benches
-//! under `benches/` time the core kernels. [`batch`] is the lockstep
-//! engine stepping whole same-trace population groups per decoded record
-//! chunk. See `EXPERIMENTS.md` at the workspace root for the
-//! paper-vs-measured record.
+//! under `benches/` time the core kernels. [`experiments::sweep`] is the
+//! one catalog sweep engine. See `EXPERIMENTS.md` at the workspace root
+//! for the paper-vs-measured record.
 
 #![warn(missing_docs)]
 
-pub mod batch;
 pub mod experiments;
 pub mod service_runner;
 pub mod sweep;

@@ -3,7 +3,7 @@
 //!
 //! Sweep jobs without robustness overrides share warm checkpoint pools
 //! across requests, keyed by `(scale, warmup)` — the first request of a
-//! shape pays the warmup, every later one forks the in-memory images.
+//! shape pays the warmup, every later one forks the pool's residents.
 //! Jobs *with* overrides (chaos plans, stall injection, watchdog or
 //! decode knobs) bypass the shared pools: their simulators carry fault
 //! injectors that must start from cold state to be reproducible.
@@ -16,7 +16,7 @@
 
 use crate::experiments::{self as exp, SliceRecord, WarmPool};
 use crate::sweep;
-use exynos_core::batch::{CachedStream, ChunkCache, ChunkCacheStats};
+use exynos_core::batch::{lockstep, CachedStream, ChunkCache, ChunkCacheStats};
 use exynos_core::builder::SimBuilder;
 use exynos_core::cancel::CancelToken;
 use exynos_core::config::{CoreConfig, Generation};
@@ -124,7 +124,7 @@ impl BenchRunner {
                 let r = sim.run_slice(&mut *gen, SlicePlan::new(warmup, detail));
                 end_slice_span(ctx, sspan, &sim);
                 let r = r?;
-                Ok(record(slice.name.clone(), cfg.gen.name(), &r))
+                Ok(SliceRecord::from_result(&slice.name, cfg.gen.name(), &r))
             })?
         } else {
             let pool = {
@@ -143,22 +143,20 @@ impl BenchRunner {
                 // clone behaves identically.
                 let mut sim = pool.resident(i);
                 sim.set_cancel_token(cancel.clone());
-                let mut batch = crate::batch::PopulationBatch::new();
-                batch.push(sim);
                 // Detail records come from the shared chunk cache: the
                 // first job of a shape decodes them, every later job
                 // (and every other generation of this one) hits.
                 let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
                 stream.skip(pool.warmup());
                 let sspan = slice_span(ctx, i, &slice.name, cfg.gen.name());
-                let r = batch.run_slice_cached(&mut stream, SlicePlan::new(0, detail), false);
-                end_slice_span(ctx, sspan, &batch.members()[0]);
-                let r = r?;
-                let res = r.first().ok_or_else(|| SimError::Config {
+                let members = std::slice::from_mut(&mut sim);
+                let r = lockstep(members, &mut stream, SlicePlan::new(0, detail));
+                end_slice_span(ctx, sspan, &sim);
+                let res = r?.pop().ok_or_else(|| SimError::Config {
                     param: "job.batch",
-                    detail: "width-1 batch returned no result".to_owned(),
+                    detail: "width-1 lockstep returned no result".to_owned(),
                 })?;
-                Ok(record(slice.name.clone(), cfg.gen.name(), res))
+                Ok(SliceRecord::from_result(&slice.name, cfg.gen.name(), &res))
             })?
         };
         Ok(sweep_payload(scale, warmup, detail, &records))
@@ -189,16 +187,16 @@ impl BenchRunner {
             })?;
         let cancel = &ctx.cancel;
         let gens = CoreConfig::all_generations();
-        let mut batch = crate::batch::PopulationBatch::new();
-        for cfg in &gens {
-            batch.push(build_sim(cfg.clone(), spec, cancel)?);
-        }
+        let mut members = gens
+            .iter()
+            .map(|cfg| build_sim(cfg.clone(), spec, cancel))
+            .collect::<Result<Vec<_>, _>>()?;
         // Program records come from the shared chunk cache keyed on the
         // program's content fingerprint, so resubmitting the same
         // program skips re-assembly and re-decode entirely.
         let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
         let sspan = slice_span(ctx, 0, &slice.name, "all");
-        let r = batch.run_slice_cached(&mut stream, SlicePlan::new(warmup, detail), false);
+        let r = lockstep(&mut members, &mut stream, SlicePlan::new(warmup, detail));
         if Telemetry::ACTIVE {
             ctx.spans.end(sspan);
         }
@@ -206,7 +204,7 @@ impl BenchRunner {
         let records: Vec<SliceRecord> = gens
             .iter()
             .zip(&results)
-            .map(|(cfg, res)| record(slice.name.clone(), cfg.gen.name(), res))
+            .map(|(cfg, res)| SliceRecord::from_result(&slice.name, cfg.gen.name(), res))
             .collect();
         Ok(program_payload(name, warmup, detail, &records))
     }
@@ -306,10 +304,6 @@ impl JobRunner for BenchRunner {
     fn chunk_cache_stats(&self) -> ChunkCacheStats {
         self.chunks.stats()
     }
-
-    fn take_pipeline_stalls(&self) -> Vec<u64> {
-        self.chunks.take_stalls()
-    }
 }
 
 /// Open a `slice[k]` span under the job's attempt span. The `format!`
@@ -387,10 +381,6 @@ fn build_sim(cfg: CoreConfig, spec: &JobSpec, cancel: &CancelToken) -> Result<Si
         b = b.strict_decode(true);
     }
     b.build()
-}
-
-fn record(name: String, gen: &'static str, r: &exynos_core::sim::SliceResult) -> SliceRecord {
-    SliceRecord { name, gen, ipc: r.ipc, mpki: r.mpki, load_latency: r.avg_load_latency }
 }
 
 /// Deterministic sweep payload: job shape plus one record per
@@ -491,9 +481,14 @@ mod tests {
         // Same spec again: served from the cached pool, byte-identical.
         let again = runner.run(&quick_sweep(), &ctx).unwrap();
         assert_eq!(payload, again);
-        // Reference values from the cold experiment engine.
-        let reference = exp::run_population_with_threads(1, 200, 300, 1);
+        // Reference values from the scalar oracle and the cold engine.
+        let suite = standard_suite(1);
+        let reference = exp::scalar_sweep(&suite, 200, 300, 1).unwrap();
         assert_eq!(payload, sweep_payload(1, 200, 300, &reference));
+        let pass_through = Arc::new(ChunkCache::with_budget(Some(0)));
+        let start = exp::Start::Cold { suite: &suite, warmup: 200 };
+        let (cold, _) = exp::sweep(start, 300, 1, &pass_through).unwrap();
+        assert_eq!(payload, sweep_payload(1, 200, 300, &cold));
     }
 
     #[test]

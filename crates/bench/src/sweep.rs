@@ -1,8 +1,8 @@
 //! Work-stealing parallel sweep executor.
 //!
-//! Every population sweep in this crate — `run_population`, the ablation
-//! battery, the attack-rate sweep — is a cross product of fully
-//! independent jobs (one `Simulator` per (generation, slice) pair). This
+//! Every population sweep in this crate — the catalog sweep engine, the
+//! ablation battery, the attack-rate sweep — is a set of fully
+//! independent jobs (one slice group or one ablation per job). This
 //! module runs such a job set on scoped OS threads with a shared atomic
 //! job index: each worker repeatedly claims the next unclaimed index
 //! (`fetch_add`), so fast jobs never wait behind slow ones and no
@@ -13,7 +13,7 @@
 //! to a serial `(0..jobs).map(job)` loop regardless of thread count or
 //! scheduling. Jobs must therefore be independent (no shared mutable
 //! state) — which they are by construction: each builds its own
-//! simulator from an owned config and a seeded generator.
+//! simulators from owned configs and a seeded generator.
 //!
 //! No external dependencies: `std::thread::scope` + `AtomicUsize` only.
 

@@ -1,23 +1,26 @@
-//! The batched lockstep engine's hard correctness gate: for every batch
-//! width, member mix, fault plan and warm-fork shape, stepping N members
-//! over one shared decoded stream must produce **byte-equal stats** to
-//! each member running alone over its own freshly seeded generator.
+//! The lockstep engine's hard correctness gate: for every batch width,
+//! member mix, fault plan, cache budget and warm-fork shape, stepping N
+//! members over one shared decoded stream must produce **byte-equal
+//! stats** to each member running alone over its own freshly seeded
+//! generator.
 //!
 //! Stats are compared through their `Debug` rendering of the full
 //! [`SliceResult`] — instructions, cycles, IPC/MPKI/latency floats and
 //! the embedded frontend/memory stat blocks — so any divergence in any
 //! counter fails, not just the three headline floats.
 
-use exynos_bench::batch::PopulationBatch;
-use exynos_bench::experiments as exp;
+use exynos_bench::experiments::{self as exp, SliceRecord, Start};
+use exynos_core::batch::{lockstep, CachedStream, ChunkCache, CHUNK_LEN};
 use exynos_core::builder::SimBuilder;
+use exynos_core::cancel::CancelToken;
 use exynos_core::config::CoreConfig;
 use exynos_core::fault::FaultPlan;
-use exynos_core::sim::Simulator;
-use exynos_trace::{standard_suite, SlicePlan};
+use exynos_core::sim::{Simulator, SliceResult};
+use exynos_trace::{standard_suite, SlicePlan, SliceSpec};
+use std::sync::Arc;
 
 /// A stall-injection fault plan: deterministic pipeline perturbation
-/// with no error paths, so scalar and batched runs stay comparable.
+/// with no error paths, so scalar and lockstep runs stay comparable.
 fn stall_plan() -> FaultPlan {
     let mut plan = FaultPlan::none();
     plan.stall_every = 257;
@@ -41,42 +44,73 @@ fn member(g: usize, faults: bool) -> Simulator {
 }
 
 /// Byte-equal digest of a slice result: the full Debug rendering.
-fn digest(r: &exynos_core::sim::SliceResult) -> String {
+fn digest(r: &SliceResult) -> String {
     format!("{r:?}")
 }
 
 /// Scalar reference for one member: a private simulator and a private,
 /// freshly seeded generator.
-fn scalar_reference(g: usize, faults: bool, slice_idx: usize, plan: SlicePlan) -> String {
-    let suite = standard_suite(1);
+fn scalar_reference(g: usize, faults: bool, slice: &SliceSpec, plan: SlicePlan) -> String {
     let mut sim = member(g, faults);
-    let mut gen = suite[slice_idx].build().unwrap();
-    digest(&exp::must(sim.run_slice(&mut *gen, plan)))
+    let mut gen = slice.build().unwrap();
+    digest(&sim.run_slice(&mut *gen, plan).unwrap())
 }
 
-fn assert_width_matches(width: usize, faults: bool, slice_idx: usize, plan: SlicePlan) {
-    let suite = standard_suite(1);
-    let mut batch = PopulationBatch::new();
-    for g in 0..width {
-        batch.push(member(g, faults));
-    }
-    let mut shared = suite[slice_idx].build().unwrap();
-    let results = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
+/// `width` members (generations cycling m1..m6) stepped in lockstep over
+/// `slice` through a cache of `budget` bytes.
+fn lockstep_group(
+    width: usize,
+    faults: bool,
+    slice: &SliceSpec,
+    plan: SlicePlan,
+    budget: Option<u64>,
+) -> Vec<SliceResult> {
+    let mut members: Vec<Simulator> = (0..width).map(|g| member(g, faults)).collect();
+    let cache = Arc::new(ChunkCache::with_budget(budget));
+    let mut stream = CachedStream::for_slice(cache, slice);
+    let results = lockstep(&mut members, &mut stream, plan).unwrap();
     assert_eq!(results.len(), width);
-    for (g, r) in results.iter().enumerate() {
+    results
+}
+
+fn assert_width_matches(width: usize, faults: bool, slice: &SliceSpec, plan: SlicePlan) {
+    for (g, r) in lockstep_group(width, faults, slice, plan, Some(0)).iter().enumerate() {
         assert_eq!(
-            scalar_reference(g, faults, slice_idx, plan),
+            scalar_reference(g, faults, slice, plan),
             digest(r),
-            "width {width} member {g} (faults: {faults}) diverged from scalar"
+            "width {width} member {g} (faults: {faults}) on {} diverged from scalar",
+            slice.name
         );
     }
+}
+
+/// Records equal to the bit, in the same order.
+fn assert_records_equal(want: &[SliceRecord], got: &[SliceRecord], label: &str) {
+    assert_eq!(want.len(), got.len(), "{label}: record count");
+    for (a, b) in want.iter().zip(got) {
+        assert_eq!(a.name, b.name, "{label}");
+        assert_eq!(a.gen, b.gen, "{label}");
+        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{label} {}/{}", a.name, a.gen);
+        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{label} {}/{}", a.name, a.gen);
+        assert_eq!(
+            a.load_latency.to_bits(),
+            b.load_latency.to_bits(),
+            "{label} {}/{}",
+            a.name,
+            a.gen
+        );
+    }
+}
+
+fn pass_through() -> Arc<ChunkCache> {
+    Arc::new(ChunkCache::with_budget(Some(0)))
 }
 
 #[test]
 fn widths_1_2_7_16_match_scalar() {
     let plan = SlicePlan::new(400, 600);
     for width in [1usize, 2, 7, 16] {
-        assert_width_matches(width, false, 0, plan);
+        assert_width_matches(width, false, &standard_suite(1)[0], plan);
     }
 }
 
@@ -84,7 +118,7 @@ fn widths_1_2_7_16_match_scalar() {
 fn widths_match_scalar_under_fault_injection() {
     let plan = SlicePlan::new(400, 600);
     for width in [1usize, 2, 7, 16] {
-        assert_width_matches(width, true, 1, plan);
+        assert_width_matches(width, true, &standard_suite(1)[1], plan);
     }
 }
 
@@ -95,96 +129,77 @@ fn all_six_generations_match_on_every_suite_family() {
     let suite = standard_suite(1);
     let mut seen = Vec::new();
     let plan = SlicePlan::new(300, 500);
-    for (idx, slice) in suite.iter().enumerate() {
+    for slice in &suite {
         if seen.contains(&slice.suite) {
             continue;
         }
         seen.push(slice.suite);
-        assert_width_matches(6, false, idx, plan);
+        assert_width_matches(6, false, slice, plan);
     }
 }
 
 #[test]
-fn batched_population_is_bit_identical_to_scalar_engine() {
-    let scalar = exp::run_population_with_threads(1, 500, 800, 1);
-    let batched = exp::run_population_batched(1, 500, 800, 1);
-    assert_eq!(scalar.len(), batched.len());
-    for (a, b) in scalar.iter().zip(&batched) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.gen, b.gen);
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.load_latency.to_bits(), b.load_latency.to_bits(), "{}/{}", a.name, a.gen);
-    }
+fn cold_sweep_is_bit_identical_to_scalar_sweep() {
+    let suite = standard_suite(1);
+    let scalar = exp::scalar_sweep(&suite, 500, 800, 1).unwrap();
+    let start = Start::Cold { suite: &suite, warmup: 500 };
+    let (swept, _) = exp::sweep(start, 800, 1, &pass_through()).unwrap();
+    assert_records_equal(&scalar, &swept, "cold sweep");
 }
 
 #[test]
-fn warm_batches_forked_from_one_snapshot_match_scalar_forks() {
+fn warm_lockstep_forked_from_one_snapshot_matches_scalar_forks() {
     let suite = standard_suite(1);
     let slice = &suite[2];
     let warmup = 1_500u64;
     let detail = 900u64;
-    // One warmed snapshot, forked into a width-4 batch.
+    // One warmed snapshot, forked into a width-4 lockstep group.
     let image = {
         let mut sim = member(3, false);
         let mut gen = slice.build().unwrap();
-        exp::must(sim.run_warmup(&mut *gen, warmup));
+        sim.run_warmup(&mut *gen, warmup).unwrap();
         sim.checkpoint()
     };
     let resume = || match Simulator::resume(&image) {
         Ok(sim) => sim,
         Err(e) => panic!("snapshot failed to resume: {e}"),
     };
-    let mut batch = PopulationBatch::new();
-    for _ in 0..4 {
-        batch.push(resume());
-    }
-    let mut shared = slice.build().unwrap();
-    for _ in 0..warmup {
-        let _ = shared.next_inst();
-    }
-    let batched = exp::must(batch.run_slice_lockstep(&mut *shared, SlicePlan::new(0, detail)));
+    let mut members: Vec<Simulator> = (0..4).map(|_| resume()).collect();
+    let mut stream = CachedStream::for_slice(pass_through(), slice);
+    stream.skip(warmup);
+    let forked = lockstep(&mut members, &mut stream, SlicePlan::new(0, detail)).unwrap();
     // Scalar forks: each resumes the same image with a private stream.
-    for (m, b) in batched.iter().enumerate() {
+    for (m, b) in forked.iter().enumerate() {
         let mut sim = resume();
         let mut gen = slice.build().unwrap();
         for _ in 0..warmup {
             let _ = gen.next_inst();
         }
-        let scalar = exp::must(sim.run_slice(&mut *gen, SlicePlan::new(0, detail)));
+        let scalar = sim.run_slice(&mut *gen, SlicePlan::new(0, detail)).unwrap();
         assert_eq!(digest(&scalar), digest(b), "warm fork member {m} diverged");
     }
 }
 
 #[test]
-fn warm_population_batched_matches_scalar_warm_and_cold() {
+fn warm_sweep_matches_scalar_and_cold_sweeps() {
     let (scale, warmup, detail) = (1, 1_000u64, 700u64);
-    let pool = exp::build_warm_pool(scale, warmup, 1);
-    let cold = exp::run_population_with_threads(scale, warmup, detail, 1);
-    let warm_scalar = exp::run_population_warm_scalar(&pool, detail, 1);
-    let warm_batched = exp::run_population_warm(&pool, detail, 1);
-    for (label, warm) in [("scalar", &warm_scalar), ("batched", &warm_batched)] {
-        assert_eq!(cold.len(), warm.len());
-        for (a, b) in cold.iter().zip(warm.iter()) {
-            assert_eq!(a.name, b.name, "warm {label}");
-            assert_eq!(a.gen, b.gen, "warm {label}");
-            assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "warm {label} {}/{}", a.name, a.gen);
-            assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "warm {label} {}/{}", a.name, a.gen);
-            assert_eq!(
-                a.load_latency.to_bits(),
-                b.load_latency.to_bits(),
-                "warm {label} {}/{}",
-                a.name,
-                a.gen
-            );
-        }
+    let suite = standard_suite(scale);
+    let pool = exp::try_build_warm_pool(scale, warmup, 1, &CancelToken::new()).unwrap();
+    let scalar = exp::scalar_sweep(&suite, warmup, detail, 1).unwrap();
+    let start = Start::Cold { suite: &suite, warmup };
+    let (cold, _) = exp::sweep(start, detail, 1, &pass_through()).unwrap();
+    assert_records_equal(&scalar, &cold, "cold");
+    for budget in [Some(0), None] {
+        let cache = Arc::new(ChunkCache::with_budget(budget));
+        let (warm, _) = exp::sweep(Start::Warm(&pool), detail, 1, &cache).unwrap();
+        assert_records_equal(&scalar, &warm, &format!("warm, budget {budget:?}"));
     }
 }
 
 /// The acceptance gate for program-driven traces: every embedded corpus
 /// program, built through the unified `TraceSource` API, must run
-/// bit-identically through the scalar and batched lockstep engines
-/// across all six generations.
+/// bit-identically through the scalar path and lockstep across all six
+/// generations.
 #[test]
 fn program_slices_match_scalar_across_all_generations() {
     let slices = match exynos_asm::corpus_slices(SlicePlan::default(), 900) {
@@ -192,77 +207,53 @@ fn program_slices_match_scalar_across_all_generations() {
         Err(e) => panic!("corpus failed to assemble: {e}"),
     };
     assert!(slices.len() >= 8, "corpus smaller than expected: {}", slices.len());
-    let plan = SlicePlan::new(400, 800);
     for slice in &slices {
-        let mut batch = PopulationBatch::new();
-        for g in 0..6 {
-            batch.push(member(g, false));
-        }
-        let mut shared = slice.build().unwrap();
-        let results = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
-        for (g, b) in results.iter().enumerate() {
-            let mut sim = member(g, false);
-            let mut gen = slice.build().unwrap();
-            let scalar = exp::must(sim.run_slice(&mut *gen, plan));
-            assert_eq!(digest(&scalar), digest(b), "{} member {g} diverged", slice.name);
-        }
+        assert_width_matches(6, false, slice, SlicePlan::new(400, 800));
     }
 }
 
 /// The mixed catalog (synthetic families + program slices) through the
-/// suite-parameterized sweep entry points: batched must stay
-/// bit-identical to scalar with programs in the population.
+/// sweep engine: it must stay bit-identical to the scalar sweep with
+/// programs in the population.
 #[test]
-fn mixed_catalog_batched_matches_scalar() {
-    let suite = exp::catalog_suite(1, true);
+fn mixed_catalog_sweep_matches_scalar() {
+    let suite = exp::catalog_suite(1, true).unwrap();
     assert!(suite.iter().any(|s| s.name.starts_with("program/")), "corpus missing from catalog");
-    let scalar = exp::run_suite_with_threads(&suite, 300, 500, 1);
-    let batched = exp::run_suite_batched(&suite, 300, 500, 1);
-    assert_eq!(scalar.len(), batched.len());
-    for (a, b) in scalar.iter().zip(&batched) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.gen, b.gen);
-        assert_eq!(a.ipc.to_bits(), b.ipc.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.mpki.to_bits(), b.mpki.to_bits(), "{}/{}", a.name, a.gen);
-        assert_eq!(a.load_latency.to_bits(), b.load_latency.to_bits(), "{}/{}", a.name, a.gen);
-    }
+    let scalar = exp::scalar_sweep(&suite, 300, 500, 1).unwrap();
+    let start = Start::Cold { suite: &suite, warmup: 300 };
+    let (swept, _) = exp::sweep(start, 500, 1, &pass_through()).unwrap();
+    assert_records_equal(&scalar, &swept, "mixed catalog");
 }
 
-/// The chunk-cache acceptance matrix: the cached lockstep path must be
-/// bit-identical to the scalar reference for every cache budget — zero
-/// (pure pass-through), one byte (every insert immediately evicted, so
-/// chunks rematerialize constantly), exactly one chunk, and unbounded —
-/// in both serial and pipelined (double-buffered producer) modes, with
-/// all six generations in the batch, with and without fault injection.
+/// The chunk-cache acceptance matrix: lockstep must be bit-identical to
+/// the scalar reference for every cache budget — zero (pure
+/// pass-through), one byte (every insert immediately evicted, so chunks
+/// rematerialize constantly), exactly one chunk, and unbounded — with
+/// all six generations in the group, with and without fault injection.
 /// The plan deliberately crosses a canonical chunk boundary so block
 /// splits at the chunk edge and at the warmup/detail boundary are both
 /// exercised.
 #[test]
-fn cached_budgets_and_pipelining_match_scalar() {
-    use exynos_core::batch::{CachedStream, ChunkCache, CHUNK_LEN};
-    use std::sync::Arc;
+fn cache_budgets_match_scalar() {
     let chunk_bytes = (CHUNK_LEN * std::mem::size_of::<exynos_trace::Inst>()) as u64;
     let suite = standard_suite(1);
-    let slice_idx = 0;
+    let slice = &suite[0];
     let plan = SlicePlan::new(6_000, 4_000); // total 10k > CHUNK_LEN=8192
     for faults in [false, true] {
-        let refs: Vec<String> =
-            (0..6).map(|g| scalar_reference(g, faults, slice_idx, plan)).collect();
+        let refs: Vec<String> = (0..6).map(|g| scalar_reference(g, faults, slice, plan)).collect();
         for budget in [Some(0), Some(1), Some(chunk_bytes), None] {
             let cache = Arc::new(ChunkCache::with_budget(budget));
-            for pipelined in [false, true] {
-                let mut batch = PopulationBatch::new();
-                for g in 0..6 {
-                    batch.push(member(g, faults));
-                }
-                let mut stream = CachedStream::for_slice(Arc::clone(&cache), &suite[slice_idx]);
-                let results = exp::must(batch.run_slice_cached(&mut stream, plan, pipelined));
+            // Two groups through one cache: the second reads whatever the
+            // budget let the first leave resident.
+            for pass in 0..2 {
+                let mut members: Vec<Simulator> = (0..6).map(|g| member(g, faults)).collect();
+                let mut stream = CachedStream::for_slice(Arc::clone(&cache), slice);
+                let results = lockstep(&mut members, &mut stream, plan).unwrap();
                 for (g, r) in results.iter().enumerate() {
                     assert_eq!(
                         refs[g],
                         digest(r),
-                        "member {g} diverged (faults {faults}, budget {budget:?}, \
-                         pipelined {pipelined})"
+                        "member {g} diverged (faults {faults}, budget {budget:?}, pass {pass})"
                     );
                 }
             }
@@ -272,44 +263,37 @@ fn cached_budgets_and_pipelining_match_scalar() {
             }
             if budget == Some(0) {
                 assert_eq!(stats.bytes, 0, "zero budget must hold nothing: {stats:?}");
+                assert_eq!(stats.misses, 2 * 10_000u64.div_ceil(CHUNK_LEN as u64), "{stats:?}");
+            }
+            if budget.is_none() {
+                assert!(stats.hits > 0, "the second pass must hit: {stats:?}");
             }
         }
     }
 }
 
 /// With the telemetry feature on, an instrumented scalar run must still
-/// match the (uninstrumented) batched path — sampling is observation,
-/// not perturbation.
+/// match the (uninstrumented) lockstep path — sampling is observation,
+/// not perturbation — for a pass-through and an unbounded cache.
 #[cfg(feature = "telemetry")]
 #[test]
-fn telemetry_instrumented_scalar_matches_batched() {
+fn telemetry_instrumented_scalar_matches_lockstep() {
     use exynos_telemetry::{Telemetry, TelemetryConfig};
     let suite = standard_suite(1);
     let slice = &suite[0];
     let plan = SlicePlan::new(400, 600);
-    let mut batch = PopulationBatch::new();
-    for g in 0..6 {
-        batch.push(member(g, false));
-    }
-    let mut shared = slice.build().unwrap();
-    let batched = exp::must(batch.run_slice_lockstep(&mut *shared, plan));
-    for (g, b) in batched.iter().enumerate() {
-        let mut sim = member(g, false);
-        let mut gen = slice.build().unwrap();
-        let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 250, event_capacity: 1 << 12 });
-        let scalar = exp::must(sim.run_slice_with(&mut *gen, plan, &mut tel));
-        assert_eq!(digest(&scalar), digest(b), "instrumented member {g} diverged");
-    }
-    // The cached pipelined path must agree with the same instrumented
-    // scalar reference: the cache serves records, not timing.
-    let cache = std::sync::Arc::new(exynos_core::batch::ChunkCache::unbounded());
-    let mut batch = PopulationBatch::new();
-    for g in 0..6 {
-        batch.push(member(g, false));
-    }
-    let mut stream = exynos_core::batch::CachedStream::for_slice(cache, slice);
-    let cached = exp::must(batch.run_slice_cached(&mut stream, plan, true));
-    for (b, c) in batched.iter().zip(&cached) {
-        assert_eq!(digest(b), digest(c), "cached pipelined diverged under telemetry build");
+    let instrumented: Vec<String> = (0..6)
+        .map(|g| {
+            let mut sim = member(g, false);
+            let mut gen = slice.build().unwrap();
+            let mut tel =
+                Telemetry::new(TelemetryConfig { epoch_len: 250, event_capacity: 1 << 12 });
+            digest(&sim.run_slice_with(&mut *gen, plan, &mut tel).unwrap())
+        })
+        .collect();
+    for budget in [Some(0), None] {
+        let got: Vec<String> =
+            lockstep_group(6, false, slice, plan, budget).iter().map(digest).collect();
+        assert_eq!(instrumented, got, "budget {budget:?} diverged under the telemetry build");
     }
 }

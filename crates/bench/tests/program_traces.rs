@@ -55,9 +55,9 @@ fn program_telemetry_jsonl_is_byte_identical() {
         let prog = exynos_asm::corpus_program("nested_loops").unwrap();
         let source = exynos_asm::AsmSource::new(prog);
         let mut gen = source.build(exp::PROGRAM_REGION_BASE, 0xA500).unwrap();
-        let mut sim = exp::must(SimBuilder::config(CoreConfig::m5()).build());
+        let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
         let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 500, event_capacity: 1 << 14 });
-        exp::must(sim.run_slice_with(&mut *gen, SlicePlan::new(500, 2_500), &mut tel));
+        sim.run_slice_with(&mut *gen, SlicePlan::new(500, 2_500), &mut tel).unwrap();
         sim.sample_telemetry(&mut tel);
         tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
         (tel.metrics_jsonl(), tel.events_jsonl())

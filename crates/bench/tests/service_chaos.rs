@@ -77,7 +77,9 @@ fn chaos_soak_every_job_terminates_typed() {
     strict.strict_decode = true;
     let strict_id = engine.submit(strict, None, None).unwrap();
     let wedged = engine.submit(wedge_spec(), None, None).unwrap();
-    let doomed = engine.submit(quick_checkpoint("m6", 400), Some(1), None).unwrap();
+    // A warmup no host finishes within the 1 ms deadline, so only the
+    // deadline can end this job, however fast the step loop gets.
+    let doomed = engine.submit(quick_checkpoint("m6", 1 << 40), Some(1), None).unwrap();
     let killed = engine.submit(quick_sweep(), None, None).unwrap();
     engine.cancel(killed);
 

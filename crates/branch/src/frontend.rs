@@ -239,23 +239,6 @@ impl FrontEnd {
         &self.ubtb
     }
 
-    /// Read-only SHP access (batched probe paths).
-    pub fn shp(&self) -> &Shp {
-        &self.shp
-    }
-
-    /// Read-only BTB-hierarchy access (batched probe paths).
-    pub fn btb(&self) -> &BtbHierarchy {
-        &self.btb
-    }
-
-    /// Read-only speculative-history access `(ghist, phist)` — lockstep
-    /// population members share architectural history content, so the
-    /// batched SHP probe borrows one member's registers for the group.
-    pub fn histories(&self) -> (&GlobalHistory, &PathHistory) {
-        (&self.ghist, &self.phist)
-    }
-
     /// Switch to a new execution context: recompute CONTEXT_HASH. Stored
     /// indirect/RAS targets trained by the old context now decode to
     /// garbage (the §V property).

@@ -202,36 +202,6 @@ impl MicroBtb {
         }
     }
 
-    /// Side-effect-free probe: what [`MicroBtb::predict`] would return
-    /// for `pc`, without touching the LRU stamp or lock bookkeeping.
-    /// The direction logic is identical (edge bits, then the pow2-masked
-    /// LHP row for difficult nodes); only the timing-visible state is
-    /// left alone, which is what batch dissection paths need.
-    pub fn probe(&self, pc: u64) -> UbtbPrediction {
-        let Some(i) = self.find(pc) else {
-            return UbtbPrediction::Miss;
-        };
-        let n = self.nodes[i];
-        let taken = if n.is_uncond || !n.saw_not_taken {
-            true
-        } else if !n.saw_taken {
-            false
-        } else {
-            self.lhp[self.lhp_index(pc, n.local_history)] >= 0
-        };
-        UbtbPrediction::Hit { taken, target: n.taken_target }
-    }
-
-    /// Batched SoA probe: resolve `pc` against every member's graph,
-    /// appending one [`UbtbPrediction`] per member to `out` (cleared
-    /// first, member order preserved). Read-only — see
-    /// [`MicroBtb::probe`].
-    pub fn probe_batch(ubtbs: &[&MicroBtb], pc: u64, out: &mut Vec<UbtbPrediction>) {
-        out.clear();
-        out.reserve(ubtbs.len());
-        out.extend(ubtbs.iter().map(|u| u.probe(pc)));
-    }
-
     /// Record the architectural outcome of the branch at `pc`, learning
     /// graph edges, training the LHP, maintaining lock state, and (when the
     /// branch was not yet a node) passing it through the seed filter.
@@ -512,21 +482,6 @@ mod tests {
             u.update(pc, true, pc + 0x100, true, false);
         }
         assert!(u.occupancy() > 2);
-    }
-
-    #[test]
-    fn probe_matches_predict_without_side_effects() {
-        let mut u = MicroBtb::new(UbtbConfig::m1());
-        run_loop(&mut u, 0x4000, 0x3f00, 50);
-        let stamp_before = u.stamp;
-        let probed = u.probe(0x4000);
-        assert_eq!(u.stamp, stamp_before, "probe must not touch LRU state");
-        let predicted = u.predict(0x4000);
-        assert_eq!(probed, predicted);
-        assert_eq!(u.probe(0x9999), UbtbPrediction::Miss);
-        let mut out = Vec::new();
-        MicroBtb::probe_batch(&[&u, &u], 0x4000, &mut out);
-        assert_eq!(out, vec![probed, probed]);
     }
 
     #[test]

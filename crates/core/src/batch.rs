@@ -1,25 +1,24 @@
-//! Shared decoded-trace chunks for batched lockstep sweeps.
+//! Shared decoded-trace chunks and the lockstep sweep step.
 //!
 //! Population sweeps run the *same* trace slice against many
 //! configurations (the paper's §II design-space methodology). The trace
 //! generators are pure functions of `(SliceSpec, seed)`, so every member
-//! of such a group consumes an identical instruction stream — yet the
-//! serial per-member loop regenerates it once per member. An
-//! [`InstChunk`] decodes a block of records once and lets N simulators
-//! step over the shared slice ([`Simulator::run_block`]), amortizing
-//! generation cost across the whole group.
+//! of such a group consumes an identical instruction stream. [`lockstep`]
+//! decodes each block of records once, through a [`CachedStream`], and
+//! steps every member over the shared block ([`Simulator::run_block`]),
+//! amortizing generation cost across the whole group.
 //!
-//! Chunked lockstep preserves bit-identity by construction: simulators
-//! share no mutable state, and each member sees the exact record
-//! sequence it would have seen stepping its own generator. The chunk is
-//! a reusable buffer — one allocation per group, refilled in place.
-//!
-//! [`Simulator::run_block`]: crate::sim::Simulator::run_block
+//! Lockstep preserves bit-identity by construction: simulators share no
+//! mutable state, and each member sees the exact record sequence it
+//! would have seen stepping its own generator, so every member performs
+//! the very `step` calls [`Simulator::run_slice`] performs. The
+//! `batch_determinism` suite gates this against the scalar path.
 
+use crate::error::SimError;
+use crate::sim::{Simulator, SliceMeasure, SliceResult};
 use exynos_trace::suite::SliceSpec;
-use exynos_trace::{Fingerprint, Inst, TraceError, TraceGen};
+use exynos_trace::{Fingerprint, Inst, SlicePlan, TraceError, TraceGen};
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -34,8 +33,10 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// so it remains cache-resident across the member loop.
 pub const CHUNK_LEN: usize = 8 * 1024;
 
-/// A reusable buffer of decoded trace records shared by every member of
-/// a lockstep batch.
+/// A reusable buffer of decoded trace records. The sweep engine reads
+/// through [`CachedStream`]; this plain buffer is kept for the benchmark's
+/// `perfbench/src/entry.rs`, which decodes streams through it, and goes
+/// with that file's own adaptation.
 #[derive(Debug, Default)]
 pub struct InstChunk {
     buf: Vec<Inst>,
@@ -57,21 +58,6 @@ impl InstChunk {
         }
         &self.buf
     }
-
-    /// The decoded records currently in the buffer.
-    pub fn as_slice(&self) -> &[Inst] {
-        &self.buf
-    }
-
-    /// Records currently buffered.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True when the buffer holds no records.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
 }
 
 /// One cached chunk's identity: which stream it came from and where in
@@ -89,12 +75,9 @@ struct ChunkKey {
 const CHUNK_BYTES: usize = CHUNK_LEN * std::mem::size_of::<Inst>();
 
 /// How many evicted buffers the free list retains for reuse. Small on
-/// purpose: it only needs to cover the steady-state churn of one
-/// producer per stream, not the whole cache.
+/// purpose: it only needs to cover the steady-state churn of the
+/// streams materializing at once, not the whole cache.
 const FREE_LIST_CAP: usize = 8;
-
-/// Upper bound on buffered pipeline-stall samples between drains.
-const STALL_SAMPLE_CAP: usize = 4096;
 
 struct CacheEntry {
     data: Arc<Vec<Inst>>,
@@ -137,7 +120,6 @@ pub struct ChunkCache {
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    stalls: Mutex<Vec<u64>>,
 }
 
 impl std::fmt::Debug for ChunkCache {
@@ -187,7 +169,6 @@ impl ChunkCache {
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            stalls: Mutex::new(Vec::new()),
         }
     }
 
@@ -206,21 +187,6 @@ impl ChunkCache {
         }
     }
 
-    /// Record one pipeline stall (consumer blocked waiting on a producer)
-    /// in microseconds. Samples are buffered (bounded) until drained by
-    /// [`ChunkCache::take_stalls`].
-    pub fn record_stall(&self, dur_us: u64) {
-        let mut stalls = lock_unpoisoned(&self.stalls);
-        if stalls.len() < STALL_SAMPLE_CAP {
-            stalls.push(dur_us);
-        }
-    }
-
-    /// Drain the buffered stall samples (for histogram export).
-    pub fn take_stalls(&self) -> Vec<u64> {
-        std::mem::take(&mut *lock_unpoisoned(&self.stalls))
-    }
-
     fn lookup(&self, key: ChunkKey) -> Option<Arc<Vec<Inst>>> {
         let mut inner = lock_unpoisoned(&self.inner);
         inner.tick += 1;
@@ -234,7 +200,7 @@ impl ChunkCache {
         None
     }
 
-    /// Pop a recycled buffer for the producer to fill (or a fresh one).
+    /// Pop a recycled buffer to materialize into (or a fresh one).
     fn checkout_buffer(&self) -> Vec<Inst> {
         lock_unpoisoned(&self.inner)
             .free
@@ -244,7 +210,7 @@ impl ChunkCache {
 
     /// Insert a freshly materialized chunk, evicting LRU entries to fit
     /// the budget. With budget 0 nothing is stored (the caller keeps the
-    /// only `Arc`). Races between two producers of the same key are
+    /// only `Arc`). Races between two streams materializing one key are
     /// benign: both materialized byte-identical data, last insert wins.
     fn insert(&self, key: ChunkKey, data: &Arc<Vec<Inst>>) {
         if self.budget == Some(0) {
@@ -288,14 +254,17 @@ impl ChunkCache {
 /// A record-level cursor over one fingerprinted stream, backed by a
 /// shared [`ChunkCache`].
 ///
-/// The stream hands out whole decoded chunks plus the sub-range the
-/// cursor covers, so consumers with arbitrary (non-chunk-aligned)
-/// warmup/detail windows still map onto canonical cache entries. On a
-/// hit the private generator is *not* advanced — it lazily fast-forwards
-/// (or rebuilds from scratch if the cursor ever regressed past it) only
-/// when a miss forces materialization. Correctness never depends on the
-/// cache: every path re-derives the same records from the same pure
-/// generator.
+/// The stream holds the decoded chunk under its cursor and hands out
+/// sub-slices of it, so consumers with arbitrary (non-chunk-aligned)
+/// warmup/detail windows still map onto canonical cache entries, and a
+/// window boundary inside a chunk never looks that chunk up (or
+/// materializes it) a second time. On a hit the private generator is
+/// *not* advanced — it lazily fast-forwards (or rebuilds from scratch if
+/// the cursor ever regressed past it) only when a miss forces
+/// materialization. Over a pass-through cache the held chunk's buffer is
+/// refilled in place, so the stream allocates one chunk in all.
+/// Correctness never depends on the cache: every path re-derives the
+/// same records from the same pure generator.
 pub struct CachedStream {
     cache: Arc<ChunkCache>,
     stream: Fingerprint,
@@ -305,6 +274,8 @@ pub struct CachedStream {
     gen_pos: u64,
     /// Absolute record position of the consumer cursor.
     pos: u64,
+    /// The chunk the cursor last read from: `(chunk index, records)`.
+    current: Option<(u64, Arc<Vec<Inst>>)>,
 }
 
 impl std::fmt::Debug for CachedStream {
@@ -336,6 +307,7 @@ impl CachedStream {
             gen: None,
             gen_pos: 0,
             pos: 0,
+            current: None,
         }
     }
 
@@ -346,21 +318,6 @@ impl CachedStream {
         CachedStream::new(cache, fp, move || spec.build())
     }
 
-    /// The stream's content digest.
-    pub fn fingerprint(&self) -> Fingerprint {
-        self.stream
-    }
-
-    /// The shared cache this stream reads through.
-    pub fn cache(&self) -> &Arc<ChunkCache> {
-        &self.cache
-    }
-
-    /// Absolute record position of the cursor.
-    pub fn position(&self) -> u64 {
-        self.pos
-    }
-
     /// Advance the cursor by `n` records without producing them. Free on
     /// cached regions: the skipped records are only ever generated if a
     /// later miss needs the generator fast-forwarded through them.
@@ -369,8 +326,12 @@ impl CachedStream {
     }
 
     /// Materialize the canonical chunk containing absolute record
-    /// `start..start+CHUNK_LEN`, reusing pooled buffers.
-    fn materialize(&mut self, chunk_index: u64) -> Result<Arc<Vec<Inst>>, TraceError> {
+    /// `start..start+CHUNK_LEN` into `buf`.
+    fn materialize(
+        &mut self,
+        chunk_index: u64,
+        mut buf: Vec<Inst>,
+    ) -> Result<Vec<Inst>, TraceError> {
         let start = chunk_index * CHUNK_LEN as u64;
         // The generator can only move forward; a cursor that regressed
         // (or a fresh stream) rebuilds it from the pure source.
@@ -387,38 +348,82 @@ impl CachedStream {
         for _ in self.gen_pos..start {
             let _ = gen.next_inst();
         }
-        let mut buf = self.cache.checkout_buffer();
         buf.clear();
         buf.reserve(CHUNK_LEN);
         for _ in 0..CHUNK_LEN {
             buf.push(gen.next_inst());
         }
         self.gen_pos = start + CHUNK_LEN as u64;
-        Ok(Arc::new(buf))
+        Ok(buf)
     }
 
-    /// Produce the next run of records: the resident (or freshly
-    /// materialized) chunk under the cursor plus the in-chunk range
-    /// covering at most `max` records. The range never crosses a chunk
-    /// boundary, so a consumer loop naturally re-enters per chunk.
-    /// Streams are infinite; this always yields a non-empty range for
-    /// `max > 0`.
-    pub fn next_block(&mut self, max: usize) -> Result<(Arc<Vec<Inst>>, Range<usize>), TraceError> {
+    /// Produce the next run of at most `max` records from the chunk
+    /// under the cursor, looking the chunk up (and materializing it on a
+    /// miss) only when the cursor has moved onto a different chunk. The
+    /// run never crosses a chunk boundary, so a consumer loop naturally
+    /// re-enters per chunk. Streams are infinite; this always yields a
+    /// non-empty run for `max > 0`.
+    pub fn next_block(&mut self, max: usize) -> Result<&[Inst], TraceError> {
         let chunk_index = self.pos / CHUNK_LEN as u64;
         let offset = (self.pos % CHUNK_LEN as u64) as usize;
         let len = max.min(CHUNK_LEN - offset);
-        let key = ChunkKey { stream: self.stream.0, index: chunk_index };
-        let data = match self.cache.lookup(key) {
-            Some(d) => d,
-            None => {
-                let d = self.materialize(chunk_index)?;
-                self.cache.insert(key, &d);
-                d
+        let data = match self.current.take() {
+            Some((index, data)) if index == chunk_index => data,
+            stale => {
+                let key = ChunkKey { stream: self.stream.0, index: chunk_index };
+                match self.cache.lookup(key) {
+                    Some(d) => d,
+                    None => {
+                        // Refill the stale chunk's buffer when nothing else
+                        // holds it (always, over a pass-through cache).
+                        let buf = match stale.map(|(_, d)| Arc::try_unwrap(d)) {
+                            Some(Ok(buf)) => buf,
+                            _ => self.cache.checkout_buffer(),
+                        };
+                        let d = Arc::new(self.materialize(chunk_index, buf)?);
+                        self.cache.insert(key, &d);
+                        d
+                    }
+                }
             }
         };
         self.pos += len as u64;
-        Ok((data, offset..offset + len))
+        let (_, data) = self.current.insert((chunk_index, data));
+        Ok(&data[offset..offset + len])
     }
+}
+
+/// Step every member over `plan.warmup + plan.detail` records of
+/// `stream` in lockstep and return one detail-window [`SliceResult`] per
+/// member, member order.
+///
+/// Each block is decoded once and stepped by every member before the
+/// next; the blocks split exactly at the warmup/detail boundary, where
+/// each member's measurement baseline is taken. Per member this is the
+/// `step` sequence of [`Simulator::run_slice`] over a private generator
+/// positioned where `stream`'s cursor is, so results are bit-identical
+/// to it for any member count and any cache budget. Members must all
+/// belong to the same stream (the caller groups them).
+pub fn lockstep(
+    members: &mut [Simulator],
+    stream: &mut CachedStream,
+    plan: SlicePlan,
+) -> Result<Vec<SliceResult>, SimError> {
+    let mut advance = |members: &mut [Simulator], n: u64| -> Result<(), SimError> {
+        let mut rem = n;
+        while rem > 0 {
+            let block = stream.next_block(rem.min(CHUNK_LEN as u64) as usize)?;
+            for sim in members.iter_mut() {
+                sim.run_block(block)?;
+            }
+            rem -= block.len() as u64;
+        }
+        Ok(())
+    };
+    advance(members, plan.warmup)?;
+    let begin: Vec<SliceMeasure> = members.iter().map(Simulator::measure_begin).collect();
+    advance(members, plan.detail)?;
+    Ok(members.iter().zip(&begin).map(|(s, m)| s.measure_end(m)).collect())
 }
 
 #[cfg(test)]
@@ -456,8 +461,8 @@ mod tests {
     fn drain(stream: &mut CachedStream, n: usize, block: usize) -> Vec<u64> {
         let mut pcs = Vec::with_capacity(n);
         while pcs.len() < n {
-            let (chunk, range) = stream.next_block(block.min(n - pcs.len())).unwrap();
-            pcs.extend(chunk[range].iter().map(|i| i.pc));
+            let block = stream.next_block(block.min(n - pcs.len())).unwrap();
+            pcs.extend(block.iter().map(|i| i.pc));
         }
         pcs
     }
@@ -469,10 +474,11 @@ mod tests {
         let want: Vec<u64> = (0..20_000).map(|_| direct.next_inst().pc).collect();
         let mut s = loop_stream(&cache, 7);
         assert_eq!(drain(&mut s, 20_000, 777), want);
-        // A second pass over the same stream hits the cache and still
-        // yields identical records.
+        // Pass 1 looks each chunk up once, however many blocks it reads
+        // from it; a second pass over the same stream hits the cache and
+        // still yields identical records.
         let before = cache.stats();
-        assert!(before.hits >= 1, "second chunk of pass 1 re-reads chunk 0? {before:?}");
+        assert_eq!((before.hits, before.misses), (0, 3), "{before:?}");
         let mut s2 = loop_stream(&cache, 7);
         assert_eq!(drain(&mut s2, 20_000, 4_096), want);
         let after = cache.stats();
@@ -537,11 +543,42 @@ mod tests {
     }
 
     #[test]
-    fn stall_samples_drain_once() {
-        let cache = ChunkCache::unbounded();
-        cache.record_stall(42);
-        cache.record_stall(7);
-        assert_eq!(cache.take_stalls(), vec![42, 7]);
-        assert!(cache.take_stalls().is_empty());
+    fn pass_through_materializes_each_chunk_once_across_a_window_split() {
+        // 5,000 + 30,000 records: the split lands inside chunk 0, which
+        // must not be materialized again for the detail window.
+        let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+        let mut s = loop_stream(&cache, 17);
+        let (warmup, detail) = (5_000usize, 30_000usize);
+        let mut pcs = drain(&mut s, warmup, CHUNK_LEN);
+        pcs.extend(drain(&mut s, detail, CHUNK_LEN));
+        let mut direct = LoopNest::new(&LoopNestParams::default(), 0, 17);
+        let want: Vec<u64> = (0..warmup + detail).map(|_| direct.next_inst().pc).collect();
+        assert_eq!(pcs, want);
+        let st = cache.stats();
+        assert_eq!(st.misses, (warmup + detail).div_ceil(CHUNK_LEN) as u64, "{st:?}");
+        assert_eq!(st.hits, 0);
+    }
+
+    #[test]
+    fn lockstep_matches_scalar_across_generations() {
+        use crate::builder::SimBuilder;
+        use crate::config::CoreConfig;
+        let slice = &exynos_trace::standard_suite(1)[0];
+        let plan = SlicePlan::new(700, 900);
+        let gens = CoreConfig::all_generations();
+        let build = |cfg: &CoreConfig| SimBuilder::config(cfg.clone()).build().unwrap();
+        let mut members: Vec<Simulator> = gens.iter().map(build).collect();
+        let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+        let mut stream = CachedStream::for_slice(cache, slice);
+        let batched = lockstep(&mut members, &mut stream, plan).unwrap();
+        for (cfg, b) in gens.iter().zip(&batched) {
+            let mut gen = slice.build().unwrap();
+            let scalar = build(cfg).run_slice(&mut *gen, plan).unwrap();
+            assert_eq!(format!("{scalar:?}"), format!("{b:?}"), "{}", cfg.gen.name());
+        }
+        // No members: the stream is still consumed, nothing is returned.
+        let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+        let mut stream = CachedStream::for_slice(cache, slice);
+        assert!(lockstep(&mut [], &mut stream, plan).unwrap().is_empty());
     }
 }

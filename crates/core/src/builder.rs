@@ -1,7 +1,7 @@
 //! The one construction path for simulators.
 //!
-//! [`SimBuilder`] replaces the scattered "make a `CoreConfig`, call
-//! `Simulator::new`, then remember to call `attach_fault_injector` /
+//! [`SimBuilder`] replaces the scattered "make a `CoreConfig`, construct
+//! the simulator, then remember to call `attach_fault_injector` /
 //! `set_watchdog` / `set_strict_decode` in the right order" plumbing
 //! with a single fluent chain:
 //!

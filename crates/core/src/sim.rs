@@ -219,15 +219,6 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Build a simulator for `cfg`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "construct through `exynos_core::builder::SimBuilder`, the one validated construction path"
-    )]
-    pub fn new(cfg: CoreConfig) -> Simulator {
-        Simulator::construct(cfg)
-    }
-
     /// Construction without validation — the builder's backend and the
     /// resume path. Callers outside the crate go through
     /// [`SimBuilder`](crate::builder::SimBuilder).
@@ -337,13 +328,6 @@ impl Simulator {
     /// Memory-system access (stats).
     pub fn memsys(&self) -> &MemSystem {
         &self.memsys
-    }
-
-    /// UOC access (`None` on generations without one). Read-only: batch
-    /// probe paths peek at block state without perturbing the mode
-    /// machine.
-    pub fn uoc(&self) -> Option<&Uoc> {
-        self.uoc.as_ref()
     }
 
     /// UOC statistics (zeroes when the generation has no UOC).

@@ -3,7 +3,6 @@
 
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
-use exynos_core::sim::Simulator;
 use exynos_trace::{standard_suite, SlicePlan};
 
 /// Simulate a subset of the catalog on one generation; returns

@@ -297,32 +297,6 @@ impl Cache {
         self.find(addr).is_some()
     }
 
-    /// Branchless tag-array probe: fold the pow2-masked tag compare over
-    /// every way with no early exit — the fixed-shape per-member inner
-    /// loop the batched probe path hands the autovectorizer. Same result
-    /// as [`Cache::probe`].
-    #[inline]
-    fn probe_ways(&self, addr: u64) -> bool {
-        let t = self.tag_addr(addr);
-        let base = (self.set_of(addr) * self.cfg.ways as u64) as usize;
-        let sector = self.sector_of(addr);
-        let mut hit = false;
-        for e in &self.entries[base..base + self.cfg.ways] {
-            hit |= e.tag_addr == t && (e.sector_valid >> sector) & 1 == 1;
-        }
-        hit
-    }
-
-    /// Batched SoA probe: test the 64 B line at `addr` for presence in
-    /// every member of a lockstep population, appending one bool per
-    /// member to `out` (cleared first, member order preserved). Side-
-    /// effect-free: no replacement-state movement, no statistics.
-    pub fn probe_batch(caches: &[&Cache], addr: u64, out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(caches.len());
-        out.extend(caches.iter().map(|c| c.probe_ways(addr)));
-    }
-
     /// Probe whether the *buddy* sector of `addr` is valid under the same
     /// tag (Buddy prefetcher support; always false for unsectored caches).
     pub fn buddy_valid(&self, addr: u64) -> bool {
@@ -527,31 +501,6 @@ mod tests {
             sectors_per_tag: 1,
             latency: 4,
         })
-    }
-
-    #[test]
-    fn probe_batch_matches_scalar_probe() {
-        let mut a = small();
-        let mut b = Cache::new(CacheConfig {
-            size_bytes: 8192,
-            ways: 8,
-            line_bytes: 64,
-            sectors_per_tag: 2,
-            latency: 4,
-        });
-        for i in 0..32u64 {
-            a.fill(0x1000 + i * 64, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-            if i % 2 == 0 {
-                b.fill(0x1000 + i * 64, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-            }
-        }
-        let stats = (a.stats(), b.stats());
-        let mut out = Vec::new();
-        for addr in [0x1000u64, 0x1040, 0x9000, 0x1000 + 31 * 64] {
-            Cache::probe_batch(&[&a, &b], addr, &mut out);
-            assert_eq!(out, vec![a.probe(addr), b.probe(addr)]);
-        }
-        assert_eq!((a.stats(), b.stats()), stats, "probes must not touch stats");
     }
 
     #[test]

@@ -229,7 +229,6 @@ struct Ops {
     cache_miss_total: exynos_telemetry::MetricId,
     cache_eviction_total: exynos_telemetry::MetricId,
     cache_bytes: exynos_telemetry::MetricId,
-    pipeline_stall: exynos_telemetry::MetricId,
     /// Runner cache stats at the last sample, so each job folds in only
     /// its own delta (the runner counters are cumulative).
     last_cache: exynos_core::batch::ChunkCacheStats,
@@ -245,7 +244,6 @@ impl Ops {
         let cache_miss_total = registry.counter("chunk_cache", "miss_total");
         let cache_eviction_total = registry.counter("chunk_cache", "eviction_total");
         let cache_bytes = registry.gauge("chunk_cache", "bytes");
-        let pipeline_stall = registry.quantile_histogram("pipeline", "stall");
         for stage in STAGES {
             registry.quantile_histogram("service.latency", stage);
         }
@@ -258,7 +256,6 @@ impl Ops {
             cache_miss_total,
             cache_eviction_total,
             cache_bytes,
-            pipeline_stall,
             last_cache: exynos_core::batch::ChunkCacheStats::default(),
         }
     }
@@ -337,32 +334,26 @@ fn ops_observe_stage(inner: &Inner, stage: &'static str, dur_us: u64) {
 }
 
 /// Sample the runner's cumulative chunk-cache stats and fold the delta
-/// since the previous sample into the ops registry, then drain any
-/// pipeline stall samples into the `pipeline_stall` histogram. Called
-/// once per finished job so the counters track job-attributable work.
+/// since the previous sample into the ops registry. Called once per
+/// finished job so the counters track job-attributable work.
 fn ops_sample_chunk_cache(inner: &Inner) {
     if !Telemetry::ACTIVE {
         return;
     }
     let now = inner.runner.chunk_cache_stats();
-    let stalls = inner.runner.take_pipeline_stalls();
     let mut ops = lock_ops(&inner.ops);
     let prev = ops.last_cache;
     ops.last_cache = now;
-    let (hit, miss, evict, bytes, stall) = (
+    let (hit, miss, evict, bytes) = (
         ops.cache_hit_total,
         ops.cache_miss_total,
         ops.cache_eviction_total,
         ops.cache_bytes,
-        ops.pipeline_stall,
     );
     ops.registry.add(hit, now.hits.saturating_sub(prev.hits));
     ops.registry.add(miss, now.misses.saturating_sub(prev.misses));
     ops.registry.add(evict, now.evictions.saturating_sub(prev.evictions));
     ops.registry.set_gauge(bytes, now.bytes as f64);
-    for dur_us in stalls {
-        ops.registry.observe(stall, dur_us);
-    }
 }
 
 /// Append one `{"type":"event",...}` line to the flight ring.

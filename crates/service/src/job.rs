@@ -363,10 +363,10 @@ pub trait JobRunner: Send + Sync + 'static {
         exynos_core::batch::ChunkCacheStats::default()
     }
 
-    /// Drain buffered pipeline-stall samples (microseconds a consumer
-    /// spent blocked on a chunk producer) for the `pipeline_stall`
-    /// histogram. Draining transfers ownership: each sample is exported
-    /// once. The default (no pipeline) never yields samples.
+    /// Formerly drained chunk-producer stall samples; no runner produces
+    /// them any more and the engine never calls this. Kept, with its
+    /// empty default, for `perfbench/src/entry.rs`, which overrides it;
+    /// it goes with that file's own adaptation.
     fn take_pipeline_stalls(&self) -> Vec<u64> {
         Vec::new()
     }

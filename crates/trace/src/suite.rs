@@ -68,7 +68,7 @@ impl SuiteKind {
     /// How many of [`SuiteKind::ALL`] are synthetic generator families.
     pub const NUM_SYNTHETIC: usize = 6;
 
-    /// Short label used in slice names, reports and BENCH_sweep.json keys.
+    /// Short label used in slice names and reports.
     pub fn label(self) -> &'static str {
         match self {
             SuiteKind::SpecIntLike => "specint",
@@ -264,18 +264,6 @@ impl WorkloadSpec {
             WorkloadSpec::Program(src) => src.label(),
         }
     }
-
-    /// Instantiate the generator in address `region` with `seed`.
-    ///
-    /// # Panics
-    /// Panics if the workload fails to build; use [`WorkloadSpec::build`].
-    #[deprecated(since = "0.1.0", note = "use the fallible `WorkloadSpec::build` instead")]
-    pub fn instantiate(&self, region: u64, seed: u64) -> BoxedGen {
-        match self.build(region, seed) {
-            Ok(g) => g,
-            Err(e) => panic!("workload build failed: {e}"),
-        }
-    }
 }
 
 impl TraceSource for WorkloadSpec {
@@ -329,18 +317,6 @@ impl SliceSpec {
         h.write_u64(self.region);
         h.write_u64(self.seed);
         h.finish()
-    }
-
-    /// Instantiate this slice's generator.
-    ///
-    /// # Panics
-    /// Panics if the workload fails to build; use [`SliceSpec::build`].
-    #[deprecated(since = "0.1.0", note = "use the fallible `SliceSpec::build` instead")]
-    pub fn instantiate(&self) -> BoxedGen {
-        match self.build() {
-            Ok(g) => g,
-            Err(e) => panic!("slice `{}` failed to build: {e}", self.name),
-        }
     }
 }
 
@@ -626,13 +602,6 @@ mod tests {
                 let _ = g.next_inst();
             }
         }
-    }
-
-    #[test]
-    fn deprecated_instantiate_still_works() {
-        #[allow(deprecated)]
-        let mut g = standard_suite(1)[0].instantiate();
-        let _ = g.next_inst();
     }
 
     #[test]

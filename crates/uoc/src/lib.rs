@@ -284,24 +284,6 @@ impl Uoc {
         ubtb.set_built(branch_pc, true);
     }
 
-    /// Side-effect-free probe: is a block starting at `start` resident?
-    /// Unlike the internal find path this touches no LRU hint, so batch
-    /// dissection sweeps can interrogate residency without perturbing
-    /// the mode machine or replacement order.
-    pub fn contains_block(&self, start: u64) -> bool {
-        self.blocks.iter().any(|b| b.start == start)
-    }
-
-    /// Batched SoA probe: test block residency of `start` across every
-    /// member of a lockstep population, appending one bool per member to
-    /// `out` (cleared first, member order preserved). Members without a
-    /// UOC are passed as `None` and report `false` (pre-M5 generations).
-    pub fn probe_batch(uocs: &[Option<&Uoc>], start: u64, out: &mut Vec<bool>) {
-        out.clear();
-        out.reserve(uocs.len());
-        out.extend(uocs.iter().map(|u| u.is_some_and(|u| u.contains_block(start))));
-    }
-
     /// Process one completed basic block: `start` is its first PC,
     /// `branch_pc` the terminating branch (whose µBTB entry owns the built
     /// bit), `uops` its µop count. Returns `true` when the block's µops

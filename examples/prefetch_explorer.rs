@@ -10,7 +10,6 @@
 
 use exynos::core::builder::SimBuilder;
 use exynos::core::config::CoreConfig;
-use exynos::core::sim::Simulator;
 use exynos::trace::gen::pointer_chase::{PointerChase, PointerChaseParams};
 use exynos::trace::gen::spatial::{SpatialParams, SpatialRegions};
 use exynos::trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};

@@ -8,7 +8,6 @@
 
 use exynos::core::builder::SimBuilder;
 use exynos::core::config::{CoreConfig, Generation};
-use exynos::core::sim::Simulator;
 use exynos::trace::{standard_suite, SlicePlan};
 
 fn main() {

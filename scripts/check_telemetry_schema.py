@@ -29,8 +29,7 @@ protocol command):
   and a name declared by a preceding `# TYPE` comment;
 * the chunk-cache instrumentation is present: `chunk_cache_hit_total`,
   `chunk_cache_miss_total` and `chunk_cache_eviction_total` counters,
-  the `chunk_cache_bytes` gauge, and the `pipeline_stall` summary with
-  its `_sum`/`_count` series.
+  and the `chunk_cache_bytes` gauge.
 
 `--postmortem` validates a flight-recorder dump (`harness -- serve
 --postmortem-dir`, the `postmortem` protocol command):
@@ -163,7 +162,6 @@ PROM_REQUIRED = {
     "chunk_cache_miss_total": "counter",
     "chunk_cache_eviction_total": "counter",
     "chunk_cache_bytes": "gauge",
-    "pipeline_stall": "summary",
 }
 
 

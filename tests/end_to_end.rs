@@ -2,7 +2,6 @@
 
 use exynos::core::builder::SimBuilder;
 use exynos::core::config::CoreConfig;
-use exynos::core::sim::Simulator;
 use exynos::secure::context::ContextId;
 use exynos::trace::gen::web::{WebParams, WebWorkload};
 use exynos::trace::{standard_suite, SlicePlan, SuiteKind};
