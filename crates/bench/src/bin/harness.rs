@@ -466,21 +466,23 @@ fn asm_cmd(target: &str) {
 /// program workload on every generation, or on one with `--gen`.
 fn run_program_cmd(target: &str, gen: Option<&str>, quick: bool) {
     use exynos_bench::service_runner::parse_generation;
-    use exynos_trace::{SlicePlan, TraceSource};
+    use exynos_core::batch::{lockstep, CachedStream};
+    use exynos_trace::{SlicePlan, SliceSpec, SuiteKind, WorkloadSpec};
+    use std::sync::Arc;
 
     let prog = load_program(target);
     let name = prog.name().to_owned();
     println!("# {}", prog.summary());
-    let source = exynos_asm::AsmSource::new(prog);
     let (warmup, detail) = if quick { (1_000, 5_000) } else { (5_000, 30_000) };
-    let build = || match source.build(exp::PROGRAM_REGION_BASE, 0xA500) {
-        Ok(g) => g,
-        Err(e) => {
-            eprintln!("harness: {e}");
-            std::process::exit(2);
-        }
-    };
     let plan = SlicePlan::new(warmup, detail);
+    let slice = SliceSpec {
+        name: format!("program/{name}"),
+        suite: SuiteKind::ProgramLike,
+        spec: WorkloadSpec::Program(Arc::new(exynos_asm::AsmSource::new(prog))),
+        seed: 0xA500,
+        region: exp::PROGRAM_REGION_BASE,
+        plan,
+    };
     let gens = match gen {
         Some(g) => match parse_generation(g) {
             Ok(v) => vec![CoreConfig::for_generation(v)],
@@ -488,18 +490,18 @@ fn run_program_cmd(target: &str, gen: Option<&str>, quick: bool) {
         },
         None => CoreConfig::all_generations(),
     };
-    let rows: Vec<(&'static str, exynos_core::sim::SliceResult)> = gens
-        .into_iter()
-        .map(|cfg| {
-            let mut sim = or_exit(SimBuilder::config(cfg.clone()).build());
-            (cfg.gen.name(), or_exit(sim.run_slice(&mut *build(), plan)))
-        })
-        .collect();
+    // Every generation steps over one pass-through stream, so the
+    // program executes once however many generations run.
+    let mut members: Vec<_> =
+        gens.iter().map(|cfg| or_exit(SimBuilder::config(cfg.clone()).build())).collect();
+    let mut stream = CachedStream::for_slice(Arc::new(ChunkCache::with_budget(Some(0))), &slice);
+    let results = or_exit(lockstep(&mut members, &mut stream, plan));
     println!(
         "# program {name} ({warmup} warmup + {detail} measured instructions)"
     );
     println!("{:<6} {:>8} {:>8} {:>12}", "gen", "IPC", "MPKI", "load lat");
-    for (g, r) in &rows {
+    for (cfg, r) in gens.iter().zip(&results) {
+        let g = cfg.gen.name();
         println!("{g:<6} {:>8.3} {:>8.3} {:>12.2}", r.ipc, r.mpki, r.avg_load_latency);
     }
 }

@@ -18,7 +18,7 @@ use exynos_core::SimError;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
-use exynos_trace::{standard_suite, SlicePlan, SliceSpec, TraceError, TraceGen};
+use exynos_trace::{standard_suite, Fingerprint, SlicePlan, SliceSpec, TraceError, TraceGen};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -767,19 +767,23 @@ pub struct Ablation {
     pub without_feature: f64,
 }
 
-/// Run a with/without config pair, each member over its own freshly
-/// built copy of the trace. Returns (with, without).
-fn ablation_pair<G: TraceGen>(
+/// Run a with/without config pair in [`lockstep`] over one pass-through
+/// stream of `gen()`'s trace, so the trace is generated once for both.
+/// Returns (with, without).
+fn ablation_pair<G: TraceGen + Send + 'static>(
     with_cfg: CoreConfig,
     without_cfg: CoreConfig,
-    gen: impl Fn() -> G,
+    gen: impl Fn() -> G + Send + Sync + 'static,
     plan: SlicePlan,
 ) -> (SliceResult, SliceResult) {
-    let run = |cfg: CoreConfig| {
-        let mut sim = must(SimBuilder::config(cfg).build());
-        must(sim.run_slice(&mut gen(), plan))
-    };
-    (run(with_cfg), run(without_cfg))
+    let mut members =
+        [with_cfg, without_cfg].map(|cfg| must(SimBuilder::config(cfg).build()));
+    // A zero-budget cache stores nothing, so no lookup can ever hit and
+    // the stream's fingerprint is never compared: any constant will do.
+    let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+    let mut stream = CachedStream::new(cache, Fingerprint(0), move || Ok(Box::new(gen())));
+    let r = must(lockstep(&mut members, &mut stream, plan));
+    (r[0].clone(), r[1].clone())
 }
 
 fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> f64 {
