@@ -71,7 +71,9 @@ use exynos_branch::config::FrontendConfig;
 use exynos_branch::indirect::IndirectConfig;
 use exynos_core::batch::ChunkCache;
 use exynos_core::builder::SimBuilder;
+use exynos_core::cancel::CancelToken;
 use exynos_core::config::CoreConfig;
+use exynos_service::job::JobCtx;
 
 /// Every recognized subcommand; anything else is a usage error.
 const SUBCOMMANDS: &[&str] = &[
@@ -333,8 +335,10 @@ fn main() {
             suite.len()
         );
         let cache = std::sync::Arc::new(ChunkCache::with_budget(Some(0)));
-        let start = exp::Start::Cold { suite: &suite, warmup: 5_000 };
-        let (pop, _) = or_exit(exp::sweep(start, 30_000, sweep_threads, &cache));
+        let build = |cfg| SimBuilder::config(cfg).build();
+        let start = exp::Start::Cold { suite: &suite, warmup: 5_000, build: &build };
+        let ctx = JobCtx::detached(CancelToken::new());
+        let (pop, _) = or_exit(exp::sweep(start, 30_000, sweep_threads, &cache, &ctx));
         if let Some(path) = &csv_path {
             let mut out = String::from("slice,generation,ipc,mpki,load_latency\n");
             for r in &pop {
@@ -522,7 +526,7 @@ fn ablations(threads: usize) {
         "{:<30} {:<26} {:>10} {:>10} {:>8}",
         "feature", "metric", "with", "without", "delta"
     );
-    for a in exp::ablations_with_threads(threads) {
+    for a in or_exit(exp::ablations_with_threads(threads)) {
         let delta = if a.without_feature.abs() > 1e-9 {
             100.0 * (a.with_feature / a.without_feature - 1.0)
         } else {
@@ -728,7 +732,7 @@ fn uoc() {
 
 fn fig14() {
     hr("Fig. 14 — one-pass / two-pass prefetching (M1)");
-    let (resident, streaming) = exp::fig14_twopass();
+    let (resident, streaming) = or_exit(exp::fig14_twopass());
     println!("L2-resident stream : {resident:?}");
     println!("DRAM-sized stream  : {streaming:?}");
     println!("(paper: first-pass L2 hits reach a watermark and flip to one-pass)");
@@ -855,7 +859,7 @@ fn btb_ablation() {
 
 fn branchstats() {
     hr("§IV.A — branch-pair statistics");
-    let (lead, second, both) = exp::branch_pair_stats();
+    let (lead, second, both) = or_exit(exp::branch_pair_stats());
     println!("lead taken      : {lead:.1}%   [paper: 60%]");
     println!("second taken    : {second:.1}%   [paper: 24%]");
     println!("both not-taken  : {both:.1}%   [paper: 16%]");

@@ -12,25 +12,18 @@ use exynos_branch::storage_budget;
 use exynos_branch::ubtb::{MicroBtb, UbtbConfig};
 use exynos_core::batch::{lockstep, CachedStream, ChunkCache};
 use exynos_core::builder::SimBuilder;
-use exynos_core::config::CoreConfig;
+use exynos_core::cancel::CancelToken;
+use exynos_core::config::{CoreConfig, Generation};
 use exynos_core::sim::{Simulator, SliceResult};
 use exynos_core::SimError;
+use exynos_service::job::JobCtx;
+use exynos_telemetry::{SpanId, Telemetry};
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
 use exynos_trace::{standard_suite, Fingerprint, SlicePlan, SliceSpec, TraceError, TraceGen};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Unwrap the result of a figure kernel: its traces are clean and run
-/// with no fault injector, so an error here is a harness bug worth
-/// aborting on. The sweep engine itself is fallible ([`sweep`]).
-fn must<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
-    match r {
-        Ok(v) => v,
-        Err(e) => panic!("benchmark simulation failed: {e}"),
-    }
-}
 
 /// Address-region base for program slices in a mixed catalog: far above
 /// every synthetic slice (they start at 0, stepping 16) yet below the
@@ -83,11 +76,11 @@ impl SliceRecord {
 
 /// A pool of warmed simulators, one per (generation, slice) job of the
 /// population sweep over `standard_suite(scale)`, in job order
-/// (generation-major, slice-minor). Building the pool pays each job's
-/// warmup exactly once; every later sweep forks the residents by clone
-/// and pays only the detail window — bit-identical to the cold run.
-/// The pool holds no checkpoint images: code that needs one encodes its
-/// own simulator ([`Simulator::checkpoint`]).
+/// (generation-major, slice-minor). Building the pool pays each slice
+/// group's warmup exactly once; every later sweep forks the residents by
+/// clone and pays only the detail window — bit-identical to the cold
+/// run. The pool holds no checkpoint images: code that needs one encodes
+/// its own simulator ([`Simulator::checkpoint`]).
 #[derive(Debug)]
 pub struct WarmPool {
     /// The warmed simulators, job order.
@@ -133,43 +126,54 @@ impl WarmPool {
     }
 }
 
-/// Warm one simulator per (generation, slice) job of
-/// `standard_suite(scale)` for `warmup` instructions into a [`WarmPool`].
-/// Every warming simulator carries `cancel`, so a deadline or an explicit
-/// cancel surfaces as a typed [`SimError`] instead of a panic.
+/// Warm the six generation members of every slice of
+/// `standard_suite(scale)` for `warmup` instructions into a [`WarmPool`],
+/// one lockstep slice group per job (the [`sweep`] engine's group job
+/// with an empty detail window). Every warming simulator carries
+/// `cancel`, so a deadline or an explicit cancel surfaces as a typed
+/// [`SimError`] instead of a panic.
 pub fn try_build_warm_pool(
     scale: usize,
     warmup: u64,
     threads: usize,
-    cancel: &exynos_core::cancel::CancelToken,
+    cancel: &CancelToken,
 ) -> Result<WarmPool, SimError> {
     let suite = standard_suite(scale);
-    let gens = CoreConfig::all_generations();
-    let per_gen = suite.len();
-    let residents = crate::sweep::run_indexed_result(gens.len() * per_gen, threads, |i| {
-        let cfg = &gens[i / per_gen];
-        let slice = &suite[i % per_gen];
-        let mut sim = SimBuilder::config(cfg.clone()).cancel_token(cancel.clone()).build()?;
-        let mut gen = slice.build()?;
-        sim.run_warmup(&mut *gen, warmup)?;
-        // Residents outlive the building job; they must not carry its
-        // cancel token (a later deadline on job A canceling job B).
-        sim.clear_cancel_token();
-        Ok(sim)
+    let build = |cfg| SimBuilder::config(cfg).cancel_token(cancel.clone()).build();
+    let start = Start::Cold { suite: &suite, warmup, build: &build };
+    // Warmup records are stepped once and never read again: keep them
+    // out of any resident cache.
+    let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+    let ctx = JobCtx::detached(cancel.clone());
+    // A literal plan: `SlicePlan::new` rejects the empty detail window.
+    let plan = SlicePlan { warmup, detail: 0 };
+    let mut groups = crate::sweep::run_indexed_result(suite.len(), threads, |s| {
+        slice_group(start, &suite, s, plan, &cache, &ctx).map(|(members, ..)| members.into_iter())
     })?;
+    // Regroup slice-major members into job order. Residents outlive the
+    // building job; they must not carry its cancel token (a later
+    // deadline on job A canceling job B).
+    let mut residents = Vec::with_capacity(Generation::ALL.len() * suite.len());
+    for _ in 0..Generation::ALL.len() {
+        residents.extend(groups.iter_mut().filter_map(Iterator::next));
+    }
+    residents.iter_mut().for_each(Simulator::clear_cancel_token);
     Ok(WarmPool { residents, scale, warmup })
 }
 
 /// Where the members of a [`sweep`] start.
-#[derive(Debug, Clone, Copy)]
+#[derive(Clone, Copy)]
 pub enum Start<'a> {
-    /// Fresh simulators over `suite`, stepped through `warmup` records
-    /// before the detail window.
+    /// Simulators from `build` over `suite`, stepped through `warmup`
+    /// records before the detail window. `build` attaches whatever the
+    /// caller needs (injectors, cancel token).
     Cold {
         /// The slice catalog.
         suite: &'a [SliceSpec],
         /// Warmup records per slice.
         warmup: u64,
+        /// Builds each member from its generation's configuration.
+        build: &'a (dyn Fn(CoreConfig) -> Result<Simulator, SimError> + Sync),
     },
     /// Clones of a pool's residents over the pool's catalog; each
     /// slice's stream starts where the pool's warmup stopped.
@@ -189,70 +193,121 @@ pub struct WarmTiming {
     pub stepping_s: f64,
 }
 
-/// The sweep engine behind Figs. 9, 16 and 17: every slice of the
-/// catalog across all six generations, `detail` measured records each.
+/// The sweep engine behind Figs. 9, 16 and 17 and every service sweep
+/// and program job: every slice of the catalog across all six
+/// generations, `detail` measured records each.
 ///
-/// One job per slice runs on the work-stealing executor: it builds (or
-/// forks) the six generation members and steps them in [`lockstep`] over
-/// one [`CachedStream`] through `cache`, so each record is decoded once
-/// per group. A zero-budget cache is a pure pass-through (the uncached
-/// sweep); a shared cache serves repeated sweeps from resident chunks.
-/// Records come back in catalog order (generation-major, slice-minor)
-/// and are bit-identical to [`scalar_sweep`] for any thread count and
-/// any cache budget, warm or cold. The first failing slice (lowest
-/// index) is returned as its typed error.
+/// One job per slice runs on the work-stealing executor (see
+/// [`slice_group`]): it builds (or forks, attaching `ctx.cancel`) the six
+/// generation members and steps them in [`lockstep`] over one
+/// [`CachedStream`] through `cache`, so each record is decoded once per
+/// group, under a `slice[s]` span of `ctx`. A zero-budget cache is a
+/// pure pass-through (the uncached sweep); a shared cache serves
+/// repeated sweeps from resident chunks. Records come back in catalog
+/// order (generation-major, slice-minor) and are bit-identical to
+/// [`scalar_sweep`] for any thread count and any cache budget, warm or
+/// cold. The first failing slice group (lowest index) is returned as its
+/// typed error; within a group, the first member to fail in lockstep
+/// order.
 pub fn sweep(
     start: Start<'_>,
     detail: u64,
     threads: usize,
     cache: &Arc<ChunkCache>,
+    ctx: &JobCtx,
 ) -> Result<(Vec<SliceRecord>, WarmTiming), SimError> {
-    let gens = CoreConfig::all_generations();
     let pool_suite;
     let (suite, warmup) = match start {
-        Start::Cold { suite, warmup } => (suite, warmup),
+        Start::Cold { suite, warmup, .. } => (suite, warmup),
         Start::Warm(pool) => {
             pool_suite = standard_suite(pool.scale);
             (&pool_suite[..], 0)
         }
     };
-    let per_slice = crate::sweep::run_indexed_result(suite.len(), threads, |s| {
-        let slice = &suite[s];
-        let t0 = Instant::now();
-        let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
-        let mut members = match start {
-            Start::Cold { .. } => gens
-                .iter()
-                .map(|cfg| SimBuilder::config(cfg.clone()).build())
-                .collect::<Result<Vec<_>, _>>()?,
-            Start::Warm(pool) => {
-                // Cursor-skip the warmup: no records are generated unless
-                // a later miss needs the generator fast-forwarded.
-                stream.skip(pool.warmup);
-                (0..gens.len()).map(|g| pool.resident(g * suite.len() + s)).collect()
-            }
-        };
-        let prep_s = t0.elapsed().as_secs_f64();
-        let t1 = Instant::now();
-        let results = lockstep(&mut members, &mut stream, SlicePlan::new(warmup, detail))?;
-        let timing = WarmTiming { prep_s, stepping_s: t1.elapsed().as_secs_f64() };
-        let records: Vec<SliceRecord> = gens
-            .iter()
-            .zip(&results)
-            .map(|(cfg, r)| SliceRecord::from_result(&slice.name, cfg.gen.name(), r))
-            .collect();
-        Ok((records, timing))
+    let plan = SlicePlan::new(warmup, detail);
+    let groups = crate::sweep::run_indexed_result(suite.len(), threads, |s| {
+        slice_group(start, suite, s, plan, cache, ctx).map(|(_, results, timing)| (results, timing))
     })?;
     let mut timing = WarmTiming::default();
-    for (_, t) in &per_slice {
+    for (_, t) in &groups {
         timing.prep_s += t.prep_s;
         timing.stepping_s += t.stepping_s;
     }
-    let mut out = Vec::with_capacity(gens.len() * suite.len());
-    for g in 0..gens.len() {
-        out.extend(per_slice.iter().map(|(records, _)| records[g].clone()));
+    let mut out = Vec::with_capacity(Generation::ALL.len() * suite.len());
+    for (g, cfg) in CoreConfig::all_generations().iter().enumerate() {
+        out.extend(suite.iter().zip(&groups).map(|(slice, (results, _))| {
+            SliceRecord::from_result(&slice.name, cfg.gen.name(), &results[g])
+        }));
     }
     Ok((out, timing))
+}
+
+/// One slice group, the unit of every sweep and of the pool build: the
+/// six generation members of `suite[s]` (built by `start`'s builder, or
+/// forked from its pool with `ctx.cancel` attached) stepped in
+/// [`lockstep`] through `plan` over one stream, under a `slice[s]` span.
+/// A warm start's `plan` has no warmup (the pool stepped it). Returns
+/// the members, their detail-window results in generation order, and
+/// the group's timing.
+fn slice_group(
+    start: Start<'_>,
+    suite: &[SliceSpec],
+    s: usize,
+    plan: SlicePlan,
+    cache: &Arc<ChunkCache>,
+    ctx: &JobCtx,
+) -> Result<(Vec<Simulator>, Vec<SliceResult>, WarmTiming), SimError> {
+    let slice = &suite[s];
+    let t0 = Instant::now();
+    let mut stream = CachedStream::for_slice(Arc::clone(cache), slice);
+    let mut members = match start {
+        Start::Cold { build, .. } => {
+            CoreConfig::all_generations().into_iter().map(build).collect::<Result<Vec<_>, _>>()?
+        }
+        Start::Warm(pool) => {
+            // Cursor-skip the warmup: no records are generated unless
+            // a later miss needs the generator fast-forwarded.
+            stream.skip(pool.warmup);
+            let fork = |g| {
+                let mut sim = pool.resident(g * suite.len() + s);
+                sim.set_cancel_token(ctx.cancel.clone());
+                sim
+            };
+            (0..Generation::ALL.len()).map(fork).collect()
+        }
+    };
+    let prep_s = t0.elapsed().as_secs_f64();
+    let span = slice_span(ctx, s, &slice.name, "all");
+    let t1 = Instant::now();
+    let results = lockstep(&mut members, &mut stream, plan);
+    let stepping_s = t1.elapsed().as_secs_f64();
+    end_slice_span(ctx, span, members.first());
+    Ok((members, results?, WarmTiming { prep_s, stepping_s }))
+}
+
+/// Open a `slice[k]` span under the job's attempt span. The `format!`
+/// is gated so disabled-telemetry builds pay nothing.
+pub(crate) fn slice_span(ctx: &JobCtx, k: usize, slice: &str, gen: &str) -> SpanId {
+    if !Telemetry::ACTIVE {
+        return SpanId::default();
+    }
+    let s = ctx.spans.start(&format!("slice[{k}]"), Some(ctx.attempt));
+    ctx.spans.attr_str(s, "slice", slice);
+    ctx.spans.attr_str(s, "gen", gen);
+    s
+}
+
+/// Close a slice span, attaching `sim`'s last watchdog trip (if any) so
+/// post-mortems carry the cycle/gap/rung that fired.
+pub(crate) fn end_slice_span(ctx: &JobCtx, s: SpanId, sim: Option<&Simulator>) {
+    if Telemetry::ACTIVE {
+        if let Some(t) = sim.and_then(Simulator::watchdog_report) {
+            ctx.spans.attr_u64(s, "watchdog_cycle", t.cycle);
+            ctx.spans.attr_u64(s, "watchdog_gap", t.gap);
+            ctx.spans.attr_u64(s, "watchdog_rung", t.rung as u64);
+        }
+        ctx.spans.end(s);
+    }
 }
 
 /// The scalar reference sweep, the oracle [`sweep`] is tested against:
@@ -287,7 +342,11 @@ pub fn run_suite_batched(
     threads: usize,
 ) -> Vec<SliceRecord> {
     let cache = Arc::new(ChunkCache::with_budget(Some(0)));
-    must(sweep(Start::Cold { suite, warmup }, detail, threads, &cache)).0
+    let start = Start::Cold { suite, warmup, build: &|cfg| SimBuilder::config(cfg).build() };
+    match sweep(start, detail, threads, &cache, &JobCtx::detached(CancelToken::new())) {
+        Ok((records, _)) => records,
+        Err(e) => panic!("benchmark simulation failed: {e}"),
+    }
 }
 
 /// [`sweep`] from `pool` through `cache`, panicking on a simulation
@@ -300,7 +359,10 @@ pub fn run_population_warm_resident(
     cache: &Arc<ChunkCache>,
     _pipelined: bool,
 ) -> (Vec<SliceRecord>, WarmTiming) {
-    must(sweep(Start::Warm(pool), detail, threads, cache))
+    match sweep(Start::Warm(pool), detail, threads, cache, &JobCtx::detached(CancelToken::new())) {
+        Ok(r) => r,
+        Err(e) => panic!("benchmark simulation failed: {e}"),
+    }
 }
 
 /// Mean of a per-generation metric over records.
@@ -564,9 +626,10 @@ pub fn table2_storage() -> Vec<(&'static str, f64, f64, f64)> {
 
 /// One-pass/two-pass behaviour (Fig. 14): run an L2-resident stream and a
 /// DRAM-sized stream on M1; returns the two-pass stats for each.
-pub fn fig14_twopass() -> (exynos_prefetch::twopass::TwoPassStats, exynos_prefetch::twopass::TwoPassStats) {
-    let run = |ws: u64| {
-        let mut sim = must(SimBuilder::config(CoreConfig::m1()).build());
+pub fn fig14_twopass(
+) -> Result<(exynos_prefetch::twopass::TwoPassStats, exynos_prefetch::twopass::TwoPassStats), SimError> {
+    let run = |ws: u64| -> Result<_, SimError> {
+        let mut sim = SimBuilder::config(CoreConfig::m1()).build()?;
         let mut gen = MultiStride::new(
             &MultiStrideParams {
                 components: vec![StrideComponent { stride: 1, repeat: 1 }],
@@ -577,12 +640,12 @@ pub fn fig14_twopass() -> (exynos_prefetch::twopass::TwoPassStats, exynos_prefet
             94,
             5,
         );
-        must(sim.run_slice(&mut gen, SlicePlan::new(5_000, 60_000)));
-        sim.memsys().twopass().stats()
+        sim.run_slice(&mut gen, SlicePlan::new(5_000, 60_000))?;
+        Ok(sim.memsys().twopass().stats())
     };
     // Resident: wraps within 256 KiB (fits the 2 MB M1 L2 after one lap).
     // Streaming: 256 MiB never fits.
-    (run(256 << 10), run(256 << 20))
+    Ok((run(256 << 10)?, run(256 << 20)?))
 }
 
 /// Adaptive standalone prefetcher (Fig. 15): a phase-alternating stream
@@ -666,7 +729,7 @@ pub fn btb_ablation_web() -> ((f64, f64), (f64, f64)) {
 // ---------------------------------------------------------------------
 
 /// Lead-taken / second-taken / both-not-taken percentages over the suite.
-pub fn branch_pair_stats() -> (f64, f64, f64) {
+pub fn branch_pair_stats() -> Result<(f64, f64, f64), SimError> {
     let mut lead = 0u64;
     let mut second = 0u64;
     let mut both_nt = 0u64;
@@ -675,7 +738,7 @@ pub fn branch_pair_stats() -> (f64, f64, f64) {
         .filter(|s| s.name.starts_with("web/") || s.name.starts_with("specint/"))
     {
         let mut fe = FrontEnd::new(FrontendConfig::m1());
-        let mut gen = must(slice.build());
+        let mut gen = slice.build()?;
         for _ in 0..20_000 {
             let inst = gen.next_inst();
             let _ = fe.on_inst(&inst);
@@ -686,11 +749,11 @@ pub fn branch_pair_stats() -> (f64, f64, f64) {
         both_nt += s.pair_both_not_taken;
     }
     let total = (lead + second + both_nt).max(1) as f64;
-    (
+    Ok((
         100.0 * lead as f64 / total,
         100.0 * second as f64 / total,
         100.0 * both_nt as f64 / total,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -732,7 +795,7 @@ mod tests {
 
     #[test]
     fn fig14_modes_differ_by_working_set() {
-        let (resident, streaming) = fig14_twopass();
+        let (resident, streaming) = fig14_twopass().unwrap();
         assert!(resident.to_one_pass >= 1, "L2-resident flips to one-pass: {resident:?}");
         assert!(
             streaming.first_passes > streaming.one_passes,
@@ -775,15 +838,14 @@ fn ablation_pair<G: TraceGen + Send + 'static>(
     without_cfg: CoreConfig,
     gen: impl Fn() -> G + Send + Sync + 'static,
     plan: SlicePlan,
-) -> (SliceResult, SliceResult) {
-    let mut members =
-        [with_cfg, without_cfg].map(|cfg| must(SimBuilder::config(cfg).build()));
+) -> Result<(SliceResult, SliceResult), SimError> {
+    let mut members = [SimBuilder::config(with_cfg).build()?, SimBuilder::config(without_cfg).build()?];
     // A zero-budget cache stores nothing, so no lookup can ever hit and
     // the stream's fingerprint is never compared: any constant will do.
     let cache = Arc::new(ChunkCache::with_budget(Some(0)));
     let mut stream = CachedStream::new(cache, Fingerprint(0), move || Ok(Box::new(gen())));
-    let r = must(lockstep(&mut members, &mut stream, plan));
-    (r[0].clone(), r[1].clone())
+    let r = lockstep(&mut members, &mut stream, plan)?;
+    Ok((r[0].clone(), r[1].clone()))
 }
 
 fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> f64 {
@@ -796,18 +858,13 @@ fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> f64 {
     fe.stats().mpki()
 }
 
-/// Run the front-end and memory-side ablation battery on
-/// [`crate::sweep::default_threads`] worker threads.
-pub fn ablations() -> Vec<Ablation> {
-    ablations_with_threads(crate::sweep::default_threads())
-}
-
-/// [`ablations`] with an explicit worker-thread count. Each ablation is
-/// an independent job (it builds its own front-ends / simulators), so
-/// the battery runs on the work-stealing executor; results come back in
-/// the fixed catalog order below regardless of `threads`.
-pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
-    type AblationJob = Box<dyn Fn() -> Ablation + Send + Sync>;
+/// Run the front-end and memory-side ablation battery on `threads`
+/// worker threads. Each ablation is an independent job (it builds its
+/// own front-ends / simulators), so the battery runs on the
+/// work-stealing executor; results come back in the fixed catalog order
+/// below regardless of `threads`.
+pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError> {
+    type AblationJob = Box<dyn Fn() -> Result<Ablation, SimError> + Send + Sync>;
     let mut battery: Vec<AblationJob> = Vec::new();
     let mk = MarkovParams {
         sites: 64,
@@ -824,7 +881,7 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         let mut cfg = FrontendConfig::m1();
         cfg.shp.bias_scale = 1;
         let without = frontend_mpki(&cfg, &mk, 400_000);
-        Ablation { name: "SHP bias doubling", metric: "MPKI", with_feature: with, without_feature: without }
+        Ok(Ablation { name: "SHP bias doubling", metric: "MPKI", with_feature: with, without_feature: without })
     }));
 
     // Always-taken filtering (§IV.A anti-aliasing). Mix AT-heavy code with
@@ -844,7 +901,7 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         let mut nofilter = small.clone();
         nofilter.at_filter = false;
         let without = frontend_mpki(&nofilter, &mk_alias, 400_000);
-        Ablation { name: "always-taken SHP filter", metric: "MPKI", with_feature: with, without_feature: without }
+        Ok(Ablation { name: "always-taken SHP filter", metric: "MPKI", with_feature: with, without_feature: without })
     }));
 
     // ZAT/ZOT (§IV.E): bubbles per taken branch.
@@ -853,7 +910,7 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
         let mut cfg = FrontendConfig::m5();
         cfg.zero_bubble_atot = false;
         let without = fig5_bubbles_per_taken(cfg);
-        Ablation { name: "ZAT/ZOT replication", metric: "bubbles/taken", with_feature: with, without_feature: without }
+        Ok(Ablation { name: "ZAT/ZOT replication", metric: "bubbles/taken", with_feature: with, without_feature: without })
     }));
 
     // MRB (§IV.E): front-end bubbles on mispredict-prone code.
@@ -882,7 +939,7 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
             }
             fe.stats().bubbles as f64 / fe.stats().taken_branches.max(1) as f64
         };
-        Ablation { name: "Mispredict Recovery Buffer", metric: "bubbles/taken", with_feature: bubbles(true), without_feature: bubbles(false) }
+        Ok(Ablation { name: "Mispredict Recovery Buffer", metric: "bubbles/taken", with_feature: bubbles(true), without_feature: bubbles(false) })
     }));
 
     // Integrated vs queue confirmation (§VII.D): stride confirmations.
@@ -903,12 +960,12 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
             }
             e.stats().confirms as f64
         };
-        Ablation {
+        Ok(Ablation {
             name: "integrated confirmation",
             metric: "confirms (higher=better)",
             with_feature: confirms(ConfirmScheme::Integrated { lookahead: 4 }),
             without_feature: confirms(ConfirmScheme::Queue { depth: 16 }),
-        }
+        })
     }));
 
     // Speculative DRAM read (§IX): avg load latency on a pointer chase.
@@ -932,13 +989,13 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
                 4,
             )
         };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
-        Ablation {
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        Ok(Ablation {
             name: "speculative DRAM read",
             metric: "avg load lat",
             with_feature: w.avg_load_latency,
             without_feature: wo.avg_load_latency,
-        }
+        })
     }));
 
     // Data fast path (§IX, M4): avg load latency on a DRAM-bound chase.
@@ -958,13 +1015,13 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
                 4,
             )
         };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
-        Ablation {
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        Ok(Ablation {
             name: "DRAM data fast path",
             metric: "avg load lat",
             with_feature: w.avg_load_latency,
             without_feature: wo.avg_load_latency,
-        }
+        })
     }));
 
     // Early page activate (§IX, M5).
@@ -984,13 +1041,13 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
                 4,
             )
         };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
-        Ablation {
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        Ok(Ablation {
             name: "early page activate",
             metric: "avg load lat",
             with_feature: w.avg_load_latency,
             without_feature: wo.avg_load_latency,
-        }
+        })
     }));
 
     // Buddy prefetcher (§VIII.B, M4): IPC on a 128 B-correlated workload.
@@ -1013,13 +1070,13 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
                 4,
             )
         };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000));
-        Ablation {
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        Ok(Ablation {
             name: "Buddy prefetcher",
             metric: "IPC (higher=better)",
             with_feature: w.ipc,
             without_feature: wo.ipc,
-        }
+        })
     }));
 
     // Standalone prefetcher (§VIII.C, M5): it observes "a global view of
@@ -1047,16 +1104,16 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
             )
         };
         let (w, wo) =
-            ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(10_000, 60_000));
-        Ablation {
+            ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(10_000, 60_000))?;
+        Ok(Ablation {
             name: "standalone L2/L3 prefetcher",
             metric: "IPC (higher=better)",
             with_feature: w.ipc,
             without_feature: wo.ipc,
-        }
+        })
     }));
 
-    crate::sweep::run_indexed(battery.len(), threads, |i| battery[i]())
+    crate::sweep::run_indexed_result(battery.len(), threads, |i| battery[i]())
 }
 
 // ---------------------------------------------------------------------
@@ -1070,11 +1127,12 @@ pub fn ablations_with_threads(threads: usize) -> Vec<Ablation> {
 /// work-stealing executor.
 pub fn attack_rate_sweep(trials: u32, threads: usize) -> Vec<(bool, u32, u32)> {
     let settings = [false, true];
-    crate::sweep::run_indexed(settings.len(), threads, |i| {
+    let Ok(rates) = crate::sweep::run_indexed_result(settings.len(), threads, |i| {
         let encrypt = settings[i];
         let (hits, total) = exynos_secure::attack::cross_training_rate(encrypt, trials);
-        (encrypt, hits, total)
-    })
+        Ok::<_, std::convert::Infallible>((encrypt, hits, total))
+    });
+    rates
 }
 
 // ---------------------------------------------------------------------

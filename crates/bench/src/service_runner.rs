@@ -14,9 +14,8 @@
 //! Every failure path is a typed [`SimError`]; this runner never
 //! panics on job input.
 
-use crate::experiments::{self as exp, SliceRecord, WarmPool};
-use crate::sweep;
-use exynos_core::batch::{lockstep, CachedStream, ChunkCache, ChunkCacheStats};
+use crate::experiments::{self as exp, end_slice_span, slice_span, SliceRecord, WarmPool};
+use exynos_core::batch::{ChunkCache, ChunkCacheStats};
 use exynos_core::builder::SimBuilder;
 use exynos_core::cancel::CancelToken;
 use exynos_core::config::{CoreConfig, Generation};
@@ -25,7 +24,7 @@ use exynos_core::fault::FaultPlan;
 use exynos_core::sim::Simulator;
 use exynos_service::job::{JobCtx, JobKind, JobRunner, JobSpec};
 use exynos_service::json;
-use exynos_telemetry::{SpanId, Telemetry, TelemetryConfig};
+use exynos_telemetry::{Telemetry, TelemetryConfig};
 use exynos_trace::{standard_suite, SlicePlan};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -106,58 +105,30 @@ impl BenchRunner {
                 detail: "sweep scale must be >= 1".to_owned(),
             });
         }
-        let cancel = &ctx.cancel;
-        let suite = standard_suite(scale);
-        let gens = CoreConfig::all_generations();
-        let per_gen = suite.len();
-        let jobs = gens.len() * per_gen;
-        let records: Vec<SliceRecord> = if spec.has_overrides() {
-            // Cold path: each simulator starts from reset with the
-            // spec's injectors attached. A failure (cancel, deadline,
-            // injected fault) short-circuits the remaining jobs.
-            sweep::run_indexed_result(jobs, threads, |i| {
-                let cfg = &gens[i / per_gen];
-                let slice = &suite[i % per_gen];
-                let mut sim = build_sim(cfg.clone(), spec, cancel)?;
-                let mut gen = slice.build()?;
-                let sspan = slice_span(ctx, i, &slice.name, cfg.gen.name());
-                let r = sim.run_slice(&mut *gen, SlicePlan::new(warmup, detail));
-                end_slice_span(ctx, sspan, &sim);
-                let r = r?;
-                Ok(SliceRecord::from_result(&slice.name, cfg.gen.name(), &r))
-            })?
+        let (records, _) = if spec.has_overrides() {
+            // Cold path: each member starts from reset with the spec's
+            // injectors attached, over a pass-through cache so override
+            // jobs keep nothing resident in the shared one. A failure
+            // (cancel, deadline, injected fault) short-circuits the
+            // remaining slice groups.
+            let suite = standard_suite(scale);
+            let build = |cfg| build_sim(cfg, spec, &ctx.cancel);
+            let start = exp::Start::Cold { suite: &suite, warmup, build: &build };
+            let pass_through = Arc::new(ChunkCache::with_budget(Some(0)));
+            exp::sweep(start, detail, threads, &pass_through, ctx)?
         } else {
             let pool = {
                 let fetch = ctx.spans.start("warm_pool_fetch", Some(ctx.attempt));
                 ctx.spans.attr_u64(fetch, "scale", scale as u64);
                 ctx.spans.attr_u64(fetch, "warmup", warmup);
-                let pool = self.pool(scale, warmup, cancel);
+                let pool = self.pool(scale, warmup, &ctx.cancel);
                 ctx.spans.end(fetch);
                 pool?
             };
-            sweep::run_indexed_result(jobs, threads, |i| {
-                let cfg = &gens[i / per_gen];
-                let slice = &suite[i % per_gen];
-                // Fork the resident warmed simulator instead of decoding
-                // the checkpoint image; by the snapshot invariant the
-                // clone behaves identically.
-                let mut sim = pool.resident(i);
-                sim.set_cancel_token(cancel.clone());
-                // Detail records come from the shared chunk cache: the
-                // first job of a shape decodes them, every later job
-                // (and every other generation of this one) hits.
-                let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
-                stream.skip(pool.warmup());
-                let sspan = slice_span(ctx, i, &slice.name, cfg.gen.name());
-                let members = std::slice::from_mut(&mut sim);
-                let r = lockstep(members, &mut stream, SlicePlan::new(0, detail));
-                end_slice_span(ctx, sspan, &sim);
-                let res = r?.pop().ok_or_else(|| SimError::Config {
-                    param: "job.batch",
-                    detail: "width-1 lockstep returned no result".to_owned(),
-                })?;
-                Ok(SliceRecord::from_result(&slice.name, cfg.gen.name(), &res))
-            })?
+            // Forks of the pool's residents; detail records come from the
+            // shared chunk cache, so the first job of a shape decodes
+            // them and every later one hits.
+            exp::sweep(exp::Start::Warm(&pool), detail, threads, &self.chunks, ctx)?
         };
         Ok(sweep_payload(scale, warmup, detail, &records))
     }
@@ -185,27 +156,13 @@ impl BenchRunner {
                     exynos_asm::CORPUS.map(|(n, _)| n).join(", ")
                 ),
             })?;
-        let cancel = &ctx.cancel;
-        let gens = CoreConfig::all_generations();
-        let mut members = gens
-            .iter()
-            .map(|cfg| build_sim(cfg.clone(), spec, cancel))
-            .collect::<Result<Vec<_>, _>>()?;
-        // Program records come from the shared chunk cache keyed on the
-        // program's content fingerprint, so resubmitting the same
-        // program skips re-assembly and re-decode entirely.
-        let mut stream = CachedStream::for_slice(Arc::clone(&self.chunks), slice);
-        let sspan = slice_span(ctx, 0, &slice.name, "all");
-        let r = lockstep(&mut members, &mut stream, SlicePlan::new(warmup, detail));
-        if Telemetry::ACTIVE {
-            ctx.spans.end(sspan);
-        }
-        let results = r?;
-        let records: Vec<SliceRecord> = gens
-            .iter()
-            .zip(&results)
-            .map(|(cfg, res)| SliceRecord::from_result(&slice.name, cfg.gen.name(), res))
-            .collect();
+        // A one-slice sweep. Program records come from the shared chunk
+        // cache keyed on the program's content fingerprint, so
+        // resubmitting the same program skips re-assembly and re-decode
+        // entirely.
+        let build = |cfg| build_sim(cfg, spec, &ctx.cancel);
+        let start = exp::Start::Cold { suite: std::slice::from_ref(slice), warmup, build: &build };
+        let (records, _) = exp::sweep(start, detail, 1, &self.chunks, ctx)?;
         Ok(program_payload(name, warmup, detail, &records))
     }
 
@@ -238,7 +195,7 @@ impl BenchRunner {
         let mut gen = slice.build()?;
         let sspan = slice_span(ctx, 0, &slice.name, generation);
         let r = sim.run_slice_with(&mut *gen, SlicePlan::new(warmup, detail), &mut tel);
-        end_slice_span(ctx, sspan, &sim);
+        end_slice_span(ctx, sspan, Some(&sim));
         r?;
         sim.sample_telemetry(&mut tel);
         tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
@@ -259,7 +216,7 @@ impl BenchRunner {
         let mut gen = slice.build()?;
         let sspan = slice_span(ctx, 0, &slice.name, generation);
         let r = sim.run_warmup(&mut *gen, warmup);
-        end_slice_span(ctx, sspan, &sim);
+        end_slice_span(ctx, sspan, Some(&sim));
         r?;
         let image = sim.checkpoint();
         let mut out = String::from("{");
@@ -303,31 +260,6 @@ impl JobRunner for BenchRunner {
 
     fn chunk_cache_stats(&self) -> ChunkCacheStats {
         self.chunks.stats()
-    }
-}
-
-/// Open a `slice[k]` span under the job's attempt span. The `format!`
-/// is gated so disabled-telemetry builds pay nothing.
-fn slice_span(ctx: &JobCtx, k: usize, slice: &str, gen: &str) -> SpanId {
-    if !Telemetry::ACTIVE {
-        return SpanId::default();
-    }
-    let s = ctx.spans.start(&format!("slice[{k}]"), Some(ctx.attempt));
-    ctx.spans.attr_str(s, "slice", slice);
-    ctx.spans.attr_str(s, "gen", gen);
-    s
-}
-
-/// Close a slice span, attaching the simulator's last watchdog trip (if
-/// any) so post-mortems carry the cycle/gap/rung that fired.
-fn end_slice_span(ctx: &JobCtx, s: SpanId, sim: &Simulator) {
-    if Telemetry::ACTIVE {
-        if let Some(t) = sim.watchdog_report() {
-            ctx.spans.attr_u64(s, "watchdog_cycle", t.cycle);
-            ctx.spans.attr_u64(s, "watchdog_gap", t.gap);
-            ctx.spans.attr_u64(s, "watchdog_rung", t.rung as u64);
-        }
-        ctx.spans.end(s);
     }
 }
 
@@ -486,9 +418,35 @@ mod tests {
         let reference = exp::scalar_sweep(&suite, 200, 300, 1).unwrap();
         assert_eq!(payload, sweep_payload(1, 200, 300, &reference));
         let pass_through = Arc::new(ChunkCache::with_budget(Some(0)));
-        let start = exp::Start::Cold { suite: &suite, warmup: 200 };
-        let (cold, _) = exp::sweep(start, 300, 1, &pass_through).unwrap();
+        let build = |cfg| SimBuilder::config(cfg).build();
+        let start = exp::Start::Cold { suite: &suite, warmup: 200, build: &build };
+        let (cold, _) = exp::sweep(start, 300, 1, &pass_through, &ctx).unwrap();
         assert_eq!(payload, sweep_payload(1, 200, 300, &cold));
+    }
+
+    #[test]
+    fn stall_plan_override_sweep_matches_scalar_runs() {
+        let runner = BenchRunner::new(1);
+        let ctx = JobCtx::detached(CancelToken::new());
+        let mut spec = quick_sweep();
+        spec.stall_every = 97;
+        spec.stall_cycles = 40;
+        let payload = runner.run(&spec, &ctx).unwrap();
+        assert_eq!(runner.pool_count(), 0, "override jobs must not share pools");
+        // Reference: one `run_slice` per (generation, slice), each
+        // simulator built with the same plan.
+        let mut reference = Vec::new();
+        for cfg in CoreConfig::all_generations() {
+            for slice in &standard_suite(1) {
+                let mut sim = build_sim(cfg.clone(), &spec, &CancelToken::new()).unwrap();
+                let mut gen = slice.build().unwrap();
+                let r = sim.run_slice(&mut *gen, SlicePlan::new(200, 300)).unwrap();
+                reference.push(SliceRecord::from_result(&slice.name, cfg.gen.name(), &r));
+            }
+        }
+        assert_eq!(payload, sweep_payload(1, 200, 300, &reference));
+        let plain = runner.run(&quick_sweep(), &ctx).unwrap();
+        assert_ne!(payload, plain, "the stall plan must change the results");
     }
 
     #[test]
@@ -508,6 +466,19 @@ mod tests {
         cancel.cancel();
         let ctx = JobCtx::detached(cancel);
         let err = runner.run(&quick_sweep(), &ctx).unwrap_err();
+        assert!(matches!(err, SimError::Cancelled { deadline: false, .. }), "got {err}");
+    }
+
+    #[test]
+    fn cancelled_sweep_on_a_built_pool_returns_typed_error() {
+        let runner = BenchRunner::new(1);
+        runner.run(&quick_sweep(), &JobCtx::detached(CancelToken::new())).unwrap();
+        assert_eq!(runner.pool_count(), 1);
+        // The pool exists, so the job goes straight to its forks: the
+        // token must reach them.
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let err = runner.run(&quick_sweep(), &JobCtx::detached(cancel)).unwrap_err();
         assert!(matches!(err, SimError::Cancelled { deadline: false, .. }), "got {err}");
     }
 

@@ -27,94 +27,33 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Run `jobs` independent jobs on up to `threads` scoped worker threads
-/// and return the results in job-index order.
+/// Run `jobs` independent fallible jobs on up to `threads` scoped
+/// worker threads and return the results in job-index order.
 ///
-/// `job(i)` is called exactly once for every `i in 0..jobs`, from some
+/// `job(i)` is called at most once for every `i in 0..jobs`, from some
 /// worker thread. With `threads <= 1` (or a single job) the jobs run
 /// serially on the calling thread — the parallel and serial paths
-/// produce identical output.
+/// produce identical output. A job that cannot fail uses
+/// [`Infallible`](std::convert::Infallible) as `E` and binds the result
+/// with `let Ok(v) = …`.
+///
+/// The sweep **short-circuits** on the first failure: workers stop
+/// claiming new jobs once any job has erred, so a cancelled or poisoned
+/// sweep does not burn the remaining cores on doomed work. On failure
+/// the error with the lowest job index among those actually observed is
+/// returned (with `threads <= 1` that is exactly the first failing
+/// index; with more threads a later job may fail first and suppress
+/// earlier indices that were never claimed).
 ///
 /// # Panics
 /// If a job panics, the panic is propagated to the caller after the
 /// remaining workers finish their current jobs (scoped threads are
 /// always joined).
-pub fn run_indexed<T, F>(jobs: usize, threads: usize, job: F) -> Vec<T>
+pub fn run_indexed_result<T, E, F>(jobs: usize, threads: usize, job: F) -> Result<Vec<T>, E>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let threads = threads.max(1).min(jobs);
-    if threads == 1 {
-        return (0..jobs).map(job).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let per_thread: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut claimed = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= jobs {
-                            break;
-                        }
-                        claimed.push((i, job(i)));
-                    }
-                    claimed
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                Err(p) => std::panic::resume_unwind(p),
-            })
-            .collect()
-    });
-
-    // Re-assemble in job-index order: catalog order, independent of which
-    // worker ran which job.
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
-    slots.resize_with(jobs, || None);
-    for (i, v) in per_thread.into_iter().flatten() {
-        slots[i] = Some(v);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| match v {
-            Some(v) => v,
-            // fetch_add hands out each index exactly once, so every slot
-            // is filled; reaching here means the executor itself broke.
-            None => panic!("sweep executor lost the result of job {i}"),
-        })
-        .collect()
-}
-
-/// Fallible [`run_indexed`]: every job returns `Result<T, SimError>`,
-/// and the sweep **short-circuits** on the first failure — workers stop
-/// claiming new jobs once any job has erred, so a cancelled or poisoned
-/// sweep does not burn the remaining cores on doomed work.
-///
-/// On success the results come back in job-index order, identical to
-/// [`run_indexed`]. On failure the error with the lowest job index among
-/// those actually observed is returned (with `threads <= 1` that is
-/// exactly the first failing index; with more threads a later job may
-/// fail first and suppress earlier indices that were never claimed).
-pub fn run_indexed_result<T, F>(
-    jobs: usize,
-    threads: usize,
-    job: F,
-) -> Result<Vec<T>, exynos_core::SimError>
-where
-    T: Send,
-    F: Fn(usize) -> Result<T, exynos_core::SimError> + Sync,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
 {
     if jobs == 0 {
         return Ok(Vec::new());
@@ -130,44 +69,43 @@ where
 
     let next = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
-    let per_thread: Vec<Vec<(usize, Result<T, exynos_core::SimError>)>> =
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    s.spawn(|| {
-                        let mut claimed = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= jobs {
-                                break;
-                            }
-                            let r = job(i);
-                            if r.is_err() {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            claimed.push((i, r));
+    let per_thread: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut claimed = Vec::new();
+                    while !failed.load(Ordering::Relaxed) {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= jobs {
+                            break;
                         }
-                        claimed
-                    })
+                        let r = job(i);
+                        if r.is_err() {
+                            failed.store(true, Ordering::Relaxed);
+                        }
+                        claimed.push((i, r));
+                    }
+                    claimed
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match h.join() {
-                    Ok(v) => v,
-                    Err(p) => std::panic::resume_unwind(p),
-                })
-                .collect()
-        });
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(v) => v,
+                Err(p) => std::panic::resume_unwind(p),
+            })
+            .collect()
+    });
 
     let mut slots: Vec<Option<T>> = Vec::with_capacity(jobs);
     slots.resize_with(jobs, || None);
-    let mut first_err: Option<(usize, exynos_core::SimError)> = None;
+    let mut first_err: Option<(usize, E)> = None;
     for (i, r) in per_thread.into_iter().flatten() {
         match r {
             Ok(v) => slots[i] = Some(v),
             Err(e) => {
-                if first_err.as_ref().map_or(true, |(j, _)| i < *j) {
+                if first_err.as_ref().is_none_or(|(j, _)| i < *j) {
                     first_err = Some((i, e));
                 }
             }
@@ -194,16 +132,17 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
 
-    #[test]
-    fn empty_job_set() {
-        let out: Vec<u32> = run_indexed(0, 8, |_| unreachable!());
-        assert!(out.is_empty());
+    /// A job set that never fails.
+    fn infallible<T: Send>(jobs: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let Ok(out) =
+            run_indexed_result::<_, std::convert::Infallible, _>(jobs, threads, |i| Ok(job(i)));
+        out
     }
 
     #[test]
     fn results_come_back_in_index_order() {
         for threads in [1, 2, 3, 8, 64] {
-            let out = run_indexed(100, threads, |i| i * i);
+            let out = infallible(100, threads, |i| i * i);
             assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>(), "threads={threads}");
         }
     }
@@ -211,24 +150,24 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let calls = AtomicU64::new(0);
-        let out = run_indexed(257, 8, |i| {
+        let out = infallible(257, 8, |i| {
             calls.fetch_add(1, Ordering::Relaxed);
             i
         });
         assert_eq!(calls.load(Ordering::Relaxed), 257);
-        assert_eq!(out.len(), 257);
+        assert_eq!(out, (0..257).collect::<Vec<_>>());
     }
 
     #[test]
     fn more_threads_than_jobs() {
-        let out = run_indexed(3, 16, |i| i + 1);
+        let out = infallible(3, 16, |i| i + 1);
         assert_eq!(out, vec![1, 2, 3]);
     }
 
     #[test]
     #[should_panic(expected = "job 7 panicked")]
     fn job_panics_propagate() {
-        let _ = run_indexed(16, 4, |i| {
+        let _ = infallible(16, 4, |i| {
             if i == 7 {
                 panic!("job 7 panicked");
             }
@@ -243,14 +182,6 @@ mod tests {
 
     fn boom(i: usize) -> exynos_core::SimError {
         exynos_core::SimError::Config { param: "test.job", detail: format!("job {i} failed") }
-    }
-
-    #[test]
-    fn result_sweep_matches_infallible_on_success() {
-        for threads in [1, 2, 8] {
-            let out = run_indexed_result(50, threads, |i| Ok(i * 3)).unwrap();
-            assert_eq!(out, (0..50).map(|i| i * 3).collect::<Vec<_>>(), "threads={threads}");
-        }
     }
 
     #[test]
@@ -282,7 +213,7 @@ mod tests {
 
     #[test]
     fn result_sweep_empty_job_set() {
-        let out: Result<Vec<u32>, _> = run_indexed_result(0, 8, |_| unreachable!());
-        assert!(out.unwrap().is_empty());
+        let out: Vec<u32> = infallible(0, 8, |_| unreachable!());
+        assert!(out.is_empty());
     }
 }

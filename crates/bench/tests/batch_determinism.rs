@@ -16,8 +16,20 @@ use exynos_core::cancel::CancelToken;
 use exynos_core::config::CoreConfig;
 use exynos_core::fault::FaultPlan;
 use exynos_core::sim::{Simulator, SliceResult};
+use exynos_core::SimError;
+use exynos_service::job::JobCtx;
 use exynos_trace::{standard_suite, SlicePlan, SliceSpec};
 use std::sync::Arc;
+
+/// The [`Start::Cold`] member builder: a stock simulator, no overrides.
+fn stock(cfg: CoreConfig) -> Result<Simulator, SimError> {
+    SimBuilder::config(cfg).build()
+}
+
+/// A job context outside any engine, never cancelled.
+fn detached() -> JobCtx {
+    JobCtx::detached(CancelToken::new())
+}
 
 /// A stall-injection fault plan: deterministic pipeline perturbation
 /// with no error paths, so scalar and lockstep runs stay comparable.
@@ -142,8 +154,8 @@ fn all_six_generations_match_on_every_suite_family() {
 fn cold_sweep_is_bit_identical_to_scalar_sweep() {
     let suite = standard_suite(1);
     let scalar = exp::scalar_sweep(&suite, 500, 800, 1).unwrap();
-    let start = Start::Cold { suite: &suite, warmup: 500 };
-    let (swept, _) = exp::sweep(start, 800, 1, &pass_through()).unwrap();
+    let start = Start::Cold { suite: &suite, warmup: 500, build: &stock };
+    let (swept, _) = exp::sweep(start, 800, 1, &pass_through(), &detached()).unwrap();
     assert_records_equal(&scalar, &swept, "cold sweep");
 }
 
@@ -186,12 +198,12 @@ fn warm_sweep_matches_scalar_and_cold_sweeps() {
     let suite = standard_suite(scale);
     let pool = exp::try_build_warm_pool(scale, warmup, 1, &CancelToken::new()).unwrap();
     let scalar = exp::scalar_sweep(&suite, warmup, detail, 1).unwrap();
-    let start = Start::Cold { suite: &suite, warmup };
-    let (cold, _) = exp::sweep(start, detail, 1, &pass_through()).unwrap();
+    let start = Start::Cold { suite: &suite, warmup, build: &stock };
+    let (cold, _) = exp::sweep(start, detail, 1, &pass_through(), &detached()).unwrap();
     assert_records_equal(&scalar, &cold, "cold");
     for budget in [Some(0), None] {
         let cache = Arc::new(ChunkCache::with_budget(budget));
-        let (warm, _) = exp::sweep(Start::Warm(&pool), detail, 1, &cache).unwrap();
+        let (warm, _) = exp::sweep(Start::Warm(&pool), detail, 1, &cache, &detached()).unwrap();
         assert_records_equal(&scalar, &warm, &format!("warm, budget {budget:?}"));
     }
 }
@@ -220,8 +232,8 @@ fn mixed_catalog_sweep_matches_scalar() {
     let suite = exp::catalog_suite(1, true).unwrap();
     assert!(suite.iter().any(|s| s.name.starts_with("program/")), "corpus missing from catalog");
     let scalar = exp::scalar_sweep(&suite, 300, 500, 1).unwrap();
-    let start = Start::Cold { suite: &suite, warmup: 300 };
-    let (swept, _) = exp::sweep(start, 500, 1, &pass_through()).unwrap();
+    let start = Start::Cold { suite: &suite, warmup: 300, build: &stock };
+    let (swept, _) = exp::sweep(start, 500, 1, &pass_through(), &detached()).unwrap();
     assert_records_equal(&scalar, &swept, "mixed catalog");
 }
 

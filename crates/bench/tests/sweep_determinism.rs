@@ -5,6 +5,9 @@
 
 use exynos_bench::experiments::{scalar_sweep, sweep, SliceRecord, Start};
 use exynos_core::batch::ChunkCache;
+use exynos_core::builder::SimBuilder;
+use exynos_core::cancel::CancelToken;
+use exynos_service::job::JobCtx;
 use exynos_trace::standard_suite;
 use std::sync::Arc;
 
@@ -49,14 +52,16 @@ fn parallel_sweep_is_bit_identical_to_serial() {
     let suite = standard_suite(1);
     let serial = scalar_sweep(&suite, WARMUP, DETAIL, 1).unwrap();
     assert!(!serial.is_empty(), "reference sweep produced no records");
-    let start = Start::Cold { suite: &suite, warmup: WARMUP };
+    let build = |cfg| SimBuilder::config(cfg).build();
+    let start = Start::Cold { suite: &suite, warmup: WARMUP, build: &build };
+    let ctx = JobCtx::detached(CancelToken::new());
     for threads in [1usize, 2, 8] {
         if threads > 1 {
             let parallel = scalar_sweep(&suite, WARMUP, DETAIL, threads).unwrap();
             assert_same(&serial, &parallel, &format!("scalar, {threads} threads"));
         }
         let cache = Arc::new(ChunkCache::with_budget(Some(0)));
-        let (swept, _) = sweep(start, DETAIL, threads, &cache).unwrap();
+        let (swept, _) = sweep(start, DETAIL, threads, &cache, &ctx).unwrap();
         assert_same(&serial, &swept, &format!("sweep, {threads} threads"));
     }
 }

@@ -11,7 +11,6 @@
 //! use exynos_core::fault::FaultPlan;
 //!
 //! let sim = SimBuilder::generation(Generation::M6)
-//!     .threads(8)
 //!     .fault_profile(FaultPlan::chaos(7))
 //!     .build()
 //!     .unwrap();
@@ -27,7 +26,6 @@ use crate::config::{CoreConfig, Generation};
 use crate::error::SimError;
 use crate::fault::{FaultPlan, FaultRates};
 use crate::sim::Simulator;
-use exynos_telemetry::{Telemetry, TelemetryConfig};
 
 /// Fluent simulator construction; see the [module docs](self).
 #[derive(Debug, Clone)]
@@ -37,8 +35,6 @@ pub struct SimBuilder {
     fault_rates: Option<FaultRates>,
     watchdog: Option<(u64, u32)>,
     strict_decode: bool,
-    threads: Option<usize>,
-    telemetry: Option<TelemetryConfig>,
     cancel: Option<CancelToken>,
 }
 
@@ -56,8 +52,6 @@ impl SimBuilder {
             fault_rates: None,
             watchdog: None,
             strict_decode: false,
-            threads: None,
-            telemetry: None,
             cancel: None,
         }
     }
@@ -106,35 +100,10 @@ impl SimBuilder {
         self
     }
 
-    /// Worker-thread budget carried to sweep helpers (the simulator
-    /// itself is single-threaded; population sweeps read this).
-    #[must_use]
-    pub fn threads(mut self, n: usize) -> SimBuilder {
-        self.threads = Some(n.max(1));
-        self
-    }
-
-    /// Telemetry sink configuration for [`SimBuilder::build_instrumented`].
-    #[must_use]
-    pub fn telemetry(mut self, cfg: TelemetryConfig) -> SimBuilder {
-        self.telemetry = Some(cfg);
-        self
-    }
-
-    /// The thread budget, defaulting to 1 when unset.
-    pub fn thread_count(&self) -> usize {
-        self.threads.unwrap_or(1)
-    }
-
-    /// The configuration the built simulator will use.
-    pub fn config_ref(&self) -> &CoreConfig {
-        &self.cfg
-    }
-
     /// Validate the configuration and construct the simulator.
     pub fn build(self) -> Result<Simulator, SimError> {
         self.validate()?;
-        let SimBuilder { cfg, fault, fault_rates, watchdog, strict_decode, cancel, .. } = self;
+        let SimBuilder { cfg, fault, fault_rates, watchdog, strict_decode, cancel } = self;
         let plan = match (fault, fault_rates) {
             (Some(plan), _) => Some(plan),
             (None, Some(rates)) => Some(FaultPlan::from_rates(&rates)?),
@@ -152,13 +121,6 @@ impl SimBuilder {
             sim.set_cancel_token(token);
         }
         Ok(sim)
-    }
-
-    /// [`build`](SimBuilder::build) plus a [`Telemetry`] sink configured
-    /// by [`SimBuilder::telemetry`] (default configuration when unset).
-    pub fn build_instrumented(self) -> Result<(Simulator, Telemetry), SimError> {
-        let tel = Telemetry::new(self.telemetry.clone().unwrap_or_default());
-        Ok((self.build()?, tel))
     }
 
     fn validate(&self) -> Result<(), SimError> {
@@ -211,7 +173,6 @@ mod tests {
             .fault_profile(FaultPlan::chaos(3))
             .watchdog(10_000, 2)
             .strict_decode(true)
-            .threads(4)
             .build()
             .unwrap();
         assert_eq!(sim.config().gen, Generation::M5);
@@ -283,14 +244,5 @@ mod tests {
             Err(SimError::Cancelled { deadline, .. }) => assert!(!deadline),
             other => panic!("pre-cancelled token must stop the run: {other:?}"),
         }
-    }
-
-    #[test]
-    fn thread_count_defaults_to_one() {
-        assert_eq!(SimBuilder::generation(Generation::M1).thread_count(), 1);
-        assert_eq!(
-            SimBuilder::generation(Generation::M1).threads(0).thread_count(),
-            1
-        );
     }
 }

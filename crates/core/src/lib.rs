@@ -54,4 +54,4 @@ pub use error::{OccupancySnapshot, SimError};
 pub use fault::{FaultInjector, FaultPlan, FaultRates, FaultStats};
 pub use memsys::{MemStats, MemSystem};
 pub use batch::{InstChunk, CHUNK_LEN};
-pub use sim::{run_slice_on, SimStats, Simulator, SliceMeasure, SliceResult, WatchdogTrip};
+pub use sim::{SimStats, Simulator, SliceMeasure, SliceResult, WatchdogTrip};

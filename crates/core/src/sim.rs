@@ -445,13 +445,6 @@ impl Simulator {
         self.step_impl(inst, None)
     }
 
-    /// [`step`](Simulator::step) with a telemetry sink: pipeline events
-    /// and histograms are recorded into `tel`. Timing and statistics are
-    /// identical to the plain path — telemetry only observes.
-    pub fn step_with(&mut self, inst: &Inst, tel: &mut Telemetry) -> Result<u64, SimError> {
-        self.step_impl(inst, Some(tel))
-    }
-
     fn step_impl(&mut self, inst: &Inst, tel: Option<&mut Telemetry>) -> Result<u64, SimError> {
         // Cooperative cancellation: one relaxed-load poll per
         // CANCEL_POLL_PERIOD instructions keeps deadline enforcement off
@@ -1039,17 +1032,6 @@ impl Simulator {
             tel.sample(&fs);
         }
     }
-}
-
-/// Convenience: simulate one catalog slice on one generation.
-pub fn run_slice_on(
-    cfg: CoreConfig,
-    slice: &exynos_trace::SliceSpec,
-) -> Result<SliceResult, SimError> {
-    let mut sim = Simulator::construct(cfg);
-    let mut gen = slice.build()?;
-    let plan = slice.plan;
-    sim.run_slice(&mut *gen, plan)
 }
 
 mod snapshot_impl {

@@ -31,7 +31,7 @@ pub enum JobKind {
         warmup: u64,
         /// Measured instructions per slice.
         detail: u64,
-        /// Worker threads for the sweep's `run_indexed` fan-out.
+        /// Worker threads for the sweep's slice-group fan-out.
         threads: usize,
     },
     /// An instrumented single-generation run returning metrics JSONL.

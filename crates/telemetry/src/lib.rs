@@ -18,7 +18,7 @@
 //!
 //! Component crates implement [`Observable`] for their `*Stats` structs
 //! (a stable dotted component path plus a fixed-order visit of named
-//! values). `exynos_core::Simulator::step_with` threads an
+//! values). `exynos_core::Simulator::run_slice_with` threads an
 //! `&mut Telemetry` through the step loop: events are derived from
 //! per-step stat deltas, and every `epoch_len` retired instructions the
 //! whole registry is snapshotted into the columnar series.

@@ -5,6 +5,9 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --release -q --workspace
+# The benchmark package calls into the crates' public API; a break there
+# must fail this gate, not the benchmark run.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Panic-site gate: library and binary code must propagate typed errors
 # (SimError / PredictorError / UocError) instead of unwrapping. Tests,
