@@ -4,7 +4,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::FrontEnd;
-use exynos_branch::history::{GlobalHistory, PathHistory};
 use exynos_branch::shp::{Shp, ShpConfig};
 use exynos_trace::gen::web::{WebParams, WebWorkload};
 use exynos_trace::{Inst, TraceGen};
@@ -13,16 +12,15 @@ fn bench_shp(c: &mut Criterion) {
     let mut group = c.benchmark_group("shp_predict");
     for (name, cfg) in [("m1_8x1k", ShpConfig::m1()), ("m5_16x2k", ShpConfig::m5())] {
         let shp = Shp::new(cfg);
-        let mut g = GlobalHistory::new();
-        let p = PathHistory::new();
+        let mut h = shp.history();
         for i in 0..200 {
-            g.push(i % 3 == 0);
+            h.push_outcome(i % 3 == 0);
         }
         group.bench_function(name, |b| {
             let mut pc = 0x4000u64;
             b.iter(|| {
                 pc = pc.wrapping_add(4);
-                std::hint::black_box(shp.predict(pc, 3, &g, &p).sum)
+                std::hint::black_box(shp.predict(pc, 3, &h).sum)
             })
         });
     }

@@ -5,7 +5,6 @@
 
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::FrontEnd;
-use exynos_branch::history::{GlobalHistory, PathHistory};
 use exynos_branch::indirect::{IndirectConfig, IndirectPredictor};
 use exynos_branch::shp::{apply_bias_delta, Shp, ShpConfig};
 use exynos_branch::storage_budget;
@@ -417,8 +416,7 @@ pub fn fig1_shp_mpki_vs_ghist(ghist_len: usize, branches_per_trace: usize) -> f6
             ghist_len: ghist_len.max(1),
             ..ShpConfig::m1()
         });
-        let mut g = GlobalHistory::new();
-        let mut p = PathHistory::new();
+        let mut h = shp.history();
         let mut biases: HashMap<u64, i8> = HashMap::new();
         let mut branches = 0usize;
         while branches < branches_per_trace {
@@ -441,7 +439,7 @@ pub fn fig1_shp_mpki_vs_ghist(ghist_len: usize, branches_per_trace: usize) -> f6
                 biases.insert(inst.pc, apply_bias_delta(bias, d));
                 taken
             } else {
-                let pr = shp.predict(inst.pc, bias, &g, &p);
+                let pr = shp.predict(inst.pc, bias, &h);
                 let d = shp.update(&pr, b.taken, false);
                 biases.insert(inst.pc, apply_bias_delta(bias, d));
                 pr.taken
@@ -449,8 +447,8 @@ pub fn fig1_shp_mpki_vs_ghist(ghist_len: usize, branches_per_trace: usize) -> f6
             if pred != b.taken {
                 total_miss += 1;
             }
-            g.push(b.taken);
-            p.push(inst.pc);
+            h.push_outcome(b.taken);
+            h.push_path(inst.pc);
         }
     }
     total_miss as f64 * 1000.0 / total_insts.max(1) as f64
@@ -583,8 +581,7 @@ pub fn fig8_indirect(targets: usize, cfg: IndirectConfig) -> (f64, f64) {
     let mut perm: Vec<usize> = (0..targets).collect();
     perm.shuffle(&mut rng);
     let mut shp = Shp::new(ShpConfig::m5());
-    let mut g = GlobalHistory::new();
-    let mut p = PathHistory::new();
+    let mut h = shp.history();
     let mut pred = IndirectPredictor::new(cfg, 64);
     let mut cur = 0usize;
     let n = 8_000;
@@ -595,8 +592,8 @@ pub fn fig8_indirect(targets: usize, cfg: IndirectConfig) -> (f64, f64) {
             rng.gen_range(0..targets)
         };
         let t = 0x9000 + cur as u64 * 0x40;
-        let pr = pred.predict(0x4000, &shp, &g, &p);
-        let _ = pred.update(0x4000, t, pr.target, &mut shp, &mut g, &mut p);
+        let pr = pred.predict(0x4000, &shp, &h);
+        let _ = pred.update(0x4000, t, pr.target, &mut shp, &mut h);
     }
     let s = pred.stats();
     (

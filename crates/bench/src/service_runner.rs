@@ -99,12 +99,6 @@ impl BenchRunner {
         threads: usize,
         ctx: &JobCtx,
     ) -> Result<String, SimError> {
-        if scale == 0 {
-            return Err(SimError::Config {
-                param: "job.scale",
-                detail: "sweep scale must be >= 1".to_owned(),
-            });
-        }
         let (records, _) = if spec.has_overrides() {
             // Cold path: each member starts from reset with the spec's
             // injectors attached, over a pass-through cache so override
@@ -180,12 +174,6 @@ impl BenchRunner {
                 detail: "server built without the telemetry feature".to_owned(),
             });
         }
-        if epoch == 0 {
-            return Err(SimError::Config {
-                param: "job.epoch",
-                detail: "epoch length must be >= 1".to_owned(),
-            });
-        }
         let cfg = CoreConfig::for_generation(parse_generation(generation)?);
         let mut sim = build_sim(cfg, spec, &ctx.cancel)?;
         let event_capacity = if trace { 1 << 18 } else { 1 << 16 };
@@ -239,6 +227,7 @@ impl BenchRunner {
 
 impl JobRunner for BenchRunner {
     fn run(&self, spec: &JobSpec, ctx: &JobCtx) -> Result<String, SimError> {
+        spec.validate()?;
         match &spec.kind {
             JobKind::Sweep { scale, warmup, detail, threads } => {
                 self.run_sweep(spec, *scale, *warmup, *detail, *threads, ctx)

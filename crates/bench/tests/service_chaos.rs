@@ -7,7 +7,7 @@
 
 use exynos_bench::service_runner::BenchRunner;
 use exynos_service::engine::{Engine, JobStatus, ServiceConfig, SubmitError};
-use exynos_service::job::{JobKind, JobSpec};
+use exynos_service::job::{JobKind, JobSpec, JobState};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -168,6 +168,46 @@ fn breaker_quarantines_repeat_watchdog_offenders() {
     assert!(st.payload.is_some(), "{:?}", st.error);
     assert!(engine.stats_json().contains("\"breaker_open\":1"));
     assert!(engine.drain(WAIT));
+}
+
+/// A job with an empty detail window fails with a typed `config` error
+/// naming `job.detail`, and the single worker that ran it goes on to
+/// complete the next job (a panic would have killed it).
+fn zero_detail_fails_typed(kind: JobKind) {
+    let cfg = ServiceConfig { workers: 1, ..fast_cfg() };
+    let engine = Engine::start(Box::new(BenchRunner::new(1)), cfg).unwrap();
+    let bad = engine.submit(JobSpec::plain(kind), None, None).unwrap();
+    let st = wait_terminal(&engine, bad);
+    assert_eq!(st.state, JobState::Failed);
+    assert_eq!(st.error_kind.as_deref(), Some("config"), "{:?}", st.error);
+    assert!(st.error.as_deref().unwrap_or("").contains("job.detail"), "{:?}", st.error);
+    let ok = engine.submit(quick_checkpoint("m1", 200), None, None).unwrap();
+    let st = wait_terminal(&engine, ok);
+    assert!(st.payload.is_some(), "worker must keep serving: {:?}", st.error);
+    assert!(engine.drain(WAIT));
+}
+
+#[test]
+fn zero_detail_sweep_fails_typed() {
+    zero_detail_fails_typed(JobKind::Sweep { scale: 1, warmup: 200, detail: 0, threads: 1 });
+}
+
+#[test]
+fn zero_detail_program_fails_typed() {
+    let program = "nested_loops".to_owned();
+    zero_detail_fails_typed(JobKind::Program { program, warmup: 200, detail: 0 });
+}
+
+#[test]
+fn zero_detail_metrics_fails_typed() {
+    let generation = "m1".to_owned();
+    zero_detail_fails_typed(JobKind::Metrics { generation, warmup: 200, detail: 0, epoch: 100 });
+}
+
+#[test]
+fn zero_detail_trace_fails_typed() {
+    let generation = "m6".to_owned();
+    zero_detail_fails_typed(JobKind::Trace { generation, warmup: 200, detail: 0, epoch: 100 });
 }
 
 fn temp_journal(tag: &str) -> PathBuf {

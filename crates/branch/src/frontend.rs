@@ -22,7 +22,7 @@ use crate::btb::{BtbEntry, BtbHierarchy, BtbHit};
 use crate::config::FrontendConfig;
 use crate::confidence::ConfidenceTable;
 use crate::error::PredictorError;
-use crate::history::{GlobalHistory, PathHistory};
+use crate::history::ShpHistory;
 use crate::indirect::IndirectPredictor;
 use crate::mrb::{Mrb, MrbStats};
 use crate::ras::{Ras, RasStats};
@@ -137,8 +137,8 @@ impl FrontendStats {
 pub struct FrontEnd {
     cfg: FrontendConfig,
     shp: Shp,
-    ghist: GlobalHistory,
-    phist: PathHistory,
+    /// GHIST/PHIST with the SHP's folded registers.
+    hist: ShpHistory,
     ubtb: MicroBtb,
     btb: BtbHierarchy,
     ras: Ras,
@@ -170,10 +170,10 @@ impl FrontEnd {
     pub fn new(cfg: FrontendConfig) -> FrontEnd {
         let entropy = EntropySources::from_seed(0xE5_EC0DE);
         let key = compute_context_hash(&entropy, ContextId::user(0, 0));
+        let shp = Shp::new(cfg.shp.clone());
         FrontEnd {
-            shp: Shp::new(cfg.shp.clone()),
-            ghist: GlobalHistory::new(),
-            phist: PathHistory::new(),
+            hist: shp.history(),
+            shp,
             ubtb: MicroBtb::new(cfg.ubtb.clone()),
             btb: BtbHierarchy::new(cfg.btb.clone()),
             ras: Ras::new(cfg.ras_entries, key),
@@ -239,6 +239,11 @@ impl FrontEnd {
         &self.ubtb
     }
 
+    /// The speculative GHIST/PHIST and the SHP's folds over them.
+    pub fn shp_history(&self) -> &ShpHistory {
+        &self.hist
+    }
+
     /// Switch to a new execution context: recompute CONTEXT_HASH. Stored
     /// indirect/RAS targets trained by the old context now decode to
     /// garbage (the §V property).
@@ -268,8 +273,7 @@ impl FrontEnd {
         // stats survive the flush (they describe the run, not the state).
         self.ras.clear();
         self.indirect = IndirectPredictor::new(self.cfg.indirect.clone(), self.cfg.indirect_chains);
-        self.ghist = GlobalHistory::new();
-        self.phist = PathHistory::new();
+        self.hist = self.shp.history();
         self.mrb = self.cfg.mrb_entries.map(Mrb::new);
         self.last_taken_branch = None;
         self.pending_zero_bubble = None;
@@ -511,8 +515,7 @@ impl FrontEnd {
                             if entry.always_taken {
                                 true
                             } else {
-                                let p =
-                                    self.shp.predict(pc, entry.bias, &self.ghist, &self.phist);
+                                let p = self.shp.predict(pc, entry.bias, &self.hist);
                                 shp_pred = Some(p);
                                 p.taken
                             }
@@ -530,9 +533,7 @@ impl FrontEnd {
                                 // Chains store CONTEXT_HASH-sealed targets;
                                 // the raw (sealed) prediction is kept for
                                 // training, the unsealed one drives fetch.
-                                let p = self
-                                    .indirect
-                                    .predict(pc, &self.shp, &self.ghist, &self.phist);
+                                let p = self.indirect.predict(pc, &self.shp, &self.hist);
                                 bubbles += p.extra_cycles;
                                 indirect_pred = Some(p.target);
                                 p.target.map(|t| self.unseal(kind, t))
@@ -640,9 +641,8 @@ impl FrontEnd {
                 // SHP for conditionals (with always-taken filtering).
                 if kind.is_conditional() {
                     let filtered = entry.always_taken && self.cfg.at_filter;
-                    let p = shp_pred.unwrap_or_else(|| {
-                        self.shp.predict(pc, entry.bias, &self.ghist, &self.phist)
-                    });
+                    let p = shp_pred
+                        .unwrap_or_else(|| self.shp.predict(pc, entry.bias, &self.hist));
                     let d = self.shp.update(&p, taken, filtered);
                     entry.bias = apply_bias_delta(entry.bias, d);
                 }
@@ -676,15 +676,14 @@ impl FrontEnd {
                 self.seal(kind, target),
                 predicted_sealed,
                 &mut self.shp,
-                &mut self.ghist,
-                &mut self.phist,
+                &mut self.hist,
             );
         }
         // Histories.
         if kind.is_conditional() {
-            self.ghist.push(taken);
+            self.hist.push_outcome(taken);
         }
-        self.phist.push(pc);
+        self.hist.push_path(pc);
         // µBTB graph learning.
         let predicted_correctly = !mispredicted && !discovered;
         self.ubtb.update(
@@ -812,8 +811,7 @@ mod snapshot_impl {
         fn save(&self, enc: &mut Encoder) {
             enc.begin_section(tags::FRONTEND);
             self.shp.save(enc);
-            self.ghist.save(enc);
-            self.phist.save(enc);
+            self.hist.save(enc);
             self.ubtb.save(enc);
             self.btb.save(enc);
             self.ras.save(enc);
@@ -851,8 +849,7 @@ mod snapshot_impl {
         fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
             dec.begin_section(tags::FRONTEND)?;
             self.shp.restore(dec)?;
-            self.ghist.restore(dec)?;
-            self.phist.restore(dec)?;
+            self.hist.restore(dec)?;
             self.ubtb.restore(dec)?;
             self.btb.restore(dec)?;
             self.ras.restore(dec)?;

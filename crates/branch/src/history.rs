@@ -7,6 +7,11 @@
 //! "three bits, bits two through four, of each branch address encountered";
 //! and (3) a hash of the PC. M1 used 165 bits of GHIST and 80 entries of
 //! PHIST; M5 grew GHIST by 25% and rebalanced the intervals.
+//!
+//! [`ShpHistory`] carries both registers plus one SHP's per-table folds,
+//! updated incrementally on every push; the `fold` functions here are the
+//! from-scratch reference those folds are checked against and rebuilt
+//! from on restore.
 
 /// Maximum GHIST bits any generation keeps (M5/M6 use 206).
 pub const MAX_GHIST: usize = 256;
@@ -157,6 +162,200 @@ impl Default for PathHistory {
     }
 }
 
+/// Most weight tables an SHP may have (M5/M6 use all 16).
+pub const MAX_TABLES: usize = 16;
+
+/// GHIST and PHIST together with one SHP's per-table folded registers.
+///
+/// Every SHP lookup needs, per table, the fold of that table's GHIST
+/// interval and of its PHIST interval. Refolding them per lookup walks up
+/// to 206 bits and 100 entries per table; instead each fold is a register
+/// that a push updates in O(1), the way hardware keeps folded history.
+/// With `L` the interval length, `w` the fold width (the SHP's index
+/// bits) and `m = w / 3`, the folds are
+///
+/// * GHIST: `F = XOR_{i<L} b[i] << (i mod w)`, so a push of `taken` is
+///   `F' = rotl_w(F ^ (b[L-1] << ((L-1) mod w)), 1) ^ taken`;
+/// * PHIST: `F = XOR_{k<L} e[k] << 3(k mod m)`, so a push of entry `e` is
+///   `F' = rotl3_{3m}(F ^ (e[L-1] << 3((L-1) mod m))) ^ e`,
+///
+/// where `b[L-1]` and `e[L-1]` are the oldest bit and entry still inside
+/// the interval before the push. Both match [`GlobalHistory::fold`] and
+/// [`PathHistory::fold`] bit for bit for every `w >= 3`.
+///
+/// The folds are derived state: a snapshot stores only the two
+/// registers, and restore refolds from them. Only
+/// [`Shp::history`](crate::shp::Shp::history) builds one, from that SHP's
+/// own intervals and index width.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShpHistory {
+    ghist: GlobalHistory,
+    phist: PathHistory,
+    /// Per-table GHIST folds, `w` bits wide.
+    gfold: [u16; MAX_TABLES],
+    /// Per-table PHIST folds, `3 * (w / 3)` bits wide.
+    pfold: [u16; MAX_TABLES],
+    geom: FoldGeometry,
+}
+
+/// Per-table constants of the fold updates, fixed at construction so a
+/// push has no division or branch: it gathers each table's outgoing bit
+/// or entry, then runs one fixed 16-lane `u16` loop, with no per-table
+/// shift, that the compiler vectorizes. Lanes past `tables`, and tables
+/// with an empty interval, have a zero keep mask, so their folds stay 0.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct FoldGeometry {
+    tables: usize,
+    /// Fold width `w`.
+    width: u32,
+    /// GHIST interval lengths, clamped to [`MAX_GHIST`].
+    glen: [u16; MAX_TABLES],
+    /// PHIST interval lengths, clamped to [`MAX_PHIST`].
+    plen: [u16; MAX_TABLES],
+    /// Index of the GHIST bit a push moves out of the interval (`L - 1`).
+    g_out: [u8; MAX_TABLES],
+    /// That bit's place in the fold: `1 << ((L - 1) mod w)`.
+    g_at: [u16; MAX_TABLES],
+    /// All ones over `w` bits for a non-empty interval, else 0.
+    g_keep: [u16; MAX_TABLES],
+    /// Index of the PHIST entry a push moves out of the interval.
+    p_out: [u8; MAX_TABLES],
+    /// That entry's place in the fold: `1 << 3((L - 1) mod m)`.
+    p_at: [u16; MAX_TABLES],
+    /// All ones over `3m` bits for a non-empty interval, else 0.
+    p_keep: [u16; MAX_TABLES],
+}
+
+impl ShpHistory {
+    /// Empty histories for tables with GHIST intervals `glens`, PHIST
+    /// intervals `plens` and fold width `width`.
+    ///
+    /// # Panics
+    /// Panics if the interval lists differ in length or exceed
+    /// [`MAX_TABLES`], or if `width` is outside `3..=16`.
+    pub(crate) fn new(glens: &[usize], plens: &[usize], width: u32) -> ShpHistory {
+        assert_eq!(glens.len(), plens.len(), "one PHIST interval per table");
+        assert!(glens.len() <= MAX_TABLES, "at most {MAX_TABLES} tables");
+        assert!((3..=16).contains(&width), "fold width must be 3..=16 bits");
+        let m = width / 3;
+        let wmask = ((1u32 << width) - 1) as u16;
+        let pmask = ((1u32 << (3 * m)) - 1) as u16;
+        let mut geom = FoldGeometry {
+            tables: glens.len(),
+            width,
+            glen: [0; MAX_TABLES],
+            plen: [0; MAX_TABLES],
+            g_out: [0; MAX_TABLES],
+            g_at: [0; MAX_TABLES],
+            g_keep: [0; MAX_TABLES],
+            p_out: [0; MAX_TABLES],
+            p_at: [0; MAX_TABLES],
+            p_keep: [0; MAX_TABLES],
+        };
+        for (t, (&gl, &pl)) in glens.iter().zip(plens).enumerate() {
+            let gl = gl.min(MAX_GHIST);
+            let pl = pl.min(MAX_PHIST);
+            geom.glen[t] = gl as u16;
+            geom.plen[t] = pl as u16;
+            if gl > 0 {
+                geom.g_out[t] = (gl - 1) as u8;
+                geom.g_at[t] = 1 << ((gl - 1) % width as usize);
+                geom.g_keep[t] = wmask;
+            }
+            if pl > 0 {
+                geom.p_out[t] = (pl - 1) as u8;
+                geom.p_at[t] = 1 << (3 * ((pl - 1) % m as usize));
+                geom.p_keep[t] = pmask;
+            }
+        }
+        ShpHistory {
+            ghist: GlobalHistory::new(),
+            phist: PathHistory::new(),
+            gfold: [0; MAX_TABLES],
+            pfold: [0; MAX_TABLES],
+            geom,
+        }
+    }
+
+    /// Whether this history was built for exactly these intervals and
+    /// fold width.
+    pub(crate) fn built_for(&self, glens: &[usize], plens: &[usize], width: u32) -> bool {
+        let g = &self.geom;
+        g.width == width
+            && g.tables == glens.len()
+            && glens.iter().zip(&g.glen).all(|(&a, &b)| a.min(MAX_GHIST) == b as usize)
+            && plens.iter().zip(&g.plen).all(|(&a, &b)| a.min(MAX_PHIST) == b as usize)
+    }
+
+    /// Record a conditional-branch outcome into GHIST and every table's
+    /// GHIST fold.
+    #[inline]
+    pub fn push_outcome(&mut self, taken: bool) {
+        let g = &self.geom;
+        let mut out = [0u16; MAX_TABLES];
+        for (o, &pos) in out.iter_mut().zip(&g.g_out) {
+            let pos = pos as usize;
+            *o = ((self.ghist.words[pos >> 6] >> (pos & 63)) & 1) as u16;
+        }
+        let (w, taken16) = (g.width, taken as u16);
+        for t in 0..MAX_TABLES {
+            let f = self.gfold[t] ^ (out[t].wrapping_neg() & g.g_at[t]);
+            let f = (f << 1) | (f >> (w - 1));
+            self.gfold[t] = (f ^ taken16) & g.g_keep[t];
+        }
+        self.ghist.push(taken);
+    }
+
+    /// Record a branch address into PHIST and every table's PHIST fold.
+    #[inline]
+    pub fn push_path(&mut self, pc: u64) {
+        let g = &self.geom;
+        let mut out = [0u16; MAX_TABLES];
+        for (o, &k) in out.iter_mut().zip(&g.p_out) {
+            *o = self.phist.entries[(self.phist.head + k as usize) & (MAX_PHIST - 1)] as u16;
+        }
+        let span = 3 * (g.width / 3);
+        let e = ((pc >> 2) & 0x7) as u16;
+        for t in 0..MAX_TABLES {
+            let f = self.pfold[t] ^ out[t] * g.p_at[t];
+            let f = (f << 3) | (f >> (span - 3));
+            self.pfold[t] = (f ^ e) & g.p_keep[t];
+        }
+        self.phist.push(pc);
+    }
+
+    /// The outcome register.
+    pub fn ghist(&self) -> &GlobalHistory {
+        &self.ghist
+    }
+
+    /// The path register.
+    pub fn phist(&self) -> &PathHistory {
+        &self.phist
+    }
+
+    /// Per-table GHIST folds, one per table.
+    #[inline]
+    pub fn ghist_folds(&self) -> &[u16] {
+        &self.gfold[..self.geom.tables]
+    }
+
+    /// Per-table PHIST folds, one per table.
+    #[inline]
+    pub fn phist_folds(&self) -> &[u16] {
+        &self.pfold[..self.geom.tables]
+    }
+
+    /// Recompute every fold from the registers (after a restore).
+    fn refold(&mut self) {
+        let g = &self.geom;
+        for t in 0..g.tables {
+            self.gfold[t] = self.ghist.fold(g.glen[t] as usize, g.width) as u16;
+            self.pfold[t] = self.phist.fold(g.plen[t] as usize, g.width) as u16;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -287,6 +486,22 @@ mod snapshot_impl {
             }
             self.head = head;
             dec.end_section()
+        }
+    }
+
+    /// Writes exactly the two registers' sections, so the image is the
+    /// same as before the folds existed; restore refolds.
+    impl Snapshot for ShpHistory {
+        fn save(&self, enc: &mut Encoder) {
+            self.ghist.save(enc);
+            self.phist.save(enc);
+        }
+
+        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
+            self.ghist.restore(dec)?;
+            self.phist.restore(dec)?;
+            self.refold();
+            Ok(())
         }
     }
 }

@@ -15,7 +15,7 @@
 //! well, as the precursor conditional branches do not highly correlate
 //! with the indirect targets").
 
-use crate::history::{GlobalHistory, PathHistory};
+use crate::history::ShpHistory;
 use crate::shp::{apply_bias_delta, Shp};
 
 /// Geometry/behaviour of the indirect predictor.
@@ -171,15 +171,9 @@ impl IndirectPredictor {
     ///
     /// As in the VPC paper, each virtual conditional consults the SHP with
     /// the history state *as of that iteration*: not-taken virtual outcomes
-    /// are speculatively shifted into (cloned) histories between
+    /// are speculatively shifted into a cloned history between
     /// iterations, mirroring what [`IndirectPredictor::update`] commits.
-    pub fn predict(
-        &mut self,
-        pc: u64,
-        shp: &Shp,
-        ghist: &GlobalHistory,
-        phist: &PathHistory,
-    ) -> IndirectPrediction {
+    pub fn predict(&mut self, pc: u64, shp: &Shp, hist: &ShpHistory) -> IndirectPrediction {
         self.stamp += 1;
         self.stats.lookups += 1;
         let chain = self.chains.iter_mut().find(|c| c.pc == pc);
@@ -188,17 +182,16 @@ impl IndirectPredictor {
         if let Some(c) = chain {
             c.lru = self.stamp;
             chain_len = c.targets.len();
-            let mut g = ghist.clone();
-            let mut p = phist.clone();
+            let mut h = hist.clone();
             for (i, (target, bias)) in c.targets.iter().enumerate().take(self.cfg.max_vpc) {
                 let vp = Self::virtual_pc(pc, i);
-                let pr = shp.predict(vp, *bias, &g, &p);
+                let pr = shp.predict(vp, *bias, &h);
                 if pr.taken {
                     vpc_result = Some((*target, i as u32));
                     break;
                 }
-                g.push(false);
-                p.push(vp);
+                h.push_outcome(false);
+                h.push_path(vp);
             }
         }
         // Arbitration (§IV.F): "the accuracy of SHP+VPC+hash-table lookups
@@ -269,7 +262,7 @@ impl IndirectPredictor {
     /// Train on the architectural `target`, updating the VPC chain (and
     /// its virtual conditional branches in the SHP), the hash table, and
     /// the recent-target history. The virtual-branch outcomes are committed
-    /// into `ghist`/`phist` (they are conditional branches from the SHP's
+    /// into `hist` (they are conditional branches from the SHP's
     /// point of view), which is also how an indirect branch becomes visible
     /// to later history-based predictions. Returns whether the earlier
     /// prediction `predicted` was correct.
@@ -279,8 +272,7 @@ impl IndirectPredictor {
         target: u64,
         predicted: Option<u64>,
         shp: &mut Shp,
-        ghist: &mut GlobalHistory,
-        phist: &mut PathHistory,
+        hist: &mut ShpHistory,
     ) -> bool {
         self.stamp += 1;
         let correct = predicted == Some(target);
@@ -340,11 +332,11 @@ impl IndirectPredictor {
             let is_hit = i == pos;
             let (_, bias) = &mut chain.targets[i];
             let vp = Self::virtual_pc(pc, i);
-            let p = shp.predict(vp, *bias, ghist, phist);
+            let p = shp.predict(vp, *bias, hist);
             let d = shp.update(&p, is_hit, false);
             *bias = apply_bias_delta(*bias, d);
-            ghist.push(is_hit);
-            phist.push(vp);
+            hist.push_outcome(is_hit);
+            hist.push_path(vp);
         }
         // --- Hash table training. -----------------------------------------
         if let Some(idx) = self.table_index(pc) {
@@ -381,25 +373,23 @@ mod tests {
 
     struct Rig {
         shp: Shp,
-        g: GlobalHistory,
-        p: PathHistory,
+        h: ShpHistory,
         pred: IndirectPredictor,
     }
 
     fn rig(cfg: IndirectConfig) -> Rig {
+        let shp = Shp::new(ShpConfig::m1());
         Rig {
-            shp: Shp::new(ShpConfig::m1()),
-            g: GlobalHistory::new(),
-            p: PathHistory::new(),
+            h: shp.history(),
+            shp,
             pred: IndirectPredictor::new(cfg, 64),
         }
     }
 
     fn step(r: &mut Rig, pc: u64, target: u64) -> bool {
-        let pr = r.pred.predict(pc, &r.shp, &r.g, &r.p);
-        // update() commits the virtual-branch outcomes into the histories.
-        r.pred
-            .update(pc, target, pr.target, &mut r.shp, &mut r.g, &mut r.p)
+        let pr = r.pred.predict(pc, &r.shp, &r.h);
+        // update() commits the virtual-branch outcomes into the history.
+        r.pred.update(pc, target, pr.target, &mut r.shp, &mut r.h)
     }
 
     #[test]
@@ -501,7 +491,7 @@ mod tests {
         step(&mut r, 0x4000, 0x9000);
         step(&mut r, 0x5000, 0x9100);
         step(&mut r, 0x6000, 0x9200); // evicts 0x4000
-        let pr = r.pred.predict(0x4000, &r.shp, &r.g, &r.p);
+        let pr = r.pred.predict(0x4000, &r.shp, &r.h);
         assert_eq!(pr.target, None, "evicted chain must not predict");
     }
 }

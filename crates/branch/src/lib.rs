@@ -3,7 +3,8 @@
 //! Implements all six generations of the paper's branch prediction:
 //!
 //! * [`shp`] — the Scaled Hashed Perceptron conditional predictor;
-//! * [`history`] — GHIST/PHIST registers and interval folding;
+//! * [`history`] — GHIST/PHIST registers, interval folding, and the
+//!   incrementally folded [`history::ShpHistory`] the SHP indexes with;
 //! * [`btb`] — the mBTB (8 branches / 128 B line) + vBTB + L2BTB hierarchy;
 //! * [`ubtb`] — the zero-bubble graph-based µBTB with its local-history
 //!   hashed perceptron and lock mode;

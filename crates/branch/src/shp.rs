@@ -12,7 +12,7 @@
 //! * always-taken branches do not update the weight tables (anti-aliasing,
 //!   §IV.A).
 
-use crate::history::{GlobalHistory, PathHistory};
+use crate::history::{ShpHistory, MAX_TABLES};
 
 /// Saturating sign/magnitude 8-bit weight: −127..=127.
 pub const WEIGHT_MAX: i32 = 127;
@@ -104,7 +104,7 @@ pub struct ShpPrediction {
     /// The perceptron output (2*bias + Σ weights).
     pub sum: i32,
     /// Row index used in each table (recorded for the update).
-    indices: [u16; 16],
+    indices: [u16; MAX_TABLES],
     /// Number of valid entries in `indices`.
     n: u8,
 }
@@ -115,7 +115,7 @@ pub struct Shp {
     cfg: ShpConfig,
     intervals: Vec<usize>,
     /// Per-table PHIST interval lengths, derived from `intervals` at
-    /// construction (the derivation divides; the lookup path must not).
+    /// construction.
     plens: Vec<usize>,
     /// `tables × rows` weights, row-major.
     weights: Vec<i8>,
@@ -130,10 +130,12 @@ impl Shp {
     /// Build an SHP from `cfg`.
     ///
     /// # Panics
-    /// Panics if `rows` is not a power of two or `tables` exceeds 16.
+    /// Panics if `rows` is not a power of two in `8..=65536` or `tables`
+    /// is not in `1..=16`.
     pub fn new(cfg: ShpConfig) -> Shp {
         assert!(cfg.rows.is_power_of_two(), "rows must be a power of two");
-        assert!(cfg.tables >= 1 && cfg.tables <= 16, "1..=16 tables supported");
+        assert!((8..=1 << 16).contains(&cfg.rows), "8..=65536 rows supported");
+        assert!(cfg.tables >= 1 && cfg.tables <= MAX_TABLES, "1..=16 tables supported");
         let intervals = cfg.intervals();
         let plens = intervals
             .iter()
@@ -152,6 +154,28 @@ impl Shp {
             cfg,
             idx_bits,
         }
+    }
+
+    /// Empty speculative histories carrying this SHP's per-table folds:
+    /// the only way to build the [`ShpHistory`] that [`Shp::predict`]
+    /// reads.
+    pub fn history(&self) -> ShpHistory {
+        ShpHistory::new(&self.intervals, &self.plens, self.idx_bits)
+    }
+
+    /// GHIST interval length per table (table 0 sees none).
+    pub fn intervals(&self) -> &[usize] {
+        &self.intervals
+    }
+
+    /// PHIST interval length per table.
+    pub fn phist_lens(&self) -> &[usize] {
+        &self.plens
+    }
+
+    /// Width of every fold and row index, in bits.
+    pub fn index_bits(&self) -> u32 {
+        self.idx_bits
     }
 
     /// The configuration this SHP was built with.
@@ -191,23 +215,16 @@ impl Shp {
     }
 
     /// Fill `out[..tables]` with the per-table row indices for `pc`
-    /// under the given histories, returning the table count. Branchless:
-    /// a zero-length interval folds to 0, so table 0's pure-PC index
-    /// needs no special case.
+    /// from the history's folded registers, returning the table count.
+    /// Branchless: a zero-length interval folds to 0, so table 0's
+    /// pure-PC index needs no special case.
     #[inline]
-    fn row_set(
-        &self,
-        pc: u64,
-        ghist: &GlobalHistory,
-        phist: &PathHistory,
-        out: &mut [u16; 16],
-    ) -> usize {
+    fn row_set(&self, pc: u64, hist: &ShpHistory, out: &mut [u16; MAX_TABLES]) -> usize {
         let mask = (self.cfg.rows - 1) as u32;
-        for t in 0..self.cfg.tables {
-            let h = self.pc_hash(pc, t)
-                ^ ghist.fold(self.intervals[t], self.idx_bits)
-                ^ phist.fold(self.plens[t], self.idx_bits).rotate_left(1);
-            out[t] = (h & mask) as u16;
+        let folds = hist.ghist_folds().iter().zip(hist.phist_folds());
+        for (t, (slot, (g, p))) in out.iter_mut().zip(folds).enumerate() {
+            let h = self.pc_hash(pc, t) ^ u32::from(*g) ^ u32::from(*p).rotate_left(1);
+            *slot = (h & mask) as u16;
         }
         self.cfg.tables
     }
@@ -217,7 +234,7 @@ impl Shp {
     /// per-table loop is a straight-line gather-and-add the compiler can
     /// unroll and vectorize.
     #[inline]
-    fn dot(&self, indices: &[u16; 16], n: usize) -> i32 {
+    fn dot(&self, indices: &[u16; MAX_TABLES], n: usize) -> i32 {
         let rows = self.cfg.rows;
         let mut sum = 0i32;
         for t in 0..n {
@@ -227,17 +244,16 @@ impl Shp {
     }
 
     /// Predict the direction of the conditional branch at `pc` given the
-    /// speculative histories and the branch's BTB `bias` weight.
+    /// speculative histories (built by [`Shp::history`]) and the branch's
+    /// BTB `bias` weight.
     #[inline]
-    pub fn predict(
-        &self,
-        pc: u64,
-        bias: i8,
-        ghist: &GlobalHistory,
-        phist: &PathHistory,
-    ) -> ShpPrediction {
-        let mut indices = [0u16; 16];
-        let n = self.row_set(pc, ghist, phist, &mut indices);
+    pub fn predict(&self, pc: u64, bias: i8, hist: &ShpHistory) -> ShpPrediction {
+        debug_assert!(
+            hist.built_for(&self.intervals, &self.plens, self.idx_bits),
+            "history built for a different SHP geometry"
+        );
+        let mut indices = [0u16; MAX_TABLES];
+        let n = self.row_set(pc, hist, &mut indices);
         let sum = self.cfg.bias_scale * bias as i32 + self.dot(&indices, n);
         ShpPrediction {
             taken: sum >= 0,
@@ -308,31 +324,27 @@ pub fn apply_bias_delta(bias: i8, delta: i8) -> i8 {
 mod tests {
     use super::*;
 
-    fn histories() -> (GlobalHistory, PathHistory) {
-        (GlobalHistory::new(), PathHistory::new())
-    }
-
     /// Drive one branch through the predictor `n` times with a fixed
     /// outcome function; return the mispredict count.
     fn train_run(
         shp: &mut Shp,
         pc: u64,
         n: usize,
-        mut outcome: impl FnMut(usize, &GlobalHistory) -> bool,
+        mut outcome: impl FnMut(usize) -> bool,
     ) -> usize {
-        let (mut g, mut p) = histories();
+        let mut h = shp.history();
         let mut bias = 0i8;
         let mut miss = 0;
         for i in 0..n {
-            let pred = shp.predict(pc, bias, &g, &p);
-            let t = outcome(i, &g);
+            let pred = shp.predict(pc, bias, &h);
+            let t = outcome(i);
             if pred.taken != t {
                 miss += 1;
             }
             let d = shp.update(&pred, t, false);
             bias = apply_bias_delta(bias, d);
-            g.push(t);
-            p.push(pc);
+            h.push_outcome(t);
+            h.push_path(pc);
         }
         miss
     }
@@ -340,14 +352,14 @@ mod tests {
     #[test]
     fn learns_always_taken_quickly() {
         let mut shp = Shp::new(ShpConfig::m1());
-        let miss = train_run(&mut shp, 0x4000, 200, |_, _| true);
+        let miss = train_run(&mut shp, 0x4000, 200, |_| true);
         assert!(miss <= 2, "got {miss} mispredicts");
     }
 
     #[test]
     fn learns_alternating_pattern() {
         let mut shp = Shp::new(ShpConfig::m1());
-        let miss = train_run(&mut shp, 0x4000, 500, |i, _| i % 2 == 0);
+        let miss = train_run(&mut shp, 0x4000, 500, |i| i % 2 == 0);
         assert!(miss < 30, "alternating should be learned, got {miss}");
     }
 
@@ -356,7 +368,7 @@ mod tests {
         // Outcome = outcome 4 branches ago: learnable with GHIST >= 4.
         let mut shp = Shp::new(ShpConfig::m1());
         let mut past = vec![true; 8];
-        let miss = train_run(&mut shp, 0x4000, 2000, move |i, _| {
+        let miss = train_run(&mut shp, 0x4000, 2000, move |i| {
             let t = if i < 4 { i % 3 == 0 } else { past[(i - 4) % 8] };
             past[i % 8] = t;
             t
@@ -372,7 +384,7 @@ mod tests {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(9);
         let mut shp = Shp::new(ShpConfig::m1());
-        let miss = train_run(&mut shp, 0x4000, 2000, move |_, _| rng.gen_bool(0.5));
+        let miss = train_run(&mut shp, 0x4000, 2000, move |_| rng.gen_bool(0.5));
         assert!(
             miss > 600,
             "random outcomes can't be predicted well, got {miss}/2000"
@@ -404,16 +416,16 @@ mod tests {
         let mut rng = rand::rngs::SmallRng::seed_from_u64(3);
         let mut shp = Shp::new(ShpConfig::m1());
         let theta0 = shp.theta();
-        let _ = train_run(&mut shp, 0x4000, 3000, move |_, _| rng.gen_bool(0.5));
+        let _ = train_run(&mut shp, 0x4000, 3000, move |_| rng.gen_bool(0.5));
         assert!(shp.theta() > theta0, "theta should rise on noisy branches");
     }
 
     #[test]
     fn always_taken_filter_leaves_weights_untouched() {
         let mut shp = Shp::new(ShpConfig::m1());
-        let (g, p) = histories();
+        let h = shp.history();
         let before = shp.weights.clone();
-        let pred = shp.predict(0x4000, 0, &g, &p);
+        let pred = shp.predict(0x4000, 0, &h);
         let d = shp.update(&pred, true, true);
         assert_eq!(shp.weights, before);
         // Bias still trains.
@@ -423,16 +435,16 @@ mod tests {
     #[test]
     fn bias_scaling_doubles_bias_contribution() {
         let shp = Shp::new(ShpConfig::m1());
-        let (g, p) = histories();
-        let a = shp.predict(0x4000, 10, &g, &p);
-        let b = shp.predict(0x4000, 11, &g, &p);
+        let h = shp.history();
+        let a = shp.predict(0x4000, 10, &h);
+        let b = shp.predict(0x4000, 11, &h);
         assert_eq!(b.sum - a.sum, 2);
     }
 
     #[test]
     fn weights_saturate() {
         let mut shp = Shp::new(ShpConfig::m1());
-        let _ = train_run(&mut shp, 0x4000, 2000, |_, _| true);
+        let _ = train_run(&mut shp, 0x4000, 2000, |_| true);
         assert!(shp.weights.iter().all(|&w| (w as i32) <= WEIGHT_MAX));
         assert_eq!(apply_bias_delta(127, 1), 127);
         assert_eq!(apply_bias_delta(-127, -1), -127);

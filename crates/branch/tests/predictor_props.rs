@@ -3,10 +3,11 @@
 use exynos_branch::btb::{BtbConfig, BtbEntry, BtbHierarchy};
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::FrontEnd;
-use exynos_branch::history::GlobalHistory;
+use exynos_branch::history::{GlobalHistory, ShpHistory};
 use exynos_branch::ras::Ras;
 use exynos_branch::shp::{apply_bias_delta, Shp, ShpConfig, WEIGHT_MAX, WEIGHT_MIN};
 use exynos_secure::context::{compute_context_hash, ContextId, EntropySources};
+use exynos_snapshot::{Decoder, Encoder, Snapshot};
 use exynos_trace::gen::web::{WebParams, WebWorkload};
 use exynos_trace::{BranchKind, TraceGen};
 use proptest::prelude::*;
@@ -22,12 +23,11 @@ proptest! {
         pcs in prop::collection::vec(0u64..4096, 200),
     ) {
         let mut shp = Shp::new(ShpConfig::m1());
-        let g = GlobalHistory::new();
-        let p = exynos_branch::history::PathHistory::new();
+        let h = shp.history();
         let mut bias = 0i8;
         let bound = 2 * 127 + 8 * 127; // bias_scale*|bias|max + tables*|w|max
         for (t, pc) in outcomes.iter().zip(&pcs) {
-            let pred = shp.predict(*pc * 4, bias, &g, &p);
+            let pred = shp.predict(*pc * 4, bias, &h);
             prop_assert!(pred.sum.abs() <= bound, "sum {} out of range", pred.sum);
             let d = shp.update(&pred, *t, false);
             bias = apply_bias_delta(bias, d);
@@ -155,5 +155,109 @@ proptest! {
         let lb = b.fold(len.min(bits.len()), out);
         prop_assert_eq!(la, lb, "fold must depend only on the newest `len` bits");
         prop_assert!(la < (1 << out));
+    }
+
+    /// Every incremental fold equals the from-scratch `fold()` of its
+    /// interval after every push, on the M1, M3 and M5 geometries, the
+    /// Fig. 1 GHIST-length sweep and three more index widths, under
+    /// interleaved outcome and path pushes and VPC-style clone-then-push
+    /// walks.
+    #[test]
+    fn incremental_folds_match_refold(ops in prop::collection::vec((0u8..4, 0u64..1 << 20), 400)) {
+        for cfg in fold_geometries() {
+            let shp = Shp::new(cfg);
+            let mut h = shp.history();
+            for &(op, x) in &ops {
+                match op {
+                    0 => {
+                        h.push_outcome(x & 1 == 1);
+                        check_folds(&shp, &h)?;
+                    }
+                    1 => {
+                        h.push_path(x);
+                        check_folds(&shp, &h)?;
+                    }
+                    2 => {
+                        h.push_outcome(x & 2 == 2);
+                        h.push_path(x);
+                        check_folds(&shp, &h)?;
+                    }
+                    _ => {
+                        // The indirect predictor's walk: pushes into a
+                        // clone never disturb the history it came from.
+                        let before = h.clone();
+                        let mut v = h.clone();
+                        for i in 0..x % 6 {
+                            v.push_outcome(false);
+                            check_folds(&shp, &v)?;
+                            v.push_path(x ^ (i << 2));
+                            check_folds(&shp, &v)?;
+                        }
+                        prop_assert_eq!(&h, &before);
+                        h = v;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// SHP geometries whose folds the property above checks.
+fn fold_geometries() -> Vec<ShpConfig> {
+    let mut cfgs = vec![ShpConfig::m1(), ShpConfig::m3(), ShpConfig::m5()];
+    // The Fig. 1 sweep (its 0-bit point builds a 1-bit SHP).
+    for len in [0usize, 8, 16, 32, 48, 64, 96, 128, 165, 206] {
+        cfgs.push(ShpConfig { ghist_len: len.max(1), ..ShpConfig::m1() });
+    }
+    // The aliasing ablation's 256 rows, and the narrowest and widest
+    // index widths an SHP accepts (3 and 16 bits).
+    for rows in [256, 8, 1 << 16] {
+        cfgs.push(ShpConfig { rows, ..ShpConfig::m1() });
+    }
+    cfgs
+}
+
+/// Each table's folds against a from-scratch fold of its intervals.
+fn check_folds(shp: &Shp, h: &ShpHistory) -> Result<(), TestCaseError> {
+    let w = shp.index_bits();
+    prop_assert_eq!(h.ghist_folds().len(), shp.intervals().len());
+    for (t, (&glen, &plen)) in shp.intervals().iter().zip(shp.phist_lens()).enumerate() {
+        prop_assert_eq!(u32::from(h.ghist_folds()[t]), h.ghist().fold(glen, w), "ghist fold, table {}", t);
+        prop_assert_eq!(u32::from(h.phist_folds()[t]), h.phist().fold(plen, w), "phist fold, table {}", t);
+    }
+    Ok(())
+}
+
+/// A front end restored from a mid-stream snapshot carries the live one's
+/// folds and steps on bit-identically.
+#[test]
+fn restored_frontend_carries_the_live_folds() {
+    for cfg in FrontendConfig::all_generations() {
+        let mut gen = WebWorkload::new(&WebParams::default(), 30, 11);
+        let mut live = FrontEnd::new(cfg.clone());
+        for _ in 0..20_000 {
+            live.on_inst(&gen.next_inst()).unwrap();
+        }
+        let mut enc = Encoder::new();
+        live.save(&mut enc);
+        let image = enc.finish();
+        let mut restored = FrontEnd::new(cfg.clone());
+        let mut dec = Decoder::new(&image);
+        restored.restore(&mut dec).unwrap();
+        dec.finish().unwrap();
+        assert_eq!(restored.shp_history(), live.shp_history(), "gen {}", cfg.name);
+        let shp = Shp::new(cfg.shp.clone());
+        check_folds(&shp, restored.shp_history()).unwrap();
+        for i in 0..20_000 {
+            let inst = gen.next_inst();
+            let a = live.on_inst(&inst).unwrap();
+            let b = restored.on_inst(&inst).unwrap();
+            assert_eq!(a, b, "gen {} diverged at instruction {i}", cfg.name);
+        }
+        assert_eq!(restored.shp_history(), live.shp_history(), "gen {}", cfg.name);
+        let (mut ea, mut eb) = (Encoder::new(), Encoder::new());
+        live.save(&mut ea);
+        restored.save(&mut eb);
+        assert!(ea.finish() == eb.finish(), "gen {}: states differ after stepping", cfg.name);
     }
 }

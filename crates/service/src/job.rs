@@ -221,6 +221,32 @@ impl JobSpec {
         h
     }
 
+    /// Reject values the runner cannot execute: a zero sweep scale, an
+    /// empty detail window, or a zero epoch length. Each is a typed
+    /// [`SimError::Config`] naming the offending field, so such a job
+    /// fails cleanly instead of reaching code that requires a non-empty
+    /// window.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |param: &'static str, detail: &str| {
+            Err(SimError::Config { param, detail: detail.to_owned() })
+        };
+        let (detail, epoch) = match &self.kind {
+            JobKind::Sweep { scale: 0, .. } => return invalid("job.scale", "sweep scale must be >= 1"),
+            JobKind::Sweep { detail, .. } | JobKind::Program { detail, .. } => (*detail, None),
+            JobKind::Metrics { detail, epoch, .. } | JobKind::Trace { detail, epoch, .. } => {
+                (*detail, Some(*epoch))
+            }
+            JobKind::Checkpoint { .. } => return Ok(()),
+        };
+        if detail == 0 {
+            return invalid("job.detail", "detail window must be >= 1 instruction");
+        }
+        if epoch == Some(0) {
+            return invalid("job.epoch", "epoch length must be >= 1");
+        }
+        Ok(())
+    }
+
     /// Parse a spec from a protocol/journal JSON object.
     pub fn from_json(v: &Json) -> Result<JobSpec, String> {
         let kind_name = v.get("kind").and_then(Json::as_str).ok_or("job missing \"kind\"")?;
@@ -427,6 +453,25 @@ mod tests {
             let v = Json::parse(bad).unwrap();
             assert!(JobSpec::from_json(&v).is_err(), "must reject {bad}");
         }
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let param = |kind| match JobSpec::plain(kind).validate() {
+            Err(SimError::Config { param, .. }) => Some(param),
+            _ => None,
+        };
+        let gen = || "m1".to_owned();
+        assert_eq!(param(sweep_spec().kind), None);
+        assert_eq!(param(JobKind::Sweep { scale: 0, warmup: 0, detail: 1, threads: 1 }), Some("job.scale"));
+        assert_eq!(param(JobKind::Sweep { scale: 1, warmup: 0, detail: 0, threads: 1 }), Some("job.detail"));
+        let program = JobKind::Program { program: "matrix".to_owned(), warmup: 0, detail: 0 };
+        assert_eq!(param(program), Some("job.detail"));
+        let metrics = JobKind::Metrics { generation: gen(), warmup: 0, detail: 0, epoch: 1 };
+        assert_eq!(param(metrics), Some("job.detail"));
+        let trace = JobKind::Trace { generation: gen(), warmup: 0, detail: 5, epoch: 0 };
+        assert_eq!(param(trace), Some("job.epoch"));
+        assert_eq!(param(JobKind::Checkpoint { generation: gen(), warmup: 0 }), None);
     }
 
     #[test]
