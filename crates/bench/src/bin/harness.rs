@@ -58,7 +58,7 @@
 //! cmp a.jsonl b.jsonl
 //! ```
 //!
-//! Telemetry (requires the default `telemetry` feature):
+//! Telemetry:
 //!
 //! ```text
 //! cargo run --release -p exynos-bench --bin harness -- metrics --epoch 10000
@@ -1021,13 +1021,6 @@ fn telemetry_run(epoch_len: u64, quick: bool, event_capacity: usize) -> exynos_t
     use exynos_telemetry::{Telemetry, TelemetryConfig};
     use exynos_trace::SlicePlan;
 
-    if !Telemetry::ACTIVE {
-        eprintln!(
-            "harness: built without the `telemetry` feature; this subcommand produces no output"
-        );
-        eprintln!("harness: rebuild with default features to enable instrumentation");
-        std::process::exit(2);
-    }
     let mut tel = Telemetry::new(TelemetryConfig { epoch_len, event_capacity });
     let mut sim = or_exit(SimBuilder::config(CoreConfig::m6()).build());
     let (warmup, detail) = if quick { (1_000, 4_000) } else { (5_000, 30_000) };
@@ -1096,13 +1089,6 @@ fn roundtrip_windows(quick: bool) -> (u64, u64) {
 fn checkpoint_cmd(path: &str, epoch_len: u64, quick: bool) {
     use exynos_telemetry::{Telemetry, TelemetryConfig};
     use exynos_trace::SlicePlan;
-    if !Telemetry::ACTIVE {
-        eprintln!(
-            "harness: built without the `telemetry` feature; this subcommand produces no output"
-        );
-        eprintln!("harness: rebuild with default features to enable instrumentation");
-        std::process::exit(2);
-    }
     let (warmup, detail) = roundtrip_windows(quick);
     let mut sim = or_exit(SimBuilder::generation(exynos_core::config::Generation::M6).build());
     let suite = exynos_trace::standard_suite(1);
@@ -1135,13 +1121,6 @@ fn resume_cmd(path: &str, epoch_len: u64, quick: bool) {
     use exynos_core::sim::Simulator;
     use exynos_telemetry::{Telemetry, TelemetryConfig};
     use exynos_trace::SlicePlan;
-    if !Telemetry::ACTIVE {
-        eprintln!(
-            "harness: built without the `telemetry` feature; this subcommand produces no output"
-        );
-        eprintln!("harness: rebuild with default features to enable instrumentation");
-        std::process::exit(2);
-    }
     let (_, detail) = roundtrip_windows(quick);
     let bytes = match std::fs::read(path) {
         Ok(b) => b,

@@ -16,7 +16,7 @@ use exynos_core::config::{CoreConfig, Generation};
 use exynos_core::sim::{Simulator, SliceResult};
 use exynos_core::SimError;
 use exynos_service::job::JobCtx;
-use exynos_telemetry::{SpanId, Telemetry};
+use exynos_telemetry::SpanId;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
@@ -284,12 +284,8 @@ fn slice_group(
     Ok((members, results?, WarmTiming { prep_s, stepping_s }))
 }
 
-/// Open a `slice[k]` span under the job's attempt span. The `format!`
-/// is gated so disabled-telemetry builds pay nothing.
+/// Open a `slice[k]` span under the job's attempt span.
 pub(crate) fn slice_span(ctx: &JobCtx, k: usize, slice: &str, gen: &str) -> SpanId {
-    if !Telemetry::ACTIVE {
-        return SpanId::default();
-    }
     let s = ctx.spans.start(&format!("slice[{k}]"), Some(ctx.attempt));
     ctx.spans.attr_str(s, "slice", slice);
     ctx.spans.attr_str(s, "gen", gen);
@@ -299,14 +295,12 @@ pub(crate) fn slice_span(ctx: &JobCtx, k: usize, slice: &str, gen: &str) -> Span
 /// Close a slice span, attaching `sim`'s last watchdog trip (if any) so
 /// post-mortems carry the cycle/gap/rung that fired.
 pub(crate) fn end_slice_span(ctx: &JobCtx, s: SpanId, sim: Option<&Simulator>) {
-    if Telemetry::ACTIVE {
-        if let Some(t) = sim.and_then(Simulator::watchdog_report) {
-            ctx.spans.attr_u64(s, "watchdog_cycle", t.cycle);
-            ctx.spans.attr_u64(s, "watchdog_gap", t.gap);
-            ctx.spans.attr_u64(s, "watchdog_rung", t.rung as u64);
-        }
-        ctx.spans.end(s);
+    if let Some(t) = sim.and_then(Simulator::watchdog_report) {
+        ctx.spans.attr_u64(s, "watchdog_cycle", t.cycle);
+        ctx.spans.attr_u64(s, "watchdog_gap", t.gap);
+        ctx.spans.attr_u64(s, "watchdog_rung", t.rung as u64);
     }
+    ctx.spans.end(s);
 }
 
 /// The scalar reference sweep, the oracle [`sweep`] is tested against:
@@ -344,6 +338,8 @@ pub fn run_suite_batched(
     let start = Start::Cold { suite, warmup, build: &|cfg| SimBuilder::config(cfg).build() };
     match sweep(start, detail, threads, &cache, &JobCtx::detached(CancelToken::new())) {
         Ok((records, _)) => records,
+        // `perfbench/src/entry.rs` expects a plain Vec, not a Result.
+        #[allow(clippy::panic)]
         Err(e) => panic!("benchmark simulation failed: {e}"),
     }
 }
@@ -360,6 +356,8 @@ pub fn run_population_warm_resident(
 ) -> (Vec<SliceRecord>, WarmTiming) {
     match sweep(Start::Warm(pool), detail, threads, cache, &JobCtx::detached(CancelToken::new())) {
         Ok(r) => r,
+        // `perfbench/src/entry.rs` expects a plain tuple, not a Result.
+        #[allow(clippy::panic)]
         Err(e) => panic!("benchmark simulation failed: {e}"),
     }
 }
@@ -760,10 +758,18 @@ mod tests {
     #[test]
     fn fig1_longer_ghist_reduces_mpki() {
         let short = fig1_shp_mpki_vs_ghist(4, 3_000);
+        let knee = fig1_shp_mpki_vs_ghist(32, 3_000);
         let long = fig1_shp_mpki_vs_ghist(165, 3_000);
         assert!(
             long < short * 0.8,
             "GHIST 165 must clearly beat GHIST 4: {long:.2} vs {short:.2}"
+        );
+        // Flat tail past the knee. At this scale GHIST 32 reads 30.43
+        // MPKI and 165 reads 30.78 (+1.2%); a 5% band leaves ~4x margin
+        // while the steep part (4 -> 32) moves 40%.
+        assert!(
+            (long - knee).abs() <= 0.05 * knee,
+            "GHIST 165 must stay within 5% of GHIST 32: {long:.2} vs {knee:.2}"
         );
     }
 

@@ -168,12 +168,6 @@ impl BenchRunner {
         trace: bool,
         ctx: &JobCtx,
     ) -> Result<String, SimError> {
-        if !Telemetry::ACTIVE {
-            return Err(SimError::Config {
-                param: "telemetry",
-                detail: "server built without the telemetry feature".to_owned(),
-            });
-        }
         let cfg = CoreConfig::for_generation(parse_generation(generation)?);
         let mut sim = build_sim(cfg, spec, &ctx.cancel)?;
         let event_capacity = if trace { 1 << 18 } else { 1 << 16 };

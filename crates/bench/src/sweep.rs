@@ -122,6 +122,7 @@ where
             // Every index was claimed exactly once and none erred, so
             // every slot is filled; reaching here means the executor
             // itself broke.
+            #[allow(clippy::panic)]
             None => panic!("sweep executor lost the result of job {i}"),
         })
         .collect()

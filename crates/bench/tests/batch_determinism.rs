@@ -284,10 +284,9 @@ fn cache_budgets_match_scalar() {
     }
 }
 
-/// With the telemetry feature on, an instrumented scalar run must still
-/// match the (uninstrumented) lockstep path — sampling is observation,
-/// not perturbation — for a pass-through and an unbounded cache.
-#[cfg(feature = "telemetry")]
+/// An instrumented scalar run must still match the (uninstrumented)
+/// lockstep path — sampling is observation, not perturbation — for a
+/// pass-through and an unbounded cache.
 #[test]
 fn telemetry_instrumented_scalar_matches_lockstep() {
     use exynos_telemetry::{Telemetry, TelemetryConfig};

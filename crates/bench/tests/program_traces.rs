@@ -47,7 +47,6 @@ fn seeds_select_distinct_streams() {
 /// The end-to-end determinism gate: two instrumented simulator runs over
 /// a freshly built program stream produce byte-identical metrics and
 /// event JSONL.
-#[cfg(feature = "telemetry")]
 #[test]
 fn program_telemetry_jsonl_is_byte_identical() {
     use exynos_telemetry::{Telemetry, TelemetryConfig};

@@ -285,12 +285,10 @@ fn torn_journal_tail_is_tolerated() {
     let cfg2 = ServiceConfig { workers: 1, journal_path: Some(journal.clone()), ..fast_cfg() };
     let engine = Engine::start(Box::new(BenchRunner::new(1)), cfg2).unwrap();
     assert!(engine.stats_json().contains("\"journal_torn\":true"));
-    // Telemetry builds dump the flight recorder on torn-tail recovery.
-    if exynos_telemetry::Telemetry::ACTIVE {
-        assert!(engine.postmortem_count() >= 1, "torn tail must trigger a post-mortem");
-        let dump = engine.last_postmortem().expect("dump retained");
-        assert_postmortem_parses(&dump, "torn_journal");
-    }
+    // Torn-tail recovery dumps the flight recorder.
+    assert!(engine.postmortem_count() >= 1, "torn tail must trigger a post-mortem");
+    let dump = engine.last_postmortem().expect("dump retained");
+    assert_postmortem_parses(&dump, "torn_journal");
     let st = wait_terminal(&engine, id);
     assert!(st.recovered && st.payload.is_some(), "clean prefix still recovers: {:?}", st.error);
     assert!(engine.drain(WAIT));
@@ -318,9 +316,6 @@ fn assert_postmortem_parses(dump: &str, reason: &str) {
 
 #[test]
 fn watchdog_trip_dumps_a_parseable_postmortem() {
-    if !exynos_telemetry::Telemetry::ACTIVE {
-        return; // flight recorder is compiled out
-    }
     let dir = std::env::temp_dir().join(format!("exynos-postmortem-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();

@@ -120,6 +120,27 @@ mod tests {
         }
     }
 
+    /// EXPERIMENTS.md's Table II "total" column (KB), which
+    /// `harness table2` prints to one decimal.
+    #[test]
+    fn totals_match_experiments_table() {
+        for (name, total) in [
+            ("M1", 97.7),
+            ("M2", 97.7),
+            ("M3", 175.4),
+            ("M4", 287.4),
+            ("M5", 311.3),
+            ("M6", 568.8),
+        ] {
+            let b = storage_budget(&cfg_by_name(name));
+            assert!(
+                (b.total_kb() - total).abs() <= 0.05,
+                "{name}: total {:.3} vs table {total}",
+                b.total_kb()
+            );
+        }
+    }
+
     #[test]
     fn totals_grow_monotonically() {
         let gens = FrontendConfig::all_generations();

@@ -460,11 +460,8 @@ impl Simulator {
             }
         }
         // Snapshot stat counters so post-step deltas become events. Only
-        // paid when a sink is attached AND the telemetry feature is on.
-        let probe = match tel {
-            Some(_) if Telemetry::ACTIVE => Some(self.capture_probe()),
-            _ => None,
-        };
+        // paid when a sink is attached.
+        let probe = tel.as_ref().map(|_| self.capture_probe());
         let mut corruption_recovered = false;
         let mut uoc_loss = false;
         let mut watchdog_trip: Option<(u64, u64)> = None;
@@ -978,7 +975,7 @@ impl Simulator {
 
     /// Close the current epoch if the instruction count says it is due.
     fn maybe_epoch(&self, tel: &mut Telemetry) {
-        if Telemetry::ACTIVE && tel.epoch_due(self.stats.instructions) {
+        if tel.epoch_due(self.stats.instructions) {
             self.sample_telemetry(tel);
             tel.end_epoch(self.stats.instructions, self.stats.last_retire);
         }
@@ -988,9 +985,6 @@ impl Simulator {
     /// metrics registry. Multi-instance producers (cache levels, TLBs)
     /// register under per-instance component paths.
     pub fn sample_telemetry(&self, tel: &mut Telemetry) {
-        if !Telemetry::ACTIVE {
-            return;
-        }
         tel.sample(&self.stats);
         tel.sample(&self.memsys.stats());
         // Branch front end.

@@ -26,7 +26,7 @@ use crate::queue::BoundedQueue;
 use exynos_core::cancel::CancelToken;
 use exynos_snapshot::journal::{self, JournalWriter};
 use exynos_telemetry::{
-    FlightRecorder, MetricsRegistry, SharedSpans, SpanId, Telemetry, DEFAULT_FLIGHT_CAPACITY,
+    FlightRecorder, MetricsRegistry, SharedSpans, SpanId, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -162,7 +162,7 @@ struct JobEntry {
     cancel: CancelToken,
     deadline_armed: bool,
     recovered: bool,
-    /// The job's span trace (zero-sized no-op with telemetry off).
+    /// The job's span trace.
     spans: SharedSpans,
     /// Root `job` span covering submit through terminal.
     root_span: SpanId,
@@ -191,8 +191,7 @@ impl JobEntry {
     }
 }
 
-/// Monotone service counters (plain atomics — live with or without the
-/// telemetry feature).
+/// Monotone service counters (plain atomics).
 #[derive(Debug, Default)]
 pub struct ServiceCounters {
     /// Jobs admitted.
@@ -290,9 +289,6 @@ fn lock_ops(m: &Mutex<Ops>) -> MutexGuard<'_, Ops> {
 
 /// Refresh the queue-depth gauge; call after every queue transition.
 fn ops_queue_depth(inner: &Inner) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let depth = inner.queue.len() as f64;
     let mut ops = lock_ops(&inner.ops);
     let id = ops.queue_depth;
@@ -301,9 +297,6 @@ fn ops_queue_depth(inner: &Inner) {
 
 /// Count one shed and refresh the depth gauge.
 fn ops_count_shed(inner: &Inner) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let depth = inner.queue.len() as f64;
     let mut ops = lock_ops(&inner.ops);
     let (shed, dep) = (ops.shed_total, ops.queue_depth);
@@ -313,9 +306,6 @@ fn ops_count_shed(inner: &Inner) {
 
 /// Count one retry re-queue and refresh the depth gauge.
 fn ops_count_retry(inner: &Inner) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let depth = inner.queue.len() as f64;
     let mut ops = lock_ops(&inner.ops);
     let (retry, dep) = (ops.retry_total, ops.queue_depth);
@@ -325,9 +315,6 @@ fn ops_count_retry(inner: &Inner) {
 
 /// Fold one closed span duration into its stage's quantile histogram.
 fn ops_observe_stage(inner: &Inner, stage: &'static str, dur_us: u64) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let mut ops = lock_ops(&inner.ops);
     let id = ops.registry.quantile_histogram("service.latency", stage);
     ops.registry.observe(id, dur_us);
@@ -337,9 +324,6 @@ fn ops_observe_stage(inner: &Inner, stage: &'static str, dur_us: u64) {
 /// since the previous sample into the ops registry. Called once per
 /// finished job so the counters track job-attributable work.
 fn ops_sample_chunk_cache(inner: &Inner) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let now = inner.runner.chunk_cache_stats();
     let mut ops = lock_ops(&inner.ops);
     let prev = ops.last_cache;
@@ -358,9 +342,6 @@ fn ops_sample_chunk_cache(inner: &Inner) {
 
 /// Append one `{"type":"event",...}` line to the flight ring.
 fn flight_note(inner: &Inner, event: &str, id: JobId, extra: &[(&str, u64)]) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let mut line = String::from("{");
     json::push_key(&mut line, true, "type");
     json::push_str(&mut line, "event");
@@ -384,9 +365,6 @@ fn flight_note(inner: &Inner, event: &str, id: JobId, extra: &[(&str, u64)]) {
 /// Feed a terminating job's rendered spans into the flight ring so a
 /// post-mortem carries the traces of the jobs leading up to the trigger.
 fn flight_note_spans(inner: &Inner, spans: &SharedSpans) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let jsonl = spans.to_jsonl();
     let mut fr = match inner.flight.lock() {
         Ok(g) => g,
@@ -401,16 +379,10 @@ fn flight_note_spans(inner: &Inner, spans: &SharedSpans) {
 /// latest dump, and (when configured) persist it to
 /// `postmortem_dir/postmortem-N.jsonl`.
 fn flight_dump(inner: &Inner, reason: &str) {
-    if !Telemetry::ACTIVE {
-        return;
-    }
     let dump = match inner.flight.lock() {
         Ok(mut fr) => fr.dump(reason),
         Err(p) => p.into_inner().dump(reason),
     };
-    if dump.is_empty() {
-        return;
-    }
     let n = inner.postmortems.fetch_add(1, Ordering::AcqRel) + 1;
     if let Some(dir) = &inner.cfg.postmortem_dir {
         // A failed dump write is survivable: the in-memory copy below
@@ -551,8 +523,7 @@ impl Engine {
         })
     }
 
-    /// Ops snapshot as a one-line JSON object (always available, even
-    /// with the telemetry feature compiled out).
+    /// Ops snapshot as a one-line JSON object.
     pub fn stats_json(&self) -> String {
         let inner = &self.inner;
         let c = &inner.counters;
@@ -584,7 +555,6 @@ impl Engine {
     /// A point-in-time snapshot of the engine's persistent ops registry
     /// (queue gauges/counters, per-stage latency quantiles), refreshed
     /// with the atomically-sourced job counters and breaker state.
-    /// Empty with the telemetry feature off.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let inner = &self.inner;
         let c = &inner.counters;
@@ -911,13 +881,8 @@ fn run_one(inner: &Arc<Inner>, id: JobId) {
         if let Some(q) = e.queue_span.take() {
             e.spans.end(q);
         }
-        let attempt_span = if Telemetry::ACTIVE {
-            let s = e.spans.start(&format!("attempt[{}]", e.attempts), Some(e.root_span));
-            e.spans.attr_u64(s, "attempt", e.attempts as u64);
-            s
-        } else {
-            SpanId::default()
-        };
+        let attempt_span = e.spans.start(&format!("attempt[{}]", e.attempts), Some(e.root_span));
+        e.spans.attr_u64(attempt_span, "attempt", e.attempts as u64);
         (e.spec.clone(), e.cancel.clone(), e.attempts, e.max_retries, e.spans.clone(), attempt_span)
     };
     let key = spec.config_key();
@@ -1023,9 +988,6 @@ fn finish_job(inner: &Inner, id: JobId, outcome: Result<String, (String, String)
         spans.end(s);
     }
     spans.end(root);
-    if !Telemetry::ACTIVE {
-        return;
-    }
     for (name, dur_us) in spans.closed_durations() {
         if let Some(stage) = base_stage(&name) {
             ops_observe_stage(inner, stage, dur_us);

@@ -347,9 +347,6 @@ impl JobState {
 /// Per-execution context handed to a [`JobRunner`]: the cancellation
 /// token plus the job's span trace, so the runner can hang its own
 /// stage spans (`warm_pool_fetch`, `slice[k]`) off the current attempt.
-///
-/// With the telemetry feature off the span fields are zero-sized no-ops;
-/// runners can call them unconditionally.
 #[derive(Debug, Clone)]
 pub struct JobCtx {
     /// Cooperative cancellation (deadline armed by the engine across

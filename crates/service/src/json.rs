@@ -1,5 +1,5 @@
-//! Hand-rolled JSON: a recursive-descent parser and deterministic
-//! emission helpers.
+//! Hand-rolled JSON: a recursive-descent parser, plus the deterministic
+//! emission helpers re-exported from [`exynos_telemetry::json`].
 //!
 //! The build environment has no registry access (no `serde`), and the
 //! wire protocol plus the job journal both need to *read* JSON, which
@@ -9,7 +9,7 @@
 //! the 2^53 exact-integer range), and nesting is capped so a hostile
 //! client cannot blow the stack.
 
-use std::fmt::Write as _;
+pub use exynos_telemetry::json::{push_f64, push_key, push_str, push_u64};
 
 /// Maximum nesting depth the parser accepts.
 const MAX_DEPTH: u32 = 64;
@@ -243,50 +243,6 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
                 }
             }
         }
-    }
-}
-
-// ---------------- emission ----------------
-
-/// Append `s` as a quoted JSON string with required escapes.
-pub fn push_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-/// Append `"key":` (comma-prefixed unless `first`).
-pub fn push_key(out: &mut String, first: bool, key: &str) {
-    if !first {
-        out.push(',');
-    }
-    push_str(out, key);
-    out.push(':');
-}
-
-/// Append an unsigned integer.
-pub fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v}");
-}
-
-/// Append a float (`null` when not finite).
-pub fn push_f64(out: &mut String, v: f64) {
-    if v.is_finite() {
-        let _ = write!(out, "{v}");
-    } else {
-        out.push_str("null");
     }
 }
 

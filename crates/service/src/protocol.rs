@@ -23,8 +23,7 @@
 //! | `shutdown` | —                                                | `draining` (then the server drains and exits) |
 //!
 //! `trace-job`, `quantiles`, and `postmortem` are observability
-//! commands: with the `telemetry` feature off they still answer, but
-//! with empty spans/summaries and a zero dump count.
+//! commands.
 
 use crate::engine::{Engine, SubmitError};
 use crate::job::JobSpec;

@@ -327,75 +327,49 @@ impl EventRecord {
 }
 
 /// Bounded ring buffer of [`EventRecord`]s.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct EventTrace {
-    #[cfg(feature = "enabled")]
     ring: Vec<EventRecord>,
-    #[cfg(feature = "enabled")]
     capacity: usize,
-    #[cfg(feature = "enabled")]
     head: usize,
-    #[cfg(feature = "enabled")]
     recorded: u64,
 }
 
 impl EventTrace {
     /// A trace retaining at most `capacity` records (clamped to ≥ 1).
     pub fn new(capacity: usize) -> EventTrace {
-        #[cfg(feature = "enabled")]
-        {
-            EventTrace {
-                ring: Vec::new(),
-                capacity: capacity.max(1),
-                head: 0,
-                recorded: 0,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = capacity;
-            EventTrace::default()
+        EventTrace {
+            ring: Vec::new(),
+            capacity: capacity.max(1),
+            head: 0,
+            recorded: 0,
         }
     }
 
     /// Record one event; overwrites the oldest record when full.
     #[inline]
     pub fn record(&mut self, cycle: u64, instr: u64, event: PipelineEvent) {
-        #[cfg(feature = "enabled")]
-        {
-            let rec = EventRecord {
-                seq: self.recorded,
-                cycle,
-                instr,
-                event,
-            };
-            if self.ring.len() < self.capacity {
-                self.ring.push(rec);
-            } else {
-                self.ring[self.head] = rec;
-                self.head += 1;
-                if self.head == self.capacity {
-                    self.head = 0;
-                }
+        let rec = EventRecord {
+            seq: self.recorded,
+            cycle,
+            instr,
+            event,
+        };
+        if self.ring.len() < self.capacity {
+            self.ring.push(rec);
+        } else {
+            self.ring[self.head] = rec;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
             }
-            self.recorded += 1;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (cycle, instr, event);
-        }
+        self.recorded += 1;
     }
 
     /// Records currently retained.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.ring.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.ring.len()
     }
 
     /// Whether the trace is empty.
@@ -405,14 +379,7 @@ impl EventTrace {
 
     /// Total events ever recorded (including overwritten ones).
     pub fn recorded(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.recorded
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.recorded
     }
 
     /// Events lost to ring overwrite.
@@ -422,18 +389,11 @@ impl EventTrace {
 
     /// Visit retained records oldest → newest.
     pub fn for_each(&self, f: &mut dyn FnMut(&EventRecord)) {
-        #[cfg(feature = "enabled")]
-        {
-            for r in &self.ring[self.head..] {
-                f(r);
-            }
-            for r in &self.ring[..self.head] {
-                f(r);
-            }
+        for r in &self.ring[self.head..] {
+            f(r);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = f;
+        for r in &self.ring[..self.head] {
+            f(r);
         }
     }
 
@@ -461,7 +421,7 @@ impl EventTrace {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -477,6 +437,20 @@ mod tests {
         let mut seqs = Vec::new();
         t.for_each(&mut |r| seqs.push(r.seq));
         assert_eq!(seqs, vec![2, 3, 4]);
+    }
+
+    #[test]
+    fn zero_capacity_clamps_to_one_record() {
+        let mut t = EventTrace::new(0);
+        for i in 0..5u64 {
+            t.record(i * 10, i, PipelineEvent::BranchDiscovery { pc: i });
+        }
+        assert_eq!(t.len(), 1);
+        assert_eq!(t.recorded(), 5);
+        assert_eq!(t.dropped(), 4);
+        let mut seqs = Vec::new();
+        t.for_each(&mut |r| seqs.push(r.seq));
+        assert_eq!(seqs, vec![4]);
     }
 
     #[test]

@@ -8,78 +8,47 @@
 //! recovery — [`FlightRecorder::dump`] snapshots the buffer into a
 //! self-describing post-mortem artifact: a `{"type":"postmortem",...}`
 //! header line followed by the buffered lines oldest-first.
-//!
-//! With the `enabled` feature off the recorder is a zero-sized no-op and
-//! [`FlightRecorder::dump`] returns an empty string.
 
-#[cfg(feature = "enabled")]
 use crate::json;
-#[cfg(feature = "enabled")]
 use std::collections::VecDeque;
 
 /// Default ring capacity (lines retained).
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 256;
 
 /// A bounded ring of JSONL lines with drop accounting.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct FlightRecorder {
-    #[cfg(feature = "enabled")]
     ring: VecDeque<String>,
-    #[cfg(feature = "enabled")]
     capacity: usize,
-    #[cfg(feature = "enabled")]
     recorded: u64,
-    #[cfg(feature = "enabled")]
     dumps: u64,
 }
 
 impl FlightRecorder {
     /// A recorder retaining the last `capacity` lines (min 1).
     pub fn new(capacity: usize) -> FlightRecorder {
-        #[cfg(feature = "enabled")]
-        {
-            let capacity = capacity.max(1);
-            FlightRecorder {
-                ring: VecDeque::with_capacity(capacity.min(1024)),
-                capacity,
-                recorded: 0,
-                dumps: 0,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = capacity;
-            FlightRecorder::default()
+        let capacity = capacity.max(1);
+        FlightRecorder {
+            ring: VecDeque::with_capacity(capacity.min(1024)),
+            capacity,
+            recorded: 0,
+            dumps: 0,
         }
     }
 
     /// Append one JSONL line (no trailing newline), evicting the oldest
     /// line when full.
     pub fn note(&mut self, line: String) {
-        #[cfg(feature = "enabled")]
-        {
-            if self.ring.len() == self.capacity {
-                self.ring.pop_front();
-            }
-            self.ring.push_back(line);
-            self.recorded += 1;
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = line;
-        }
+        self.ring.push_back(line);
+        self.recorded += 1;
     }
 
     /// Lines currently buffered.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.ring.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.ring.len()
     }
 
     /// Whether the ring is empty.
@@ -89,14 +58,7 @@ impl FlightRecorder {
 
     /// Total lines ever noted.
     pub fn recorded(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.recorded
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.recorded
     }
 
     /// Lines evicted to stay within capacity.
@@ -106,53 +68,37 @@ impl FlightRecorder {
 
     /// Dumps taken so far.
     pub fn dumps(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.dumps
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.dumps
     }
 
     /// Snapshot the ring into a post-mortem artifact: a header line
     /// `{"type":"postmortem","reason":..,"seq":..,"lines":..,
     /// "dropped":..}` followed by the buffered lines oldest-first. The
-    /// ring is left intact (overlapping dumps share context). Empty
-    /// string in a disabled build.
+    /// ring is left intact (overlapping dumps share context).
     pub fn dump(&mut self, reason: &str) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            self.dumps += 1;
-            let mut out = String::new();
-            out.push('{');
-            json::push_key(&mut out, true, "type");
-            json::push_str(&mut out, "postmortem");
-            json::push_key(&mut out, false, "reason");
-            json::push_str(&mut out, reason);
-            json::push_key(&mut out, false, "seq");
-            json::push_u64(&mut out, self.dumps);
-            json::push_key(&mut out, false, "lines");
-            json::push_u64(&mut out, self.ring.len() as u64);
-            json::push_key(&mut out, false, "dropped");
-            json::push_u64(&mut out, self.dropped());
-            out.push_str("}\n");
-            for line in &self.ring {
-                out.push_str(line);
-                out.push('\n');
-            }
-            out
+        self.dumps += 1;
+        let mut out = String::new();
+        out.push('{');
+        json::push_key(&mut out, true, "type");
+        json::push_str(&mut out, "postmortem");
+        json::push_key(&mut out, false, "reason");
+        json::push_str(&mut out, reason);
+        json::push_key(&mut out, false, "seq");
+        json::push_u64(&mut out, self.dumps);
+        json::push_key(&mut out, false, "lines");
+        json::push_u64(&mut out, self.ring.len() as u64);
+        json::push_key(&mut out, false, "dropped");
+        json::push_u64(&mut out, self.dropped());
+        out.push_str("}\n");
+        for line in &self.ring {
+            out.push_str(line);
+            out.push('\n');
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = reason;
-            String::new()
-        }
+        out
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -176,5 +122,17 @@ mod tests {
         assert_eq!(fr.dumps(), 1);
         // The ring survives the dump.
         assert_eq!(fr.len(), 2);
+    }
+
+    #[test]
+    fn zero_capacity_clamps_to_one_line() {
+        let mut fr = FlightRecorder::new(0);
+        for i in 0..10 {
+            fr.note(format!("{{\"a\":{i}}}"));
+        }
+        assert_eq!(fr.len(), 1);
+        assert_eq!(fr.recorded(), 10);
+        assert_eq!(fr.dropped(), 9);
+        assert!(fr.dump("test").ends_with("{\"a\":9}\n"));
     }
 }

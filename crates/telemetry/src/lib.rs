@@ -4,15 +4,11 @@
 //! component each N instructions, and a bounded [`EventTrace`] ring of
 //! structured [`PipelineEvent`]s with cycle timestamps.
 //!
-//! # Feature gating
+//! # Attaching
 //!
-//! The `enabled` feature (on by default) carries the entire
-//! implementation. With `--no-default-features` every type here compiles
-//! to a zero-sized struct whose methods are no-ops, and
-//! [`Telemetry::ACTIVE`] is `false` so instrumented call sites in
-//! `exynos-core` skip their probe work entirely — bench sweeps with
-//! telemetry disabled are bit-identical to, and as fast as, builds that
-//! predate this crate.
+//! There is one build. Telemetry is a run-time choice: a caller that
+//! wants it passes a [`Telemetry`] sink to the run, and the sweep hot
+//! path, which passes none, does no probe work at all.
 //!
 //! # Wiring
 //!
@@ -109,74 +105,42 @@ impl Default for TelemetryConfig {
 /// The per-run telemetry sink: registry + epoch series + event trace.
 ///
 /// Owned by the caller (not the `Simulator`), so the simulator's own
-/// state and hot loop are untouched when telemetry is absent or the
-/// feature is disabled.
-#[derive(Debug, Clone, Default)]
+/// state and hot loop are untouched when no sink is attached.
+#[derive(Debug, Clone)]
 pub struct Telemetry {
-    #[cfg(feature = "enabled")]
     epoch_len: u64,
     registry: MetricsRegistry,
     series: EpochSeries,
     events: EventTrace,
-    #[cfg(feature = "enabled")]
     hist_retire_gap: MetricId,
-    #[cfg(feature = "enabled")]
     hist_load_latency: MetricId,
 }
 
 impl Telemetry {
-    /// `true` when the `enabled` feature is compiled in. Instrumented
-    /// call sites gate their probe work on this so a disabled build pays
-    /// nothing.
-    pub const ACTIVE: bool = cfg!(feature = "enabled");
-
     /// A telemetry sink with the given configuration.
     pub fn new(config: TelemetryConfig) -> Telemetry {
-        #[cfg(feature = "enabled")]
-        {
-            let mut registry = MetricsRegistry::new();
-            let hist_retire_gap = registry.histogram("core.sim", "retire_gap", GAP_BUCKETS);
-            let hist_load_latency = registry.histogram("core.mem", "load_latency", LATENCY_BUCKETS);
-            Telemetry {
-                epoch_len: config.epoch_len.max(1),
-                registry,
-                series: EpochSeries::new(),
-                events: EventTrace::new(config.event_capacity),
-                hist_retire_gap,
-                hist_load_latency,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = config;
-            Telemetry::default()
+        let mut registry = MetricsRegistry::new();
+        let hist_retire_gap = registry.histogram("core.sim", "retire_gap", GAP_BUCKETS);
+        let hist_load_latency = registry.histogram("core.mem", "load_latency", LATENCY_BUCKETS);
+        Telemetry {
+            epoch_len: config.epoch_len.max(1),
+            registry,
+            series: EpochSeries::new(),
+            events: EventTrace::new(config.event_capacity),
+            hist_retire_gap,
+            hist_load_latency,
         }
     }
 
-    /// The configured epoch length (0 in a disabled build).
+    /// The configured epoch length.
     pub fn epoch_len(&self) -> u64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.epoch_len
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.epoch_len
     }
 
     /// Whether an epoch boundary falls at `instructions` retired.
     #[inline]
     pub fn epoch_due(&self, instructions: u64) -> bool {
-        #[cfg(feature = "enabled")]
-        {
-            instructions > 0 && instructions.is_multiple_of(self.epoch_len)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = instructions;
-            false
-        }
+        instructions > 0 && instructions.is_multiple_of(self.epoch_len)
     }
 
     /// Record one pipeline event at `(cycle, instr)`.
@@ -195,7 +159,6 @@ impl Telemetry {
     /// `component` path (for multi-instance components such as the
     /// per-level caches and TLBs).
     pub fn sample_named(&mut self, component: &'static str, obs: &dyn Observable) {
-        #[cfg(feature = "enabled")]
         obs.visit(&mut |name, value| match value {
             Value::U64(v) => {
                 let id = self.registry.counter(component, name);
@@ -206,29 +169,17 @@ impl Telemetry {
                 self.registry.set_gauge(id, v);
             }
         });
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, obs);
-        }
     }
 
     /// Set a free-standing derived gauge (e.g. IPC, MPKI).
     pub fn gauge(&mut self, component: &'static str, name: &'static str, value: f64) {
-        #[cfg(feature = "enabled")]
-        {
-            let id = self.registry.gauge(component, name);
-            self.registry.set_gauge(id, value);
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name, value);
-        }
+        let id = self.registry.gauge(component, name);
+        self.registry.set_gauge(id, value);
     }
 
     /// Close the current epoch: snapshot every registry slot into the
     /// columnar series, stamped with the run position.
     pub fn end_epoch(&mut self, instructions: u64, cycle: u64) {
-        #[cfg(feature = "enabled")]
         self.series.push_row(
             EpochMark {
                 instructions,
@@ -236,32 +187,18 @@ impl Telemetry {
             },
             &self.registry,
         );
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (instructions, cycle);
-        }
     }
 
     /// Sample the retirement-gap histogram (cycles between retires).
     #[inline]
     pub fn observe_retire_gap(&mut self, gap: u64) {
-        #[cfg(feature = "enabled")]
         self.registry.observe(self.hist_retire_gap, gap);
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = gap;
-        }
     }
 
     /// Sample the load-latency histogram (cycles).
     #[inline]
     pub fn observe_load_latency(&mut self, latency: u64) {
-        #[cfg(feature = "enabled")]
         self.registry.observe(self.hist_load_latency, latency);
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = latency;
-        }
     }
 
     /// The metric registry.
@@ -387,7 +324,7 @@ impl Telemetry {
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -425,57 +362,5 @@ mod tests {
         assert!(jsonl.contains("\"metric\":\"core.sim.retire_gap\""));
         let summary = t.summary();
         assert!(summary.contains("test.fake.hits = 3"));
-    }
-}
-
-#[cfg(all(test, not(feature = "enabled")))]
-mod noop_tests {
-    use super::*;
-
-    #[test]
-    fn disabled_types_are_zero_sized() {
-        assert_eq!(std::mem::size_of::<Telemetry>(), 0);
-        assert_eq!(std::mem::size_of::<MetricsRegistry>(), 0);
-        assert_eq!(std::mem::size_of::<EpochSeries>(), 0);
-        assert_eq!(std::mem::size_of::<EventTrace>(), 0);
-        assert_eq!(std::mem::size_of::<SpanRecorder>(), 0);
-        assert_eq!(std::mem::size_of::<SharedSpans>(), 0);
-        assert_eq!(std::mem::size_of::<FlightRecorder>(), 0);
-        assert!(!Telemetry::ACTIVE);
-    }
-
-    #[test]
-    fn disabled_span_and_flight_are_inert() {
-        let spans = SharedSpans::new();
-        let root = spans.start("job", None);
-        spans.attr_u64(root, "id", 1);
-        spans.end(root);
-        assert_eq!(spans.len(), 0);
-        assert_eq!(spans.to_jsonl(), "");
-        assert!(spans.closed_durations().is_empty());
-        let mut fr = FlightRecorder::new(8);
-        fr.note("{}".to_string());
-        assert_eq!(fr.len(), 0);
-        assert_eq!(fr.dump("x"), "");
-        let mut r = MetricsRegistry::new();
-        let q = r.quantile_histogram("a", "b");
-        r.observe(q, 5);
-        assert!(r.quantile_ref(q).is_none());
-        assert_eq!(r.render_prometheus(), "");
-    }
-
-    #[test]
-    fn disabled_api_is_inert() {
-        let mut t = Telemetry::new(TelemetryConfig::default());
-        t.record(1, 1, PipelineEvent::UbtbLock);
-        t.gauge("a", "b", 1.0);
-        t.observe_retire_gap(5);
-        t.end_epoch(10, 20);
-        assert!(!t.epoch_due(10_000));
-        assert_eq!(t.events().recorded(), 0);
-        assert_eq!(t.series().len(), 0);
-        assert_eq!(t.registry().len(), 0);
-        assert_eq!(t.events_jsonl(), "");
-        assert_eq!(t.metrics_csv(), "");
     }
 }

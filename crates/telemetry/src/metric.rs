@@ -1,11 +1,9 @@
 //! Typed metric primitives: [`Counter`], [`Gauge`], and fixed-bucket
 //! [`Histogram`].
 //!
-//! These are plain value types; feature gating happens one level up (the
-//! [`crate::MetricsRegistry`] that owns them compiles to a zero-sized
-//! no-op when the `enabled` feature is off, so none of these are ever
-//! constructed in a disabled build). The histogram uses a fixed inline
-//! bucket array so the observe path never allocates.
+//! These are plain value types owned by the [`crate::MetricsRegistry`].
+//! The histogram uses a fixed inline bucket array so the observe path
+//! never allocates.
 
 /// Discriminator for registry slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -4,14 +4,11 @@
 //! Components register lazily on first sample; subsequent samples of the
 //! same `(component, name)` pair reuse the slot, so the registry order is
 //! stable for the life of a run and the epoch series can index columns by
-//! slot position. With the `enabled` feature off the registry has no
-//! fields and every method is a no-op.
+//! slot position.
 
 use crate::metric::{Histogram, MetricKind};
 use crate::quantile::QuantileHistogram;
-#[cfg(feature = "enabled")]
 use crate::json;
-#[cfg(feature = "enabled")]
 use crate::metric::{Counter, Gauge};
 
 /// Handle to a registered metric slot.
@@ -19,7 +16,6 @@ use crate::metric::{Counter, Gauge};
 pub struct MetricId(pub(crate) u32);
 
 /// One registered metric.
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 pub(crate) enum Metric {
     /// Counter slot.
@@ -32,7 +28,6 @@ pub(crate) enum Metric {
     Quantile(QuantileHistogram),
 }
 
-#[cfg(feature = "enabled")]
 impl Metric {
     /// Scalar view of the slot for time-series columns: counters report
     /// their total, gauges their value, histograms their mean.
@@ -55,7 +50,6 @@ impl Metric {
     }
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 struct Slot {
     component: &'static str,
@@ -66,7 +60,6 @@ struct Slot {
 /// The central metric table.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    #[cfg(feature = "enabled")]
     slots: Vec<Slot>,
 }
 
@@ -76,7 +69,6 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    #[cfg(feature = "enabled")]
     fn find_slot(&self, component: &str, name: &str) -> Option<u32> {
         self.slots
             .iter()
@@ -84,7 +76,6 @@ impl MetricsRegistry {
             .map(|i| i as u32)
     }
 
-    #[cfg(feature = "enabled")]
     fn register(&mut self, component: &'static str, name: &'static str, metric: Metric) -> MetricId {
         if let Some(i) = self.find_slot(component, name) {
             return MetricId(i);
@@ -99,28 +90,12 @@ impl MetricsRegistry {
 
     /// Find-or-register a counter slot.
     pub fn counter(&mut self, component: &'static str, name: &'static str) -> MetricId {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(component, name, Metric::Counter(Counter::new()))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name);
-            MetricId(0)
-        }
+        self.register(component, name, Metric::Counter(Counter::new()))
     }
 
     /// Find-or-register a gauge slot.
     pub fn gauge(&mut self, component: &'static str, name: &'static str) -> MetricId {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(component, name, Metric::Gauge(Gauge::new()))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name);
-            MetricId(0)
-        }
+        self.register(component, name, Metric::Gauge(Gauge::new()))
     }
 
     /// Find-or-register a histogram slot over `bounds` (see
@@ -131,21 +106,12 @@ impl MetricsRegistry {
         name: &'static str,
         bounds: &'static [u64],
     ) -> MetricId {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(component, name, Metric::Histogram(Histogram::new(bounds)))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name, bounds);
-            MetricId(0)
-        }
+        self.register(component, name, Metric::Histogram(Histogram::new(bounds)))
     }
 
     /// Overwrite a counter's total (no-op on other kinds).
     #[inline]
     pub fn set_counter(&mut self, id: MetricId, total: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(Slot {
             metric: Metric::Counter(c),
             ..
@@ -153,16 +119,11 @@ impl MetricsRegistry {
         {
             c.set(total);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, total);
-        }
     }
 
     /// Add to a counter's total (no-op on other kinds).
     #[inline]
     pub fn add(&mut self, id: MetricId, by: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(Slot {
             metric: Metric::Counter(c),
             ..
@@ -170,16 +131,11 @@ impl MetricsRegistry {
         {
             c.add(by);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, by);
-        }
     }
 
     /// Overwrite a gauge's value (no-op on other kinds).
     #[inline]
     pub fn set_gauge(&mut self, id: MetricId, value: f64) {
-        #[cfg(feature = "enabled")]
         if let Some(Slot {
             metric: Metric::Gauge(g),
             ..
@@ -187,33 +143,20 @@ impl MetricsRegistry {
         {
             g.set(value);
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, value);
-        }
     }
 
     /// Find-or-register a log-bucketed quantile-histogram slot.
     pub fn quantile_histogram(&mut self, component: &'static str, name: &'static str) -> MetricId {
-        #[cfg(feature = "enabled")]
-        {
-            self.register(
-                component,
-                name,
-                Metric::Quantile(QuantileHistogram::new()),
-            )
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name);
-            MetricId(0)
-        }
+        self.register(
+            component,
+            name,
+            Metric::Quantile(QuantileHistogram::new()),
+        )
     }
 
     /// Record one distribution sample (no-op on non-distribution kinds).
     #[inline]
     pub fn observe(&mut self, id: MetricId, sample: u64) {
-        #[cfg(feature = "enabled")]
         match self.slots.get_mut(id.0 as usize) {
             Some(Slot {
                 metric: Metric::Histogram(h),
@@ -225,22 +168,11 @@ impl MetricsRegistry {
             }) => q.observe(sample),
             _ => {}
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, sample);
-        }
     }
 
     /// Number of registered slots.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.slots.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.slots.len()
     }
 
     /// Whether the registry has no slots.
@@ -250,127 +182,70 @@ impl MetricsRegistry {
 
     /// Number of distinct component paths registered.
     pub fn component_count(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            let mut seen: Vec<&'static str> = Vec::new();
-            for s in &self.slots {
-                if !seen.contains(&s.component) {
-                    seen.push(s.component);
-                }
+        let mut seen: Vec<&'static str> = Vec::new();
+        for s in &self.slots {
+            if !seen.contains(&s.component) {
+                seen.push(s.component);
             }
-            seen.len()
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        seen.len()
     }
 
     /// Look up a slot by exact `(component, name)`.
     pub fn find(&self, component: &str, name: &str) -> Option<MetricId> {
-        #[cfg(feature = "enabled")]
-        {
-            self.find_slot(component, name).map(MetricId)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name);
-            None
-        }
+        self.find_slot(component, name).map(MetricId)
     }
 
     /// Scalar view of a slot (counter total, gauge value, histogram
-    /// mean); 0.0 for an unknown id or in a disabled build.
+    /// mean); 0.0 for an unknown id.
     pub fn scalar(&self, id: MetricId) -> f64 {
-        #[cfg(feature = "enabled")]
-        {
-            self.slots
-                .get(id.0 as usize)
-                .map(|s| s.metric.scalar())
-                .unwrap_or(0.0)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-            0.0
-        }
+        self.slots
+            .get(id.0 as usize)
+            .map(|s| s.metric.scalar())
+            .unwrap_or(0.0)
     }
 
     /// The kind of a slot, if known.
     pub fn kind(&self, id: MetricId) -> Option<MetricKind> {
-        #[cfg(feature = "enabled")]
-        {
-            self.slots.get(id.0 as usize).map(|s| s.metric.kind())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-            None
-        }
+        self.slots.get(id.0 as usize).map(|s| s.metric.kind())
     }
 
     /// Read-only access to a histogram slot.
     pub fn histogram_ref(&self, id: MetricId) -> Option<&Histogram> {
-        #[cfg(feature = "enabled")]
-        {
-            match self.slots.get(id.0 as usize) {
-                Some(Slot {
-                    metric: Metric::Histogram(h),
-                    ..
-                }) => Some(h),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-            None
+        match self.slots.get(id.0 as usize) {
+            Some(Slot {
+                metric: Metric::Histogram(h),
+                ..
+            }) => Some(h),
+            _ => None,
         }
     }
 
     /// Visit every slot in registration order as
     /// `(component, name, kind, scalar)`.
     pub fn for_each(&self, f: &mut dyn FnMut(&'static str, &'static str, MetricKind, f64)) {
-        #[cfg(feature = "enabled")]
         for s in &self.slots {
             f(s.component, s.name, s.metric.kind(), s.metric.scalar());
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = f;
         }
     }
 
     /// Visit every histogram slot as `(component, name, histogram)`.
     pub fn for_each_histogram(&self, f: &mut dyn FnMut(&'static str, &'static str, &Histogram)) {
-        #[cfg(feature = "enabled")]
         for s in &self.slots {
             if let Metric::Histogram(h) = &s.metric {
                 f(s.component, s.name, h);
             }
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = f;
-        }
     }
 
     /// Read-only access to a quantile-histogram slot.
     pub fn quantile_ref(&self, id: MetricId) -> Option<&QuantileHistogram> {
-        #[cfg(feature = "enabled")]
-        {
-            match self.slots.get(id.0 as usize) {
-                Some(Slot {
-                    metric: Metric::Quantile(q),
-                    ..
-                }) => Some(q),
-                _ => None,
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-            None
+        match self.slots.get(id.0 as usize) {
+            Some(Slot {
+                metric: Metric::Quantile(q),
+                ..
+            }) => Some(q),
+            _ => None,
         }
     }
 
@@ -379,15 +254,10 @@ impl MetricsRegistry {
         &self,
         f: &mut dyn FnMut(&'static str, &'static str, &QuantileHistogram),
     ) {
-        #[cfg(feature = "enabled")]
         for s in &self.slots {
             if let Metric::Quantile(q) = &s.metric {
                 f(s.component, s.name, q);
             }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = f;
         }
     }
 
@@ -396,76 +266,68 @@ impl MetricsRegistry {
     /// non-alphanumeric byte mapped to `_`; histograms render as
     /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`, and
     /// quantile histograms as summaries with `{quantile="..."}` labels.
-    /// Empty string in a disabled build.
     pub fn render_prometheus(&self) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            use std::fmt::Write as _;
-            fn sanitize(out: &mut String, component: &str, name: &str) {
-                for c in component.chars().chain("_".chars()).chain(name.chars()) {
-                    if c.is_ascii_alphanumeric() {
-                        out.push(c);
-                    } else {
-                        out.push('_');
-                    }
+        use std::fmt::Write as _;
+        fn sanitize(out: &mut String, component: &str, name: &str) {
+            for c in component.chars().chain("_".chars()).chain(name.chars()) {
+                if c.is_ascii_alphanumeric() {
+                    out.push(c);
+                } else {
+                    out.push('_');
                 }
             }
-            let mut out = String::new();
-            for s in &self.slots {
-                let mut metric = String::new();
-                sanitize(&mut metric, s.component, s.name);
-                match &s.metric {
-                    Metric::Counter(c) => {
-                        let _ = writeln!(out, "# TYPE {metric} counter");
-                        let _ = writeln!(out, "{metric} {}", c.get());
+        }
+        let mut out = String::new();
+        for s in &self.slots {
+            let mut metric = String::new();
+            sanitize(&mut metric, s.component, s.name);
+            match &s.metric {
+                Metric::Counter(c) => {
+                    let _ = writeln!(out, "# TYPE {metric} counter");
+                    let _ = writeln!(out, "{metric} {}", c.get());
+                }
+                Metric::Gauge(g) => {
+                    let _ = writeln!(out, "# TYPE {metric} gauge");
+                    let mut v = String::new();
+                    json::push_f64(&mut v, g.get());
+                    let _ = writeln!(out, "{metric} {v}");
+                }
+                Metric::Histogram(h) => {
+                    let _ = writeln!(out, "# TYPE {metric} histogram");
+                    let mut cum = 0u64;
+                    for (i, b) in h.bounds().iter().enumerate() {
+                        cum += h.bucket(i);
+                        let _ = writeln!(out, "{metric}_bucket{{le=\"{b}\"}} {cum}");
                     }
-                    Metric::Gauge(g) => {
-                        let _ = writeln!(out, "# TYPE {metric} gauge");
-                        let mut v = String::new();
-                        json::push_f64(&mut v, g.get());
-                        let _ = writeln!(out, "{metric} {v}");
-                    }
-                    Metric::Histogram(h) => {
-                        let _ = writeln!(out, "# TYPE {metric} histogram");
-                        let mut cum = 0u64;
-                        for (i, b) in h.bounds().iter().enumerate() {
-                            cum += h.bucket(i);
-                            let _ = writeln!(out, "{metric}_bucket{{le=\"{b}\"}} {cum}");
-                        }
+                    let _ = writeln!(
+                        out,
+                        "{metric}_bucket{{le=\"+Inf\"}} {}",
+                        h.count()
+                    );
+                    let _ = writeln!(out, "{metric}_sum {}", h.sum());
+                    let _ = writeln!(out, "{metric}_count {}", h.count());
+                }
+                Metric::Quantile(q) => {
+                    let _ = writeln!(out, "# TYPE {metric} summary");
+                    for (label, quant) in
+                        [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)]
+                    {
                         let _ = writeln!(
                             out,
-                            "{metric}_bucket{{le=\"+Inf\"}} {}",
-                            h.count()
+                            "{metric}{{quantile=\"{label}\"}} {}",
+                            q.quantile(quant).min(q.max())
                         );
-                        let _ = writeln!(out, "{metric}_sum {}", h.sum());
-                        let _ = writeln!(out, "{metric}_count {}", h.count());
                     }
-                    Metric::Quantile(q) => {
-                        let _ = writeln!(out, "# TYPE {metric} summary");
-                        for (label, quant) in
-                            [("0.5", 0.5), ("0.9", 0.9), ("0.99", 0.99)]
-                        {
-                            let _ = writeln!(
-                                out,
-                                "{metric}{{quantile=\"{label}\"}} {}",
-                                q.quantile(quant).min(q.max())
-                            );
-                        }
-                        let _ = writeln!(out, "{metric}_sum {}", q.sum());
-                        let _ = writeln!(out, "{metric}_count {}", q.count());
-                    }
+                    let _ = writeln!(out, "{metric}_sum {}", q.sum());
+                    let _ = writeln!(out, "{metric}_count {}", q.count());
                 }
             }
-            out
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            String::new()
-        }
+        out
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -12,7 +12,6 @@
 //! that first registers after some epochs have elapsed gets leading
 //! `NaN` padding (serialized as `null` / an empty CSV cell).
 
-#[cfg(feature = "enabled")]
 use crate::json;
 use crate::registry::MetricsRegistry;
 
@@ -25,7 +24,6 @@ pub struct EpochMark {
     pub cycle: u64,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 struct Column {
     component: &'static str,
@@ -36,9 +34,7 @@ struct Column {
 /// The columnar epoch store.
 #[derive(Debug, Clone, Default)]
 pub struct EpochSeries {
-    #[cfg(feature = "enabled")]
     marks: Vec<EpochMark>,
-    #[cfg(feature = "enabled")]
     columns: Vec<Column>,
 }
 
@@ -50,14 +46,7 @@ impl EpochSeries {
 
     /// Number of epoch rows recorded.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.marks.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.marks.len()
     }
 
     /// Whether no epochs have been recorded.
@@ -67,78 +56,46 @@ impl EpochSeries {
 
     /// Number of metric columns.
     pub fn column_count(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.columns.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.columns.len()
     }
 
     /// Snapshot every registry slot as one new epoch row.
     pub fn push_row(&mut self, mark: EpochMark, registry: &MetricsRegistry) {
-        #[cfg(feature = "enabled")]
-        {
-            let prior = self.marks.len();
-            self.marks.push(mark);
-            let mut i = 0usize;
-            registry.for_each(&mut |component, name, _kind, scalar| {
-                if i == self.columns.len() {
-                    // Late-registered metric: pad the epochs it missed.
-                    self.columns.push(Column {
-                        component,
-                        name,
-                        values: vec![f64::NAN; prior],
-                    });
-                }
-                self.columns[i].values.push(scalar);
-                i += 1;
-            });
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (mark, registry);
-        }
+        let prior = self.marks.len();
+        self.marks.push(mark);
+        let mut i = 0usize;
+        registry.for_each(&mut |component, name, _kind, scalar| {
+            if i == self.columns.len() {
+                // Late-registered metric: pad the epochs it missed.
+                self.columns.push(Column {
+                    component,
+                    name,
+                    values: vec![f64::NAN; prior],
+                });
+            }
+            self.columns[i].values.push(scalar);
+            i += 1;
+        });
     }
 
     /// The mark for epoch `i`.
     pub fn mark(&self, i: usize) -> Option<EpochMark> {
-        #[cfg(feature = "enabled")]
-        {
-            self.marks.get(i).copied()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = i;
-            None
-        }
+        self.marks.get(i).copied()
     }
 
     /// The value of column `(component, name)` at epoch `i`, if present.
     pub fn value_at(&self, component: &str, name: &str, i: usize) -> Option<f64> {
-        #[cfg(feature = "enabled")]
-        {
-            self.columns
-                .iter()
-                .find(|c| c.component == component && c.name == name)
-                .and_then(|c| c.values.get(i))
-                .copied()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (component, name, i);
-            None
-        }
+        self.columns
+            .iter()
+            .find(|c| c.component == component && c.name == name)
+            .and_then(|c| c.values.get(i))
+            .copied()
     }
 
     /// Serialize as JSON Lines: one object per epoch with a flat
     /// `metrics` map keyed `component.name`.
     pub fn to_jsonl(&self) -> String {
-        #[allow(unused_mut)]
         let mut out = String::new();
-        #[cfg(feature = "enabled")]
         for (e, mark) in self.marks.iter().enumerate() {
             out.push('{');
             json::push_key(&mut out, true, "type");
@@ -174,35 +131,31 @@ impl EpochSeries {
     /// Serialize as CSV: `epoch,instructions,cycle` then one column per
     /// metric (header `component.name`); `NaN` cells are left empty.
     pub fn to_csv(&self) -> String {
-        #[allow(unused_mut)]
         let mut out = String::new();
-        #[cfg(feature = "enabled")]
-        {
-            out.push_str("epoch,instructions,cycle");
+        out.push_str("epoch,instructions,cycle");
+        for col in &self.columns {
+            out.push(',');
+            out.push_str(col.component);
+            out.push('.');
+            out.push_str(col.name);
+        }
+        out.push('\n');
+        for (e, mark) in self.marks.iter().enumerate() {
+            out.push_str(&format!("{},{},{}", e, mark.instructions, mark.cycle));
             for col in &self.columns {
                 out.push(',');
-                out.push_str(col.component);
-                out.push('.');
-                out.push_str(col.name);
+                match col.values.get(e) {
+                    Some(v) if v.is_finite() => out.push_str(&format!("{v}")),
+                    _ => {}
+                }
             }
             out.push('\n');
-            for (e, mark) in self.marks.iter().enumerate() {
-                out.push_str(&format!("{},{},{}", e, mark.instructions, mark.cycle));
-                for col in &self.columns {
-                    out.push(',');
-                    match col.values.get(e) {
-                        Some(v) if v.is_finite() => out.push_str(&format!("{v}")),
-                        _ => {}
-                    }
-                }
-                out.push('\n');
-            }
         }
         out
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

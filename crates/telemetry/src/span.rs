@@ -14,15 +14,9 @@
 //! [`Instant`] at construction (production) or driven manually with
 //! [`SpanRecorder::advance`] (tests), so span output in tests is
 //! byte-deterministic.
-//!
-//! With the `enabled` feature off every type here is a zero-sized no-op,
-//! matching the rest of the crate.
 
-#[cfg(feature = "enabled")]
 use crate::json;
-#[cfg(feature = "enabled")]
 use std::sync::{Arc, Mutex};
-#[cfg(feature = "enabled")]
 use std::time::Instant;
 
 /// Handle to a span within one [`SpanRecorder`].
@@ -30,7 +24,6 @@ use std::time::Instant;
 pub struct SpanId(pub(crate) u32);
 
 /// A span attribute value.
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone, PartialEq)]
 pub enum AttrValue {
     /// Integer attribute.
@@ -40,7 +33,6 @@ pub enum AttrValue {
 }
 
 /// One recorded span: a named interval with an optional parent.
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 pub struct SpanRecord {
     /// Index of this span in its recorder.
@@ -57,7 +49,6 @@ pub struct SpanRecord {
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
-#[cfg(feature = "enabled")]
 #[derive(Debug, Clone)]
 enum Clock {
     Wall(Instant),
@@ -67,9 +58,7 @@ enum Clock {
 /// Records a tree of timed spans against an injected clock.
 #[derive(Debug, Clone)]
 pub struct SpanRecorder {
-    #[cfg(feature = "enabled")]
     clock: Clock,
-    #[cfg(feature = "enabled")]
     spans: Vec<SpanRecord>,
 }
 
@@ -83,9 +72,7 @@ impl SpanRecorder {
     /// A recorder anchored to the wall clock at construction time.
     pub fn new() -> SpanRecorder {
         SpanRecorder {
-            #[cfg(feature = "enabled")]
             clock: Clock::Wall(Instant::now()),
-            #[cfg(feature = "enabled")]
             spans: Vec::new(),
         }
     }
@@ -93,33 +80,20 @@ impl SpanRecorder {
     /// A recorder with a manually driven clock starting at 0 µs, for
     /// deterministic tests.
     pub fn manual() -> SpanRecorder {
-        #[cfg(feature = "enabled")]
-        {
-            SpanRecorder {
-                clock: Clock::Manual(0),
-                spans: Vec::new(),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            SpanRecorder {}
+        SpanRecorder {
+            clock: Clock::Manual(0),
+            spans: Vec::new(),
         }
     }
 
     /// Advance a manual clock by `us` microseconds (no-op on a wall
     /// clock).
     pub fn advance(&mut self, us: u64) {
-        #[cfg(feature = "enabled")]
         if let Clock::Manual(now) = &mut self.clock {
             *now += us;
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = us;
-        }
     }
 
-    #[cfg(feature = "enabled")]
     fn now_us(&self) -> u64 {
         match &self.clock {
             Clock::Wall(anchor) => anchor.elapsed().as_micros() as u64,
@@ -129,77 +103,45 @@ impl SpanRecorder {
 
     /// Open a span named `name` under `parent` (or as a root).
     pub fn start(&mut self, name: &str, parent: Option<SpanId>) -> SpanId {
-        #[cfg(feature = "enabled")]
-        {
-            let id = self.spans.len() as u32;
-            self.spans.push(SpanRecord {
-                id,
-                parent: parent.map(|p| p.0),
-                name: name.to_string(),
-                start_us: self.now_us(),
-                end_us: None,
-                attrs: Vec::new(),
-            });
-            SpanId(id)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, parent);
-            SpanId(0)
-        }
+        let id = self.spans.len() as u32;
+        self.spans.push(SpanRecord {
+            id,
+            parent: parent.map(|p| p.0),
+            name: name.to_string(),
+            start_us: self.now_us(),
+            end_us: None,
+            attrs: Vec::new(),
+        });
+        SpanId(id)
     }
 
     /// Close a span (idempotent: a second end is ignored).
     pub fn end(&mut self, id: SpanId) {
-        #[cfg(feature = "enabled")]
-        {
-            let now = self.now_us();
-            if let Some(s) = self.spans.get_mut(id.0 as usize) {
-                if s.end_us.is_none() {
-                    s.end_us = Some(now.max(s.start_us));
-                }
+        let now = self.now_us();
+        if let Some(s) = self.spans.get_mut(id.0 as usize) {
+            if s.end_us.is_none() {
+                s.end_us = Some(now.max(s.start_us));
             }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
         }
     }
 
     /// Attach an integer attribute to a span.
     pub fn attr_u64(&mut self, id: SpanId, key: &'static str, value: u64) {
-        #[cfg(feature = "enabled")]
         if let Some(s) = self.spans.get_mut(id.0 as usize) {
             s.attrs.push((key, AttrValue::U64(value)));
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, key, value);
         }
     }
 
     /// Attach a string attribute to a span.
     pub fn attr_str(&mut self, id: SpanId, key: &'static str, value: &str) {
-        #[cfg(feature = "enabled")]
         if let Some(s) = self.spans.get_mut(id.0 as usize) {
             s.attrs.push((key, AttrValue::Str(value.to_string())));
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, key, value);
         }
     }
 
     /// Number of spans recorded (open or closed).
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.spans.len()
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.spans.len()
     }
 
     /// Whether no spans have been recorded.
@@ -210,89 +152,68 @@ impl SpanRecorder {
     /// Duration of a closed span in microseconds (`None` while open or
     /// for an unknown id).
     pub fn duration_us(&self, id: SpanId) -> Option<u64> {
-        #[cfg(feature = "enabled")]
-        {
-            let s = self.spans.get(id.0 as usize)?;
-            Some(s.end_us? - s.start_us)
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-            None
-        }
+        let s = self.spans.get(id.0 as usize)?;
+        Some(s.end_us? - s.start_us)
     }
 
     /// Visit every *closed* span as `(name, duration_us)`, in id order.
     pub fn for_each_closed(&self, f: &mut dyn FnMut(&str, u64)) {
-        #[cfg(feature = "enabled")]
         for s in &self.spans {
             if let Some(end) = s.end_us {
                 f(&s.name, end - s.start_us);
             }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = f;
         }
     }
 
     /// All spans as JSON Lines in id order, one
     /// `{"type":"span","id":..,"parent":..,"name":..,"start_us":..,
     /// "end_us":..,"dur_us":..,"attrs":{..}}` object per line (open
-    /// spans have `null` end/duration). Empty in a disabled build.
+    /// spans have `null` end/duration).
     pub fn to_jsonl(&self) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            let mut out = String::new();
-            for s in &self.spans {
-                out.push('{');
-                json::push_key(&mut out, true, "type");
-                json::push_str(&mut out, "span");
-                json::push_key(&mut out, false, "id");
-                json::push_u64(&mut out, s.id as u64);
-                json::push_key(&mut out, false, "parent");
-                match s.parent {
-                    Some(p) => json::push_u64(&mut out, p as u64),
-                    None => out.push_str("null"),
-                }
-                json::push_key(&mut out, false, "name");
-                json::push_str(&mut out, &s.name);
-                json::push_key(&mut out, false, "start_us");
-                json::push_u64(&mut out, s.start_us);
-                json::push_key(&mut out, false, "end_us");
-                match s.end_us {
-                    Some(e) => json::push_u64(&mut out, e),
-                    None => out.push_str("null"),
-                }
-                json::push_key(&mut out, false, "dur_us");
-                match s.end_us {
-                    Some(e) => json::push_u64(&mut out, e - s.start_us),
-                    None => out.push_str("null"),
-                }
-                json::push_key(&mut out, false, "attrs");
-                out.push('{');
-                for (i, (k, v)) in s.attrs.iter().enumerate() {
-                    json::push_key(&mut out, i == 0, k);
-                    match v {
-                        AttrValue::U64(n) => json::push_u64(&mut out, *n),
-                        AttrValue::Str(t) => json::push_str(&mut out, t),
-                    }
-                }
-                out.push_str("}}\n");
+        let mut out = String::new();
+        for s in &self.spans {
+            out.push('{');
+            json::push_key(&mut out, true, "type");
+            json::push_str(&mut out, "span");
+            json::push_key(&mut out, false, "id");
+            json::push_u64(&mut out, s.id as u64);
+            json::push_key(&mut out, false, "parent");
+            match s.parent {
+                Some(p) => json::push_u64(&mut out, p as u64),
+                None => out.push_str("null"),
             }
-            out
+            json::push_key(&mut out, false, "name");
+            json::push_str(&mut out, &s.name);
+            json::push_key(&mut out, false, "start_us");
+            json::push_u64(&mut out, s.start_us);
+            json::push_key(&mut out, false, "end_us");
+            match s.end_us {
+                Some(e) => json::push_u64(&mut out, e),
+                None => out.push_str("null"),
+            }
+            json::push_key(&mut out, false, "dur_us");
+            match s.end_us {
+                Some(e) => json::push_u64(&mut out, e - s.start_us),
+                None => out.push_str("null"),
+            }
+            json::push_key(&mut out, false, "attrs");
+            out.push('{');
+            for (i, (k, v)) in s.attrs.iter().enumerate() {
+                json::push_key(&mut out, i == 0, k);
+                match v {
+                    AttrValue::U64(n) => json::push_u64(&mut out, *n),
+                    AttrValue::Str(t) => json::push_str(&mut out, t),
+                }
+            }
+            out.push_str("}}\n");
         }
-        #[cfg(not(feature = "enabled"))]
-        {
-            String::new()
-        }
+        out
     }
 }
 
 /// A cloneable, thread-safe handle to one job's [`SpanRecorder`].
 #[derive(Debug, Clone, Default)]
 pub struct SharedSpans {
-    #[cfg(feature = "enabled")]
     inner: Arc<Mutex<SpanRecorder>>,
 }
 
@@ -304,19 +225,11 @@ impl SharedSpans {
 
     /// A shared recorder on a manual clock (tests).
     pub fn manual() -> SharedSpans {
-        #[cfg(feature = "enabled")]
-        {
-            SharedSpans {
-                inner: Arc::new(Mutex::new(SpanRecorder::manual())),
-            }
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            SharedSpans {}
+        SharedSpans {
+            inner: Arc::new(Mutex::new(SpanRecorder::manual())),
         }
     }
 
-    #[cfg(feature = "enabled")]
     fn with<R>(&self, default: R, f: impl FnOnce(&mut SpanRecorder) -> R) -> R {
         match self.inner.lock() {
             Ok(mut rec) => f(&mut rec),
@@ -326,67 +239,32 @@ impl SharedSpans {
 
     /// Open a span (see [`SpanRecorder::start`]).
     pub fn start(&self, name: &str, parent: Option<SpanId>) -> SpanId {
-        #[cfg(feature = "enabled")]
-        {
-            self.with(SpanId(0), |rec| rec.start(name, parent))
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (name, parent);
-            SpanId(0)
-        }
+        self.with(SpanId(0), |rec| rec.start(name, parent))
     }
 
     /// Close a span.
     pub fn end(&self, id: SpanId) {
-        #[cfg(feature = "enabled")]
         self.with((), |rec| rec.end(id));
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = id;
-        }
     }
 
     /// Attach an integer attribute.
     pub fn attr_u64(&self, id: SpanId, key: &'static str, value: u64) {
-        #[cfg(feature = "enabled")]
         self.with((), |rec| rec.attr_u64(id, key, value));
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, key, value);
-        }
     }
 
     /// Attach a string attribute.
     pub fn attr_str(&self, id: SpanId, key: &'static str, value: &str) {
-        #[cfg(feature = "enabled")]
         self.with((), |rec| rec.attr_str(id, key, value));
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (id, key, value);
-        }
     }
 
     /// Advance a manual clock (no-op on wall clocks).
     pub fn advance(&self, us: u64) {
-        #[cfg(feature = "enabled")]
         self.with((), |rec| rec.advance(us));
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = us;
-        }
     }
 
     /// Number of spans recorded.
     pub fn len(&self) -> usize {
-        #[cfg(feature = "enabled")]
-        {
-            self.with(0, |rec| rec.len())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            0
-        }
+        self.with(0, |rec| rec.len())
     }
 
     /// Whether no spans have been recorded.
@@ -396,34 +274,20 @@ impl SharedSpans {
 
     /// Every closed span as `(name, duration_us)` in id order.
     pub fn closed_durations(&self) -> Vec<(String, u64)> {
-        #[cfg(feature = "enabled")]
-        {
-            self.with(Vec::new(), |rec| {
-                let mut out = Vec::new();
-                rec.for_each_closed(&mut |name, dur| out.push((name.to_string(), dur)));
-                out
-            })
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            Vec::new()
-        }
+        self.with(Vec::new(), |rec| {
+            let mut out = Vec::new();
+            rec.for_each_closed(&mut |name, dur| out.push((name.to_string(), dur)));
+            out
+        })
     }
 
     /// The trace as JSON Lines (see [`SpanRecorder::to_jsonl`]).
     pub fn to_jsonl(&self) -> String {
-        #[cfg(feature = "enabled")]
-        {
-            self.with(String::new(), |rec| rec.to_jsonl())
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            String::new()
-        }
+        self.with(String::new(), |rec| rec.to_jsonl())
     }
 }
 
-#[cfg(all(test, feature = "enabled"))]
+#[cfg(test)]
 mod tests {
     use super::*;
 

@@ -14,18 +14,14 @@ cargo test -q -p exynos-branch
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Panic-site gate: library and binary code must propagate typed errors
-# (SimError / PredictorError / UocError) instead of unwrapping. Tests,
-# examples and benches are exempt (no --all-targets) — unwrap there is a
-# legitimate assertion that the simulated trace is clean. The perf lint
-# group guards the step-loop optimizations (needless clones/allocations
-# creeping back into hot paths) at warn level.
-cargo clippy --workspace -- -D clippy::unwrap_used -D clippy::expect_used -W clippy::perf
-
-# Telemetry no-op guard: with the feature off, the whole stack must still
-# build and the Telemetry handle must compile down to a ZST (asserted by
-# the crate's noop tests).
-cargo build --release -p exynos-bench --no-default-features
-cargo test -q -p exynos-telemetry --no-default-features
+# (SimError / PredictorError / UocError) instead of unwrapping or
+# calling `panic!`; the few sites left carry an `#[allow]` with the
+# reason. Tests, examples and benches are exempt (no --all-targets) —
+# unwrap there is a legitimate assertion that the simulated trace is
+# clean. The perf lint group guards the step-loop optimizations
+# (needless clones/allocations creeping back into hot paths) at warn
+# level.
+cargo clippy --workspace -- -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -W clippy::perf
 
 # Telemetry smoke: the instrumented quick run must emit schema-valid
 # JSONL covering the whole machine (>= 12 metrics from >= 5 crates).

@@ -25,8 +25,7 @@
 //! * [`core`] — the composed out-of-order core model and slice runner;
 //! * [`telemetry`] — the metrics registry, epoch time-series and pipeline
 //!   event trace behind `Simulator::run_slice_with` and the harness's
-//!   `metrics`/`trace` subcommands (compiles to no-ops without the
-//!   `telemetry` feature);
+//!   `metrics`/`trace` subcommands;
 //! * [`service`] — the resilient sweep-as-a-service job tier behind
 //!   `harness serve`: deadlines, retry/backoff, backpressure, circuit
 //!   breaking and write-ahead-journal crash recovery (see DESIGN.md,

@@ -290,17 +290,15 @@ fn watchdog_ladder_fires_in_order_on_every_generation() {
         }
         assert_eq!(sim.stats().watchdog_events, 4, "{name}: 3 recovered + 1 fatal");
         assert_eq!(sim.stats().watchdog_recoveries, 3, "{name}");
-        if Telemetry::ACTIVE {
-            // The trip events record which rung each recovery applied;
-            // they must appear exactly once each, in escalation order.
-            let mut rungs = Vec::new();
-            tel.events().for_each(&mut |r| {
-                if let PipelineEvent::WatchdogTrip { rung, .. } = r.event {
-                    rungs.push(rung);
-                }
-            });
-            assert_eq!(rungs, vec![0, 1, 2], "{name}: ladder order");
-        }
+        // The trip events record which rung each recovery applied;
+        // they must appear exactly once each, in escalation order.
+        let mut rungs = Vec::new();
+        tel.events().for_each(&mut |r| {
+            if let PipelineEvent::WatchdogTrip { rung, .. } = r.event {
+                rungs.push(rung);
+            }
+        });
+        assert_eq!(rungs, vec![0, 1, 2], "{name}: ladder order");
         if has_uoc {
             // Rung 1 demoted the UOC: its state loss is visible as zero
             // further supply only after demotion, which the soak can't

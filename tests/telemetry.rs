@@ -7,10 +7,6 @@
 //! * the registry must cover the whole machine (many metrics, many
 //!   crates);
 //! * the bounded ring must count what it drops.
-//!
-//! Everything here requires the default `telemetry` feature; the
-//! `cargo test -p exynos-telemetry --no-default-features` run covers the
-//! disabled mode's ZST guarantees.
 
 use exynos::core::builder::SimBuilder;
 use exynos::core::config::CoreConfig;
