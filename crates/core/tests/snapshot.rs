@@ -177,3 +177,54 @@ fn corrupted_images_yield_typed_errors_not_panics() {
         let _ = Simulator::resume(&bad);
     }
 }
+
+/// FNV-1a, 64-bit: a dependency-free digest for pinning image bytes.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    }
+    h
+}
+
+/// Pins the on-disk checkpoint format byte for byte. Every other image
+/// comparison in the suite is between two images from the same build,
+/// so a field reordered consistently on both the save and the restore
+/// side would pass them all; these digests would change. They may only
+/// move together with a `FORMAT_VERSION` bump.
+#[test]
+fn checkpoint_image_bytes_are_pinned() {
+    // Per generation M1..M6: (digest without faults, digest under
+    // FaultPlan::chaos(7)).
+    const GOLDEN: [(u64, u64); 6] = [
+        (0x196a_3aae_c8d5_1072, 0x2930_c21f_f63d_eccf),
+        (0xbbb7_0a0e_9d18_e4a9, 0x33fa_2b0a_55d8_03be),
+        (0x0aa0_0282_94b0_ffb8, 0x0a0c_138c_c6a1_6b52),
+        (0x5592_ec40_766c_a710, 0xb5bb_ac8a_9e5e_8aa5),
+        (0x7f2d_69c7_143a_48a3, 0x45df_dcaf_c833_854d),
+        (0xc813_8732_f9f0_7394, 0x156b_bd03_9bd3_71af),
+    ];
+    let slice = &standard_suite(1)[4];
+    let mut got = Vec::new();
+    for cfg in CoreConfig::all_generations() {
+        let mut pair = [0u64; 2];
+        for (k, fault) in [None, Some(FaultPlan::chaos(7))].into_iter().enumerate() {
+            let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
+            if let Some(plan) = fault {
+                sim.attach_fault_injector(plan);
+            }
+            let mut g = slice.build().unwrap();
+            sim.run_warmup(&mut *g, 3_000).unwrap();
+            pair[k] = fnv1a64(&sim.checkpoint());
+        }
+        got.push((pair[0], pair[1]));
+    }
+    for (i, (g, want)) in got.iter().zip(GOLDEN.iter()).enumerate() {
+        assert_eq!(
+            g, want,
+            "M{} checkpoint image digest moved: got {:#018x}/{:#018x}",
+            i + 1, g.0, g.1
+        );
+    }
+}
