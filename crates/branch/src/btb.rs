@@ -689,165 +689,50 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{codes, layout, tags};
 
-    fn kind_to_u8(k: BranchKind) -> u8 {
-        match k {
-            BranchKind::CondDirect => 0,
-            BranchKind::UncondDirect => 1,
-            BranchKind::DirectCall => 2,
-            BranchKind::IndirectJump => 3,
-            BranchKind::IndirectCall => 4,
-            BranchKind::Return => 5,
+    codes! {
+        KindCode: BranchKind as u8, "btb branch-kind tag" {
+            CondDirect = 0,
+            UncondDirect = 1,
+            DirectCall = 2,
+            IndirectJump = 3,
+            IndirectCall = 4,
+            Return = 5,
         }
     }
 
-    fn kind_from_u8(v: u8) -> Result<BranchKind, SnapshotError> {
-        Ok(match v {
-            0 => BranchKind::CondDirect,
-            1 => BranchKind::UncondDirect,
-            2 => BranchKind::DirectCall,
-            3 => BranchKind::IndirectJump,
-            4 => BranchKind::IndirectCall,
-            5 => BranchKind::Return,
-            _ => return Err(SnapshotError::Corrupt { what: "btb branch-kind tag" }),
-        })
-    }
-
-    fn save_entry(enc: &mut Encoder, e: &BtbEntry) {
-        enc.u64(e.pc);
-        enc.u64(e.target);
-        enc.u8(kind_to_u8(e.kind));
-        enc.i8(e.bias);
-        enc.bool(e.always_taken);
-        enc.u8(e.taken_ctr);
-        match e.replicated_next {
-            Some((pc, tgt)) => {
-                enc.u8(1);
-                enc.u64(pc);
-                enc.u64(tgt);
-            }
-            None => enc.u8(0),
+    layout! {
+        BtbEntry {
+            pc, target,
+            kind: Via(KindCode),
+            bias, always_taken, taken_ctr, replicated_next,
         }
     }
+    layout! { Line { line_addr, slots, lru } }
 
-    fn load_entry(dec: &mut Decoder<'_>) -> Result<BtbEntry, SnapshotError> {
-        Ok(BtbEntry {
-            pc: dec.u64()?,
-            target: dec.u64()?,
-            kind: kind_from_u8(dec.u8()?)?,
-            bias: dec.i8()?,
-            always_taken: dec.bool()?,
-            taken_ctr: dec.u8()?,
-            replicated_next: match dec.u8()? {
-                0 => None,
-                1 => Some((dec.u64()?, dec.u64()?)),
-                _ => return Err(SnapshotError::Corrupt { what: "btb replicated-next flag" }),
-            },
-        })
-    }
-
-    fn save_opt_entry(enc: &mut Encoder, slot: &Option<BtbEntry>) {
-        match slot {
-            Some(e) => {
-                enc.u8(1);
-                save_entry(enc, e);
-            }
-            None => enc.u8(0),
-        }
-    }
-
-    fn load_opt_entry(dec: &mut Decoder<'_>) -> Result<Option<BtbEntry>, SnapshotError> {
-        match dec.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some(load_entry(dec)?)),
-            _ => Err(SnapshotError::Corrupt { what: "btb slot presence flag" }),
-        }
-    }
-
-    fn save_store(enc: &mut Encoder, s: &EntryStore) {
-        enc.seq(s.entries.len());
-        for slot in &s.entries {
-            match slot {
-                Some((e, lru)) => {
-                    enc.u8(1);
-                    save_entry(enc, e);
-                    enc.u64(*lru);
-                }
-                None => enc.u8(0),
+    /// The blank entry a present BTB slot is decoded into.
+    impl Default for BtbEntry {
+        fn default() -> BtbEntry {
+            BtbEntry {
+                pc: 0,
+                target: 0,
+                kind: BranchKind::CondDirect,
+                bias: 0,
+                always_taken: false,
+                taken_ctr: 0,
+                replicated_next: None,
             }
         }
     }
-
-    fn load_store(dec: &mut Decoder<'_>, s: &mut EntryStore) -> Result<(), SnapshotError> {
-        let n = dec.seq(1)?;
-        if n != s.entries.len() {
-            return Err(SnapshotError::Geometry {
-                what: "btb entry store",
-                expected: s.entries.len() as u64,
-                found: n as u64,
-            });
+    layout! { EntryStore { entries: Fixed("btb entry store") } }
+    layout! {
+        BtbHierarchy [tags::BTB] {
+            lines: Fixed("mbtb lines"),
+            vbtb, l2btb, stamp, stats,
         }
-        for slot in &mut s.entries {
-            *slot = match dec.u8()? {
-                0 => None,
-                1 => Some((load_entry(dec)?, dec.u64()?)),
-                _ => return Err(SnapshotError::Corrupt { what: "btb store presence flag" }),
-            };
-        }
-        Ok(())
     }
-
-    impl Snapshot for BtbHierarchy {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::BTB);
-            enc.seq(self.lines.len());
-            for line in &self.lines {
-                enc.u64(line.line_addr);
-                for slot in &line.slots {
-                    save_opt_entry(enc, slot);
-                }
-                enc.u64(line.lru);
-            }
-            save_store(enc, &self.vbtb);
-            save_store(enc, &self.l2btb);
-            enc.u64(self.stamp);
-            enc.u64(self.stats.main_hits);
-            enc.u64(self.stats.virtual_hits);
-            enc.u64(self.stats.l2_hits);
-            enc.u64(self.stats.misses);
-            enc.u64(self.stats.l2_writebacks);
-            enc.u64(self.stats.empty_line_lookups);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::BTB)?;
-            let n = dec.seq(1)?;
-            if n != self.lines.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "mbtb lines",
-                    expected: self.lines.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for line in &mut self.lines {
-                line.line_addr = dec.u64()?;
-                for slot in &mut line.slots {
-                    *slot = load_opt_entry(dec)?;
-                }
-                line.lru = dec.u64()?;
-            }
-            load_store(dec, &mut self.vbtb)?;
-            load_store(dec, &mut self.l2btb)?;
-            self.stamp = dec.u64()?;
-            self.stats.main_hits = dec.u64()?;
-            self.stats.virtual_hits = dec.u64()?;
-            self.stats.l2_hits = dec.u64()?;
-            self.stats.misses = dec.u64()?;
-            self.stats.l2_writebacks = dec.u64()?;
-            self.stats.empty_line_lookups = dec.u64()?;
-            dec.end_section()
-        }
+    layout! {
+        BtbStats { main_hits, virtual_hits, l2_hits, misses, l2_writebacks, empty_line_lookups }
     }
 }

@@ -129,30 +129,7 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for ConfidenceTable {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::CONFIDENCE);
-            enc.seq(self.ctrs.len());
-            enc.bytes(&self.ctrs);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::CONFIDENCE)?;
-            let n = dec.seq(1)?;
-            if n != self.ctrs.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "confidence table",
-                    expected: self.ctrs.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for c in &mut self.ctrs {
-                *c = dec.u8()?;
-            }
-            dec.end_section()
-        }
-    }
+    layout! { ConfidenceTable [tags::CONFIDENCE] { ctrs: Fixed("confidence table") } }
 }

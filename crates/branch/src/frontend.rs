@@ -729,176 +729,33 @@ impl FrontEnd {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    fn save_opt_pair(enc: &mut Encoder, v: Option<(u64, u64)>) {
-        match v {
-            Some((a, b)) => {
-                enc.u8(1);
-                enc.u64(a);
-                enc.u64(b);
-            }
-            None => enc.u8(0),
+    layout! {
+        FrontEnd [tags::FRONTEND] {
+            shp, hist, ubtb, btb, ras, indirect, confidence,
+            mrb: Present("frontend mrb presence"),
+            entropy, key, expected_pc, last_taken_branch, pending_zero_bubble, pair_pending_second,
+            elo_bits: Fixed("frontend elo bitmap"),
+            cur_line, cur_line_had_branch, stats,
+        } then sync_ras_key
+    }
+    layout! {
+        FrontendStats {
+            instructions, branches, cond_branches, taken_branches, cond_mispredicts,
+            indirect_mispredicts, return_mispredicts, discoveries, trace_gaps, bubbles,
+            zat_zot_zero_bubble, one_bubble_at, ubtb_zero_bubble, mrb_covered, pair_lead_taken,
+            pair_second_taken, pair_both_not_taken, elo_skipped_lookups, shp_lookups,
+            conf_flips_to_low, conf_flips_to_high,
         }
     }
 
-    fn load_opt_pair(dec: &mut Decoder<'_>) -> Result<Option<(u64, u64)>, SnapshotError> {
-        match dec.u8()? {
-            0 => Ok(None),
-            1 => Ok(Some((dec.u64()?, dec.u64()?))),
-            _ => Err(SnapshotError::Corrupt { what: "frontend option flag" }),
-        }
-    }
-
-    fn save_stats(enc: &mut Encoder, s: &FrontendStats) {
-        for v in [
-            s.instructions,
-            s.branches,
-            s.cond_branches,
-            s.taken_branches,
-            s.cond_mispredicts,
-            s.indirect_mispredicts,
-            s.return_mispredicts,
-            s.discoveries,
-            s.trace_gaps,
-            s.bubbles,
-            s.zat_zot_zero_bubble,
-            s.one_bubble_at,
-            s.ubtb_zero_bubble,
-            s.mrb_covered,
-            s.pair_lead_taken,
-            s.pair_second_taken,
-            s.pair_both_not_taken,
-            s.elo_skipped_lookups,
-            s.shp_lookups,
-            s.conf_flips_to_low,
-            s.conf_flips_to_high,
-        ] {
-            enc.u64(v);
-        }
-    }
-
-    fn load_stats(dec: &mut Decoder<'_>, s: &mut FrontendStats) -> Result<(), SnapshotError> {
-        for v in [
-            &mut s.instructions,
-            &mut s.branches,
-            &mut s.cond_branches,
-            &mut s.taken_branches,
-            &mut s.cond_mispredicts,
-            &mut s.indirect_mispredicts,
-            &mut s.return_mispredicts,
-            &mut s.discoveries,
-            &mut s.trace_gaps,
-            &mut s.bubbles,
-            &mut s.zat_zot_zero_bubble,
-            &mut s.one_bubble_at,
-            &mut s.ubtb_zero_bubble,
-            &mut s.mrb_covered,
-            &mut s.pair_lead_taken,
-            &mut s.pair_second_taken,
-            &mut s.pair_both_not_taken,
-            &mut s.elo_skipped_lookups,
-            &mut s.shp_lookups,
-            &mut s.conf_flips_to_low,
-            &mut s.conf_flips_to_high,
-        ] {
-            *v = dec.u64()?;
-        }
-        Ok(())
-    }
-
-    impl Snapshot for FrontEnd {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::FRONTEND);
-            self.shp.save(enc);
-            self.hist.save(enc);
-            self.ubtb.save(enc);
-            self.btb.save(enc);
-            self.ras.save(enc);
-            self.indirect.save(enc);
-            self.confidence.save(enc);
-            match &self.mrb {
-                Some(m) => {
-                    enc.u8(1);
-                    m.save(enc);
-                }
-                None => enc.u8(0),
-            }
-            self.entropy.save(enc);
-            self.key.save(enc);
-            match self.expected_pc {
-                Some(pc) => {
-                    enc.u8(1);
-                    enc.u64(pc);
-                }
-                None => enc.u8(0),
-            }
-            save_opt_pair(enc, self.last_taken_branch);
-            save_opt_pair(enc, self.pending_zero_bubble);
-            enc.bool(self.pair_pending_second);
-            enc.seq(self.elo_bits.len());
-            for w in &self.elo_bits {
-                enc.u64(*w);
-            }
-            enc.u64(self.cur_line);
-            enc.bool(self.cur_line_had_branch);
-            save_stats(enc, &self.stats);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::FRONTEND)?;
-            self.shp.restore(dec)?;
-            self.hist.restore(dec)?;
-            self.ubtb.restore(dec)?;
-            self.btb.restore(dec)?;
-            self.ras.restore(dec)?;
-            self.indirect.restore(dec)?;
-            self.confidence.restore(dec)?;
-            let has_mrb = match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Corrupt { what: "frontend mrb flag" }),
-            };
-            match (&mut self.mrb, has_mrb) {
-                (Some(m), true) => m.restore(dec)?,
-                (None, false) => {}
-                (mine, _) => {
-                    return Err(SnapshotError::Geometry {
-                        what: "frontend mrb presence",
-                        expected: u64::from(mine.is_some()),
-                        found: u64::from(has_mrb),
-                    })
-                }
-            }
-            self.entropy.restore(dec)?;
-            self.key.restore(dec)?;
-            self.expected_pc = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()?),
-                _ => return Err(SnapshotError::Corrupt { what: "frontend expected-pc flag" }),
-            };
-            self.last_taken_branch = load_opt_pair(dec)?;
-            self.pending_zero_bubble = load_opt_pair(dec)?;
-            self.pair_pending_second = dec.bool()?;
-            let n = dec.seq(8)?;
-            if n != self.elo_bits.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "frontend elo bitmap",
-                    expected: self.elo_bits.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for w in &mut self.elo_bits {
-                *w = dec.u64()?;
-            }
-            self.cur_line = dec.u64()?;
-            self.cur_line_had_branch = dec.bool()?;
-            load_stats(dec, &mut self.stats)?;
-            // The restored RAS carries the snapshot's key; keep the
-            // front-end copy (used for re-keying) in sync with it.
+    impl FrontEnd {
+        /// The restored RAS carries the snapshot's key; keep the
+        /// front-end copy (used for re-keying) in sync with it.
+        fn sync_ras_key(&mut self) -> Result<(), SnapshotError> {
             self.ras.set_key(self.key);
-            dec.end_section()
+            Ok(())
         }
     }
 
@@ -906,6 +763,7 @@ mod snapshot_impl {
     mod tests {
         use super::*;
         use crate::config::FrontendConfig;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
         use exynos_trace::{BranchInfo, BranchKind, Inst, Reg};
 
         fn warmed_frontend(cfg: FrontendConfig) -> FrontEnd {
@@ -951,7 +809,7 @@ mod snapshot_impl {
         }
 
         #[test]
-        fn restore_into_wrong_generation_is_a_typed_error() {
+        fn wrong_generation_image_is_a_typed_error() {
             let cfgs = FrontendConfig::all_generations();
             let fe = warmed_frontend(cfgs[5].clone());
             let mut enc = Encoder::new();

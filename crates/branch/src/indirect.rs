@@ -66,7 +66,7 @@ impl IndirectConfig {
 }
 
 /// One indirect branch's learned target chain.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Chain {
     pc: u64,
     /// (target, per-virtual-branch bias weight), program order.
@@ -498,88 +498,15 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for IndirectPredictor {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::INDIRECT);
-            enc.seq(self.chains.len());
-            for c in &self.chains {
-                enc.u64(c.pc);
-                enc.seq(c.targets.len());
-                for (t, conf) in &c.targets {
-                    enc.u64(*t);
-                    enc.i8(*conf);
-                }
-                enc.u64(c.lru);
-            }
-            enc.seq(self.table.len());
-            for slot in &self.table {
-                match slot {
-                    Some((tag, tgt)) => {
-                        enc.u8(1);
-                        enc.u32(*tag);
-                        enc.u64(*tgt);
-                    }
-                    None => enc.u8(0),
-                }
-            }
-            enc.u32(self.target_hist);
-            enc.u64(self.stamp);
-            enc.u64(self.stats.lookups);
-            enc.u64(self.stats.correct);
-            enc.u64(self.stats.hash_hits);
-            enc.u64(self.stats.extra_cycles);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::INDIRECT)?;
-            let n = dec.seq(8)?;
-            if n > self.chain_capacity {
-                return Err(SnapshotError::Geometry {
-                    what: "indirect chains",
-                    expected: self.chain_capacity as u64,
-                    found: n as u64,
-                });
-            }
-            self.chains.clear();
-            for _ in 0..n {
-                let pc = dec.u64()?;
-                let t = dec.seq(9)?;
-                let mut targets = Vec::with_capacity(t);
-                for _ in 0..t {
-                    targets.push((dec.u64()?, dec.i8()?));
-                }
-                let lru = dec.u64()?;
-                self.chains.push(Chain { pc, targets, lru });
-            }
-            let t = dec.seq(1)?;
-            if t != self.table.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "indirect hash table",
-                    expected: self.table.len() as u64,
-                    found: t as u64,
-                });
-            }
-            for slot in &mut self.table {
-                *slot = match dec.u8()? {
-                    0 => None,
-                    1 => Some((dec.u32()?, dec.u64()?)),
-                    _ => {
-                        return Err(SnapshotError::Corrupt {
-                            what: "indirect table presence flag",
-                        })
-                    }
-                };
-            }
-            self.target_hist = dec.u32()?;
-            self.stamp = dec.u64()?;
-            self.stats.lookups = dec.u64()?;
-            self.stats.correct = dec.u64()?;
-            self.stats.hash_hits = dec.u64()?;
-            self.stats.extra_cycles = dec.u64()?;
-            dec.end_section()
+    layout! {
+        IndirectPredictor [tags::INDIRECT] |s| {
+            chains: Bounded(s.chain_capacity, "indirect chains"),
+            table: Fixed("indirect hash table"),
+            target_hist, stamp, stats,
         }
     }
+    layout! { Chain { pc, targets, lru } }
+    layout! { IndirectStats { lookups, correct, hash_hits, extra_cycles } }
 }

@@ -13,7 +13,7 @@
 /// Fetch addresses recorded per MRB entry (the paper uses three).
 pub const MRB_SEQ_LEN: usize = 3;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct MrbEntry {
     /// The mispredicting branch PC this entry covers.
     branch_pc: u64,
@@ -233,91 +233,23 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    impl Snapshot for Mrb {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::MRB);
-            enc.seq(self.entries.len());
-            for e in &self.entries {
-                enc.u64(e.branch_pc);
-                for a in e.seq {
-                    enc.u64(a);
-                }
-                enc.u8(e.len);
-                enc.u64(e.lru);
-            }
-            enc.u64(self.stamp);
-            enc.seq(self.playback.len());
-            for a in &self.playback {
-                enc.u64(*a);
-            }
-            match &self.recording {
-                Some((pc, addrs)) => {
-                    enc.u8(1);
-                    enc.u64(*pc);
-                    enc.seq(addrs.len());
-                    for a in addrs {
-                        enc.u64(*a);
-                    }
-                }
-                None => enc.u8(0),
-            }
-            enc.u64(self.stats.hits);
-            enc.u64(self.stats.misses);
-            enc.u64(self.stats.addresses_confirmed);
-            enc.u64(self.stats.addresses_corrected);
-            enc.end_section();
+    layout! {
+        Mrb [tags::MRB] |s| {
+            entries: Bounded(s.capacity, "mrb entries"),
+            stamp, playback, recording, stats,
         }
+    }
+    layout! { MrbEntry { branch_pc, seq, len, lru } then check_len }
+    layout! { MrbStats { hits, misses, addresses_confirmed, addresses_corrected } }
 
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::MRB)?;
-            let n = dec.seq(8)?;
-            if n > self.capacity {
-                return Err(SnapshotError::Geometry {
-                    what: "mrb entries",
-                    expected: self.capacity as u64,
-                    found: n as u64,
-                });
+    impl MrbEntry {
+        fn check_len(&mut self) -> Result<(), SnapshotError> {
+            if self.len as usize > MRB_SEQ_LEN {
+                return Err(SnapshotError::Corrupt { what: "mrb entry length" });
             }
-            self.entries.clear();
-            for _ in 0..n {
-                let branch_pc = dec.u64()?;
-                let mut seq = [0u64; MRB_SEQ_LEN];
-                for a in &mut seq {
-                    *a = dec.u64()?;
-                }
-                let len = dec.u8()?;
-                if len as usize > MRB_SEQ_LEN {
-                    return Err(SnapshotError::Corrupt { what: "mrb entry length" });
-                }
-                let lru = dec.u64()?;
-                self.entries.push(MrbEntry { branch_pc, seq, len, lru });
-            }
-            self.stamp = dec.u64()?;
-            let p = dec.seq(8)?;
-            self.playback.clear();
-            for _ in 0..p {
-                self.playback.push(dec.u64()?);
-            }
-            self.recording = match dec.u8()? {
-                0 => None,
-                1 => {
-                    let pc = dec.u64()?;
-                    let a = dec.seq(8)?;
-                    let mut addrs = Vec::with_capacity(a);
-                    for _ in 0..a {
-                        addrs.push(dec.u64()?);
-                    }
-                    Some((pc, addrs))
-                }
-                _ => return Err(SnapshotError::Corrupt { what: "mrb recording flag" }),
-            };
-            self.stats.hits = dec.u64()?;
-            self.stats.misses = dec.u64()?;
-            self.stats.addresses_confirmed = dec.u64()?;
-            self.stats.addresses_corrected = dec.u64()?;
-            dec.end_section()
+            Ok(())
         }
     }
 }

@@ -187,57 +187,22 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    impl Snapshot for Ras {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::RAS);
-            enc.seq(self.slots.len());
-            for slot in &self.slots {
-                match slot {
-                    Some(t) => {
-                        enc.u8(1);
-                        enc.u64(t.raw_bits());
-                    }
-                    None => enc.u8(0),
-                }
-            }
-            enc.usize(self.top);
-            enc.usize(self.depth);
-            self.key.save(enc);
-            enc.u64(self.stats.overflows);
-            enc.u64(self.stats.underflows);
-            enc.end_section();
-        }
+    layout! {
+        Ras [tags::RAS] {
+            slots: Fixed("ras slots"),
+            top, depth, key, stats,
+        } then check_top
+    }
+    layout! { RasStats { overflows, underflows } }
 
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::RAS)?;
-            let n = dec.seq(1)?;
-            if n != self.slots.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "ras slots",
-                    expected: self.slots.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for slot in &mut self.slots {
-                *slot = match dec.u8()? {
-                    0 => None,
-                    1 => Some(EncryptedTarget::from_raw(dec.u64()?)),
-                    _ => return Err(SnapshotError::Corrupt { what: "ras slot presence flag" }),
-                };
-            }
-            let top = dec.usize()?;
-            let depth = dec.usize()?;
-            if top >= self.capacity.max(1) || depth > self.capacity {
+    impl Ras {
+        fn check_top(&mut self) -> Result<(), SnapshotError> {
+            if self.top >= self.capacity.max(1) || self.depth > self.capacity {
                 return Err(SnapshotError::Corrupt { what: "ras top/depth out of range" });
             }
-            self.top = top;
-            self.depth = depth;
-            self.key.restore(dec)?;
-            self.stats.overflows = dec.u64()?;
-            self.stats.underflows = dec.u64()?;
-            dec.end_section()
+            Ok(())
         }
     }
 }

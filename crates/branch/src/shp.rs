@@ -453,36 +453,7 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for Shp {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::SHP);
-            enc.seq(self.weights.len());
-            for w in &self.weights {
-                enc.i8(*w);
-            }
-            enc.i32(self.theta);
-            enc.i32(self.theta_ctr);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::SHP)?;
-            let n = dec.seq(1)?;
-            if n != self.weights.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "shp weight table",
-                    expected: self.weights.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for w in &mut self.weights {
-                *w = dec.i8()?;
-            }
-            self.theta = dec.i32()?;
-            self.theta_ctr = dec.i32()?;
-            dec.end_section()
-        }
-    }
+    layout! { Shp [tags::SHP] { weights: Fixed("shp weight table"), theta, theta_ctr } }
 }

@@ -15,6 +15,9 @@
 //! M3 doubled the graph size with uncond-only entries (§IV.C); M5 shrank
 //! the µBTB and let ZAT/ZOT participate more (§IV.E).
 
+/// Seeds awaiting their second occurrence; the oldest is dropped first.
+const SEED_FILTER_CAP: usize = 16;
+
 /// Geometry/tuning of the µBTB.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UbtbConfig {
@@ -71,7 +74,7 @@ impl UbtbConfig {
 }
 
 /// One learned branch node in the µBTB graph.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Node {
     pc: u64,
     taken_target: u64,
@@ -287,7 +290,7 @@ impl MicroBtb {
             self.seed_filter.remove(pos);
             self.allocate(pc, target, is_uncond);
         } else {
-            if self.seed_filter.len() >= 16 {
+            if self.seed_filter.len() >= SEED_FILTER_CAP {
                 self.seed_filter.remove(0);
             }
             self.seed_filter.push((pc, target));
@@ -500,94 +503,53 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for MicroBtb {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::UBTB);
-            enc.seq(self.nodes.len());
-            for n in &self.nodes {
-                enc.u64(n.pc);
-                enc.u64(n.taken_target);
-                enc.bool(n.is_uncond);
-                enc.u16(n.local_history);
-                enc.bool(n.saw_taken);
-                enc.bool(n.saw_not_taken);
-                enc.u64(n.lru);
-                enc.bool(n.built);
-            }
-            enc.seq(self.lhp.len());
-            for w in &self.lhp {
-                enc.i8(*w);
-            }
-            enc.seq(self.seed_filter.len());
-            for (a, b) in &self.seed_filter {
-                enc.u64(*a);
-                enc.u64(*b);
-            }
-            enc.u64(self.stamp);
-            enc.u32(self.streak);
-            enc.bool(self.locked);
-            enc.bool(self.disabled);
-            enc.u64(self.stats.locked_predictions);
-            enc.u64(self.stats.locks);
-            enc.u64(self.stats.unlocks);
-            enc.u64(self.stats.gated_cycles);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::UBTB)?;
-            let n = dec.seq(8)?;
+    layout! {
+        MicroBtb [tags::UBTB] |s| {
             // `allocate` bounds the pools separately (conditionals by the
             // general pool, unconditionals by the whole arena), so the
             // arena can legitimately hold up to total + general nodes.
-            let cap = self.cfg.total_nodes() + self.cfg.general_nodes;
-            if n > cap {
-                return Err(SnapshotError::Geometry {
-                    what: "ubtb nodes",
-                    expected: cap as u64,
-                    found: n as u64,
-                });
+            nodes: Bounded(s.cfg.total_nodes() + s.cfg.general_nodes, "ubtb nodes"),
+            lhp: Fixed("ubtb loop-history table"),
+            seed_filter: Bounded(SEED_FILTER_CAP, "ubtb seed filter"),
+            stamp, streak, locked, disabled, stats,
+        }
+    }
+    layout! {
+        Node { pc, taken_target, is_uncond, local_history, saw_taken, saw_not_taken, lru, built }
+    }
+    layout! { UbtbStats { locked_predictions, locks, unlocks, gated_cycles } }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot, SnapshotError};
+
+        /// `consider_seed` drops the oldest seed before adding one, so a
+        /// filter above the cap cannot come from a run.
+        #[test]
+        fn over_capacity_seed_filter_is_geometry() {
+            for extra in [0u64, 1] {
+                let mut u = MicroBtb::new(UbtbConfig::m1());
+                u.seed_filter = (0..SEED_FILTER_CAP as u64 + extra).map(|i| (i, i)).collect();
+                let mut enc = Encoder::new();
+                u.save(&mut enc);
+                let bytes = enc.finish();
+                let got = MicroBtb::new(UbtbConfig::m1()).restore(&mut Decoder::new(&bytes));
+                if extra == 0 {
+                    assert_eq!(got, Ok(()));
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(SnapshotError::Geometry {
+                            what: "ubtb seed filter",
+                            expected: SEED_FILTER_CAP as u64,
+                            found: SEED_FILTER_CAP as u64 + 1,
+                        })
+                    );
+                }
             }
-            self.nodes.clear();
-            for _ in 0..n {
-                self.nodes.push(Node {
-                    pc: dec.u64()?,
-                    taken_target: dec.u64()?,
-                    is_uncond: dec.bool()?,
-                    local_history: dec.u16()?,
-                    saw_taken: dec.bool()?,
-                    saw_not_taken: dec.bool()?,
-                    lru: dec.u64()?,
-                    built: dec.bool()?,
-                });
-            }
-            let l = dec.seq(1)?;
-            if l != self.lhp.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "ubtb loop-history table",
-                    expected: self.lhp.len() as u64,
-                    found: l as u64,
-                });
-            }
-            for w in &mut self.lhp {
-                *w = dec.i8()?;
-            }
-            let f = dec.seq(16)?;
-            self.seed_filter.clear();
-            for _ in 0..f {
-                self.seed_filter.push((dec.u64()?, dec.u64()?));
-            }
-            self.stamp = dec.u64()?;
-            self.streak = dec.u32()?;
-            self.locked = dec.bool()?;
-            self.disabled = dec.bool()?;
-            self.stats.locked_predictions = dec.u64()?;
-            self.stats.locks = dec.u64()?;
-            self.stats.unlocks = dec.u64()?;
-            self.stats.gated_cycles = dec.u64()?;
-            dec.end_section()
         }
     }
 }

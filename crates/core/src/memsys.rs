@@ -16,6 +16,9 @@ use exynos_prefetch::{
 };
 use std::collections::VecDeque;
 
+/// Buddy-filled lines tracked for usefulness; the oldest is dropped first.
+const BUDDY_WINDOW: usize = 64;
+
 /// Aggregate memory-system statistics.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MemStats {
@@ -301,7 +304,7 @@ impl MemSystem {
                 let l3_lat = self.l3.as_ref().map(|c| c.config().latency as u64).unwrap_or(0);
                 self.background_fill_l2(baddr, now + l3_lat, AccessKind::Prefetch);
                 self.buddy_lines.push_back(baddr / 64);
-                if self.buddy_lines.len() > 64 {
+                if self.buddy_lines.len() > BUDDY_WINDOW {
                     self.buddy_lines.pop_front();
                 }
                 self.stats.buddy_fills += 1;
@@ -780,120 +783,33 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    fn save_opt<T: Snapshot>(enc: &mut Encoder, v: &Option<T>) {
-        match v {
-            Some(x) => {
-                enc.u8(1);
-                x.save(enc);
-            }
-            None => enc.u8(0),
+    layout! {
+        MemSystem [tags::MEMSYS] {
+            l1i, l1d, l2,
+            l3: Present("l3 presence"),
+            tlb, mabs, l1pf, twopass,
+            buddy: Present("buddy presence"),
+            buddy_lines: Bounded(BUDDY_WINDOW, "buddy usefulness window"),
+            standalone: Present("standalone presence"),
+            spec, snoop, dram, stats,
+        } then clear_scratch
+    }
+    layout! {
+        MemStats {
+            loads, stores, l1_hits, l2_hits, l3_hits, dram_loads, total_load_latency, mab_stalls,
+            l1_prefetch_fills, buddy_fills, standalone_fills, spec_read_wins, icache_misses,
         }
     }
 
-    fn load_opt<T: Snapshot>(
-        dec: &mut Decoder<'_>,
-        v: &mut Option<T>,
-        what: &'static str,
-    ) -> Result<(), SnapshotError> {
-        let present = match dec.u8()? {
-            0 => false,
-            1 => true,
-            _ => return Err(SnapshotError::Corrupt { what }),
-        };
-        match (v, present) {
-            (Some(x), true) => x.restore(dec),
-            (None, false) => Ok(()),
-            (mine, _) => Err(SnapshotError::Geometry {
-                what,
-                expected: u64::from(mine.is_some()),
-                found: u64::from(present),
-            }),
-        }
-    }
-
-    impl Snapshot for MemSystem {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::MEMSYS);
-            self.l1i.save(enc);
-            self.l1d.save(enc);
-            self.l2.save(enc);
-            save_opt(enc, &self.l3);
-            self.tlb.save(enc);
-            self.mabs.save(enc);
-            self.l1pf.save(enc);
-            self.twopass.save(enc);
-            save_opt(enc, &self.buddy);
-            enc.seq(self.buddy_lines.len());
-            for l in &self.buddy_lines {
-                enc.u64(*l);
-            }
-            save_opt(enc, &self.standalone);
-            self.spec.save(enc);
-            self.snoop.save(enc);
-            self.dram.save(enc);
-            enc.u64(self.stats.loads);
-            enc.u64(self.stats.stores);
-            enc.u64(self.stats.l1_hits);
-            enc.u64(self.stats.l2_hits);
-            enc.u64(self.stats.l3_hits);
-            enc.u64(self.stats.dram_loads);
-            enc.u64(self.stats.total_load_latency);
-            enc.u64(self.stats.mab_stalls);
-            enc.u64(self.stats.l1_prefetch_fills);
-            enc.u64(self.stats.buddy_fills);
-            enc.u64(self.stats.standalone_fills);
-            enc.u64(self.stats.spec_read_wins);
-            enc.u64(self.stats.icache_misses);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::MEMSYS)?;
-            self.l1i.restore(dec)?;
-            self.l1d.restore(dec)?;
-            self.l2.restore(dec)?;
-            load_opt(dec, &mut self.l3, "l3 presence")?;
-            self.tlb.restore(dec)?;
-            self.mabs.restore(dec)?;
-            self.l1pf.restore(dec)?;
-            self.twopass.restore(dec)?;
-            load_opt(dec, &mut self.buddy, "buddy presence")?;
-            let nb = dec.seq(8)?;
-            if nb > 64 {
-                return Err(SnapshotError::Geometry {
-                    what: "buddy usefulness window",
-                    expected: 64,
-                    found: nb as u64,
-                });
-            }
-            self.buddy_lines.clear();
-            for _ in 0..nb {
-                self.buddy_lines.push_back(dec.u64()?);
-            }
-            load_opt(dec, &mut self.standalone, "standalone presence")?;
-            self.spec.restore(dec)?;
-            self.snoop.restore(dec)?;
-            self.dram.restore(dec)?;
-            self.stats.loads = dec.u64()?;
-            self.stats.stores = dec.u64()?;
-            self.stats.l1_hits = dec.u64()?;
-            self.stats.l2_hits = dec.u64()?;
-            self.stats.l3_hits = dec.u64()?;
-            self.stats.dram_loads = dec.u64()?;
-            self.stats.total_load_latency = dec.u64()?;
-            self.stats.mab_stalls = dec.u64()?;
-            self.stats.l1_prefetch_fills = dec.u64()?;
-            self.stats.buddy_fills = dec.u64()?;
-            self.stats.standalone_fills = dec.u64()?;
-            self.stats.spec_read_wins = dec.u64()?;
-            self.stats.icache_misses = dec.u64()?;
-            // The scratch buffers are transient step-loop storage: always
-            // empty between steps, so a resumed run starts them empty too.
+    impl MemSystem {
+        /// The scratch buffers are transient step-loop storage: always
+        /// empty between steps, so a resumed run starts them empty too.
+        fn clear_scratch(&mut self) -> Result<(), SnapshotError> {
             self.scratch_lines.clear();
             self.scratch_reqs.clear();
-            dec.end_section()
+            Ok(())
         }
     }
 }

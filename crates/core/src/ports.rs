@@ -57,7 +57,7 @@ pub struct PortSchedule {
     caps: [u32; Resource::COUNT],
     /// used[cycle % WINDOW][resource], valid iff stamp matches.
     used: Vec<[u32; Resource::COUNT]>,
-    stamps: Vec<u64>,
+    stamps: [u64; WINDOW],
 }
 
 impl PortSchedule {
@@ -76,7 +76,7 @@ impl PortSchedule {
         PortSchedule {
             caps,
             used: vec![[0; Resource::COUNT]; WINDOW],
-            stamps: vec![u64::MAX; WINDOW],
+            stamps: [u64::MAX; WINDOW],
         }
     }
 
@@ -165,42 +165,7 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for PortSchedule {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::PORTS);
-            enc.seq(self.used.len());
-            for row in &self.used {
-                for v in row {
-                    enc.u32(*v);
-                }
-            }
-            for s in &self.stamps {
-                enc.u64(*s);
-            }
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::PORTS)?;
-            let n = dec.seq(Resource::COUNT * 4 + 8)?;
-            if n != self.used.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "port booking window",
-                    expected: self.used.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for row in &mut self.used {
-                for v in row.iter_mut() {
-                    *v = dec.u32()?;
-                }
-            }
-            for s in &mut self.stamps {
-                *s = dec.u64()?;
-            }
-            dec.end_section()
-        }
-    }
+    layout! { PortSchedule [tags::PORTS] { used: Fixed("port booking window"), stamps } }
 }

@@ -225,41 +225,11 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for Bank {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::DRAM_BANK);
-            match self.open_row {
-                Some(r) => {
-                    enc.u8(1);
-                    enc.u64(r);
-                }
-                None => enc.u8(0),
-            }
-            enc.u64(self.row_ready_at);
-            enc.u64(self.busy_demand);
-            enc.u64(self.busy_any);
-            enc.u64(self.hits);
-            enc.u64(self.misses);
-            enc.u64(self.conflicts);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::DRAM_BANK)?;
-            self.open_row = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()?),
-                _ => return Err(SnapshotError::Corrupt { what: "open-row flag" }),
-            };
-            self.row_ready_at = dec.u64()?;
-            self.busy_demand = dec.u64()?;
-            self.busy_any = dec.u64()?;
-            self.hits = dec.u64()?;
-            self.misses = dec.u64()?;
-            self.conflicts = dec.u64()?;
-            dec.end_section()
+    layout! {
+        Bank [tags::DRAM_BANK] {
+            open_row, row_ready_at, busy_demand, busy_any, hits, misses, conflicts,
         }
     }
 }

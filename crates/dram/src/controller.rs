@@ -251,42 +251,8 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for MemoryController {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::DRAM_CONTROLLER);
-            enc.seq(self.banks.len());
-            for b in &self.banks {
-                b.save(enc);
-            }
-            enc.u64(self.stats.reads);
-            enc.u64(self.stats.row_hits);
-            enc.u64(self.stats.hints);
-            enc.u64(self.stats.prefetch_deferred);
-            enc.u64(self.stats.total_latency);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::DRAM_CONTROLLER)?;
-            let n = dec.seq(16)?;
-            if n != self.banks.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "dram banks",
-                    expected: self.banks.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for b in &mut self.banks {
-                b.restore(dec)?;
-            }
-            self.stats.reads = dec.u64()?;
-            self.stats.row_hits = dec.u64()?;
-            self.stats.hints = dec.u64()?;
-            self.stats.prefetch_deferred = dec.u64()?;
-            self.stats.total_latency = dec.u64()?;
-            dec.end_section()
-        }
-    }
+    layout! { MemoryController [tags::DRAM_CONTROLLER] { banks: Fixed("dram banks"), stats } }
+    layout! { DramStats { reads, row_hits, hints, prefetch_deferred, total_latency } }
 }

@@ -276,86 +276,12 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for MissPredictor {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::MISS_PREDICTOR);
-            enc.seq(self.ctrs.len());
-            for c in &self.ctrs {
-                enc.i8(*c);
-            }
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::MISS_PREDICTOR)?;
-            let n = dec.seq(1)?;
-            if n != self.ctrs.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "miss-predictor counters",
-                    expected: self.ctrs.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for c in &mut self.ctrs {
-                *c = dec.i8()?;
-            }
-            dec.end_section()
-        }
+    layout! { MissPredictor [tags::MISS_PREDICTOR] { ctrs: Fixed("miss-predictor counters") } }
+    layout! {
+        SnoopFilter [tags::SNOOP_FILTER] { entries: Fixed("snoop-filter entries"), stamp }
     }
-
-    impl Snapshot for SnoopFilter {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::SNOOP_FILTER);
-            enc.seq(self.entries.len());
-            for (line, lru) in &self.entries {
-                enc.u64(*line);
-                enc.u64(*lru);
-            }
-            enc.u64(self.stamp);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::SNOOP_FILTER)?;
-            let n = dec.seq(16)?;
-            if n != self.entries.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "snoop-filter entries",
-                    expected: self.entries.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for e in &mut self.entries {
-                *e = (dec.u64()?, dec.u64()?);
-            }
-            self.stamp = dec.u64()?;
-            dec.end_section()
-        }
-    }
-
-    impl Snapshot for SpecReadController {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::SPEC_READ);
-            self.predictor.save(enc);
-            enc.bool(self.enabled);
-            enc.u64(self.stats.speculated);
-            enc.u64(self.stats.cancelled);
-            enc.u64(self.stats.useful);
-            enc.u64(self.stats.wasted);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::SPEC_READ)?;
-            self.predictor.restore(dec)?;
-            self.enabled = dec.bool()?;
-            self.stats.speculated = dec.u64()?;
-            self.stats.cancelled = dec.u64()?;
-            self.stats.useful = dec.u64()?;
-            self.stats.wasted = dec.u64()?;
-            dec.end_section()
-        }
-    }
+    layout! { SpecReadController [tags::SPEC_READ] { predictor, enabled, stats } }
+    layout! { SpecReadStats { speculated, cancelled, useful, wasted } }
 }

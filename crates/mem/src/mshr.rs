@@ -152,38 +152,12 @@ impl MissBuffers {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for MissBuffers {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::MSHR);
-            enc.seq(self.slots.len());
-            for s in &self.slots {
-                enc.u64(*s);
-            }
-            enc.usize(self.peak);
-            enc.u64(self.allocations);
-            enc.u64(self.rejections);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::MSHR)?;
-            let n = dec.seq(8)?;
-            if n != self.slots.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "miss-buffer slots",
-                    expected: self.slots.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for s in &mut self.slots {
-                *s = dec.u64()?;
-            }
-            self.peak = dec.usize()?;
-            self.allocations = dec.u64()?;
-            self.rejections = dec.u64()?;
-            dec.end_section()
+    layout! {
+        MissBuffers [tags::MSHR] {
+            slots: Fixed("miss-buffer slots"),
+            peak, allocations, rejections,
         }
     }
 }

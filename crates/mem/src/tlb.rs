@@ -330,81 +330,14 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for Tlb {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::TLB);
-            enc.seq(self.entries.len());
-            for (vpn, valid, lru) in &self.entries {
-                enc.u64(*vpn);
-                enc.u64(*valid);
-                enc.u64(*lru);
-            }
-            enc.u64(self.stamp);
-            enc.u64(self.hits);
-            enc.u64(self.misses);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::TLB)?;
-            let n = dec.seq(24)?;
-            if n != self.entries.len() {
-                return Err(SnapshotError::Geometry {
-                    what: "tlb entries",
-                    expected: self.entries.len() as u64,
-                    found: n as u64,
-                });
-            }
-            for e in &mut self.entries {
-                *e = (dec.u64()?, dec.u64()?, dec.u64()?);
-            }
-            self.stamp = dec.u64()?;
-            self.hits = dec.u64()?;
-            self.misses = dec.u64()?;
-            dec.end_section()
-        }
-    }
-
-    impl Snapshot for TlbHierarchy {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::TLB_HIERARCHY);
-            self.itlb.save(enc);
-            self.dtlb.save(enc);
-            match &self.dtlb15 {
-                Some(t) => {
-                    enc.u8(1);
-                    t.save(enc);
-                }
-                None => enc.u8(0),
-            }
-            self.l2tlb.save(enc);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::TLB_HIERARCHY)?;
-            self.itlb.restore(dec)?;
-            self.dtlb.restore(dec)?;
-            let has_15 = match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Corrupt { what: "dtlb1.5 presence flag" }),
-            };
-            match (&mut self.dtlb15, has_15) {
-                (Some(t), true) => t.restore(dec)?,
-                (None, false) => {}
-                (mine, _) => {
-                    return Err(SnapshotError::Geometry {
-                        what: "dtlb1.5 presence",
-                        expected: u64::from(mine.is_some()),
-                        found: u64::from(has_15),
-                    })
-                }
-            }
-            self.l2tlb.restore(dec)?;
-            dec.end_section()
+    layout! { Tlb [tags::TLB] { entries: Fixed("tlb entries"), stamp, hits, misses } }
+    layout! {
+        TlbHierarchy [tags::TLB_HIERARCHY] {
+            itlb, dtlb,
+            dtlb15: Present("dtlb1.5 presence"),
+            l2tlb,
         }
     }
 }

@@ -144,37 +144,17 @@ impl BuddyPrefetcher {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    impl Snapshot for BuddyPrefetcher {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::BUDDY);
-            enc.i32(self.score);
-            enc.i32(self.min);
-            enc.i32(self.max);
-            enc.u64(self.stats.issued);
-            enc.u64(self.stats.suppressed);
-            enc.u64(self.stats.useful);
-            enc.u64(self.stats.wasted);
-            enc.end_section();
-        }
+    layout! { BuddyPrefetcher [tags::BUDDY] { score, min, max, stats } then check_bounds }
+    layout! { BuddyStats { issued, suppressed, useful, wasted } }
 
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::BUDDY)?;
-            let score = dec.i32()?;
-            let min = dec.i32()?;
-            let max = dec.i32()?;
-            if min > max || score < min || score > max {
+    impl BuddyPrefetcher {
+        fn check_bounds(&mut self) -> Result<(), SnapshotError> {
+            if self.min > self.max || self.score < self.min || self.score > self.max {
                 return Err(SnapshotError::Corrupt { what: "buddy score bounds" });
             }
-            self.score = score;
-            self.min = min;
-            self.max = max;
-            self.stats.issued = dec.u64()?;
-            self.stats.suppressed = dec.u64()?;
-            self.stats.useful = dec.u64()?;
-            self.stats.wasted = dec.u64()?;
-            dec.end_section()
+            Ok(())
         }
     }
 }

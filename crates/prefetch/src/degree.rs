@@ -133,33 +133,20 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
-    impl Snapshot for DegreeController {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::DEGREE);
-            enc.u32(self.degree);
-            enc.u32(self.min);
-            enc.u32(self.max);
-            enc.u32(self.issued_in_window);
-            enc.u32(self.confirms_in_window);
-            enc.end_section();
-        }
+    layout! {
+        DegreeController [tags::DEGREE] {
+            degree, min, max, issued_in_window, confirms_in_window,
+        } then check_bounds
+    }
 
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::DEGREE)?;
-            let degree = dec.u32()?;
-            let min = dec.u32()?;
-            let max = dec.u32()?;
-            if min < 1 || min > degree || degree > max {
+    impl DegreeController {
+        fn check_bounds(&mut self) -> Result<(), SnapshotError> {
+            if self.min < 1 || self.min > self.degree || self.degree > self.max {
                 return Err(SnapshotError::Corrupt { what: "degree controller bounds" });
             }
-            self.degree = degree;
-            self.min = min;
-            self.max = max;
-            self.issued_in_window = dec.u32()?;
-            self.confirms_in_window = dec.u32()?;
-            dec.end_section()
+            Ok(())
         }
     }
 }

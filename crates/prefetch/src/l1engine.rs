@@ -214,46 +214,9 @@ impl L1Prefetcher {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for L1Prefetcher {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::L1_PREFETCHER);
-            self.reorder.save(enc);
-            self.stride.save(enc);
-            match &self.sms {
-                Some(sms) => {
-                    enc.u8(1);
-                    sms.save(enc);
-                }
-                None => enc.u8(0),
-            }
-            enc.u64(self.seq);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::L1_PREFETCHER)?;
-            self.reorder.restore(dec)?;
-            self.stride.restore(dec)?;
-            let has_sms = match dec.u8()? {
-                0 => false,
-                1 => true,
-                _ => return Err(SnapshotError::Corrupt { what: "sms presence flag" }),
-            };
-            match (&mut self.sms, has_sms) {
-                (Some(sms), true) => sms.restore(dec)?,
-                (None, false) => {}
-                (mine, _) => {
-                    return Err(SnapshotError::Geometry {
-                        what: "sms presence",
-                        expected: u64::from(mine.is_some()),
-                        found: u64::from(has_sms),
-                    })
-                }
-            }
-            self.seq = dec.u64()?;
-            dec.end_section()
-        }
+    layout! {
+        L1Prefetcher [tags::L1_PREFETCHER] { reorder, stride, sms: Present("sms presence"), seq }
     }
 }

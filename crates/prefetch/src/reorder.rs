@@ -185,56 +185,14 @@ impl AddressReorderBuffer {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for AddressReorderBuffer {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::REORDER);
-            enc.seq(self.pending.len());
-            for (seq, line) in &self.pending {
-                enc.u64(*seq);
-                enc.u64(*line);
-            }
-            enc.u64(self.next_seq);
-            enc.seq(self.recent_lines.len());
-            for l in &self.recent_lines {
-                enc.u64(*l);
-            }
-            enc.u64(self.filtered);
-            enc.u64(self.overflows);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::REORDER)?;
-            let n = dec.seq(16)?;
-            if n > self.capacity + 1 {
-                return Err(SnapshotError::Geometry {
-                    what: "reorder pending entries",
-                    expected: self.capacity as u64,
-                    found: n as u64,
-                });
-            }
-            self.pending.clear();
-            for _ in 0..n {
-                self.pending.push((dec.u64()?, dec.u64()?));
-            }
-            self.next_seq = dec.u64()?;
-            let r = dec.seq(8)?;
-            if r > self.filter_depth {
-                return Err(SnapshotError::Geometry {
-                    what: "reorder duplicate filter",
-                    expected: self.filter_depth as u64,
-                    found: r as u64,
-                });
-            }
-            self.recent_lines.clear();
-            for _ in 0..r {
-                self.recent_lines.push_back(dec.u64()?);
-            }
-            self.filtered = dec.u64()?;
-            self.overflows = dec.u64()?;
-            dec.end_section()
+    layout! {
+        AddressReorderBuffer [tags::REORDER] |s| {
+            pending: Bounded(s.capacity + 1, "reorder pending entries"),
+            next_seq,
+            recent_lines: Bounded(s.filter_depth, "reorder duplicate filter"),
+            filtered, overflows,
         }
     }
 }

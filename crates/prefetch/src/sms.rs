@@ -69,7 +69,7 @@ struct Signature {
 }
 
 /// A region whose accesses are currently being recorded.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ActiveRegion {
     region: u64,
     primary_pc: u64,
@@ -346,77 +346,23 @@ impl SmsEngine {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for SmsEngine {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::SMS);
-            enc.seq(self.signatures.len());
-            for s in &self.signatures {
-                enc.u64(s.pc);
-                enc.bytes(&s.conf);
-                enc.u64(s.lru);
-            }
-            enc.seq(self.active.len());
-            for a in &self.active {
-                enc.u64(a.region);
-                enc.u64(a.primary_pc);
-                enc.u64(a.touched);
-                enc.u64(a.lru);
-            }
-            enc.u64(self.stamp);
-            enc.u64(self.stats.generations);
-            enc.u64(self.stats.trainings);
-            enc.u64(self.stats.l1_prefetches);
-            enc.u64(self.stats.l2_prefetches);
-            enc.u64(self.stats.suppressed);
-            enc.end_section();
+    layout! {
+        SmsEngine [tags::SMS] |s| {
+            signatures: Bounded(s.cfg.signatures, "sms signatures"),
+            active: Bounded(s.cfg.active_regions, "sms active regions"),
+            stamp, stats,
         }
+    }
+    layout! { Signature { pc, conf, lru } }
+    layout! { ActiveRegion { region, primary_pc, touched, lru } }
+    layout! { SmsStats { generations, trainings, l1_prefetches, l2_prefetches, suppressed } }
 
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::SMS)?;
-            let ns = dec.seq(16 + LINES_PER_REGION)?;
-            if ns > self.cfg.signatures {
-                return Err(SnapshotError::Geometry {
-                    what: "sms signatures",
-                    expected: self.cfg.signatures as u64,
-                    found: ns as u64,
-                });
-            }
-            self.signatures.clear();
-            for _ in 0..ns {
-                let pc = dec.u64()?;
-                let mut conf = [0u8; LINES_PER_REGION];
-                for c in &mut conf {
-                    *c = dec.u8()?;
-                }
-                let lru = dec.u64()?;
-                self.signatures.push(Signature { pc, conf, lru });
-            }
-            let na = dec.seq(32)?;
-            if na > self.cfg.active_regions {
-                return Err(SnapshotError::Geometry {
-                    what: "sms active regions",
-                    expected: self.cfg.active_regions as u64,
-                    found: na as u64,
-                });
-            }
-            self.active.clear();
-            for _ in 0..na {
-                self.active.push(ActiveRegion {
-                    region: dec.u64()?,
-                    primary_pc: dec.u64()?,
-                    touched: dec.u64()?,
-                    lru: dec.u64()?,
-                });
-            }
-            self.stamp = dec.u64()?;
-            self.stats.generations = dec.u64()?;
-            self.stats.trainings = dec.u64()?;
-            self.stats.l1_prefetches = dec.u64()?;
-            self.stats.l2_prefetches = dec.u64()?;
-            self.stats.suppressed = dec.u64()?;
-            dec.end_section()
+    /// The blank signature a restored one is decoded into.
+    impl Default for Signature {
+        fn default() -> Signature {
+            Signature { pc: 0, conf: [0; LINES_PER_REGION], lru: 0 }
         }
     }
 }

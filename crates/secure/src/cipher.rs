@@ -16,7 +16,7 @@ use crate::context::ContextHash;
 ///
 /// The newtype prevents an encrypted value from being used as a fetch
 /// address without going through [`decrypt_target`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct EncryptedTarget(u64);
 
 impl EncryptedTarget {
@@ -117,4 +117,11 @@ mod tests {
             assert_eq!(unpermute(permute(y)), y);
         }
     }
+}
+
+mod snapshot_impl {
+    use super::*;
+    use exynos_snapshot::layout;
+
+    layout! { EncryptedTarget { 0 } }
 }

@@ -259,55 +259,16 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{layout, tags};
 
-    impl Snapshot for ContextHash {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::CONTEXT_HASH);
-            enc.u64(self.0);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::CONTEXT_HASH)?;
-            self.0 = dec.u64()?;
-            dec.end_section()
-        }
+    layout! { ContextHash [tags::CONTEXT_HASH] { 0 } }
+    layout! {
+        EntropySources [tags::ENTROPY] { sw_entropy, hw_entropy_level, hw_entropy_state }
     }
-
-    impl Snapshot for EntropySources {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::ENTROPY);
-            for v in self.sw_entropy {
-                enc.u64(v);
-            }
-            for v in self.hw_entropy_level {
-                enc.u64(v);
-            }
-            for v in self.hw_entropy_state {
-                enc.u64(v);
-            }
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::ENTROPY)?;
-            for v in &mut self.sw_entropy {
-                *v = dec.u64()?;
-            }
-            for v in &mut self.hw_entropy_level {
-                *v = dec.u64()?;
-            }
-            for v in &mut self.hw_entropy_state {
-                *v = dec.u64()?;
-            }
-            dec.end_section()
-        }
-    }
-
     #[cfg(test)]
     mod tests {
         use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
 
         #[test]
         fn context_state_roundtrips_bit_identically() {

@@ -97,7 +97,7 @@ impl Default for UocConfig {
 }
 
 /// One cached basic block.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct UocBlock {
     /// Block start PC (tag).
     start: u64,
@@ -559,98 +559,33 @@ impl Uoc {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{tags, Decoder, Encoder, Snapshot, SnapshotError};
+    use exynos_snapshot::{codes, layout, tags, SnapshotError};
 
-    fn mode_to_u8(m: UocMode) -> u8 {
-        match m {
-            UocMode::Filter => 0,
-            UocMode::Build => 1,
-            UocMode::Fetch => 2,
+    codes! {
+        ModeCode: UocMode as u8, "uoc mode tag" { Filter = 0, Build = 1, Fetch = 2 }
+    }
+
+    layout! {
+        Uoc [tags::UOC] {
+            mode: Via(ModeCode),
+            blocks, used_uops, build_edge, fetch_edge, build_timer, stamp, cur_block_start,
+            cur_block_uops, stats,
+        } then reset_find_hint
+    }
+    layout! { UocBlock { start, branch_pc, uops, lru } }
+    layout! {
+        UocStats {
+            filter_blocks, build_blocks, fetch_blocks, uops_supplied, builds, evictions, promotions,
+            demotions, squashed_builds,
         }
     }
 
-    fn mode_from_u8(v: u8) -> Result<UocMode, SnapshotError> {
-        Ok(match v {
-            0 => UocMode::Filter,
-            1 => UocMode::Build,
-            2 => UocMode::Fetch,
-            _ => return Err(SnapshotError::Corrupt { what: "uoc mode tag" }),
-        })
-    }
-
-    impl Snapshot for Uoc {
-        fn save(&self, enc: &mut Encoder) {
-            enc.begin_section(tags::UOC);
-            enc.u8(mode_to_u8(self.mode));
-            enc.seq(self.blocks.len());
-            for b in &self.blocks {
-                enc.u64(b.start);
-                enc.u64(b.branch_pc);
-                enc.u32(b.uops);
-                enc.u64(b.lru);
-            }
-            enc.u32(self.used_uops);
-            enc.u32(self.build_edge);
-            enc.u32(self.fetch_edge);
-            enc.u32(self.build_timer);
-            enc.u64(self.stamp);
-            match self.cur_block_start {
-                Some(pc) => {
-                    enc.u8(1);
-                    enc.u64(pc);
-                }
-                None => enc.u8(0),
-            }
-            enc.u32(self.cur_block_uops);
-            enc.u64(self.stats.filter_blocks);
-            enc.u64(self.stats.build_blocks);
-            enc.u64(self.stats.fetch_blocks);
-            enc.u64(self.stats.uops_supplied);
-            enc.u64(self.stats.builds);
-            enc.u64(self.stats.evictions);
-            enc.u64(self.stats.promotions);
-            enc.u64(self.stats.demotions);
-            enc.u64(self.stats.squashed_builds);
-            enc.end_section();
-        }
-
-        fn restore(&mut self, dec: &mut Decoder<'_>) -> Result<(), SnapshotError> {
-            dec.begin_section(tags::UOC)?;
-            self.mode = mode_from_u8(dec.u8()?)?;
-            let n = dec.seq(28)?;
-            self.blocks.clear();
-            for _ in 0..n {
-                self.blocks.push(UocBlock {
-                    start: dec.u64()?,
-                    branch_pc: dec.u64()?,
-                    uops: dec.u32()?,
-                    lru: dec.u64()?,
-                });
-            }
-            self.used_uops = dec.u32()?;
-            self.build_edge = dec.u32()?;
-            self.fetch_edge = dec.u32()?;
-            self.build_timer = dec.u32()?;
-            self.stamp = dec.u64()?;
-            self.cur_block_start = match dec.u8()? {
-                0 => None,
-                1 => Some(dec.u64()?),
-                _ => return Err(SnapshotError::Corrupt { what: "uoc current-block flag" }),
-            };
-            self.cur_block_uops = dec.u32()?;
-            self.stats.filter_blocks = dec.u64()?;
-            self.stats.build_blocks = dec.u64()?;
-            self.stats.fetch_blocks = dec.u64()?;
-            self.stats.uops_supplied = dec.u64()?;
-            self.stats.builds = dec.u64()?;
-            self.stats.evictions = dec.u64()?;
-            self.stats.promotions = dec.u64()?;
-            self.stats.demotions = dec.u64()?;
-            self.stats.squashed_builds = dec.u64()?;
-            // Hints are transient lookup accelerators, never part of the
-            // architectural state: reset rather than serialize.
+    impl Uoc {
+        /// Hints are transient lookup accelerators, never part of the
+        /// architectural state: reset rather than serialize.
+        fn reset_find_hint(&mut self) -> Result<(), SnapshotError> {
             self.find_hint = 0;
-            dec.end_section()
+            Ok(())
         }
     }
 }

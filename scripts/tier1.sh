@@ -5,10 +5,11 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --release -q --workspace
-# The branch crate again in the debug profile: overflow checks and the
-# geometry debug_asserts (compiled out of release) then cover the folded
-# history's shift arithmetic.
-cargo test -q -p exynos-branch
+# The branch and snapshot crates again in the debug profile: overflow
+# checks and the debug_asserts (compiled out of release) then cover the
+# folded history's shift arithmetic and the snapshot encoder's section
+# nesting and sequence lengths.
+cargo test -q -p exynos-branch -p exynos-snapshot
 # The benchmark package calls into the crates' public API; a break there
 # must fail this gate, not the benchmark run.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
