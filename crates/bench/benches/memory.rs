@@ -20,7 +20,7 @@ fn bench_cache(c: &mut Criterion) {
             let mut addr = 0u64;
             b.iter(|| {
                 addr = addr.wrapping_add(64) & 0xFF_FFFF;
-                if !cache.access(addr, AccessKind::Demand) {
+                if cache.access(addr, AccessKind::Demand).is_none() {
                     cache.fill(addr, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
                 }
             })

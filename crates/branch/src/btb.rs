@@ -13,6 +13,7 @@
 //! the BTB itself is oblivious to the cipher and just stores bits.
 
 use crate::error::PredictorError;
+use exynos_snapshot::LazySets;
 use exynos_trace::BranchKind;
 
 /// One discovered branch's BTB payload.
@@ -126,16 +127,16 @@ impl Line {
     }
 }
 
-/// Entry-granular victim/spill store (used for both vBTB and L2BTB).
+/// Entry-granular victim/spill store (used for both vBTB and L2BTB): a
+/// [`LazySets`] of `(entry, lru stamp)` ways, so the sets no branch has
+/// reached cost nothing to build or clone.
 #[derive(Debug, Clone)]
 struct EntryStore {
-    sets: usize,
-    ways: usize,
-    /// `sets - 1` when `sets` is a power of two (every shipped geometry),
-    /// letting `set_of` mask instead of divide; `None` keeps the modulo
-    /// for exact non-power-of-two geometries.
+    /// `sets - 1` when the set count is a power of two (every shipped
+    /// geometry), letting `set_of` mask instead of divide; `None` keeps
+    /// the modulo for exact non-power-of-two geometries.
     set_mask: Option<usize>,
-    entries: Vec<Option<(BtbEntry, u64)>>, // (entry, lru stamp)
+    entries: LazySets<Option<(BtbEntry, u64)>>,
 }
 
 impl EntryStore {
@@ -143,10 +144,8 @@ impl EntryStore {
         let ways = ways.max(1);
         let sets = (total / ways).max(1);
         EntryStore {
-            sets,
-            ways,
             set_mask: sets.is_power_of_two().then(|| sets - 1),
-            entries: vec![None; sets * ways],
+            entries: LazySets::new(sets, ways, None),
         }
     }
 
@@ -157,35 +156,46 @@ impl EntryStore {
         let h = (pc >> 2) ^ (pc >> 7) ^ (pc >> 16);
         match self.set_mask {
             Some(mask) => h as usize & mask,
-            None => h as usize % self.sets,
+            None => h as usize % self.entries.sets(),
         }
+    }
+
+    /// The stored way holding `pc`, in a set some write has reached.
+    #[inline]
+    fn way_mut(&mut self, pc: u64) -> Option<&mut (BtbEntry, u64)> {
+        let s = self.set_of(pc);
+        self.entries
+            .written_mut(s)?
+            .iter_mut()
+            .flatten()
+            .find(|(e, _)| e.pc == pc)
     }
 
     #[inline]
     fn lookup(&mut self, pc: u64, stamp: u64) -> Option<BtbEntry> {
-        let s = self.set_of(pc);
-        for w in 0..self.ways {
-            if let Some((e, lru)) = &mut self.entries[s * self.ways + w] {
-                if e.pc == pc {
-                    *lru = stamp;
-                    return Some(*e);
-                }
-            }
-        }
-        None
+        let (e, lru) = self.way_mut(pc)?;
+        *lru = stamp;
+        Some(*e)
+    }
+
+    /// Side-effect-free lookup.
+    fn probe(&self, pc: u64) -> Option<BtbEntry> {
+        self.entries
+            .set(self.set_of(pc))
+            .iter()
+            .flatten()
+            .find(|(e, _)| e.pc == pc)
+            .map(|&(e, _)| e)
     }
 
     fn update_in_place(&mut self, entry: BtbEntry) -> bool {
-        let s = self.set_of(entry.pc);
-        for w in 0..self.ways {
-            if let Some((e, _)) = &mut self.entries[s * self.ways + w] {
-                if e.pc == entry.pc {
-                    *e = entry;
-                    return true;
-                }
+        match self.way_mut(entry.pc) {
+            Some((e, _)) => {
+                *e = entry;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Insert, evicting LRU; returns the victim if one was displaced.
@@ -194,26 +204,22 @@ impl EntryStore {
             return None;
         }
         let s = self.set_of(entry.pc);
-        let base = s * self.ways;
+        let set = self.entries.set_mut(s);
         // Free way?
-        for w in 0..self.ways {
-            if self.entries[base + w].is_none() {
-                self.entries[base + w] = Some((entry, stamp));
-                return None;
-            }
+        if let Some(way) = set.iter_mut().find(|w| w.is_none()) {
+            *way = Some((entry, stamp));
+            return None;
         }
         // Evict LRU (every way is occupied here; an impossible empty way
         // sorts first and is simply reused).
-        let victim_way = (0..self.ways)
-            .min_by_key(|&w| self.entries[base + w].as_ref().map(|&(_, lru)| lru).unwrap_or(0))
+        let victim_way = (0..set.len())
+            .min_by_key(|&w| set[w].as_ref().map(|&(_, lru)| lru).unwrap_or(0))
             .unwrap_or(0);
-        let victim = self.entries[base + victim_way].take().map(|(e, _)| e);
-        self.entries[base + victim_way] = Some((entry, stamp));
-        victim
+        set[victim_way].replace((entry, stamp)).map(|(e, _)| e)
     }
 
     fn occupancy(&self) -> usize {
-        self.entries.iter().filter(|e| e.is_some()).count()
+        self.entries.written().flatten().filter(|e| e.is_some()).count()
     }
 }
 
@@ -347,16 +353,8 @@ impl BtbHierarchy {
             // Fill into the L1 (and pull sibling entries of the same 128 B
             // line up to the configured fill bandwidth).
             self.install(e);
-            let mut pulled = 1;
             if self.cfg.l2_fill_bandwidth > 1 {
-                let sibs = self.l2_line_siblings(pc);
-                for sib in sibs {
-                    if pulled >= self.cfg.l2_fill_bandwidth {
-                        break;
-                    }
-                    self.install(sib);
-                    pulled += 1;
-                }
+                self.pull_l2_line_siblings(pc, self.cfg.l2_fill_bandwidth - 1);
             }
             return Ok(Some((e, BtbHit::Level2)));
         }
@@ -364,7 +362,9 @@ impl BtbHierarchy {
         Ok(None)
     }
 
-    fn l2_line_siblings(&mut self, pc: u64) -> Vec<BtbEntry> {
+    /// Fill up to `room` L2BTB siblings of `pc` (entries of the same
+    /// 128 B line) into the L1, refreshing their L2BTB recency.
+    fn pull_l2_line_siblings(&mut self, pc: u64, room: usize) {
         let line = pc >> 7;
         let stamp = self.stamp;
         // An entry always lives in the set its own PC hashes to, and the
@@ -378,24 +378,35 @@ impl BtbHierarchy {
             *s = self.l2btb.set_of((line << 7) | ((k as u64) << 2));
         }
         sets.sort_unstable();
-        let mut out = Vec::new();
+        // Every sibling has its recency refreshed, but only the first
+        // `room` are filled; they are gathered first because installing
+        // can write L1 victims back into these very sets. A line holds
+        // 32 four-byte instructions, so no fill pulls more than 32.
+        let room = room.min(32);
+        let mut pulled = [None; 32];
+        let mut n = 0;
         let mut prev = usize::MAX;
         for &s in &sets {
             if s == prev {
                 continue;
             }
             prev = s;
-            let base = s * self.l2btb.ways;
-            for slot in self.l2btb.entries[base..base + self.l2btb.ways].iter_mut() {
-                if let Some((e, lru)) = slot {
-                    if e.pc >> 7 == line && e.pc != pc {
-                        *lru = stamp;
-                        out.push(*e);
+            let Some(set) = self.l2btb.entries.written_mut(s) else {
+                continue;
+            };
+            for (e, lru) in set.iter_mut().flatten() {
+                if e.pc >> 7 == line && e.pc != pc {
+                    *lru = stamp;
+                    if n < room {
+                        pulled[n] = Some(*e);
+                        n += 1;
                     }
                 }
             }
         }
-        out
+        for e in pulled.into_iter().flatten() {
+            self.install(e);
+        }
     }
 
     /// Install (allocate or update) an entry in the L1, spilling dense
@@ -474,15 +485,7 @@ impl BtbHierarchy {
                 }
             }
         }
-        let vs = self.vbtb.set_of(pc);
-        for w in 0..self.vbtb.ways {
-            if let Some((e, _)) = &self.vbtb.entries[vs * self.vbtb.ways + w] {
-                if e.pc == pc {
-                    return Some(*e);
-                }
-            }
-        }
-        None
+        self.vbtb.probe(pc)
     }
 
     /// Update an existing entry wherever it currently lives (used for

@@ -265,21 +265,18 @@ impl MemSystem {
             SpecDecision::NoSpeculation
         };
         // L2 tags.
-        let meta_before = self.l2.meta(addr);
-        if self.l2.access(addr, kind) {
+        if let Some(m) = self.l2.access(addr, kind) {
             if kind == AccessKind::Demand {
                 self.stats.l2_hits += 1;
                 // Buddy usefulness: first demand touch of a buddy line.
-                if let Some(m) = meta_before {
-                    if m.prefetched && !m.demand_hit {
-                        if let Some(pos) = self.buddy_lines.iter().position(|&l| l == line) {
-                            self.buddy_lines.remove(pos);
-                            if let Some(b) = &mut self.buddy {
-                                b.on_buddy_used();
-                            }
-                        } else if let Some(sp) = &mut self.standalone {
-                            sp.on_prefetch_outcome(true);
+                if m.prefetched && !m.demand_hit {
+                    if let Some(pos) = self.buddy_lines.iter().position(|&l| l == line) {
+                        self.buddy_lines.remove(pos);
+                        if let Some(b) = &mut self.buddy {
+                            b.on_buddy_used();
                         }
+                    } else if let Some(sp) = &mut self.standalone {
+                        sp.on_prefetch_outcome(true);
                     }
                 }
             }
@@ -312,10 +309,7 @@ impl MemSystem {
         }
         // L3 (exclusive) tags, checked after the L2.
         let l3_swap = self.l3.as_mut().and_then(|l3| {
-            if !l3.access(addr, kind) {
-                return None;
-            }
-            let (mut meta, dirty) = l3.invalidate(addr).unwrap_or((LineMeta::default(), false));
+            let (mut meta, dirty) = l3.access_and_take(addr, kind)?;
             if !meta.second_pass {
                 meta.reuse = meta.reuse.saturating_add(1).min(3);
             }
@@ -369,10 +363,7 @@ impl MemSystem {
             return;
         }
         // L3 hit satisfies the prefetch without DRAM traffic.
-        let l3_line = match self.l3.as_mut() {
-            Some(l3) if l3.probe(addr) => l3.invalidate(addr),
-            _ => None,
-        };
+        let l3_line = self.l3.as_mut().and_then(|l3| l3.invalidate(addr));
         if let Some((meta, dirty)) = l3_line {
             let victims = self.l2.fill(addr, kind, meta, InsertPriority::Ordinary);
             if dirty {
@@ -537,22 +528,19 @@ impl MemSystem {
         let tlb_lat = self.tlb.translate_data(vaddr) as u64;
         let base = now + tlb_lat;
         let hit_lat = if cascade { self.l1_cascade_lat } else { self.l1_hit_lat } as u64;
-        let l1_meta = self.l1d.meta(vaddr);
-        if self.l1d.access(vaddr, AccessKind::Demand) {
+        if let Some(m) = self.l1d.access(vaddr, AccessKind::Demand) {
             self.stats.l1_hits += 1;
             // First demand touch of a prefetched L1 line: propagate the
             // reuse information down to the L2 (response-channel metadata,
             // §VIII.A) and keep training/confirming the L1 prefetcher —
             // the prefetch-hit bit feeds the training unit, otherwise a
             // covered stream would starve its own prefetcher.
-            if let Some(m) = l1_meta {
-                if m.prefetched && !m.demand_hit {
-                    self.l2.mark_demanded(vaddr);
-                    let mut reqs = std::mem::take(&mut self.scratch_reqs);
-                    self.l1pf.on_demand_miss_into(pc, vaddr, &mut reqs);
-                    self.issue_l1_prefetches(&reqs, now);
-                    self.scratch_reqs = reqs;
-                }
+            if m.prefetched && !m.demand_hit {
+                self.l2.mark_demanded(vaddr);
+                let mut reqs = std::mem::take(&mut self.scratch_reqs);
+                self.l1pf.on_demand_miss_into(pc, vaddr, &mut reqs);
+                self.issue_l1_prefetches(&reqs, now);
+                self.scratch_reqs = reqs;
             }
             let done = base + hit_lat;
             self.stats.total_load_latency += done - now;
@@ -598,9 +586,7 @@ impl MemSystem {
     pub fn store(&mut self, pc: u64, vaddr: u64, now: u64) -> Result<u64, SimError> {
         self.stats.stores += 1;
         let _ = self.tlb.translate_data(vaddr);
-        if self.l1d.access(vaddr, AccessKind::Demand) {
-            self.l1d.mark_dirty(vaddr);
-        } else {
+        if !self.l1d.store(vaddr) {
             // Write-allocate in the background: train the prefetcher but
             // discard its requests, as before.
             let mut reqs = std::mem::take(&mut self.scratch_reqs);
@@ -623,7 +609,7 @@ impl MemSystem {
     /// fetch latency in cycles (0 on an L1I hit).
     pub fn ifetch(&mut self, pc: u64, now: u64) -> Result<u64, SimError> {
         let tlb_lat = self.tlb.translate_inst(pc) as u64;
-        if self.l1i.access(pc, AccessKind::Demand) {
+        if self.l1i.access(pc, AccessKind::Demand).is_some() {
             return Ok(tlb_lat);
         }
         self.check_mab_invariant(now)?;

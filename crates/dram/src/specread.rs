@@ -12,6 +12,8 @@
 //! request ... acting as a second-chance 'corrector predictor' in case the
 //! cache miss prediction from the first predictor is wrong."
 
+use exynos_snapshot::LazySets;
+
 /// A history-based cache-miss predictor (first-level heuristic), indexed
 /// by load PC.
 #[derive(Debug, Clone)]
@@ -50,15 +52,16 @@ impl MissPredictor {
 
 /// The interconnect's snoop-filter directory: a (lossy) record of lines
 /// held by the CPU cluster's caches, consulted to cancel speculative
-/// DRAM reads.
+/// DRAM reads. Its sets are [`LazySets`], stored once first written.
 #[derive(Debug, Clone)]
 pub struct SnoopFilter {
-    sets: usize,
-    ways: usize,
     /// (line address, lru); `u64::MAX` = invalid.
-    entries: Vec<(u64, u64)>,
+    entries: LazySets<(u64, u64)>,
     stamp: u64,
 }
+
+/// A free directory way.
+const INVALID: (u64, u64) = (u64::MAX, 0);
 
 impl SnoopFilter {
     /// A directory covering `lines` entries with `ways` associativity.
@@ -69,48 +72,41 @@ impl SnoopFilter {
         assert!(lines > 0 && ways > 0);
         let sets = (lines / ways).max(1);
         SnoopFilter {
-            sets,
-            ways,
-            entries: vec![(u64::MAX, 0); sets * ways],
+            entries: LazySets::new(sets, ways, INVALID),
             stamp: 0,
         }
     }
 
     fn set_of(&self, line: u64) -> usize {
-        ((line ^ (line >> 11)) % self.sets as u64) as usize
+        ((line ^ (line >> 11)) % self.entries.sets() as u64) as usize
     }
 
     /// Record that the cluster now holds `line`.
     pub fn insert(&mut self, line: u64) {
         self.stamp += 1;
-        let base = self.set_of(line) * self.ways;
-        for i in base..base + self.ways {
-            if self.entries[i].0 == line {
-                self.entries[i].1 = self.stamp;
-                return;
-            }
+        let stamp = self.stamp;
+        let set = self.entries.set_mut(self.set_of(line));
+        if let Some(way) = set.iter_mut().find(|w| w.0 == line) {
+            way.1 = stamp;
+            return;
         }
-        let victim = (base..base + self.ways)
-            .min_by_key(|&i| if self.entries[i].0 == u64::MAX { 0 } else { self.entries[i].1.max(1) })
-            .unwrap_or(base);
-        self.entries[victim] = (line, self.stamp);
+        let victim = (0..set.len())
+            .min_by_key(|&w| if set[w].0 == u64::MAX { 0 } else { set[w].1.max(1) })
+            .unwrap_or(0);
+        set[victim] = (line, stamp);
     }
 
     /// Record that the cluster no longer holds `line`.
     pub fn remove(&mut self, line: u64) {
-        let base = self.set_of(line) * self.ways;
-        for i in base..base + self.ways {
-            if self.entries[i].0 == line {
-                self.entries[i] = (u64::MAX, 0);
-                return;
-            }
+        let s = self.set_of(line);
+        if let Some(way) = self.entries.written_mut(s).and_then(|set| set.iter_mut().find(|w| w.0 == line)) {
+            *way = INVALID;
         }
     }
 
     /// Directory lookup: might the cluster's caches hold `line`?
     pub fn may_be_cached(&self, line: u64) -> bool {
-        let base = self.set_of(line) * self.ways;
-        (base..base + self.ways).any(|i| self.entries[i].0 == line)
+        self.entries.set(self.set_of(line)).iter().any(|w| w.0 == line)
     }
 }
 

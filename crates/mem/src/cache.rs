@@ -9,6 +9,8 @@
 //! (§VIII.B): two sectors share one tag, which is what makes the Buddy
 //! prefetcher pollution-free.
 
+use exynos_snapshot::LazySets;
+
 /// How an access entered the cache (affects metadata and policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -147,7 +149,7 @@ impl CacheConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct TagEntry {
     /// Tag-granule address (`addr / (line * sectors)`); `u64::MAX` invalid.
     tag_addr: u64,
@@ -174,6 +176,59 @@ impl TagEntry {
             rrpv: 3,
         }
     }
+
+    /// Whether this entry holds sector `sector` of tag granule `t`.
+    #[inline]
+    fn holds(&self, t: u64, sector: usize) -> bool {
+        self.tag_addr == t && self.sector_valid >> sector & 1 == 1
+    }
+
+    /// The replacement and metadata effects of a hit on `sector` by
+    /// `kind`, charged to `stats`.
+    #[inline]
+    fn touch(&mut self, sector: usize, kind: AccessKind, stats: &mut CacheStats) {
+        self.rrpv = 0;
+        match kind {
+            AccessKind::Demand => {
+                let m = &mut self.meta[sector];
+                if m.prefetched && !m.demand_hit {
+                    stats.useful_prefetch_hits += 1;
+                }
+                m.demand_hit = true;
+                if !m.second_pass {
+                    m.reuse = m.reuse.saturating_add(1).min(3);
+                }
+                stats.demand_hits += 1;
+            }
+            AccessKind::Writeback => {
+                self.sector_dirty |= 1 << sector;
+            }
+            _ => {
+                stats.prefetch_hits += 1;
+            }
+        }
+    }
+
+    /// Drop sector `sector`, freeing the tag when no sector is left.
+    /// Returns the sector's metadata and dirtiness.
+    #[inline]
+    fn take_sector(&mut self, sector: usize) -> (LineMeta, bool) {
+        let meta = self.meta[sector];
+        let dirty = self.sector_dirty >> sector & 1 == 1;
+        self.sector_valid &= !(1 << sector);
+        self.sector_dirty &= !(1 << sector);
+        if self.sector_valid == 0 {
+            self.tag_addr = u64::MAX;
+            self.rrpv = 3;
+        }
+        (meta, dirty)
+    }
+}
+
+/// The entry of `set` holding sector `sector` of granule `t`.
+#[inline]
+fn hit_mut(set: Option<&mut [TagEntry]>, t: u64, sector: usize) -> Option<&mut TagEntry> {
+    set?.iter_mut().find(|e| e.holds(t, sector))
 }
 
 /// Access statistics for one cache.
@@ -195,12 +250,27 @@ pub struct CacheStats {
     pub useful_prefetch_hits: u64,
 }
 
+impl CacheStats {
+    /// Charge a miss by `kind` (writebacks are not counted).
+    #[inline]
+    fn miss(&mut self, kind: AccessKind) {
+        match kind {
+            AccessKind::Demand => self.demand_misses += 1,
+            AccessKind::Writeback => {}
+            _ => self.prefetch_misses += 1,
+        }
+    }
+}
+
 /// A set-associative, optionally sectored, write-back cache array with
 /// SRRIP replacement.
+///
+/// The tag array is a [`LazySets`]: a set is stored only once a fill
+/// first writes it, so building or cloning a mostly empty L2 or L3 costs
+/// its directory, not its capacity.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: u64,
     /// `log2(granule)` when the tag granule is a power of two (every
     /// shipped geometry), letting `tag_addr` shift instead of divide.
     granule_shift: Option<u32>,
@@ -208,7 +278,7 @@ pub struct Cache {
     line_shift: Option<u32>,
     /// `sets - 1` when the set count is a power of two.
     set_mask: Option<u64>,
-    entries: Vec<TagEntry>,
+    entries: LazySets<TagEntry>,
     stats: CacheStats,
 }
 
@@ -227,14 +297,13 @@ impl Cache {
         let sets = cfg.sets();
         let granule = cfg.line_bytes * cfg.sectors_per_tag;
         Cache {
-            sets,
             granule_shift: granule.is_power_of_two().then(|| granule.trailing_zeros()),
             line_shift: cfg
                 .line_bytes
                 .is_power_of_two()
                 .then(|| cfg.line_bytes.trailing_zeros()),
             set_mask: sets.is_power_of_two().then(|| sets - 1),
-            entries: vec![TagEntry::invalid(); (sets * cfg.ways as u64) as usize],
+            entries: LazySets::new(sets as usize, cfg.ways, TagEntry::invalid()),
             stats: CacheStats::default(),
             cfg,
         }
@@ -274,27 +343,25 @@ impl Cache {
     }
 
     #[inline]
-    fn set_of(&self, addr: u64) -> u64 {
+    fn set_of(&self, addr: u64) -> usize {
         let t = self.tag_addr(addr);
         let h = t ^ (t >> 13);
-        match self.set_mask {
+        (match self.set_mask {
             Some(mask) => h & mask,
-            None => h % self.sets,
-        }
+            None => h % self.entries.sets() as u64,
+        }) as usize
     }
 
+    /// `addr`'s (set, tag granule, sector).
     #[inline]
-    fn find(&self, addr: u64) -> Option<usize> {
-        let t = self.tag_addr(addr);
-        let base = (self.set_of(addr) * self.cfg.ways as u64) as usize;
-        let sector = self.sector_of(addr);
-        (base..base + self.cfg.ways)
-            .find(|&i| self.entries[i].tag_addr == t && self.entries[i].sector_valid >> sector & 1 == 1)
+    fn locate(&self, addr: u64) -> (usize, u64, usize) {
+        (self.set_of(addr), self.tag_addr(addr), self.sector_of(addr))
     }
 
     /// Probe without side effects: is the 64 B line present?
     pub fn probe(&self, addr: u64) -> bool {
-        self.find(addr).is_some()
+        let (s, t, sector) = self.locate(addr);
+        self.entries.set(s).iter().any(|e| e.holds(t, sector))
     }
 
     /// Probe whether the *buddy* sector of `addr` is valid under the same
@@ -308,40 +375,53 @@ impl Cache {
     }
 
     /// Look up `addr`; on a hit, update replacement state and metadata.
-    /// Returns hit.
-    pub fn access(&mut self, addr: u64, kind: AccessKind) -> bool {
-        match self.find(addr) {
-            Some(i) => {
-                let sector = self.sector_of(addr);
-                self.entries[i].rrpv = 0;
-                match kind {
-                    AccessKind::Demand => {
-                        let m = &mut self.entries[i].meta[sector];
-                        if m.prefetched && !m.demand_hit {
-                            self.stats.useful_prefetch_hits += 1;
-                        }
-                        m.demand_hit = true;
-                        if !m.second_pass {
-                            m.reuse = m.reuse.saturating_add(1).min(3);
-                        }
-                        self.stats.demand_hits += 1;
-                    }
-                    AccessKind::Writeback => {
-                        self.entries[i].sector_dirty |= 1 << sector;
-                    }
-                    _ => {
-                        self.stats.prefetch_hits += 1;
-                    }
-                }
+    /// Returns the line's metadata from before the access on a hit,
+    /// `None` on a miss.
+    pub fn access(&mut self, addr: u64, kind: AccessKind) -> Option<LineMeta> {
+        let (s, t, sector) = self.locate(addr);
+        match hit_mut(self.entries.written_mut(s), t, sector) {
+            Some(e) => {
+                let before = e.meta[sector];
+                e.touch(sector, kind, &mut self.stats);
+                Some(before)
+            }
+            None => {
+                self.stats.miss(kind);
+                None
+            }
+        }
+    }
+
+    /// A demand store: [`Cache::access`] with [`AccessKind::Demand`] that
+    /// also marks the line dirty on a hit, in one set scan. Returns hit.
+    pub fn store(&mut self, addr: u64) -> bool {
+        let (s, t, sector) = self.locate(addr);
+        match hit_mut(self.entries.written_mut(s), t, sector) {
+            Some(e) => {
+                e.touch(sector, AccessKind::Demand, &mut self.stats);
+                e.sector_dirty |= 1 << sector;
                 true
             }
             None => {
-                match kind {
-                    AccessKind::Demand => self.stats.demand_misses += 1,
-                    AccessKind::Writeback => {}
-                    _ => self.stats.prefetch_misses += 1,
-                }
+                self.stats.miss(AccessKind::Demand);
                 false
+            }
+        }
+    }
+
+    /// [`Cache::access`] then [`Cache::invalidate`] in one set scan (the
+    /// exclusive-hierarchy swap out of this level). Returns the line's
+    /// metadata after the access and its dirtiness on a hit.
+    pub fn access_and_take(&mut self, addr: u64, kind: AccessKind) -> Option<(LineMeta, bool)> {
+        let (s, t, sector) = self.locate(addr);
+        match hit_mut(self.entries.written_mut(s), t, sector) {
+            Some(e) => {
+                e.touch(sector, kind, &mut self.stats);
+                Some(e.take_sector(sector))
+            }
+            None => {
+                self.stats.miss(kind);
+                None
             }
         }
     }
@@ -357,17 +437,18 @@ impl Cache {
         if kind == AccessKind::Demand {
             meta.demand_hit = true;
         }
-        let t = self.tag_addr(addr);
-        let sector = self.sector_of(addr);
-        let base = (self.set_of(addr) * self.cfg.ways as u64) as usize;
+        let (s, t, sector) = self.locate(addr);
+        let granule = self.granule();
+        let line_bytes = self.cfg.line_bytes;
+        let sectors = self.cfg.sectors_per_tag as usize;
         let insert_rrpv = match priority {
             InsertPriority::Elevated => 0,
             InsertPriority::Ordinary => 2,
             InsertPriority::Bypass => unreachable!("checked above"),
         };
+        let set = self.entries.set_mut(s);
         // Same tag already present (other sector valid, or refill)?
-        if let Some(i) = (base..base + self.cfg.ways).find(|&i| self.entries[i].tag_addr == t) {
-            let e = &mut self.entries[i];
+        if let Some(e) = set.iter_mut().find(|e| e.tag_addr == t) {
             e.sector_valid |= 1 << sector;
             e.meta[sector] = meta;
             e.rrpv = e.rrpv.min(insert_rrpv);
@@ -379,55 +460,50 @@ impl Cache {
         // prefetched-but-unconsumed ones — evicting the stream's past
         // rather than its prefetched future (§VIII.A's "preserve useful
         // data in the wake of transient streams").
-        let victim_idx = loop {
-            if let Some(i) = (base..base + self.cfg.ways).find(|&i| self.entries[i].sector_valid == 0) {
-                break i;
+        let victim_way = loop {
+            if let Some(w) = set.iter().position(|e| e.sector_valid == 0) {
+                break w;
             }
             // One scan, no candidate list: remember the first RRPV-3 way
             // and stop at the first fully demand-consumed one.
             let mut first = None;
             let mut consumed = None;
-            for i in base..base + self.cfg.ways {
-                if self.entries[i].rrpv < 3 {
+            for (w, e) in set.iter().enumerate() {
+                if e.rrpv < 3 {
                     continue;
                 }
                 if first.is_none() {
-                    first = Some(i);
+                    first = Some(w);
                 }
-                let e = &self.entries[i];
-                if (0..self.cfg.sectors_per_tag as usize)
+                if (0..sectors)
                     .filter(|&s| e.sector_valid >> s & 1 == 1)
                     .all(|s| e.meta[s].demand_hit)
                 {
-                    consumed = Some(i);
+                    consumed = Some(w);
                     break;
                 }
             }
-            if let Some(i) = consumed.or(first) {
-                break i;
+            if let Some(w) = consumed.or(first) {
+                break w;
             }
-            for i in base..base + self.cfg.ways {
-                self.entries[i].rrpv += 1;
+            for e in set.iter_mut() {
+                e.rrpv += 1;
             }
         };
         let mut victims = Victims::default();
-        let granule = self.granule();
-        {
-            let e = &self.entries[victim_idx];
-            if e.sector_valid != 0 {
-                for s in 0..self.cfg.sectors_per_tag as usize {
-                    if e.sector_valid >> s & 1 == 1 {
-                        victims.push(Victim {
-                            addr: e.tag_addr * granule + s as u64 * self.cfg.line_bytes,
-                            meta: e.meta[s],
-                            dirty: e.sector_dirty >> s & 1 == 1,
-                        });
-                    }
+        let e = &mut set[victim_way];
+        if e.sector_valid != 0 {
+            for s in 0..sectors {
+                if e.sector_valid >> s & 1 == 1 {
+                    victims.push(Victim {
+                        addr: e.tag_addr * granule + s as u64 * line_bytes,
+                        meta: e.meta[s],
+                        dirty: e.sector_dirty >> s & 1 == 1,
+                    });
                 }
-                self.stats.evictions += victims.len() as u64;
             }
+            self.stats.evictions += victims.len() as u64;
         }
-        let e = &mut self.entries[victim_idx];
         *e = TagEntry::invalid();
         e.tag_addr = t;
         e.sector_valid = 1 << sector;
@@ -439,40 +515,25 @@ impl Cache {
     /// Invalidate the 64 B line (exclusive-hierarchy swap). Returns its
     /// metadata if it was present.
     pub fn invalidate(&mut self, addr: u64) -> Option<(LineMeta, bool)> {
-        let i = self.find(addr)?;
-        let sector = self.sector_of(addr);
-        let e = &mut self.entries[i];
-        let meta = e.meta[sector];
-        let dirty = e.sector_dirty >> sector & 1 == 1;
-        e.sector_valid &= !(1 << sector);
-        e.sector_dirty &= !(1 << sector);
-        if e.sector_valid == 0 {
-            e.tag_addr = u64::MAX;
-            e.rrpv = 3;
-        }
-        Some((meta, dirty))
+        let (s, t, sector) = self.locate(addr);
+        hit_mut(self.entries.written_mut(s), t, sector).map(|e| e.take_sector(sector))
     }
 
     /// Mark the line dirty (store hit).
     pub fn mark_dirty(&mut self, addr: u64) {
-        if let Some(i) = self.find(addr) {
-            let sector = self.sector_of(addr);
-            self.entries[i].sector_dirty |= 1 << sector;
+        let (s, t, sector) = self.locate(addr);
+        if let Some(e) = hit_mut(self.entries.written_mut(s), t, sector) {
+            e.sector_dirty |= 1 << sector;
         }
-    }
-
-    /// Read a line's metadata (no side effects).
-    pub fn meta(&self, addr: u64) -> Option<LineMeta> {
-        self.find(addr).map(|i| self.entries[i].meta[self.sector_of(addr)])
     }
 
     /// Mark the line as demanded by an inner level (§VIII.A: reuse
     /// metadata "passed through request or response channels between the
     /// cache levels"). No hit statistics are charged.
     pub fn mark_demanded(&mut self, addr: u64) {
-        if let Some(i) = self.find(addr) {
-            let sector = self.sector_of(addr);
-            let m = &mut self.entries[i].meta[sector];
+        let (s, t, sector) = self.locate(addr);
+        if let Some(e) = hit_mut(self.entries.written_mut(s), t, sector) {
+            let m = &mut e.meta[sector];
             m.demand_hit = true;
             if !m.second_pass {
                 m.reuse = m.reuse.saturating_add(1).min(3);
@@ -483,7 +544,8 @@ impl Cache {
     /// Number of valid 64 B lines resident.
     pub fn occupancy(&self) -> usize {
         self.entries
-            .iter()
+            .written()
+            .flatten()
             .map(|e| e.sector_valid.count_ones() as usize)
             .sum()
     }
@@ -506,9 +568,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut c = small();
-        assert!(!c.access(0x1000, AccessKind::Demand));
+        assert!(c.access(0x1000, AccessKind::Demand).is_none());
         c.fill(0x1000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-        assert!(c.access(0x1000, AccessKind::Demand));
+        assert!(c.access(0x1000, AccessKind::Demand).is_some());
         assert_eq!(c.stats().demand_hits, 1);
         assert_eq!(c.stats().demand_misses, 1);
     }
@@ -571,8 +633,8 @@ mod tests {
     fn useful_prefetch_tracked_once() {
         let mut c = small();
         c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Ordinary);
-        assert!(c.access(0x3000, AccessKind::Demand));
-        assert!(c.access(0x3000, AccessKind::Demand));
+        assert!(c.access(0x3000, AccessKind::Demand).is_some());
+        assert!(c.access(0x3000, AccessKind::Demand).is_some());
         assert_eq!(c.stats().useful_prefetch_hits, 1);
     }
 
@@ -585,12 +647,13 @@ mod tests {
         for _ in 0..5 {
             c.access(0x3000, AccessKind::Demand);
         }
-        assert_eq!(c.meta(0x3000).unwrap().reuse, 0, "second-pass lines don't mark reuse");
+        let reuse = |c: &mut Cache, a| c.access(a, AccessKind::Demand).unwrap().reuse;
+        assert_eq!(reuse(&mut c, 0x3000), 0, "second-pass lines don't mark reuse");
         c.fill(0x3040, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
         for _ in 0..5 {
             c.access(0x3040, AccessKind::Demand);
         }
-        assert_eq!(c.meta(0x3040).unwrap().reuse, 3, "saturates at 3");
+        assert_eq!(reuse(&mut c, 0x3040), 3, "saturates at 3");
     }
 
     #[test]
@@ -629,6 +692,69 @@ mod tests {
         assert!(meta.demand_hit);
         assert!(!c.probe(0x9000));
         assert!(c.invalidate(0x9000).is_none());
+    }
+
+    #[test]
+    fn access_returns_the_metadata_from_before_it() {
+        let mut c = small();
+        assert_eq!(c.access(0x3000, AccessKind::Demand), None);
+        c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Ordinary);
+        let m = c.access(0x3000, AccessKind::Demand).unwrap();
+        assert!(m.prefetched && !m.demand_hit && m.reuse == 0);
+        let m = c.access(0x3000, AccessKind::Demand).unwrap();
+        assert!(m.demand_hit && m.reuse == 1);
+    }
+
+    /// The snapshot image of `c`: every tag, bit of metadata and counter.
+    fn image(c: &Cache) -> Vec<u8> {
+        let mut e = exynos_snapshot::Encoder::new();
+        exynos_snapshot::Snapshot::save(c, &mut e);
+        e.finish()
+    }
+
+    #[test]
+    fn fused_calls_match_the_pairs_they_replace() {
+        let mut a = Cache::new(CacheConfig {
+            size_bytes: 4096,
+            ways: 2,
+            line_bytes: 64,
+            sectors_per_tag: 2,
+            latency: 12,
+        });
+        let stride = a.config().sets() * 128;
+        for i in 0..6u64 {
+            let kind = if i % 2 == 0 { AccessKind::Prefetch } else { AccessKind::Demand };
+            a.fill(0x4000 + i * stride, kind, LineMeta::default(), InsertPriority::Ordinary);
+            a.fill(0x4040 + i * stride, AccessKind::Demand, LineMeta::default(), InsertPriority::Ordinary);
+        }
+        let mut b = a.clone();
+        for i in 0..8u64 {
+            // Lines 4 and 5 are resident, 3 was evicted.
+            let addr = 0x4000 + (3 + i % 3) * stride + (i / 3 % 2) * 64;
+            let kind = if i % 4 == 1 { AccessKind::Prefetch } else { AccessKind::Demand };
+            a.access(addr, kind);
+            b.access(addr, kind);
+            // store = demand access + mark_dirty.
+            let hit = a.access(addr + 8, AccessKind::Demand).is_some();
+            if hit {
+                a.mark_dirty(addr + 8);
+            }
+            assert_eq!(b.store(addr + 8), hit);
+            assert_eq!(image(&a), image(&b));
+        }
+        let mut takes = 0;
+        for i in 0..8u64 {
+            let addr = 0x4000 + i * stride + 64;
+            let taken = match a.access(addr, AccessKind::Demand) {
+                Some(_) => a.invalidate(addr),
+                None => None,
+            };
+            takes += usize::from(taken.is_some());
+            assert_eq!(b.access_and_take(addr, AccessKind::Demand), taken);
+            assert_eq!(image(&a), image(&b));
+        }
+        assert!(takes > 0 && takes < 8, "both outcomes covered: {takes}");
+        assert!(b.stats().demand_hits > 0 && b.stats().prefetch_hits > 0);
     }
 
     #[test]

@@ -52,12 +52,22 @@ impl MissBuffers {
     /// Try to allocate a slot at `now`, holding it until `release`.
     /// Returns `true` on success.
     pub fn try_allocate(&mut self, now: u64, release: u64) -> bool {
-        match self.slots.iter_mut().find(|r| **r <= now) {
-            Some(slot) => {
-                *slot = release;
+        // One pass: the first free slot, and how many of the others are
+        // busy (the occupancy after the allocation, for `peak`).
+        let mut free = None;
+        let mut busy = 0;
+        for (i, &r) in self.slots.iter().enumerate() {
+            if r > now {
+                busy += 1;
+            } else if free.is_none() {
+                free = Some(i);
+            }
+        }
+        match free {
+            Some(i) => {
+                self.slots[i] = release;
                 self.allocations += 1;
-                let occ = self.occupancy(now);
-                self.peak = self.peak.max(occ);
+                self.peak = self.peak.max(busy + usize::from(release > now));
                 true
             }
             None => {
@@ -136,6 +146,22 @@ mod tests {
         }
         assert_eq!(m.stats().peak, 5);
         assert_eq!(m.occupancy(100), 0);
+    }
+
+    #[test]
+    fn peak_is_the_occupancy_right_after_each_allocation() {
+        let mut m = MissBuffers::new(4);
+        let mut want = 0;
+        let mut x = 0x9E37_79B9u64;
+        for now in 0..400u64 {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            // Zero-length holds (release == now) occupy nothing.
+            if m.try_allocate(now, now + (x >> 60) % 12) {
+                want = want.max(m.occupancy(now));
+            }
+            assert_eq!(m.stats().peak as usize, want);
+        }
+        assert!(m.stats().rejections > 0 && want == 4);
     }
 }
 

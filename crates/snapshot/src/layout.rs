@@ -12,6 +12,7 @@
 //! | `Option<T>` | `u8` flag + payload | flag not 0/1 |
 //! | `Vec<T>` / `VecDeque<T>` | `u32` count + elements | — |
 //! | [`Fixed`] `Vec<T>` | `u32` count + elements | count ≠ live length |
+//! | [`Fixed`] [`LazySets<T>`](crate::LazySets) | as a dense `Vec` of every set | count ≠ sets × ways |
 //! | [`Bounded`] `Vec<T>` / `VecDeque<T>` | `u32` count + elements | count > cap |
 //! | [`Present`] `Option<T>` | `u8` flag + payload | flag not 0/1, ≠ live presence |
 //! | [`Via`] codec | the codec's wire code | unknown code |

@@ -42,6 +42,9 @@ pub const FORMAT_VERSION: u16 = 1;
 
 pub mod journal;
 pub mod layout;
+pub mod sets;
+
+pub use sets::LazySets;
 
 /// The central registry of per-component section tags. Tags are grouped
 /// by crate so a hex dump localizes a decode failure to a subsystem.

@@ -5,11 +5,12 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test --release -q --workspace
-# The branch and snapshot crates again in the debug profile: overflow
-# checks and the debug_asserts (compiled out of release) then cover the
-# folded history's shift arithmetic and the snapshot encoder's section
-# nesting and sequence lengths.
-cargo test -q -p exynos-branch -p exynos-snapshot
+# The branch, snapshot, mem and dram crates again in the debug profile:
+# overflow checks and the debug_asserts (compiled out of release) then
+# cover the folded history's shift arithmetic, the snapshot encoder's
+# section nesting and sequence lengths, and the set/way arithmetic of the
+# lazily materialized cache, BTB-store and snoop-filter sets.
+cargo test -q -p exynos-branch -p exynos-snapshot -p exynos-mem -p exynos-dram
 # The benchmark package calls into the crates' public API; a break there
 # must fail this gate, not the benchmark run.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
