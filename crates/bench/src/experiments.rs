@@ -1,7 +1,6 @@
 //! Experiment functions regenerating every table and figure in the
 //! paper's evaluation. Each returns structured data; the `harness` binary
-//! prints it, and the Criterion benches time representative kernels.
-//! Every catalog sweep, cold or warm, goes through [`sweep`].
+//! prints it. Every catalog sweep, cold or warm, goes through [`sweep`].
 
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::FrontEnd;

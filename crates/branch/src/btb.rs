@@ -223,22 +223,24 @@ impl EntryStore {
     }
 }
 
-/// Hit/miss/traffic statistics for the hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BtbStats {
-    /// Lookups that hit in the mBTB.
-    pub main_hits: u64,
-    /// Lookups that hit in the vBTB.
-    pub virtual_hits: u64,
-    /// Lookups served by an L2BTB fill.
-    pub l2_hits: u64,
-    /// Lookups that missed everywhere (branch discovery).
-    pub misses: u64,
-    /// Entries written back to the L2BTB on L1 eviction.
-    pub l2_writebacks: u64,
-    /// Lines looked up that contained no branch at all (Empty Line
-    /// Optimization candidates, §IV.E).
-    pub empty_line_lookups: u64,
+exynos_telemetry::counters! {
+    /// Hit/miss/traffic statistics for the hierarchy.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BtbStats in "branch.btb" {
+        /// Lookups that hit in the mBTB.
+        pub main_hits: u64,
+        /// Lookups that hit in the vBTB.
+        pub virtual_hits: u64,
+        /// Lookups served by an L2BTB fill.
+        pub l2_hits: u64,
+        /// Lookups that missed everywhere (branch discovery).
+        pub misses: u64,
+        /// Entries written back to the L2BTB on L1 eviction.
+        pub l2_writebacks: u64,
+        /// Lines looked up that contained no branch at all (Empty Line
+        /// Optimization candidates, §IV.E).
+        pub empty_line_lookups: u64,
+    }
 }
 
 /// The three-level BTB hierarchy.
@@ -734,8 +736,5 @@ mod snapshot_impl {
             lines: Fixed("mbtb lines"),
             vbtb, l2btb, stamp, stats,
         }
-    }
-    layout! {
-        BtbStats { main_hits, virtual_hits, l2_hits, misses, l2_writebacks, empty_line_lookups }
     }
 }

@@ -61,52 +61,54 @@ impl FetchFeedback {
     };
 }
 
-/// Aggregate front-end statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct FrontendStats {
-    /// Instructions observed.
-    pub instructions: u64,
-    /// Branches observed.
-    pub branches: u64,
-    /// Conditional branches observed.
-    pub cond_branches: u64,
-    /// Taken branches observed.
-    pub taken_branches: u64,
-    /// Conditional direction mispredicts.
-    pub cond_mispredicts: u64,
-    /// Indirect (non-return) target mispredicts.
-    pub indirect_mispredicts: u64,
-    /// Return-target mispredicts.
-    pub return_mispredicts: u64,
-    /// Taken branches discovered missing from all BTBs.
-    pub discoveries: u64,
-    /// Trace-gap redirects.
-    pub trace_gaps: u64,
-    /// Total prediction-pipe bubbles charged.
-    pub bubbles: u64,
-    /// Taken redirects served with zero bubbles by ZAT/ZOT replication.
-    pub zat_zot_zero_bubble: u64,
-    /// Taken redirects served with one bubble by the 1AT path.
-    pub one_bubble_at: u64,
-    /// Taken redirects served bubble-free by µBTB lock.
-    pub ubtb_zero_bubble: u64,
-    /// Redirects whose refill was covered by MRB playback.
-    pub mrb_covered: u64,
-    /// Branch-pair pattern counts (§IV.A: 60%/24%/16%).
-    pub pair_lead_taken: u64,
-    /// Pairs where the lead was not-taken and the second was taken.
-    pub pair_second_taken: u64,
-    /// Pairs where both branches were not-taken.
-    pub pair_both_not_taken: u64,
-    /// Fetch-line lookups skipped by the Empty Line Optimization (power
-    /// proxy, §IV.E).
-    pub elo_skipped_lookups: u64,
-    /// SHP lookups performed (power proxy; gated under µBTB lock).
-    pub shp_lookups: u64,
-    /// Confidence-table crossings into low confidence (MRB eligibility).
-    pub conf_flips_to_low: u64,
-    /// Confidence-table crossings back to high confidence.
-    pub conf_flips_to_high: u64,
+exynos_telemetry::counters! {
+    /// Aggregate front-end statistics.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct FrontendStats in "branch.frontend" {
+        /// Instructions observed.
+        pub instructions: u64,
+        /// Branches observed.
+        pub branches: u64,
+        /// Conditional branches observed.
+        pub cond_branches: u64,
+        /// Taken branches observed.
+        pub taken_branches: u64,
+        /// Conditional direction mispredicts.
+        pub cond_mispredicts: u64,
+        /// Indirect (non-return) target mispredicts.
+        pub indirect_mispredicts: u64,
+        /// Return-target mispredicts.
+        pub return_mispredicts: u64,
+        /// Taken branches discovered missing from all BTBs.
+        pub discoveries: u64,
+        /// Trace-gap redirects.
+        pub trace_gaps: u64,
+        /// Total prediction-pipe bubbles charged.
+        pub bubbles: u64,
+        /// Taken redirects served with zero bubbles by ZAT/ZOT replication.
+        pub zat_zot_zero_bubble: u64,
+        /// Taken redirects served with one bubble by the 1AT path.
+        pub one_bubble_at: u64,
+        /// Taken redirects served bubble-free by µBTB lock.
+        pub ubtb_zero_bubble: u64,
+        /// Redirects whose refill was covered by MRB playback.
+        pub mrb_covered: u64,
+        /// Branch-pair pattern counts (§IV.A: 60%/24%/16%).
+        pub pair_lead_taken: u64,
+        /// Pairs where the lead was not-taken and the second was taken.
+        pub pair_second_taken: u64,
+        /// Pairs where both branches were not-taken.
+        pub pair_both_not_taken: u64,
+        /// Fetch-line lookups skipped by the Empty Line Optimization (power
+        /// proxy, §IV.E).
+        pub elo_skipped_lookups: u64,
+        /// SHP lookups performed (power proxy; gated under µBTB lock).
+        pub shp_lookups: u64,
+        /// Confidence-table crossings into low confidence (MRB eligibility).
+        pub conf_flips_to_low: u64,
+        /// Confidence-table crossings back to high confidence.
+        pub conf_flips_to_high: u64,
+    } derived(mpki)
 }
 
 impl FrontendStats {
@@ -739,15 +741,6 @@ mod snapshot_impl {
             elo_bits: Fixed("frontend elo bitmap"),
             cur_line, cur_line_had_branch, stats,
         } then sync_ras_key
-    }
-    layout! {
-        FrontendStats {
-            instructions, branches, cond_branches, taken_branches, cond_mispredicts,
-            indirect_mispredicts, return_mispredicts, discoveries, trace_gaps, bubbles,
-            zat_zot_zero_bubble, one_bubble_at, ubtb_zero_bubble, mrb_covered, pair_lead_taken,
-            pair_second_taken, pair_both_not_taken, elo_skipped_lookups, shp_lookups,
-            conf_flips_to_low, conf_flips_to_high,
-        }
     }
 
     impl FrontEnd {

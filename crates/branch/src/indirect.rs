@@ -86,17 +86,19 @@ pub struct IndirectPrediction {
     pub from_hash_table: bool,
 }
 
-/// Statistics for the indirect predictor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct IndirectStats {
-    /// Predictions attempted.
-    pub lookups: u64,
-    /// Correct target predictions.
-    pub correct: u64,
-    /// Predictions supplied by the hash table.
-    pub hash_hits: u64,
-    /// Total extra cycles spent in VPC iteration / table latency.
-    pub extra_cycles: u64,
+exynos_telemetry::counters! {
+    /// Statistics for the indirect predictor.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct IndirectStats in "branch.indirect" {
+        /// Predictions attempted.
+        pub lookups: u64,
+        /// Correct target predictions.
+        pub correct: u64,
+        /// Predictions supplied by the hash table.
+        pub hash_hits: u64,
+        /// Total extra cycles spent in VPC iteration / table latency.
+        pub extra_cycles: u64,
+    }
 }
 
 /// The indirect target predictor (VPC + optional hash table).
@@ -508,5 +510,4 @@ mod snapshot_impl {
         }
     }
     layout! { Chain { pc, targets, lru } }
-    layout! { IndirectStats { lookups, correct, hash_hits, extra_cycles } }
 }

@@ -44,7 +44,6 @@ pub mod frontend;
 pub mod history;
 pub mod indirect;
 pub mod mrb;
-pub mod observe;
 pub mod ras;
 pub mod shp;
 pub mod storage;

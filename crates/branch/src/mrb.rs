@@ -23,17 +23,19 @@ struct MrbEntry {
     lru: u64,
 }
 
-/// Statistics for the MRB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MrbStats {
-    /// Redirects that hit a recorded sequence.
-    pub hits: u64,
-    /// Redirects with no entry.
-    pub misses: u64,
-    /// Individual supplied addresses later confirmed by the predictor.
-    pub addresses_confirmed: u64,
-    /// Individual supplied addresses that disagreed (corrected, no gain).
-    pub addresses_corrected: u64,
+exynos_telemetry::counters! {
+    /// Statistics for the MRB.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MrbStats in "branch.mrb" {
+        /// Redirects that hit a recorded sequence.
+        pub hits: u64,
+        /// Redirects with no entry.
+        pub misses: u64,
+        /// Individual supplied addresses later confirmed by the predictor.
+        pub addresses_confirmed: u64,
+        /// Individual supplied addresses that disagreed (corrected, no gain).
+        pub addresses_corrected: u64,
+    }
 }
 
 /// The recovery-sequence buffer.
@@ -242,7 +244,6 @@ mod snapshot_impl {
         }
     }
     layout! { MrbEntry { branch_pc, seq, len, lru } then check_len }
-    layout! { MrbStats { hits, misses, addresses_confirmed, addresses_corrected } }
 
     impl MrbEntry {
         fn check_len(&mut self) -> Result<(), SnapshotError> {

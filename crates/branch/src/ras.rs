@@ -24,13 +24,15 @@ pub struct Ras {
     stats: RasStats,
 }
 
-/// RAS statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RasStats {
-    /// Pushes that overwrote a live entry (overflow).
-    pub overflows: u64,
-    /// Pops from an empty stack (underflow).
-    pub underflows: u64,
+exynos_telemetry::counters! {
+    /// RAS statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct RasStats in "branch.ras" {
+        /// Pushes that overwrote a live entry (overflow).
+        pub overflows: u64,
+        /// Pops from an empty stack (underflow).
+        pub underflows: u64,
+    }
 }
 
 impl Ras {
@@ -195,7 +197,6 @@ mod snapshot_impl {
             top, depth, key, stats,
         } then check_top
     }
-    layout! { RasStats { overflows, underflows } }
 
     impl Ras {
         fn check_top(&mut self) -> Result<(), SnapshotError> {

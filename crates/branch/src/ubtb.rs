@@ -103,17 +103,19 @@ pub enum UbtbPrediction {
     Miss,
 }
 
-/// Statistics for the µBTB.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UbtbStats {
-    /// Predictions made while locked (zero-bubble).
-    pub locked_predictions: u64,
-    /// Lock acquisitions.
-    pub locks: u64,
-    /// Locks broken by a mispredict or graph miss.
-    pub unlocks: u64,
-    /// Cycles the mBTB/SHP could be clock-gated (power proxy).
-    pub gated_cycles: u64,
+exynos_telemetry::counters! {
+    /// Statistics for the µBTB.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct UbtbStats in "branch.ubtb" {
+        /// Predictions made while locked (zero-bubble).
+        pub locked_predictions: u64,
+        /// Lock acquisitions.
+        pub locks: u64,
+        /// Locks broken by a mispredict or graph miss.
+        pub unlocks: u64,
+        /// Cycles the mBTB/SHP could be clock-gated (power proxy).
+        pub gated_cycles: u64,
+    }
 }
 
 /// The graph-based micro-BTB.
@@ -519,7 +521,6 @@ mod snapshot_impl {
     layout! {
         Node { pc, taken_target, is_uncond, local_history, saw_taken, saw_not_taken, lru, built }
     }
-    layout! { UbtbStats { locked_predictions, locks, unlocks, gated_cycles } }
 
     #[cfg(test)]
     mod tests {

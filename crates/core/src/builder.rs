@@ -24,7 +24,7 @@
 use crate::cancel::CancelToken;
 use crate::config::{CoreConfig, Generation};
 use crate::error::SimError;
-use crate::fault::{FaultPlan, FaultRates};
+use crate::fault::FaultPlan;
 use crate::sim::Simulator;
 
 /// Fluent simulator construction; see the [module docs](self).
@@ -32,7 +32,6 @@ use crate::sim::Simulator;
 pub struct SimBuilder {
     cfg: CoreConfig,
     fault: Option<FaultPlan>,
-    fault_rates: Option<FaultRates>,
     watchdog: Option<(u64, u32)>,
     strict_decode: bool,
     cancel: Option<CancelToken>,
@@ -49,7 +48,6 @@ impl SimBuilder {
         SimBuilder {
             cfg,
             fault: None,
-            fault_rates: None,
             watchdog: None,
             strict_decode: false,
             cancel: None,
@@ -61,19 +59,6 @@ impl SimBuilder {
     #[must_use]
     pub fn fault_profile(mut self, plan: FaultPlan) -> SimBuilder {
         self.fault = Some(plan);
-        self.fault_rates = None;
-        self
-    }
-
-    /// Attach fault injection specified as per-instruction probabilities.
-    /// Rates are validated at [`build`](SimBuilder::build): anything
-    /// outside `[0, 1]` (or non-finite) is a typed [`SimError::Config`],
-    /// never a silent clamp. Replaces any earlier
-    /// [`fault_profile`](SimBuilder::fault_profile).
-    #[must_use]
-    pub fn fault_rates(mut self, rates: FaultRates) -> SimBuilder {
-        self.fault_rates = Some(rates);
-        self.fault = None;
         self
     }
 
@@ -103,18 +88,13 @@ impl SimBuilder {
     /// Validate the configuration and construct the simulator.
     pub fn build(self) -> Result<Simulator, SimError> {
         self.validate()?;
-        let SimBuilder { cfg, fault, fault_rates, watchdog, strict_decode, cancel } = self;
-        let plan = match (fault, fault_rates) {
-            (Some(plan), _) => Some(plan),
-            (None, Some(rates)) => Some(FaultPlan::from_rates(&rates)?),
-            (None, None) => None,
-        };
+        let SimBuilder { cfg, fault, watchdog, strict_decode, cancel } = self;
         let mut sim = Simulator::construct(cfg);
-        if let Some(plan) = plan {
-            sim.attach_fault_injector(plan);
+        if let Some(plan) = fault {
+            sim.attach_fault_injector(plan)?;
         }
         if let Some((threshold, rungs)) = watchdog {
-            sim.set_watchdog(threshold, rungs);
+            sim.set_watchdog(threshold, rungs)?;
         }
         sim.set_strict_decode(strict_decode);
         if let Some(token) = cancel {
@@ -144,20 +124,6 @@ impl SimBuilder {
                 resource: "pipeline",
                 detail: format!("mispredict latency {} too short", cfg.lat.mispredict),
             });
-        }
-        if let Some(plan) = &self.fault {
-            plan.validate()?;
-        }
-        if let Some((threshold, _)) = self.watchdog {
-            // `Simulator::set_watchdog` clamps 0 to 1 for direct callers;
-            // through the validated path a zero-cycle threshold is a
-            // typed error — it would trip on every single retirement.
-            if threshold == 0 {
-                return Err(SimError::Config {
-                    param: "watchdog.threshold",
-                    detail: "zero-cycle retirement-gap threshold trips on every step".into(),
-                });
-            }
         }
         Ok(())
     }
@@ -197,20 +163,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_range_fault_rates_are_rejected_at_build() {
-        let mut rates = FaultRates::none(1);
-        rates.malform_inst = 2.0;
-        match SimBuilder::generation(Generation::M3).fault_rates(rates).build() {
-            Err(SimError::Config { param, .. }) => assert_eq!(param, "fault.malform_inst"),
-            other => panic!("rate 2.0 must be a typed Config error, got {other:?}"),
-        }
-        let mut rates = FaultRates::none(1);
-        rates.malform_inst = 0.01;
-        let sim = SimBuilder::generation(Generation::M3).fault_rates(rates).build().unwrap();
-        assert!(sim.fault_stats().is_some(), "valid rates attach an injector");
-    }
-
-    #[test]
     fn inconsistent_stall_plan_is_rejected_at_build() {
         let mut plan = FaultPlan::none();
         plan.stall_every = 50;
@@ -226,6 +178,24 @@ mod tests {
             SimBuilder::generation(Generation::M1).watchdog(0, 3).build(),
             Err(SimError::Config { param: "watchdog.threshold", .. })
         ));
+    }
+
+    #[test]
+    fn direct_setters_return_the_same_typed_errors() {
+        let mut sim = SimBuilder::generation(Generation::M1).build().unwrap();
+        let mut plan = FaultPlan::none();
+        plan.stall_every = 50;
+        assert!(matches!(
+            sim.attach_fault_injector(plan),
+            Err(SimError::Config { param: "fault.stall_cycles", .. })
+        ));
+        assert!(sim.fault_stats().is_none(), "a rejected plan attaches nothing");
+        assert!(matches!(
+            sim.set_watchdog(0, 3),
+            Err(SimError::Config { param: "watchdog.threshold", .. })
+        ));
+        assert!(sim.attach_fault_injector(FaultPlan::chaos(1)).is_ok());
+        assert!(sim.set_watchdog(1, 3).is_ok());
     }
 
     #[test]

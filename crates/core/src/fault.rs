@@ -15,52 +15,6 @@
 
 use crate::error::SimError;
 
-/// Probability-based injection surface: per-instruction firing rates in
-/// `[0, 1]` per fault class, converted to the period schedule of a
-/// [`FaultPlan`] by [`FaultPlan::from_rates`] (with validation — an
-/// out-of-range rate is a typed [`SimError::Config`], never a clamp).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultRates {
-    /// Seed for the per-fault salt stream.
-    pub seed: u64,
-    /// P(corrupt a resident mBTB target) per instruction.
-    pub corrupt_btb_target: f64,
-    /// P(corrupt a resident mBTB entry tag) per instruction.
-    pub corrupt_btb_tag: f64,
-    /// P(flip one SHP perceptron weight) per instruction.
-    pub flip_shp_weight: f64,
-    /// P(truncate the return-address stack) per instruction.
-    pub truncate_ras: f64,
-    /// P(drop pending prefetch confirmations) per instruction.
-    pub drop_prefetch: f64,
-    /// P(malform the trace record) per instruction.
-    pub malform_inst: f64,
-    /// P(warp the PC into a discontinuity gap) per instruction.
-    pub gap_inst: f64,
-    /// P(stall this instruction's completion) per instruction.
-    pub stall: f64,
-    /// Stall magnitude in cycles when the stall class fires.
-    pub stall_cycles: u64,
-}
-
-impl FaultRates {
-    /// All-zero rates (fires nothing) under `seed`.
-    pub fn none(seed: u64) -> FaultRates {
-        FaultRates {
-            seed,
-            corrupt_btb_target: 0.0,
-            corrupt_btb_tag: 0.0,
-            flip_shp_weight: 0.0,
-            truncate_ras: 0.0,
-            drop_prefetch: 0.0,
-            malform_inst: 0.0,
-            gap_inst: 0.0,
-            stall: 0.0,
-            stall_cycles: 0,
-        }
-    }
-}
-
 /// Injection schedule: each `*_every` field fires that fault class once
 /// per that many simulated instructions (0 disables the class).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,50 +62,6 @@ impl FaultPlan {
         }
     }
 
-    /// Derive a period schedule from per-instruction probabilities. Each
-    /// rate must be a finite value in `[0, 1]`; anything else is a typed
-    /// [`SimError::Config`] — never a silent clamp — because a clamped
-    /// fault rate silently changes what a robustness experiment measures.
-    /// A rate `p > 0` becomes the period `max(1, round(1/p))`; `p == 0`
-    /// disables the class.
-    pub fn from_rates(rates: &FaultRates) -> Result<FaultPlan, SimError> {
-        let period = |param: &'static str, p: f64| -> Result<u64, SimError> {
-            if !p.is_finite() || !(0.0..=1.0).contains(&p) {
-                return Err(SimError::Config {
-                    param,
-                    detail: format!("fault rate {p} not a probability in [0, 1]"),
-                });
-            }
-            if p == 0.0 {
-                Ok(0)
-            } else {
-                Ok(((1.0 / p).round() as u64).max(1))
-            }
-        };
-        let stall_every = period("fault.stall", rates.stall)?;
-        if stall_every != 0 && rates.stall_cycles == 0 {
-            return Err(SimError::Config {
-                param: "fault.stall_cycles",
-                detail: format!(
-                    "stall rate {} needs a non-zero stall magnitude",
-                    rates.stall
-                ),
-            });
-        }
-        Ok(FaultPlan {
-            seed: rates.seed,
-            corrupt_btb_target_every: period("fault.corrupt_btb_target", rates.corrupt_btb_target)?,
-            corrupt_btb_tag_every: period("fault.corrupt_btb_tag", rates.corrupt_btb_tag)?,
-            flip_shp_weight_every: period("fault.flip_shp_weight", rates.flip_shp_weight)?,
-            truncate_ras_every: period("fault.truncate_ras", rates.truncate_ras)?,
-            drop_prefetch_every: period("fault.drop_prefetch", rates.drop_prefetch)?,
-            malform_inst_every: period("fault.malform_inst", rates.malform_inst)?,
-            gap_inst_every: period("fault.gap_inst", rates.gap_inst)?,
-            stall_every,
-            stall_cycles: rates.stall_cycles,
-        })
-    }
-
     /// Construction-time consistency check for an explicit plan: the two
     /// stall knobs must agree (a period with no magnitude fires nothing;
     /// a magnitude with no period never fires — both are almost always a
@@ -197,25 +107,27 @@ impl FaultPlan {
     }
 }
 
-/// Count of injections performed, per fault class.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// BTB target corruptions attempted.
-    pub btb_targets: u64,
-    /// BTB tag corruptions attempted.
-    pub btb_tags: u64,
-    /// SHP weight flips.
-    pub shp_flips: u64,
-    /// RAS truncations.
-    pub ras_truncations: u64,
-    /// Prefetch confirmation drops.
-    pub prefetch_drops: u64,
-    /// Malformed trace records emitted.
-    pub malformed: u64,
-    /// Trace gaps emitted.
-    pub gaps: u64,
-    /// Completion stalls injected.
-    pub stalls: u64,
+exynos_telemetry::counters! {
+    /// Count of injections performed, per fault class.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultStats in "core.fault" {
+        /// BTB target corruptions attempted.
+        pub btb_targets: u64,
+        /// BTB tag corruptions attempted.
+        pub btb_tags: u64,
+        /// SHP weight flips.
+        pub shp_flips: u64,
+        /// RAS truncations.
+        pub ras_truncations: u64,
+        /// Prefetch confirmation drops.
+        pub prefetch_drops: u64,
+        /// Malformed trace records emitted.
+        pub malformed: u64,
+        /// Trace gaps emitted.
+        pub gaps: u64,
+        /// Completion stalls injected.
+        pub stalls: u64,
+    } derived(total)
 }
 
 impl FaultStats {
@@ -379,45 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn rates_convert_to_rounded_periods() {
-        let mut r = FaultRates::none(9);
-        r.malform_inst = 0.01;
-        r.gap_inst = 1.0;
-        let plan = FaultPlan::from_rates(&r).unwrap();
-        assert_eq!(plan.seed, 9);
-        assert_eq!(plan.malform_inst_every, 100);
-        assert_eq!(plan.gap_inst_every, 1);
-        assert_eq!(plan.corrupt_btb_target_every, 0, "zero rate disables the class");
-        assert_eq!(plan.stall_every, 0);
-    }
-
-    #[test]
-    fn out_of_range_rates_are_typed_errors_not_clamps() {
-        for bad in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
-            let mut r = FaultRates::none(0);
-            r.flip_shp_weight = bad;
-            match FaultPlan::from_rates(&r) {
-                Err(SimError::Config { param, .. }) => {
-                    assert_eq!(param, "fault.flip_shp_weight")
-                }
-                other => panic!("rate {bad} must be rejected, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn stall_rate_without_magnitude_is_rejected() {
-        let mut r = FaultRates::none(0);
-        r.stall = 0.5;
-        assert!(matches!(
-            FaultPlan::from_rates(&r),
-            Err(SimError::Config { param: "fault.stall_cycles", .. })
-        ));
-        r.stall_cycles = 10;
-        assert!(FaultPlan::from_rates(&r).is_ok());
-    }
-
-    #[test]
     fn plan_validate_catches_inconsistent_stall_knobs() {
         assert!(FaultPlan::none().validate().is_ok());
         assert!(FaultPlan::chaos(1).validate().is_ok());
@@ -462,12 +335,6 @@ mod snapshot_impl {
             seed, corrupt_btb_target_every, corrupt_btb_tag_every, flip_shp_weight_every,
             truncate_ras_every, drop_prefetch_every, malform_inst_every, gap_inst_every,
             stall_every, stall_cycles,
-        }
-    }
-    layout! {
-        FaultStats {
-            btb_targets, btb_tags, shp_flips, ras_truncations,
-            prefetch_drops, malformed, gaps, stalls,
         }
     }
 

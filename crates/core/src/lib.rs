@@ -43,7 +43,6 @@ pub mod config;
 pub mod error;
 pub mod fault;
 pub mod memsys;
-pub mod observe;
 pub mod ports;
 pub mod sim;
 
@@ -51,7 +50,7 @@ pub use builder::SimBuilder;
 pub use cancel::CancelToken;
 pub use config::{CoreConfig, Generation};
 pub use error::{OccupancySnapshot, SimError};
-pub use fault::{FaultInjector, FaultPlan, FaultRates, FaultStats};
+pub use fault::{FaultInjector, FaultPlan, FaultStats};
 pub use memsys::{MemStats, MemSystem};
 pub use batch::{InstChunk, CHUNK_LEN};
 pub use sim::{SimStats, Simulator, SliceMeasure, SliceResult, WatchdogTrip};

@@ -19,35 +19,37 @@ use std::collections::VecDeque;
 /// Buddy-filled lines tracked for usefulness; the oldest is dropped first.
 const BUDDY_WINDOW: usize = 64;
 
-/// Aggregate memory-system statistics.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MemStats {
-    /// Demand loads served.
-    pub loads: u64,
-    /// Demand stores served.
-    pub stores: u64,
-    /// Loads hitting the L1D.
-    pub l1_hits: u64,
-    /// Loads served by the L2.
-    pub l2_hits: u64,
-    /// Loads served by the L3.
-    pub l3_hits: u64,
-    /// Loads served by DRAM.
-    pub dram_loads: u64,
-    /// Sum of load-to-use latencies (cycles).
-    pub total_load_latency: u64,
-    /// Load stalls waiting for a free MAB.
-    pub mab_stalls: u64,
-    /// L1 prefetch fills completed.
-    pub l1_prefetch_fills: u64,
-    /// Buddy prefetch fills into the L2.
-    pub buddy_fills: u64,
-    /// Standalone prefetch fills into the L2.
-    pub standalone_fills: u64,
-    /// Speculative DRAM reads that saved the tag-check serialization.
-    pub spec_read_wins: u64,
-    /// Instruction fetches that missed the L1I.
-    pub icache_misses: u64,
+exynos_telemetry::counters! {
+    /// Aggregate memory-system statistics.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct MemStats in "core.mem" {
+        /// Demand loads served.
+        pub loads: u64,
+        /// Demand stores served.
+        pub stores: u64,
+        /// Loads hitting the L1D.
+        pub l1_hits: u64,
+        /// Loads served by the L2.
+        pub l2_hits: u64,
+        /// Loads served by the L3.
+        pub l3_hits: u64,
+        /// Loads served by DRAM.
+        pub dram_loads: u64,
+        /// Sum of load-to-use latencies (cycles).
+        pub total_load_latency: u64,
+        /// Load stalls waiting for a free MAB.
+        pub mab_stalls: u64,
+        /// L1 prefetch fills completed.
+        pub l1_prefetch_fills: u64,
+        /// Buddy prefetch fills into the L2.
+        pub buddy_fills: u64,
+        /// Standalone prefetch fills into the L2.
+        pub standalone_fills: u64,
+        /// Speculative DRAM reads that saved the tag-check serialization.
+        pub spec_read_wins: u64,
+        /// Instruction fetches that missed the L1I.
+        pub icache_misses: u64,
+    } derived(avg_load_latency)
 }
 
 impl MemStats {
@@ -165,11 +167,6 @@ impl MemSystem {
     /// L3 array stats (zeroes when absent).
     pub fn l3_stats(&self) -> exynos_mem::CacheStats {
         self.l3.as_ref().map(|c| c.stats()).unwrap_or_default()
-    }
-
-    /// L3 occupancy in lines (0 when absent).
-    pub fn l3_occupancy(&self) -> usize {
-        self.l3.as_ref().map(|c| c.occupancy()).unwrap_or(0)
     }
 
     /// Residency of `addr`'s line in (L1D, L2, L3) — side-effect-free,
@@ -781,12 +778,6 @@ mod snapshot_impl {
             standalone: Present("standalone presence"),
             spec, snoop, dram, stats,
         } then clear_scratch
-    }
-    layout! {
-        MemStats {
-            loads, stores, l1_hits, l2_hits, l3_hits, dram_loads, total_load_latency, mab_stalls,
-            l1_prefetch_fills, buddy_fills, standalone_fills, spec_read_wins, icache_misses,
-        }
     }
 
     impl MemSystem {

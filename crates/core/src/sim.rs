@@ -32,27 +32,36 @@ use exynos_trace::{BranchKind, Inst, InstKind, Reg, SlicePlan, TraceGen};
 use exynos_uoc::{Uoc, UocMode};
 use std::collections::VecDeque;
 
-/// Cumulative simulation counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SimStats {
-    /// Instructions retired.
-    pub instructions: u64,
-    /// Cycle of the last retirement.
-    pub last_retire: u64,
-    /// Loads executed.
-    pub loads: u64,
-    /// Instructions supplied by the UOC (fetch/decode power proxy).
-    pub uoc_supplied: u64,
-    /// Malformed trace records skipped (lenient decode).
-    pub malformed_insts: u64,
-    /// Detected predictor-state corruptions recovered by a flush.
-    pub predictor_corruptions: u64,
-    /// UOC block-state losses recovered by demotion to FilterMode.
-    pub uoc_recoveries: u64,
-    /// Retirement gaps beyond the watchdog threshold.
-    pub watchdog_events: u64,
-    /// Graceful-degradation rungs executed by the watchdog.
-    pub watchdog_recoveries: u64,
+exynos_telemetry::counters! {
+    /// Cumulative simulation counters.
+    #[derive(Debug, Clone, Copy, Default)]
+    pub struct SimStats in "core.sim" [exynos_snapshot::tags::SIM_STATS] {
+        /// Instructions retired.
+        pub instructions: u64,
+        /// Cycle of the last retirement.
+        pub last_retire: u64,
+        /// Loads executed.
+        pub loads: u64,
+        /// Instructions supplied by the UOC (fetch/decode power proxy).
+        pub uoc_supplied: u64,
+        /// Malformed trace records skipped (lenient decode).
+        pub malformed_insts: u64,
+        /// Detected predictor-state corruptions recovered by a flush.
+        pub predictor_corruptions: u64,
+        /// UOC block-state losses recovered by demotion to FilterMode.
+        pub uoc_recoveries: u64,
+        /// Retirement gaps beyond the watchdog threshold.
+        pub watchdog_events: u64,
+        /// Graceful-degradation rungs executed by the watchdog.
+        pub watchdog_recoveries: u64,
+    } derived(ipc)
+}
+
+impl SimStats {
+    /// Instructions retired per cycle up to the last retirement.
+    pub fn ipc(&self) -> f64 {
+        self.instructions as f64 / self.last_retire.max(1) as f64
+    }
 }
 
 /// How many consecutive detected-corruption steps the front end may spend
@@ -260,9 +269,13 @@ impl Simulator {
     }
 
     /// Attach a deterministic fault injector executing `plan`. Replaces
-    /// any previously attached injector.
-    pub fn attach_fault_injector(&mut self, plan: FaultPlan) {
+    /// any previously attached injector. A plan that fails
+    /// [`FaultPlan::validate`] is a [`SimError::Config`] and leaves the
+    /// simulator as it was.
+    pub fn attach_fault_injector(&mut self, plan: FaultPlan) -> Result<(), SimError> {
+        plan.validate()?;
         self.injector = Some(FaultInjector::new(plan));
+        Ok(())
     }
 
     /// Injection counters (`None` when no injector is attached).
@@ -273,10 +286,19 @@ impl Simulator {
     /// Reconfigure the forward-progress watchdog: a retirement gap beyond
     /// `threshold` cycles triggers the degradation ladder, and after
     /// `max_recoveries` exhausted rungs the run ends with
-    /// [`SimError::ForwardProgressStall`].
-    pub fn set_watchdog(&mut self, threshold: u64, max_recoveries: u32) {
-        self.watchdog.threshold = threshold.max(1);
+    /// [`SimError::ForwardProgressStall`]. A zero `threshold` would trip
+    /// on every retirement, so it is a [`SimError::Config`] and leaves
+    /// the watchdog as it was.
+    pub fn set_watchdog(&mut self, threshold: u64, max_recoveries: u32) -> Result<(), SimError> {
+        if threshold == 0 {
+            return Err(SimError::Config {
+                param: "watchdog.threshold",
+                detail: "zero-cycle retirement-gap threshold trips on every step".into(),
+            });
+        }
+        self.watchdog.threshold = threshold;
         self.watchdog.max_recoveries = max_recoveries;
+        Ok(())
     }
 
     /// Attach a cooperative cancellation token. The step loop polls it
@@ -1045,12 +1067,6 @@ mod snapshot_impl {
 
     layout! {
         Watchdog [tags::WATCHDOG] { threshold, max_recoveries, recoveries, progress_streak }
-    }
-    layout! {
-        SimStats [tags::SIM_STATS] {
-            instructions, last_retire, loads, uoc_supplied, malformed_insts, predictor_corruptions,
-            uoc_recoveries, watchdog_events, watchdog_recoveries,
-        }
     }
     layout! {
         Simulator [tags::SIM] |s| {

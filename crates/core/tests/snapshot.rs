@@ -28,7 +28,7 @@ fn assert_resume_invariant(cfg: CoreConfig, warmup: u64, detail: u64, fault: Opt
     // Straight run to warmup + detail.
     let mut straight = SimBuilder::config(cfg.clone()).build().unwrap();
     if let Some(plan) = fault {
-        straight.attach_fault_injector(plan);
+        straight.attach_fault_injector(plan).unwrap();
     }
     let mut g = slice.build().unwrap();
     straight
@@ -38,7 +38,7 @@ fn assert_resume_invariant(cfg: CoreConfig, warmup: u64, detail: u64, fault: Opt
     // Checkpoint at warmup, resume, run the detail window.
     let mut warm = SimBuilder::config(cfg.clone()).build().unwrap();
     if let Some(plan) = fault {
-        warm.attach_fault_injector(plan);
+        warm.attach_fault_injector(plan).unwrap();
     }
     let mut g = slice.build().unwrap();
     warm.run_warmup(&mut *g, warmup).unwrap();
@@ -94,7 +94,7 @@ fn resume_is_bit_identical_with_random_warmups_and_faults() {
 fn resume_restores_the_fault_injector_from_the_image() {
     let cfg = CoreConfig::m4();
     let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
-    sim.attach_fault_injector(FaultPlan::chaos(11));
+    sim.attach_fault_injector(FaultPlan::chaos(11)).unwrap();
     let slice = &standard_suite(1)[0];
     let mut g = slice.build().unwrap();
     sim.run_warmup(&mut *g, 5_000).unwrap();
@@ -212,7 +212,7 @@ fn checkpoint_image_bytes_are_pinned() {
         for (k, fault) in [None, Some(FaultPlan::chaos(7))].into_iter().enumerate() {
             let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
             if let Some(plan) = fault {
-                sim.attach_fault_injector(plan);
+                sim.attach_fault_injector(plan).unwrap();
             }
             let mut g = slice.build().unwrap();
             sim.run_warmup(&mut *g, 3_000).unwrap();

@@ -80,11 +80,6 @@ impl Bank {
         self.busy_any > cycle
     }
 
-    /// Cycle at which all of the bank's current work completes.
-    pub fn busy_horizon(&self) -> u64 {
-        self.busy_any
-    }
-
     /// Open `row` (if needed) for an access starting at `start`; returns
     /// the cycle column access may begin (activation completion). Row
     /// activations take real time — a row opened by an overlapping access

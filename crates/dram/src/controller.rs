@@ -80,19 +80,21 @@ impl DramConfig {
     }
 }
 
-/// Memory-controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DramStats {
-    /// Reads served.
-    pub reads: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Early-activate hints sent.
-    pub hints: u64,
-    /// Low-priority prefetch reads deferred behind demand traffic.
-    pub prefetch_deferred: u64,
-    /// Total occupancy-cycle latency accumulated (for averages).
-    pub total_latency: u64,
+exynos_telemetry::counters! {
+    /// Memory-controller statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct DramStats in "dram.ctrl" {
+        /// Reads served.
+        pub reads: u64,
+        /// Row-buffer hits.
+        pub row_hits: u64,
+        /// Early-activate hints sent.
+        pub hints: u64,
+        /// Low-priority prefetch reads deferred behind demand traffic.
+        pub prefetch_deferred: u64,
+        /// Total occupancy-cycle latency accumulated (for averages).
+        pub total_latency: u64,
+    }
 }
 
 /// The memory controller.
@@ -175,11 +177,6 @@ impl MemoryController {
         let (bank, row) = self.map(addr);
         self.banks[bank].activate_hint(row, now + self.cfg.crossing);
     }
-
-    /// Unloaded round-trip latency of a row-buffer hit (for reporting).
-    pub fn best_case_latency(&self) -> u64 {
-        self.cfg.outbound() + self.cfg.timing.t_cas + self.cfg.timing.t_burst + self.cfg.inbound()
-    }
 }
 
 #[cfg(test)]
@@ -254,5 +251,4 @@ mod snapshot_impl {
     use exynos_snapshot::{layout, tags};
 
     layout! { MemoryController [tags::DRAM_CONTROLLER] { banks: Fixed("dram banks"), stats } }
-    layout! { DramStats { reads, row_hits, hints, prefetch_deferred, total_latency } }
 }

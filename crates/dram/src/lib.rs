@@ -13,7 +13,6 @@
 
 pub mod bank;
 pub mod controller;
-pub mod observe;
 pub mod specread;
 
 pub use bank::{Bank, DramTiming};

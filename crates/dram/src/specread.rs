@@ -123,18 +123,20 @@ pub enum SpecDecision {
     Cancelled,
 }
 
-/// Statistics for the speculative-read feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SpecReadStats {
-    /// Reads that speculated to DRAM.
-    pub speculated: u64,
-    /// Speculations cancelled by the directory.
-    pub cancelled: u64,
-    /// Speculations that were correct (line truly not cached).
-    pub useful: u64,
-    /// Speculations that were wasted (line was cached after all — the
-    /// directory failed to cancel).
-    pub wasted: u64,
+exynos_telemetry::counters! {
+    /// Statistics for the speculative-read feature.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SpecReadStats in "dram.specread" {
+        /// Reads that speculated to DRAM.
+        pub speculated: u64,
+        /// Speculations cancelled by the directory.
+        pub cancelled: u64,
+        /// Speculations that were correct (line truly not cached).
+        pub useful: u64,
+        /// Speculations that were wasted (line was cached after all — the
+        /// directory failed to cancel).
+        pub wasted: u64,
+    }
 }
 
 /// The M5 speculative-read controller.
@@ -279,5 +281,4 @@ mod snapshot_impl {
         SnoopFilter [tags::SNOOP_FILTER] { entries: Fixed("snoop-filter entries"), stamp }
     }
     layout! { SpecReadController [tags::SPEC_READ] { predictor, enabled, stats } }
-    layout! { SpecReadStats { speculated, cancelled, useful, wasted } }
 }

@@ -231,23 +231,25 @@ fn hit_mut(set: Option<&mut [TagEntry]>, t: u64, sector: usize) -> Option<&mut T
     set?.iter_mut().find(|e| e.holds(t, sector))
 }
 
-/// Access statistics for one cache.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Demand hits.
-    pub demand_hits: u64,
-    /// Demand misses.
-    pub demand_misses: u64,
-    /// Prefetch hits (already present).
-    pub prefetch_hits: u64,
-    /// Prefetch misses (will fill).
-    pub prefetch_misses: u64,
-    /// Lines filled.
-    pub fills: u64,
-    /// Victims evicted (valid lines displaced).
-    pub evictions: u64,
-    /// Demand hits on lines brought by prefetch (useful prefetches).
-    pub useful_prefetch_hits: u64,
+exynos_telemetry::counters! {
+    /// Access statistics for one cache.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CacheStats in "mem.cache" {
+        /// Demand hits.
+        pub demand_hits: u64,
+        /// Demand misses.
+        pub demand_misses: u64,
+        /// Prefetch hits (already present).
+        pub prefetch_hits: u64,
+        /// Prefetch misses (will fill).
+        pub prefetch_misses: u64,
+        /// Lines filled.
+        pub fills: u64,
+        /// Victims evicted (valid lines displaced).
+        pub evictions: u64,
+        /// Demand hits on lines brought by prefetch (useful prefetches).
+        pub useful_prefetch_hits: u64,
+    }
 }
 
 impl CacheStats {
@@ -774,10 +776,4 @@ mod snapshot_impl {
     layout! { Cache [tags::CACHE] { entries: Fixed("cache tag array"), stats } }
     layout! { TagEntry { tag_addr, sector_valid, sector_dirty, meta, rrpv } }
     layout! { LineMeta { prefetched, demand_hit, reuse, second_pass } }
-    layout! {
-        CacheStats {
-            demand_hits, demand_misses, prefetch_hits, prefetch_misses,
-            fills, evictions, useful_prefetch_hits,
-        }
-    }
 }

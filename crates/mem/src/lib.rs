@@ -19,7 +19,6 @@
 pub mod cache;
 pub mod config;
 pub mod mshr;
-pub mod observe;
 pub mod tlb;
 
 pub use cache::{

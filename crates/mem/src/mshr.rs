@@ -97,15 +97,17 @@ impl MissBuffers {
     }
 }
 
-/// Occupancy statistics for a miss-buffer bank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MshrStats {
-    /// Allocations performed.
-    pub allocations: u64,
-    /// Allocation attempts rejected with every slot busy.
-    pub rejections: u64,
-    /// Peak simultaneous occupancy observed.
-    pub peak: u64,
+exynos_telemetry::counters! {
+    /// Occupancy statistics for a miss-buffer bank.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct MshrStats in "mem.mshr" {
+        /// Allocations performed.
+        pub allocations: u64,
+        /// Allocation attempts rejected with every slot busy.
+        pub rejections: u64,
+        /// Peak simultaneous occupancy observed.
+        pub peak: u64,
+    }
 }
 
 #[cfg(test)]

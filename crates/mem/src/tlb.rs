@@ -27,13 +27,15 @@ impl TlbConfig {
     }
 }
 
-/// Hit/miss statistics for one TLB level.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TlbStats {
-    /// Accesses that hit.
-    pub hits: u64,
-    /// Accesses that missed.
-    pub misses: u64,
+exynos_telemetry::counters! {
+    /// Hit/miss statistics for one TLB level.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TlbStats in "mem.tlb" {
+        /// Accesses that hit.
+        pub hits: u64,
+        /// Accesses that missed.
+        pub misses: u64,
+    }
 }
 
 /// One TLB array (page-granular, 4 KiB pages, sectored tags).

@@ -10,17 +10,19 @@
 //! where access patterns are observed to almost always skip the
 //! neighboring sector, the buddy prefetching is disabled."
 
-/// Buddy prefetcher statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BuddyStats {
-    /// Buddy prefetches issued.
-    pub issued: u64,
-    /// Buddy prefetches suppressed by the skip filter.
-    pub suppressed: u64,
-    /// Buddy lines later used by a demand access (useful).
-    pub useful: u64,
-    /// Buddy lines evicted (with their tag) unused.
-    pub wasted: u64,
+exynos_telemetry::counters! {
+    /// Buddy prefetcher statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct BuddyStats in "prefetch.buddy" {
+        /// Buddy prefetches issued.
+        pub issued: u64,
+        /// Buddy prefetches suppressed by the skip filter.
+        pub suppressed: u64,
+        /// Buddy lines later used by a demand access (useful).
+        pub useful: u64,
+        /// Buddy lines evicted (with their tag) unused.
+        pub wasted: u64,
+    }
 }
 
 /// The Buddy prefetcher with its skip filter.
@@ -147,7 +149,6 @@ mod snapshot_impl {
     use exynos_snapshot::{layout, tags, SnapshotError};
 
     layout! { BuddyPrefetcher [tags::BUDDY] { score, min, max, stats } then check_bounds }
-    layout! { BuddyStats { issued, suppressed, useful, wasted } }
 
     impl BuddyPrefetcher {
         fn check_bounds(&mut self) -> Result<(), SnapshotError> {

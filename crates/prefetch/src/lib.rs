@@ -21,7 +21,6 @@
 pub mod buddy;
 pub mod degree;
 pub mod l1engine;
-pub mod observe;
 pub mod reorder;
 pub mod sms;
 pub mod standalone;

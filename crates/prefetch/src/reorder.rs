@@ -9,14 +9,16 @@
 
 use std::collections::VecDeque;
 
-/// Statistics for the address re-order buffer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReorderStats {
-    /// Entries dropped by the duplicate filter.
-    pub filtered: u64,
-    /// Entries dropped because the buffer was full (oldest released
-    /// early).
-    pub overflows: u64,
+exynos_telemetry::counters! {
+    /// Statistics for the address re-order buffer.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReorderStats in "prefetch.reorder" {
+        /// Entries dropped by the duplicate filter.
+        pub filtered: u64,
+        /// Entries dropped because the buffer was full (oldest released
+        /// early).
+        pub overflows: u64,
+    }
 }
 
 /// Re-orders (sequence-numbered) load addresses back into program order

@@ -78,19 +78,21 @@ struct ActiveRegion {
     lru: u64,
 }
 
-/// SMS statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SmsStats {
-    /// Region generations opened.
-    pub generations: u64,
-    /// Generations closed back into signatures.
-    pub trainings: u64,
-    /// Prefetches issued to L1.
-    pub l1_prefetches: u64,
-    /// First-pass (L2-only) prefetches issued.
-    pub l2_prefetches: u64,
-    /// Training events suppressed by stride-engine arbitration.
-    pub suppressed: u64,
+exynos_telemetry::counters! {
+    /// SMS statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SmsStats in "prefetch.sms" {
+        /// Region generations opened.
+        pub generations: u64,
+        /// Generations closed back into signatures.
+        pub trainings: u64,
+        /// Prefetches issued to L1.
+        pub l1_prefetches: u64,
+        /// First-pass (L2-only) prefetches issued.
+        pub l2_prefetches: u64,
+        /// Training events suppressed by stride-engine arbitration.
+        pub suppressed: u64,
+    }
 }
 
 /// The SMS prefetch engine.
@@ -357,7 +359,6 @@ mod snapshot_impl {
     }
     layout! { Signature { pc, conf, lru } }
     layout! { ActiveRegion { region, primary_pc, touched, lru } }
-    layout! { SmsStats { generations, trainings, l1_prefetches, l2_prefetches, suppressed } }
 
     /// The blank signature a restored one is decoded into.
     impl Default for Signature {

@@ -68,23 +68,25 @@ struct PageStream {
     lru: u64,
 }
 
-/// Statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StandaloneStats {
-    /// Accesses trained on.
-    pub trained: u64,
-    /// Phantom prefetches generated (low-confidence mode).
-    pub phantoms: u64,
-    /// Demands that matched a phantom (confidence credit).
-    pub phantom_hits: u64,
-    /// Real prefetches issued (high-confidence mode).
-    pub issued: u64,
-    /// Low→high promotions.
-    pub promotions: u64,
-    /// High→low demotions.
-    pub demotions: u64,
-    /// Streams continued across a page crossing.
-    pub page_crossings: u64,
+exynos_telemetry::counters! {
+    /// Statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StandaloneStats in "prefetch.standalone" {
+        /// Accesses trained on.
+        pub trained: u64,
+        /// Phantom prefetches generated (low-confidence mode).
+        pub phantoms: u64,
+        /// Demands that matched a phantom (confidence credit).
+        pub phantom_hits: u64,
+        /// Real prefetches issued (high-confidence mode).
+        pub issued: u64,
+        /// Low→high promotions.
+        pub promotions: u64,
+        /// High→low demotions.
+        pub demotions: u64,
+        /// Streams continued across a page crossing.
+        pub page_crossings: u64,
+    }
 }
 
 /// The standalone L2/L3 stream prefetcher.
@@ -385,9 +387,4 @@ mod snapshot_impl {
         }
     }
     layout! { PageStream { page, last_line, stride, confirmations, lru } }
-    layout! {
-        StandaloneStats {
-            trained, phantoms, phantom_hits, issued, promotions, demotions, page_crossings,
-        }
-    }
 }

@@ -109,21 +109,23 @@ impl Stream {
     }
 }
 
-/// Engine statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StrideStats {
-    /// Demand lines trained on.
-    pub trained: u64,
-    /// Prefetch lines generated.
-    pub issued: u64,
-    /// Demand confirmations.
-    pub confirms: u64,
-    /// Pattern locks acquired.
-    pub locks: u64,
-    /// Pattern locks broken by a mismatching delta.
-    pub unlocks: u64,
-    /// Frontier skip-aheads (demand overtook the prefetch stream).
-    pub skip_aheads: u64,
+exynos_telemetry::counters! {
+    /// Engine statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StrideStats in "prefetch.stride" {
+        /// Demand lines trained on.
+        pub trained: u64,
+        /// Prefetch lines generated.
+        pub issued: u64,
+        /// Demand confirmations.
+        pub confirms: u64,
+        /// Pattern locks acquired.
+        pub locks: u64,
+        /// Pattern locks broken by a mismatching delta.
+        pub unlocks: u64,
+        /// Frontier skip-aheads (demand overtook the prefetch stream).
+        pub skip_aheads: u64,
+    }
 }
 
 /// The multi-stride prefetch engine. Addresses are 64 B cache lines.
@@ -517,7 +519,6 @@ mod snapshot_impl {
             ahead, degree, queue, expected, lru,
         }
     }
-    layout! { StrideStats { trained, issued, confirms, locks, unlocks, skip_aheads } }
 
     /// The blank stream a restored one is decoded into.
     impl Default for Stream {

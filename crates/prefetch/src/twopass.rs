@@ -32,23 +32,25 @@ pub struct PendingFill {
     pub ready_at: u64,
 }
 
-/// Controller statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TwoPassStats {
-    /// First-pass requests sent to the L2.
-    pub first_passes: u64,
-    /// First passes that hit in the L2.
-    pub first_pass_l2_hits: u64,
-    /// Second-pass L1 fills completed.
-    pub second_passes: u64,
-    /// One-pass L1 fills completed.
-    pub one_passes: u64,
-    /// Mode switches two-pass → one-pass.
-    pub to_one_pass: u64,
-    /// Mode switches one-pass → two-pass.
-    pub to_two_pass: u64,
-    /// Prefetches dropped because the pending queue overflowed.
-    pub dropped: u64,
+exynos_telemetry::counters! {
+    /// Controller statistics.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct TwoPassStats in "prefetch.twopass" {
+        /// First-pass requests sent to the L2.
+        pub first_passes: u64,
+        /// First passes that hit in the L2.
+        pub first_pass_l2_hits: u64,
+        /// Second-pass L1 fills completed.
+        pub second_passes: u64,
+        /// One-pass L1 fills completed.
+        pub one_passes: u64,
+        /// Mode switches two-pass → one-pass.
+        pub to_one_pass: u64,
+        /// Mode switches one-pass → two-pass.
+        pub to_two_pass: u64,
+        /// Prefetches dropped because the pending queue overflowed.
+        pub dropped: u64,
+    }
 }
 
 /// The one-pass/two-pass delivery controller.
@@ -278,10 +280,4 @@ mod snapshot_impl {
         }
     }
     layout! { PendingFill { line, ready_at } }
-    layout! {
-        TwoPassStats {
-            first_passes, first_pass_l2_hits, second_passes, one_passes,
-            to_one_pass, to_two_pass, dropped,
-        }
-    }
 }

@@ -82,13 +82,15 @@ pub struct AttackOutcome {
     pub hijacked: bool,
 }
 
-/// Aggregate statistics over a batch of attack trials.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AttackStats {
-    /// Trials run.
-    pub trials: u64,
-    /// Trials where the victim speculatively fetched the gadget.
-    pub hijacked: u64,
+exynos_telemetry::counters! {
+    /// Aggregate statistics over a batch of attack trials.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct AttackStats in "secure.attack" {
+        /// Trials run.
+        pub trials: u64,
+        /// Trials where the victim speculatively fetched the gadget.
+        pub hijacked: u64,
+    } derived(hijack_rate)
 }
 
 impl AttackStats {
@@ -107,21 +109,6 @@ impl AttackStats {
         } else {
             self.hijacked as f64 / self.trials as f64
         }
-    }
-}
-
-impl exynos_telemetry::Observable for AttackStats {
-    fn component(&self) -> &'static str {
-        "secure.attack"
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(&'static str, exynos_telemetry::Value)) {
-        f("trials", exynos_telemetry::Value::U64(self.trials));
-        f("hijacked", exynos_telemetry::Value::U64(self.hijacked));
-        f(
-            "hijack_rate",
-            exynos_telemetry::Value::F64(self.hijack_rate()),
-        );
     }
 }
 

@@ -302,13 +302,6 @@ pub struct EventRecord {
 }
 
 impl EventRecord {
-    /// Serialize this record as one JSON object (no trailing newline).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        self.write_json(&mut out);
-        out
-    }
-
     fn write_json(&self, out: &mut String) {
         out.push('{');
         json::push_key(out, true, "type");

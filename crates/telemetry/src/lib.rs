@@ -12,9 +12,10 @@
 //!
 //! # Wiring
 //!
-//! Component crates implement [`Observable`] for their `*Stats` structs
-//! (a stable dotted component path plus a fixed-order visit of named
-//! values). `exynos_core::Simulator::run_slice_with` threads an
+//! Component crates declare their `*Stats` structs through
+//! [`counters!`], which implements [`Observable`] (a stable dotted
+//! component path plus a fixed-order visit of named values) from the same
+//! field list as the struct's checkpoint layout. `exynos_core::Simulator::run_slice_with` threads an
 //! `&mut Telemetry` through the step loop: events are derived from
 //! per-step stat deltas, and every `epoch_len` retired instructions the
 //! whole registry is snapshotted into the columnar series.
@@ -28,6 +29,7 @@
 
 #![warn(missing_docs)]
 
+mod counters;
 pub mod event;
 pub mod flight;
 pub mod json;
@@ -66,6 +68,18 @@ impl Value {
             Value::U64(v) => v as f64,
             Value::F64(v) => v,
         }
+    }
+}
+
+impl From<u64> for Value {
+    fn from(v: u64) -> Value {
+        Value::U64(v)
+    }
+}
+
+impl From<f64> for Value {
+    fn from(v: f64) -> Value {
+        Value::F64(v)
     }
 }
 

@@ -210,17 +210,6 @@ impl MetricsRegistry {
         self.slots.get(id.0 as usize).map(|s| s.metric.kind())
     }
 
-    /// Read-only access to a histogram slot.
-    pub fn histogram_ref(&self, id: MetricId) -> Option<&Histogram> {
-        match self.slots.get(id.0 as usize) {
-            Some(Slot {
-                metric: Metric::Histogram(h),
-                ..
-            }) => Some(h),
-            _ => None,
-        }
-    }
-
     /// Visit every slot in registration order as
     /// `(component, name, kind, scalar)`.
     pub fn for_each(&self, f: &mut dyn FnMut(&'static str, &'static str, MetricKind, f64)) {

@@ -107,46 +107,29 @@ struct UocBlock {
     lru: u64,
 }
 
-/// Aggregate UOC statistics (power/effectiveness proxies).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UocStats {
-    /// Blocks processed in FilterMode.
-    pub filter_blocks: u64,
-    /// Blocks processed in BuildMode.
-    pub build_blocks: u64,
-    /// Blocks processed in FetchMode.
-    pub fetch_blocks: u64,
-    /// µops supplied by the UOC (fetch+decode power saved).
-    pub uops_supplied: u64,
-    /// Basic-block allocations performed.
-    pub builds: u64,
-    /// Blocks evicted for capacity.
-    pub evictions: u64,
-    /// Build→Fetch promotions.
-    pub promotions: u64,
-    /// Demotions back to FilterMode.
-    pub demotions: u64,
-    /// Build requests squashed because the UOC already held the block
-    /// (the back-propagation case in §VI).
-    pub squashed_builds: u64,
-}
-
-impl exynos_telemetry::Observable for UocStats {
-    fn component(&self) -> &'static str {
-        "uoc.cache"
-    }
-
-    fn visit(&self, f: &mut dyn FnMut(&'static str, exynos_telemetry::Value)) {
-        use exynos_telemetry::Value;
-        f("filter_blocks", Value::U64(self.filter_blocks));
-        f("build_blocks", Value::U64(self.build_blocks));
-        f("fetch_blocks", Value::U64(self.fetch_blocks));
-        f("uops_supplied", Value::U64(self.uops_supplied));
-        f("builds", Value::U64(self.builds));
-        f("evictions", Value::U64(self.evictions));
-        f("promotions", Value::U64(self.promotions));
-        f("demotions", Value::U64(self.demotions));
-        f("squashed_builds", Value::U64(self.squashed_builds));
+exynos_telemetry::counters! {
+    /// Aggregate UOC statistics (power/effectiveness proxies).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct UocStats in "uoc.cache" {
+        /// Blocks processed in FilterMode.
+        pub filter_blocks: u64,
+        /// Blocks processed in BuildMode.
+        pub build_blocks: u64,
+        /// Blocks processed in FetchMode.
+        pub fetch_blocks: u64,
+        /// µops supplied by the UOC (fetch+decode power saved).
+        pub uops_supplied: u64,
+        /// Basic-block allocations performed.
+        pub builds: u64,
+        /// Blocks evicted for capacity.
+        pub evictions: u64,
+        /// Build→Fetch promotions.
+        pub promotions: u64,
+        /// Demotions back to FilterMode.
+        pub demotions: u64,
+        /// Build requests squashed because the UOC already held the block
+        /// (the back-propagation case in §VI).
+        pub squashed_builds: u64,
     }
 }
 
@@ -573,12 +556,6 @@ mod snapshot_impl {
         } then reset_find_hint
     }
     layout! { UocBlock { start, branch_pc, uops, lru } }
-    layout! {
-        UocStats {
-            filter_blocks, build_blocks, fetch_blocks, uops_supplied, builds, evictions, promotions,
-            demotions, squashed_builds,
-        }
-    }
 
     impl Uoc {
         /// Hints are transient lookup accelerators, never part of the

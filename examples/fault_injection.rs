@@ -15,8 +15,10 @@ fn main() {
     println!("== chaos injection across generations (seed 0xC0FFEE) ==");
     for (i, cfg) in CoreConfig::all_generations().into_iter().enumerate() {
         let name = cfg.gen;
-        let mut sim = SimBuilder::config(cfg).build().unwrap();
-        sim.attach_fault_injector(FaultPlan::chaos(0xC0FFEE + i as u64));
+        let mut sim = SimBuilder::config(cfg)
+            .fault_profile(FaultPlan::chaos(0xC0FFEE + i as u64))
+            .build()
+            .unwrap();
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 90, 7 + i as u64);
         match sim.run_slice(&mut gen, SlicePlan::new(2_000, 40_000)) {
             Ok(r) => {
@@ -41,8 +43,10 @@ fn main() {
     let mut plan = FaultPlan::none();
     plan.stall_every = 50;
     plan.stall_cycles = 80_000;
-    let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
-    sim.attach_fault_injector(plan);
+    let mut sim = SimBuilder::config(CoreConfig::m5())
+        .fault_profile(plan)
+        .build()
+        .unwrap();
     let mut gen = MarkovBranches::new(&MarkovParams::default(), 91, 11);
     match sim.run_slice(&mut gen, SlicePlan::new(0, 10_000)) {
         Ok(_) => println!("unexpected: wedge survived"),
@@ -56,8 +60,10 @@ fn main() {
 
     println!("\n== determinism: same seed, same outcome ==");
     let fingerprint = |seed: u64| {
-        let mut sim = SimBuilder::config(CoreConfig::m4()).build().unwrap();
-        sim.attach_fault_injector(FaultPlan::chaos(seed));
+        let mut sim = SimBuilder::config(CoreConfig::m4())
+            .fault_profile(FaultPlan::chaos(seed))
+            .build()
+            .unwrap();
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 92, 13);
         let r = sim.run_slice(&mut gen, SlicePlan::new(1_000, 20_000));
         let f = sim.fault_stats().unwrap_or_default();

@@ -143,7 +143,7 @@ fn seeded_chaos_injection_survives_every_generation() {
     for (i, cfg) in CoreConfig::all_generations().into_iter().enumerate() {
         let name = cfg.gen;
         let mut sim = SimBuilder::config(cfg).build().unwrap();
-        sim.attach_fault_injector(FaultPlan::chaos(0xC0FFEE + i as u64));
+        sim.attach_fault_injector(FaultPlan::chaos(0xC0FFEE + i as u64)).unwrap();
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 210, 11 + i as u64);
         match sim.run_slice(&mut gen, SlicePlan::new(2_000, 40_000)) {
             Ok(r) => {
@@ -167,7 +167,7 @@ fn chaos_injection_is_deterministic() {
     // Same seed → bit-identical outcome, including the injected faults.
     let run = || {
         let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
-        sim.attach_fault_injector(FaultPlan::chaos(42));
+        sim.attach_fault_injector(FaultPlan::chaos(42)).unwrap();
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 211, 13);
         let r = sim.run_slice(&mut gen, SlicePlan::new(1_000, 20_000));
         let s = sim.stats();
@@ -186,7 +186,7 @@ fn malformed_records_are_counted_and_skipped() {
     let mut plan = FaultPlan::none();
     plan.malform_inst_every = 100;
     let mut sim = SimBuilder::config(CoreConfig::m3()).build().unwrap();
-    sim.attach_fault_injector(plan);
+    sim.attach_fault_injector(plan).unwrap();
     let mut gen = MultiStride::new(&MultiStrideParams::default(), 212, 17);
     let r = sim
         .run_slice(&mut gen, SlicePlan::new(0, 10_000))
@@ -200,7 +200,7 @@ fn strict_decode_surfaces_malformed_records_as_typed_errors() {
     let mut plan = FaultPlan::none();
     plan.malform_inst_every = 500;
     let mut sim = SimBuilder::config(CoreConfig::m3()).build().unwrap();
-    sim.attach_fault_injector(plan);
+    sim.attach_fault_injector(plan).unwrap();
     sim.set_strict_decode(true);
     let mut gen = MultiStride::new(&MultiStrideParams::default(), 212, 17);
     match sim.run_slice(&mut gen, SlicePlan::new(0, 10_000)) {
@@ -224,7 +224,7 @@ fn watchdog_detects_wedged_retirement_with_occupancy_snapshot() {
     plan.stall_every = 50;
     plan.stall_cycles = 80_000;
     let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
-    sim.attach_fault_injector(plan);
+    sim.attach_fault_injector(plan).unwrap();
     let mut gen = MarkovBranches::new(&MarkovParams::default(), 213, 19);
     let err = sim
         .run_slice(&mut gen, SlicePlan::new(0, 10_000))
@@ -251,7 +251,7 @@ fn watchdog_recoveries_decay_with_sustained_progress() {
     plan.stall_every = 2_000;
     plan.stall_cycles = 80_000;
     let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
-    sim.attach_fault_injector(plan);
+    sim.attach_fault_injector(plan).unwrap();
     let mut gen = MarkovBranches::new(&MarkovParams::default(), 214, 23);
     sim.run_slice(&mut gen, SlicePlan::new(0, 20_000))
         .expect("isolated stalls must never abort the run");
@@ -276,7 +276,7 @@ fn watchdog_ladder_fires_in_order_on_every_generation() {
         plan.stall_every = 50;
         plan.stall_cycles = 80_000;
         let mut sim = SimBuilder::config(cfg).build().unwrap();
-        sim.attach_fault_injector(plan);
+        sim.attach_fault_injector(plan).unwrap();
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 216, 31 + i as u64);
         let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 5_000, event_capacity: 1 << 14 });
         let err = sim
@@ -313,8 +313,8 @@ fn watchdog_ladder_fires_in_order_on_every_generation() {
         // flight, so the ladder may fire a few residual times — but it
         // must recover them all and the run must retire every
         // instruction without erroring.
-        sim.attach_fault_injector(FaultPlan::none());
-        sim.set_watchdog(50_000, 10);
+        sim.attach_fault_injector(FaultPlan::none()).unwrap();
+        sim.set_watchdog(50_000, 10).unwrap();
         let before = sim.stats().instructions;
         let r = sim
             .run_slice(&mut gen, SlicePlan::new(0, 5_000))
@@ -331,7 +331,7 @@ fn watchdog_threshold_is_configurable() {
     // A tiny threshold and zero recovery budget: the first legitimate
     // long-latency event already errors out — proving the knob works.
     let mut sim = SimBuilder::config(CoreConfig::m1()).build().unwrap();
-    sim.set_watchdog(10, 0);
+    sim.set_watchdog(10, 0).unwrap();
     let mut gen = PointerChase::new(&PointerChaseParams::default(), 215, 29);
     let err = sim.run_slice(&mut gen, SlicePlan::new(0, 50_000));
     assert!(

@@ -114,12 +114,22 @@ fn registry_covers_the_machine() {
         reg.len()
     );
     let mut crates: Vec<String> = Vec::new();
-    reg.for_each(&mut |component, _name, _kind, _value| {
+    let mut pair_lead_taken = None;
+    reg.for_each(&mut |component, name, _kind, value| {
         let first = component.split('.').next().unwrap_or(component).to_string();
         if !crates.contains(&first) {
             crates.push(first);
         }
+        if (component, name) == ("branch.frontend", "pair_lead_taken") {
+            pair_lead_taken = Some(value);
+        }
     });
+    // The §IV.A branch-pair split reaches the registry with the other
+    // front-end counters.
+    assert!(
+        pair_lead_taken.is_some_and(|v| v > 0.0),
+        "branch.frontend.pair_lead_taken missing or zero: {pair_lead_taken:?}"
+    );
     for expected in ["core", "branch", "mem", "prefetch", "dram", "uoc"] {
         assert!(
             crates.iter().any(|c| c == expected),
