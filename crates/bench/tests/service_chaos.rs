@@ -146,6 +146,11 @@ fn overload_sheds_with_typed_refusal() {
     assert!(st.state.is_terminal());
     assert_eq!(st.error_kind.as_deref(), Some("overloaded"));
     assert!(engine.stats_json().contains("\"sheds\":1"));
+    // One home per counter: the shed is exported once, as the queue
+    // counter, with no second `service.jobs` copy.
+    let prom = engine.metrics_prometheus();
+    assert!(prom.contains("\nservice_queue_shed_total 1\n"), "{prom}");
+    assert!(!prom.contains("service_jobs_sheds"), "{prom}");
     engine.abort();
 }
 

@@ -43,12 +43,6 @@ impl ConfidenceTable {
         self.ctrs[self.index(pc)] < self.threshold
     }
 
-    /// Reset every counter to the untrained (low-confidence) state,
-    /// keeping the configured geometry and thresholds.
-    pub fn clear(&mut self) {
-        self.ctrs.fill(0);
-    }
-
     /// Record a prediction outcome for the branch at `pc`.
     ///
     /// Returns `Some(now_low)` when the update flipped the branch across

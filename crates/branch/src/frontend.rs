@@ -282,22 +282,6 @@ impl FrontEnd {
         self.expected_pc = None;
     }
 
-    /// Reset every dynamic structure — predictors, history, confidence,
-    /// line-scan transients — while keeping the cumulative [`stats`]
-    /// (they describe the run so far, not the state). Part of the
-    /// `stats()/clear()/snapshot` surface every stateful component
-    /// exposes.
-    ///
-    /// [`stats`]: FrontEnd::stats
-    pub fn clear(&mut self) {
-        self.flush_predictors();
-        self.confidence.clear();
-        self.pair_pending_second = false;
-        self.elo_bits.fill(0);
-        self.cur_line = u64::MAX;
-        self.cur_line_had_branch = false;
-    }
-
     /// Rotate the context cipher key in place (CEASER-style re-keying,
     /// §V). Every sealed indirect/RAS target trained under the old key now
     /// decodes to garbage, so poisoned (or corrupted) encrypted state is

@@ -500,14 +500,65 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{layout, tags};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
     layout! {
         IndirectPredictor [tags::INDIRECT] |s| {
             chains: Bounded(s.chain_capacity, "indirect chains"),
             table: Fixed("indirect hash table"),
             target_hist, stamp, stats,
-        }
+        } then check_chains
     }
     layout! { Chain { pc, targets, lru } }
+
+    impl IndirectPredictor {
+        /// Training replaces the last target of a full chain rather than
+        /// growing it, so no live chain exceeds `cfg.max_chain`.
+        fn check_chains(&mut self) -> Result<(), SnapshotError> {
+            let cap = self.cfg.max_chain;
+            match self.chains.iter().find(|c| c.targets.len() > cap) {
+                Some(c) => Err(SnapshotError::Geometry {
+                    what: "indirect chain targets",
+                    expected: cap as u64,
+                    found: c.targets.len() as u64,
+                }),
+                None => Ok(()),
+            }
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
+
+        /// Training replaces a full chain's last target, so a chain above
+        /// `max_chain` targets cannot come from a run.
+        #[test]
+        fn over_capacity_chain_targets_is_geometry() {
+            let cfg = IndirectConfig::m6_hybrid();
+            let cap = cfg.max_chain as u64;
+            for extra in [0u64, 1] {
+                let mut p = IndirectPredictor::new(cfg.clone(), 4);
+                let targets = (0..cap + extra).map(|t| (0x9000 + t, 0)).collect();
+                p.chains.push(Chain { pc: 0x4000, targets, lru: 1 });
+                let mut enc = Encoder::new();
+                p.save(&mut enc);
+                let bytes = enc.finish();
+                let got = IndirectPredictor::new(cfg.clone(), 4).restore(&mut Decoder::new(&bytes));
+                if extra == 0 {
+                    assert_eq!(got, Ok(()));
+                } else {
+                    assert_eq!(
+                        got,
+                        Err(SnapshotError::Geometry {
+                            what: "indirect chain targets",
+                            expected: cap,
+                            found: cap + 1,
+                        })
+                    );
+                }
+            }
+        }
+    }
 }

@@ -240,10 +240,28 @@ mod snapshot_impl {
     layout! {
         Mrb [tags::MRB] |s| {
             entries: Bounded(s.capacity, "mrb entries"),
-            stamp, playback, recording, stats,
-        }
+            stamp,
+            playback: Bounded(MRB_SEQ_LEN, "mrb playback"),
+            recording, stats,
+        } then check_recording
     }
     layout! { MrbEntry { branch_pc, seq, len, lru } then check_len }
+
+    impl Mrb {
+        /// `on_correct_path_target` installs and clears a sequence in the
+        /// call that fills it, so a live recording holds fewer than
+        /// `MRB_SEQ_LEN` addresses; one that held more would never install.
+        fn check_recording(&mut self) -> Result<(), SnapshotError> {
+            match &self.recording {
+                Some((_, seq)) if seq.len() >= MRB_SEQ_LEN => Err(SnapshotError::Geometry {
+                    what: "mrb recording",
+                    expected: MRB_SEQ_LEN as u64 - 1,
+                    found: seq.len() as u64,
+                }),
+                _ => Ok(()),
+            }
+        }
+    }
 
     impl MrbEntry {
         fn check_len(&mut self) -> Result<(), SnapshotError> {
@@ -251,6 +269,59 @@ mod snapshot_impl {
                 return Err(SnapshotError::Corrupt { what: "mrb entry length" });
             }
             Ok(())
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
+
+        fn round_trip(m: &Mrb) -> Result<(), SnapshotError> {
+            let mut enc = Encoder::new();
+            m.save(&mut enc);
+            let bytes = enc.finish();
+            Mrb::new(m.capacity).restore(&mut Decoder::new(&bytes))
+        }
+
+        /// `on_mispredict` copies at most one entry's `MRB_SEQ_LEN`
+        /// addresses into playback, so more cannot come from a run.
+        #[test]
+        fn over_capacity_playback_is_geometry() {
+            for extra in [0u64, 1] {
+                let mut m = Mrb::new(4);
+                m.playback = (0..MRB_SEQ_LEN as u64 + extra).collect();
+                let want = if extra == 0 {
+                    Ok(())
+                } else {
+                    Err(SnapshotError::Geometry {
+                        what: "mrb playback",
+                        expected: MRB_SEQ_LEN as u64,
+                        found: MRB_SEQ_LEN as u64 + 1,
+                    })
+                };
+                assert_eq!(round_trip(&m), want);
+            }
+        }
+
+        /// A recording that reaches `MRB_SEQ_LEN` installs and clears in
+        /// the same call, so a live one holds at most `MRB_SEQ_LEN - 1`.
+        #[test]
+        fn full_recording_is_geometry() {
+            for len in [MRB_SEQ_LEN as u64 - 1, MRB_SEQ_LEN as u64] {
+                let mut m = Mrb::new(4);
+                m.recording = Some((0x4000, (0..len).collect()));
+                let want = if len < MRB_SEQ_LEN as u64 {
+                    Ok(())
+                } else {
+                    Err(SnapshotError::Geometry {
+                        what: "mrb recording",
+                        expected: MRB_SEQ_LEN as u64 - 1,
+                        found: len,
+                    })
+                };
+                assert_eq!(round_trip(&m), want);
+            }
         }
     }
 }

@@ -327,7 +327,7 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{layout, tags};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
     layout! { FaultInjector [tags::FAULT_INJECTOR] { plan, rng, step, stats } }
     layout! {
@@ -335,6 +335,14 @@ mod snapshot_impl {
             seed, corrupt_btb_target_every, corrupt_btb_tag_every, flip_shp_weight_every,
             truncate_ras_every, drop_prefetch_every, malform_inst_every, gap_inst_every,
             stall_every, stall_cycles,
+        } then check_plan
+    }
+
+    impl FaultPlan {
+        /// The check `Simulator::attach_fault_injector` applies.
+        fn check_plan(&mut self) -> Result<(), SnapshotError> {
+            self.validate()
+                .map_err(|_| SnapshotError::Corrupt { what: "fault plan stall knobs" })
         }
     }
 

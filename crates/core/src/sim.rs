@@ -1067,6 +1067,18 @@ mod snapshot_impl {
 
     layout! {
         Watchdog [tags::WATCHDOG] { threshold, max_recoveries, recoveries, progress_streak }
+            then check_threshold
+    }
+
+    impl Watchdog {
+        /// The check [`Simulator::set_watchdog`] applies: a zero
+        /// threshold would trip on every retirement.
+        fn check_threshold(&mut self) -> Result<(), SnapshotError> {
+            if self.threshold == 0 {
+                return Err(SnapshotError::Corrupt { what: "watchdog threshold" });
+            }
+            Ok(())
+        }
     }
     layout! {
         Simulator [tags::SIM] |s| {

@@ -10,6 +10,7 @@ use exynos_core::config::CoreConfig;
 use exynos_core::error::SimError;
 use exynos_core::fault::FaultPlan;
 use exynos_core::sim::Simulator;
+use exynos_snapshot::{Encoder, Snapshot, SnapshotError};
 use exynos_trace::{standard_suite, SlicePlan, TraceGen};
 
 /// Consume `n` instructions from `g` without simulating them (generator
@@ -176,6 +177,58 @@ fn corrupted_images_yield_typed_errors_not_panics() {
         bad[at] ^= 0x55;
         let _ = Simulator::resume(&bad);
     }
+}
+
+/// Overwrite the one occurrence of `from` in `image` with `to`.
+fn patch(image: &mut [u8], from: &[u8], to: &[u8]) {
+    let hits: Vec<usize> = image
+        .windows(from.len())
+        .enumerate()
+        .filter(|(_, w)| *w == from)
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(hits.len(), 1, "the patched bytes must occur exactly once");
+    image[hits[0]..hits[0] + to.len()].copy_from_slice(to);
+}
+
+/// Resume `image` and expect the typed decode error `want`.
+fn assert_resume_rejects(image: &[u8], want: SnapshotError) {
+    match Simulator::resume(image) {
+        Err(SimError::SnapshotDecode { detail }) => assert_eq!(detail, want.to_string()),
+        Err(e) => panic!("unexpected error {e}"),
+        Ok(_) => panic!("an image the setters would refuse resumed"),
+    }
+}
+
+#[test]
+fn restored_zero_watchdog_threshold_is_rejected() {
+    // A threshold no other field of the image spells out.
+    const THRESHOLD: u64 = 0x5EED_7A11_0D06_0001;
+    let mut sim = SimBuilder::config(CoreConfig::m3()).build().unwrap();
+    sim.set_watchdog(THRESHOLD, 3).unwrap();
+    let mut image = sim.checkpoint();
+    assert!(Simulator::resume(&image).is_ok());
+    patch(&mut image, &THRESHOLD.to_le_bytes(), &0u64.to_le_bytes());
+    assert_resume_rejects(&image, SnapshotError::Corrupt { what: "watchdog threshold" });
+}
+
+#[test]
+fn restored_fault_plan_that_validate_rejects_is_rejected() {
+    let valid = FaultPlan { seed: 0x5EED_FA17_0D06_0002, ..FaultPlan::none() };
+    // A stall period with no magnitude: `FaultPlan::validate` refuses it.
+    let invalid = FaultPlan { stall_every: 97, ..valid };
+    assert!(invalid.validate().is_err());
+    let encode = |plan: &FaultPlan| {
+        let mut enc = Encoder::new();
+        plan.save(&mut enc);
+        enc.finish()
+    };
+    let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
+    sim.attach_fault_injector(valid).unwrap();
+    let mut image = sim.checkpoint();
+    assert!(Simulator::resume(&image).is_ok());
+    patch(&mut image, &encode(&valid), &encode(&invalid));
+    assert_resume_rejects(&image, SnapshotError::Corrupt { what: "fault plan stall knobs" });
 }
 
 /// FNV-1a, 64-bit: a dependency-free digest for pinning image bytes.

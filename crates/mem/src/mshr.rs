@@ -167,17 +167,6 @@ mod tests {
     }
 }
 
-impl MissBuffers {
-    /// Release every slot (as if all outstanding misses drained), keeping
-    /// cumulative statistics — the `stats() / clear() / snapshot` surface
-    /// shared by the stateful components.
-    pub fn clear(&mut self) {
-        for s in &mut self.slots {
-            *s = 0;
-        }
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{layout, tags};

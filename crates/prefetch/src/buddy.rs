@@ -136,14 +136,6 @@ mod tests {
     }
 }
 
-impl BuddyPrefetcher {
-    /// Reset the usefulness score to its starting value, keeping cumulative
-    /// statistics.
-    pub fn clear(&mut self) {
-        self.score = 8;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{layout, tags, SnapshotError};

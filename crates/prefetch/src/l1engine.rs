@@ -177,9 +177,7 @@ mod tests {
     }
 }
 
-/// Aggregate statistics across the composed engine's three components,
-/// giving the `stats()` half of the uniform `stats() / clear() /
-/// snapshot` surface.
+/// Aggregate statistics across the composed engine's three components.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct L1PrefetcherStats {
     /// Multi-stride engine counters.
@@ -198,17 +196,6 @@ impl L1Prefetcher {
             sms: self.sms_stats(),
             reorder: self.reorder_stats(),
         }
-    }
-
-    /// Drop all trained prefetcher state (streams, signatures, in-flight
-    /// addresses), keeping cumulative statistics.
-    pub fn clear(&mut self) {
-        self.reorder.clear();
-        self.stride.clear();
-        if let Some(sms) = &mut self.sms {
-            sms.clear();
-        }
-        self.seq = 0;
     }
 }
 

@@ -175,16 +175,6 @@ mod tests {
     }
 }
 
-impl AddressReorderBuffer {
-    /// Drop all in-flight addresses and the duplicate filter, keeping
-    /// cumulative statistics.
-    pub fn clear(&mut self) {
-        self.pending.clear();
-        self.recent_lines.clear();
-        self.next_seq = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{layout, tags};

@@ -336,16 +336,6 @@ mod tests {
     }
 }
 
-impl SmsEngine {
-    /// Drop trained signatures and open generations, keeping cumulative
-    /// statistics.
-    pub fn clear(&mut self) {
-        self.signatures.clear();
-        self.active.clear();
-        self.stamp = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{layout, tags};

@@ -356,19 +356,6 @@ mod tests {
     }
 }
 
-impl StandalonePrefetcher {
-    /// Drop trained page streams and the duplicate filter, keeping
-    /// cumulative statistics.
-    pub fn clear(&mut self) {
-        self.streams.clear();
-        self.filter.clear();
-        self.mode = ConfMode::Low;
-        self.score = 0;
-        self.recent_stride = 0;
-        self.stamp = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{codes, layout, tags};

@@ -495,14 +495,6 @@ mod tests {
     }
 }
 
-impl MultiStrideEngine {
-    /// Drop every trained stream, keeping cumulative statistics.
-    pub fn clear(&mut self) {
-        self.streams.clear();
-        self.stamp = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{layout, tags};

@@ -254,16 +254,6 @@ mod tests {
     }
 }
 
-impl TwoPassController {
-    /// Drop pending fills and reset the adaptive mode, keeping cumulative
-    /// statistics.
-    pub fn clear(&mut self) {
-        self.pending.clear();
-        self.mode = PassMode::TwoPass;
-        self.l2_hit_score = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{codes, layout, tags};

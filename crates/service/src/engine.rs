@@ -26,7 +26,7 @@ use crate::queue::BoundedQueue;
 use exynos_core::cancel::CancelToken;
 use exynos_snapshot::journal::{self, JournalWriter};
 use exynos_telemetry::{
-    FlightRecorder, MetricsRegistry, SharedSpans, SpanId, DEFAULT_FLIGHT_CAPACITY,
+    FlightRecorder, MetricId, MetricsRegistry, SharedSpans, SpanId, DEFAULT_FLIGHT_CAPACITY,
 };
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -191,43 +191,39 @@ impl JobEntry {
     }
 }
 
-/// Monotone service counters (plain atomics).
-#[derive(Debug, Default)]
-pub struct ServiceCounters {
-    /// Jobs admitted.
-    pub submitted: AtomicU64,
-    /// Jobs completed with a payload.
-    pub completed: AtomicU64,
-    /// Jobs ending in a typed failure.
-    pub failed: AtomicU64,
-    /// Retry attempts performed.
-    pub retries: AtomicU64,
-    /// Submissions shed by backpressure.
-    pub sheds: AtomicU64,
-    /// Submissions refused by the circuit breaker.
-    pub quarantined: AtomicU64,
-    /// Jobs failed because their deadline expired.
-    pub deadline_misses: AtomicU64,
-    /// Jobs cancelled explicitly.
-    pub cancelled: AtomicU64,
-    /// Incomplete jobs re-enqueued by journal recovery.
-    pub recovered: AtomicU64,
-}
-
-/// The engine's persistent ops registry: queue gauges/counters sampled
-/// on every queue transition plus the per-stage latency quantiles. One
+/// The engine's persistent ops registry, the one home of every service
+/// counter: the job and queue counters, the queue-depth gauge sampled on
+/// every queue transition, and the per-stage latency quantiles. One
 /// instance lives for the life of the engine (unlike the point-in-time
 /// snapshot [`Engine::metrics_registry`] hands out), which is what lets
-/// the quantile histograms accumulate.
+/// the counters and quantile histograms accumulate.
 struct Ops {
     registry: MetricsRegistry,
-    queue_depth: exynos_telemetry::MetricId,
-    shed_total: exynos_telemetry::MetricId,
-    retry_total: exynos_telemetry::MetricId,
-    cache_hit_total: exynos_telemetry::MetricId,
-    cache_miss_total: exynos_telemetry::MetricId,
-    cache_eviction_total: exynos_telemetry::MetricId,
-    cache_bytes: exynos_telemetry::MetricId,
+    queue_depth: MetricId,
+    /// Submissions shed by backpressure.
+    shed_total: MetricId,
+    /// Retry attempts performed.
+    retry_total: MetricId,
+    /// Jobs admitted (including journal recoveries).
+    submitted: MetricId,
+    /// Jobs completed with a payload.
+    completed: MetricId,
+    /// Jobs ending in a typed failure.
+    failed: MetricId,
+    /// Submissions refused by the circuit breaker.
+    quarantined: MetricId,
+    /// Jobs failed because their deadline expired.
+    deadline_misses: MetricId,
+    /// Jobs cancelled explicitly.
+    cancelled: MetricId,
+    /// Incomplete jobs re-enqueued by journal recovery.
+    recovered: MetricId,
+    /// Flight-recorder post-mortem dumps taken.
+    postmortems: MetricId,
+    cache_hit_total: MetricId,
+    cache_miss_total: MetricId,
+    cache_eviction_total: MetricId,
+    cache_bytes: MetricId,
     /// Runner cache stats at the last sample, so each job folds in only
     /// its own delta (the runner counters are cumulative).
     last_cache: exynos_core::batch::ChunkCacheStats,
@@ -239,6 +235,14 @@ impl Ops {
         let queue_depth = registry.gauge("service.queue", "depth");
         let shed_total = registry.counter("service.queue", "shed_total");
         let retry_total = registry.counter("service.queue", "retry_total");
+        let submitted = registry.counter("service.jobs", "submitted");
+        let completed = registry.counter("service.jobs", "completed");
+        let failed = registry.counter("service.jobs", "failed");
+        let quarantined = registry.counter("service.jobs", "quarantined");
+        let deadline_misses = registry.counter("service.jobs", "deadline_misses");
+        let cancelled = registry.counter("service.jobs", "cancelled");
+        let recovered = registry.counter("service.jobs", "recovered");
+        let postmortems = registry.counter("service.flight", "postmortems");
         let cache_hit_total = registry.counter("chunk_cache", "hit_total");
         let cache_miss_total = registry.counter("chunk_cache", "miss_total");
         let cache_eviction_total = registry.counter("chunk_cache", "eviction_total");
@@ -251,6 +255,14 @@ impl Ops {
             queue_depth,
             shed_total,
             retry_total,
+            submitted,
+            completed,
+            failed,
+            quarantined,
+            deadline_misses,
+            cancelled,
+            recovered,
+            postmortems,
             cache_hit_total,
             cache_miss_total,
             cache_eviction_total,
@@ -269,7 +281,6 @@ struct Inner {
     journal: Mutex<Option<JournalWriter>>,
     journal_seq: AtomicU64,
     breaker: CircuitBreaker,
-    counters: ServiceCounters,
     draining: AtomicBool,
     stop: AtomicBool,
     shutdown_requested: AtomicBool,
@@ -278,7 +289,6 @@ struct Inner {
     ops: Mutex<Ops>,
     flight: Mutex<FlightRecorder>,
     last_postmortem: Mutex<Option<String>>,
-    postmortems: AtomicU64,
     /// Wall anchor for flight-recorder event timestamps.
     epoch: Instant,
 }
@@ -287,30 +297,20 @@ fn lock_ops(m: &Mutex<Ops>) -> MutexGuard<'_, Ops> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
 
+/// Add `n` to the ops counter `pick` selects. Never called with the jobs
+/// lock held.
+fn ops_count(inner: &Inner, pick: fn(&Ops) -> MetricId, n: u64) {
+    let mut ops = lock_ops(&inner.ops);
+    let id = pick(&ops);
+    ops.registry.add(id, n);
+}
+
 /// Refresh the queue-depth gauge; call after every queue transition.
 fn ops_queue_depth(inner: &Inner) {
     let depth = inner.queue.len() as f64;
     let mut ops = lock_ops(&inner.ops);
     let id = ops.queue_depth;
     ops.registry.set_gauge(id, depth);
-}
-
-/// Count one shed and refresh the depth gauge.
-fn ops_count_shed(inner: &Inner) {
-    let depth = inner.queue.len() as f64;
-    let mut ops = lock_ops(&inner.ops);
-    let (shed, dep) = (ops.shed_total, ops.queue_depth);
-    ops.registry.add(shed, 1);
-    ops.registry.set_gauge(dep, depth);
-}
-
-/// Count one retry re-queue and refresh the depth gauge.
-fn ops_count_retry(inner: &Inner) {
-    let depth = inner.queue.len() as f64;
-    let mut ops = lock_ops(&inner.ops);
-    let (retry, dep) = (ops.retry_total, ops.queue_depth);
-    ops.registry.add(retry, 1);
-    ops.registry.set_gauge(dep, depth);
 }
 
 /// Fold one closed span duration into its stage's quantile histogram.
@@ -383,7 +383,12 @@ fn flight_dump(inner: &Inner, reason: &str) {
         Ok(mut fr) => fr.dump(reason),
         Err(p) => p.into_inner().dump(reason),
     };
-    let n = inner.postmortems.fetch_add(1, Ordering::AcqRel) + 1;
+    let n = {
+        let mut ops = lock_ops(&inner.ops);
+        let id = ops.postmortems;
+        ops.registry.add(id, 1);
+        ops.registry.scalar(id) as u64
+    };
     if let Some(dir) = &inner.cfg.postmortem_dir {
         // A failed dump write is survivable: the in-memory copy below
         // still serves the `postmortem` protocol command.
@@ -420,7 +425,6 @@ impl Engine {
             next_id: AtomicU64::new(0),
             journal: Mutex::new(None),
             journal_seq: AtomicU64::new(0),
-            counters: ServiceCounters::default(),
             draining: AtomicBool::new(false),
             stop: AtomicBool::new(false),
             shutdown_requested: AtomicBool::new(false),
@@ -429,7 +433,6 @@ impl Engine {
             ops: Mutex::new(Ops::new()),
             flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
             last_postmortem: Mutex::new(None),
-            postmortems: AtomicU64::new(0),
             epoch: Instant::now(),
             cfg,
         });
@@ -460,7 +463,7 @@ impl Engine {
             return Err(SubmitError::ShuttingDown);
         }
         if let Err(Quarantined { failures, .. }) = inner.breaker.admit(spec.config_key()) {
-            inner.counters.quarantined.fetch_add(1, Ordering::Relaxed);
+            ops_count(inner, |o| o.quarantined, 1);
             return Err(SubmitError::Quarantined { failures });
         }
         let deadline_ms = deadline_ms.unwrap_or(inner.cfg.default_deadline_ms);
@@ -484,29 +487,31 @@ impl Engine {
         }
         flight_note(inner, "submitted", id, &[("config_key", key)]);
         if let Err(full) = inner.queue.try_push(id) {
-            inner.counters.sheds.fetch_add(1, Ordering::Relaxed);
-            ops_count_shed(inner);
+            ops_count(inner, |o| o.shed_total, 1);
+            ops_queue_depth(inner);
             flight_note(inner, "shed", id, &[("depth", full.depth as u64)]);
             finish_job(inner, id, Err(("overloaded".into(), "queue full at submission".into())));
             return Err(SubmitError::Overloaded { depth: full.depth });
         }
         ops_queue_depth(inner);
-        inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+        ops_count(inner, |o| o.submitted, 1);
         Ok(id)
     }
 
     /// Cooperatively cancel a job. Returns `false` for unknown or
     /// already-terminal jobs.
     pub fn cancel(&self, id: JobId) -> bool {
-        let jobs = lock_jobs(&self.inner.jobs);
-        match jobs.get(&id) {
+        let cancelled = match lock_jobs(&self.inner.jobs).get(&id) {
             Some(e) if !e.state.is_terminal() => {
                 e.cancel.cancel();
-                self.inner.counters.cancelled.fetch_add(1, Ordering::Relaxed);
                 true
             }
             _ => false,
+        };
+        if cancelled {
+            ops_count(&self.inner, |o| o.cancelled, 1);
         }
+        cancelled
     }
 
     /// Point-in-time status of a job.
@@ -526,7 +531,9 @@ impl Engine {
     /// Ops snapshot as a one-line JSON object.
     pub fn stats_json(&self) -> String {
         let inner = &self.inner;
-        let c = &inner.counters;
+        let ops = lock_ops(&inner.ops);
+        // Counts stay far below 2^53, so the f64 slot value is exact.
+        let count = |pick: fn(&Ops) -> MetricId| ops.registry.scalar(pick(&ops)) as u64;
         let mut out = String::from("{");
         let mut field = |first: bool, key: &str, v: u64| {
             json::push_key(&mut out, first, key);
@@ -534,15 +541,15 @@ impl Engine {
         };
         field(true, "queue_depth", inner.queue.len() as u64);
         field(false, "running", inner.running.load(Ordering::Acquire) as u64);
-        field(false, "submitted", c.submitted.load(Ordering::Relaxed));
-        field(false, "completed", c.completed.load(Ordering::Relaxed));
-        field(false, "failed", c.failed.load(Ordering::Relaxed));
-        field(false, "retries", c.retries.load(Ordering::Relaxed));
-        field(false, "sheds", c.sheds.load(Ordering::Relaxed));
-        field(false, "quarantined", c.quarantined.load(Ordering::Relaxed));
-        field(false, "deadline_misses", c.deadline_misses.load(Ordering::Relaxed));
-        field(false, "cancelled", c.cancelled.load(Ordering::Relaxed));
-        field(false, "recovered", c.recovered.load(Ordering::Relaxed));
+        field(false, "submitted", count(|o| o.submitted));
+        field(false, "completed", count(|o| o.completed));
+        field(false, "failed", count(|o| o.failed));
+        field(false, "retries", count(|o| o.retry_total));
+        field(false, "sheds", count(|o| o.shed_total));
+        field(false, "quarantined", count(|o| o.quarantined));
+        field(false, "deadline_misses", count(|o| o.deadline_misses));
+        field(false, "cancelled", count(|o| o.cancelled));
+        field(false, "recovered", count(|o| o.recovered));
         field(false, "breaker_open", inner.breaker.open_count() as u64);
         json::push_key(&mut out, false, "journal_torn");
         out.push_str(if inner.journal_torn.load(Ordering::Relaxed) { "true" } else { "false" });
@@ -553,46 +560,29 @@ impl Engine {
     }
 
     /// A point-in-time snapshot of the engine's persistent ops registry
-    /// (queue gauges/counters, per-stage latency quantiles), refreshed
-    /// with the atomically-sourced job counters and breaker state.
+    /// (job and queue counters, per-stage latency quantiles), with the
+    /// queue-depth, running-worker and open-breaker gauges refreshed.
     pub fn metrics_registry(&self) -> MetricsRegistry {
         let inner = &self.inner;
-        let c = &inner.counters;
         let mut r = lock_ops(&inner.ops).registry.clone();
         let depth = r.gauge("service.queue", "depth");
         r.set_gauge(depth, inner.queue.len() as f64);
         let running = r.gauge("service.workers", "running");
         r.set_gauge(running, inner.running.load(Ordering::Acquire) as f64);
-        let mut counter = |name, v: u64| {
-            let id = r.counter("service.jobs", name);
-            r.set_counter(id, v);
-        };
-        counter("submitted", c.submitted.load(Ordering::Relaxed));
-        counter("completed", c.completed.load(Ordering::Relaxed));
-        counter("failed", c.failed.load(Ordering::Relaxed));
-        counter("retries", c.retries.load(Ordering::Relaxed));
-        counter("sheds", c.sheds.load(Ordering::Relaxed));
-        counter("quarantined", c.quarantined.load(Ordering::Relaxed));
-        counter("deadline_misses", c.deadline_misses.load(Ordering::Relaxed));
-        counter("cancelled", c.cancelled.load(Ordering::Relaxed));
-        counter("recovered", c.recovered.load(Ordering::Relaxed));
         let open = r.gauge("service.breaker", "open");
         r.set_gauge(open, inner.breaker.open_count() as f64);
-        let dumps = r.counter("service.flight", "postmortems");
-        r.set_counter(dumps, inner.postmortems.load(Ordering::Relaxed));
         r
     }
 
-    /// The ops registry in Prometheus text exposition format (empty
-    /// with telemetry off).
+    /// The ops registry in Prometheus text exposition format.
     pub fn metrics_prometheus(&self) -> String {
         self.metrics_registry().render_prometheus()
     }
 
     /// Per-stage latency summaries as one JSON object keyed
     /// `service.latency.<stage>`, each value a
-    /// `{"count":..,"p50":..,"p90":..,"p99":..,"max":..}` digest.
-    /// `{}` with telemetry off.
+    /// [`QuantileHistogram::push_summary_json`](exynos_telemetry::QuantileHistogram::push_summary_json)
+    /// digest.
     pub fn quantiles_json(&self) -> String {
         let ops = lock_ops(&self.inner.ops);
         let mut out = String::from("{");
@@ -606,8 +596,7 @@ impl Engine {
         out
     }
 
-    /// One job's span trace as JSON Lines (`None` for an unknown job;
-    /// empty string with telemetry off).
+    /// One job's span trace as JSON Lines (`None` for an unknown job).
     pub fn job_spans(&self, id: JobId) -> Option<String> {
         let jobs = lock_jobs(&self.inner.jobs);
         jobs.get(&id).map(|e| e.spans.to_jsonl())
@@ -615,7 +604,8 @@ impl Engine {
 
     /// Post-mortem dumps taken since start.
     pub fn postmortem_count(&self) -> u64 {
-        self.inner.postmortems.load(Ordering::Relaxed)
+        let ops = lock_ops(&self.inner.ops);
+        ops.registry.scalar(ops.postmortems) as u64
     }
 
     /// The most recent post-mortem dump (JSONL), if any.
@@ -627,7 +617,7 @@ impl Engine {
     }
 
     /// Metrics registry rendered as one JSON object
-    /// (`{"component.name":scalar}`); `{}` with telemetry off.
+    /// (`{"component.name":scalar}`).
     pub fn metrics_json(&self) -> String {
         let r = self.metrics_registry();
         let mut out = String::from("{");
@@ -797,6 +787,7 @@ fn recover(inner: &Arc<Inner>, path: &std::path::Path) -> Result<(), journal::Jo
         }
     }
     submits.sort_by_key(|(id, ..)| *id);
+    let mut requeued = 0;
     let mut jobs = lock_jobs(&inner.jobs);
     for (id, spec, deadline_ms, max_retries) in submits {
         let terminal = terminals.remove(&id);
@@ -829,11 +820,12 @@ fn recover(inner: &Arc<Inner>, path: &std::path::Path) -> Result<(), journal::Jo
             // already admitted by the previous incarnation.
             inner.queue.push_force(id);
             flight_note(inner, "recovered", id, &[]);
-            inner.counters.recovered.fetch_add(1, Ordering::Relaxed);
-            inner.counters.submitted.fetch_add(1, Ordering::Relaxed);
+            requeued += 1;
         }
     }
     drop(jobs);
+    ops_count(inner, |o| o.recovered, requeued);
+    ops_count(inner, |o| o.submitted, requeued);
     ops_queue_depth(inner);
     inner.next_id.store(max_id, Ordering::Release);
     inner.journal_seq.store(max_seq, Ordering::Release);
@@ -901,7 +893,6 @@ fn run_one(inner: &Arc<Inner>, id: JobId) {
             let retryable =
                 err.is_retryable() && attempt <= max_retries && !inner.stop.load(Ordering::Acquire);
             if retryable {
-                inner.counters.retries.fetch_add(1, Ordering::Relaxed);
                 flight_note(inner, "retry", id, &[("after_attempt", attempt as u64)]);
                 backoff_sleep(inner, attempt);
                 {
@@ -914,11 +905,12 @@ fn run_one(inner: &Arc<Inner>, id: JobId) {
                 // Retries bypass admission: the job already holds a slot
                 // in the envelope's eyes.
                 inner.queue.push_force(id);
-                ops_count_retry(inner);
+                ops_count(inner, |o| o.retry_total, 1);
+                ops_queue_depth(inner);
                 return;
             }
             if kind == "deadline" {
-                inner.counters.deadline_misses.fetch_add(1, Ordering::Relaxed);
+                ops_count(inner, |o| o.deadline_misses, 1);
             }
             if kind == "forward_progress_stall" {
                 if inner.breaker.record_watchdog_failure(key) {
@@ -948,10 +940,10 @@ fn backoff_sleep(inner: &Inner, attempt: u32) {
 
 /// Journal the terminal record, then publish it to the job table.
 ///
-/// With telemetry on this is also where the job's span tree is sealed:
-/// a `result_encode` span wraps the journal write and publication, the
-/// root closes, closed durations feed the per-stage latency quantiles,
-/// and failures dump the flight recorder keyed by error kind.
+/// This is also where the job's span tree is sealed: a `result_encode`
+/// span wraps the journal write and publication, the root closes, closed
+/// durations feed the per-stage latency quantiles, and failures dump the
+/// flight recorder keyed by error kind.
 fn finish_job(inner: &Inner, id: JobId, outcome: Result<String, (String, String)>) {
     let tele = {
         let mut jobs = lock_jobs(&inner.jobs);
@@ -965,6 +957,9 @@ fn finish_job(inner: &Inner, id: JobId, outcome: Result<String, (String, String)
     let encode_span = tele.as_ref().map(|(spans, root)| spans.start("result_encode", Some(*root)));
     journal_terminal(inner, id, &outcome);
     let failed_kind = outcome.as_ref().err().map(|(k, _)| k.clone());
+    // Counted before the terminal state is published, so a caller that
+    // sees the job terminal also sees it counted.
+    ops_count(inner, if outcome.is_ok() { |o| o.completed } else { |o| o.failed }, 1);
     {
         let mut jobs = lock_jobs(&inner.jobs);
         if let Some(e) = jobs.get_mut(&id) {
@@ -972,13 +967,11 @@ fn finish_job(inner: &Inner, id: JobId, outcome: Result<String, (String, String)
                 Ok(payload) => {
                     e.state = JobState::Completed;
                     e.payload = Some(payload);
-                    inner.counters.completed.fetch_add(1, Ordering::Relaxed);
                 }
                 Err((kind, msg)) => {
                     e.state = JobState::Failed;
                     e.error_kind = Some(kind);
                     e.error = Some(msg);
-                    inner.counters.failed.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }

@@ -67,11 +67,6 @@ impl Json {
         self.as_u64().and_then(|v| u32::try_from(v).ok())
     }
 
-    /// The value as a `usize`.
-    pub fn as_usize(&self) -> Option<usize> {
-        self.as_u64().and_then(|v| usize::try_from(v).ok())
-    }
-
     /// The value as an `f64` number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
@@ -258,7 +253,7 @@ mod tests {
         .unwrap();
         assert_eq!(v.get("cmd").and_then(Json::as_str), Some("submit"));
         let job = v.get("job").unwrap();
-        assert_eq!(job.get("scale").and_then(Json::as_usize), Some(2));
+        assert_eq!(job.get("scale").and_then(Json::as_u64), Some(2));
         assert_eq!(v.get("deadline_ms").and_then(Json::as_u64), Some(1500));
         assert_eq!(v.get("neg").and_then(Json::as_f64), Some(-3.5));
         assert_eq!(v.get("neg").and_then(Json::as_u64), None, "negatives are not u64");

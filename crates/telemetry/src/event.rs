@@ -2,8 +2,9 @@
 //!
 //! Events are small `Copy` records stamped with the cycle and retired
 //! instruction count at which they were observed. The trace is a fixed
-//! capacity ring buffer: once full, the oldest record is overwritten and
-//! counted as dropped, so tracing a long run costs bounded memory.
+//! capacity ring: once full, the oldest record is evicted and counted as
+//! dropped (the same accounting as [`crate::FlightRecorder`]), so tracing
+//! a long run costs bounded memory.
 //!
 //! The event taxonomy mirrors the paper's per-generation mechanisms:
 //! branch mispredicts and discoveries (§IV), µBTB lock transitions
@@ -13,6 +14,7 @@
 //! injected faults.
 
 use crate::json;
+use std::collections::VecDeque;
 
 /// Branch classification for mispredict events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -291,7 +293,7 @@ impl PipelineEvent {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EventRecord {
     /// Global sequence number (0-based, counts every recorded event
-    /// including ones later overwritten in the ring).
+    /// including ones later evicted from the ring).
     pub seq: u64,
     /// Cycle timestamp (the step's retirement cycle; non-decreasing).
     pub cycle: u64,
@@ -319,12 +321,11 @@ impl EventRecord {
     }
 }
 
-/// Bounded ring buffer of [`EventRecord`]s.
+/// Bounded ring of [`EventRecord`]s, oldest first.
 #[derive(Debug, Clone)]
 pub struct EventTrace {
-    ring: Vec<EventRecord>,
+    ring: VecDeque<EventRecord>,
     capacity: usize,
-    head: usize,
     recorded: u64,
 }
 
@@ -332,14 +333,13 @@ impl EventTrace {
     /// A trace retaining at most `capacity` records (clamped to ≥ 1).
     pub fn new(capacity: usize) -> EventTrace {
         EventTrace {
-            ring: Vec::new(),
+            ring: VecDeque::new(),
             capacity: capacity.max(1),
-            head: 0,
             recorded: 0,
         }
     }
 
-    /// Record one event; overwrites the oldest record when full.
+    /// Record one event, evicting the oldest record when full.
     #[inline]
     pub fn record(&mut self, cycle: u64, instr: u64, event: PipelineEvent) {
         let rec = EventRecord {
@@ -348,15 +348,10 @@ impl EventTrace {
             instr,
             event,
         };
-        if self.ring.len() < self.capacity {
-            self.ring.push(rec);
-        } else {
-            self.ring[self.head] = rec;
-            self.head += 1;
-            if self.head == self.capacity {
-                self.head = 0;
-            }
+        if self.ring.len() == self.capacity {
+            self.ring.pop_front();
         }
+        self.ring.push_back(rec);
         self.recorded += 1;
     }
 
@@ -370,22 +365,19 @@ impl EventTrace {
         self.len() == 0
     }
 
-    /// Total events ever recorded (including overwritten ones).
+    /// Total events ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
         self.recorded
     }
 
-    /// Events lost to ring overwrite.
+    /// Records evicted to stay within capacity.
     pub fn dropped(&self) -> u64 {
         self.recorded() - self.len() as u64
     }
 
     /// Visit retained records oldest → newest.
     pub fn for_each(&self, f: &mut dyn FnMut(&EventRecord)) {
-        for r in &self.ring[self.head..] {
-            f(r);
-        }
-        for r in &self.ring[..self.head] {
+        for r in &self.ring {
             f(r);
         }
     }

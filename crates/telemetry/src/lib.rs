@@ -1,5 +1,5 @@
 //! Unified telemetry layer for the Exynos simulator: a central
-//! [`MetricsRegistry`] of typed [`Counter`]/[`Gauge`]/[`Histogram`]
+//! [`MetricsRegistry`] of typed [`Counter`]/[`Gauge`]/[`QuantileHistogram`]
 //! primitives, an [`EpochSeries`] sampler that snapshots every registered
 //! component each N instructions, and a bounded [`EventTrace`] ring of
 //! structured [`PipelineEvent`]s with cycle timestamps.
@@ -43,7 +43,7 @@ pub use event::{
     BranchClass, EventRecord, EventTrace, FaultClass, PipelineEvent, PrefetchKind, UocModeTag,
 };
 pub use flight::{FlightRecorder, DEFAULT_FLIGHT_CAPACITY};
-pub use metric::{Counter, Gauge, Histogram, MetricKind, GAP_BUCKETS, LATENCY_BUCKETS};
+pub use metric::{Counter, Gauge, MetricKind};
 pub use quantile::{QuantileHistogram, QUANTILE_SUB_BUCKETS};
 pub use registry::{MetricId, MetricsRegistry};
 pub use series::{EpochMark, EpochSeries};
@@ -134,8 +134,8 @@ impl Telemetry {
     /// A telemetry sink with the given configuration.
     pub fn new(config: TelemetryConfig) -> Telemetry {
         let mut registry = MetricsRegistry::new();
-        let hist_retire_gap = registry.histogram("core.sim", "retire_gap", GAP_BUCKETS);
-        let hist_load_latency = registry.histogram("core.mem", "load_latency", LATENCY_BUCKETS);
+        let hist_retire_gap = registry.quantile_histogram("core.sim", "retire_gap");
+        let hist_load_latency = registry.quantile_histogram("core.mem", "load_latency");
         Telemetry {
             epoch_len: config.epoch_len.max(1),
             registry,
@@ -231,46 +231,19 @@ impl Telemetry {
     }
 
     /// Epoch time-series as JSON Lines, followed by one
-    /// `{"type":"histogram",...}` line per histogram slot.
+    /// `{"type":"histogram","metric":..,"count":..,..,"p99":..}` line per
+    /// distribution slot (the fields of
+    /// [`QuantileHistogram::push_summary_json`]).
     pub fn metrics_jsonl(&self) -> String {
         let mut out = self.series.to_jsonl();
-        self.registry.for_each_histogram(&mut |component, name, h| {
+        self.registry.for_each_quantile(&mut |component, name, q| {
             out.push('{');
             json::push_key(&mut out, true, "type");
             json::push_str(&mut out, "histogram");
             json::push_key(&mut out, false, "metric");
-            let full = format!("{component}.{name}");
-            json::push_str(&mut out, &full);
-            json::push_key(&mut out, false, "count");
-            json::push_u64(&mut out, h.count());
-            json::push_key(&mut out, false, "sum");
-            json::push_u64(&mut out, h.sum());
-            json::push_key(&mut out, false, "max");
-            json::push_u64(&mut out, h.max());
-            json::push_key(&mut out, false, "mean");
-            json::push_f64(&mut out, h.mean());
-            json::push_key(&mut out, false, "p50");
-            json::push_u64(&mut out, h.quantile(0.5).min(h.max()));
-            json::push_key(&mut out, false, "p99");
-            json::push_u64(&mut out, h.quantile(0.99).min(h.max()));
-            json::push_key(&mut out, false, "buckets");
-            out.push('[');
-            for i in 0..=h.bounds().len() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::push_u64(&mut out, h.bucket(i));
-            }
-            out.push(']');
-            json::push_key(&mut out, false, "bounds");
-            out.push('[');
-            for (i, b) in h.bounds().iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                json::push_u64(&mut out, *b);
-            }
-            out.push_str("]}\n");
+            json::push_str(&mut out, &format!("{component}.{name}"));
+            q.push_summary_fields(&mut out, false);
+            out.push_str("}\n");
         });
         out
     }
@@ -285,8 +258,8 @@ impl Telemetry {
         self.events.to_jsonl()
     }
 
-    /// Human-readable per-run summary: final value of every metric,
-    /// histogram digests, and event counts.
+    /// Human-readable per-run summary: final value of every scalar
+    /// metric, a digest per distribution, and event counts.
     pub fn summary(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(
@@ -299,7 +272,7 @@ impl Telemetry {
             self.events.dropped(),
         );
         self.registry.for_each(&mut |component, name, kind, scalar| {
-            if kind == MetricKind::Histogram || kind == MetricKind::Quantile {
+            if kind == MetricKind::Quantile {
                 return;
             }
             let _ = writeln!(out, "  {component}.{name} = {scalar}");
@@ -313,17 +286,6 @@ impl Telemetry {
                 q.quantile(0.5).min(q.max()),
                 q.quantile(0.99).min(q.max()),
                 q.max(),
-            );
-        });
-        self.registry.for_each_histogram(&mut |component, name, h| {
-            let _ = writeln!(
-                out,
-                "  {component}.{name}: count={} mean={:.2} p50={} p99={} max={}",
-                h.count(),
-                h.mean(),
-                h.quantile(0.5).min(h.max()),
-                h.quantile(0.99).min(h.max()),
-                h.max(),
             );
         });
         let counts = self.events.counts_by_name();

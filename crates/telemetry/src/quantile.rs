@@ -1,20 +1,19 @@
-//! Log-bucketed [`QuantileHistogram`] for latency summaries.
+//! Log-bucketed [`QuantileHistogram`]: the registry's one distribution
+//! kind, used for microarchitectural distributions (retire gaps, load
+//! latencies) and wall-clock job latencies alike.
 //!
-//! The fixed-bucket [`crate::Histogram`] needs its bounds chosen up
-//! front, which works for microarchitectural distributions (retire gaps,
-//! load latencies) but not for wall-clock job latencies that span six
-//! orders of magnitude. This histogram instead uses log-linear buckets:
-//! each power-of-two octave is split into [`QUANTILE_SUB_BUCKETS`]
+//! Each power-of-two octave is split into [`QUANTILE_SUB_BUCKETS`]
 //! equal-width sub-buckets, bounding the relative quantile error at
 //! `1 / QUANTILE_SUB_BUCKETS` (12.5%) at any scale, with values below
-//! the sub-bucket count recorded exactly.
+//! the sub-bucket count recorded exactly. No bounds are chosen up front,
+//! so one layout serves samples of a few cycles and of many seconds.
 //!
 //! Every instance shares one fixed bucket layout, so two histograms are
 //! always mergeable by element-wise addition — per-stage summaries can
 //! be rolled up across workers or scrape intervals without re-bucketing.
 //!
-//! Like the primitives in [`crate::metric`], this is a plain value type;
-//! feature gating happens in the registry that owns it.
+//! Like the primitives in [`crate::metric`], this is a plain value type
+//! owned by the [`crate::MetricsRegistry`].
 
 use crate::json;
 
@@ -166,7 +165,14 @@ impl QuantileHistogram {
     /// max so a single-sample summary reads exactly.
     pub fn push_summary_json(&self, out: &mut String) {
         out.push('{');
-        json::push_key(out, true, "count");
+        self.push_summary_fields(out, true);
+        out.push('}');
+    }
+
+    /// The fields of [`Self::push_summary_json`] without the braces,
+    /// each preceded by a comma unless `first`.
+    pub(crate) fn push_summary_fields(&self, out: &mut String, first: bool) {
+        json::push_key(out, first, "count");
         json::push_u64(out, self.count);
         json::push_key(out, false, "sum");
         json::push_u64(out, self.sum);
@@ -182,14 +188,6 @@ impl QuantileHistogram {
         json::push_u64(out, self.quantile(0.9).min(self.max));
         json::push_key(out, false, "p99");
         json::push_u64(out, self.quantile(0.99).min(self.max));
-        out.push('}');
-    }
-
-    /// [`Self::push_summary_json`] as an owned string.
-    pub fn summary_json(&self) -> String {
-        let mut out = String::new();
-        self.push_summary_json(&mut out);
-        out
     }
 }
 

@@ -6,10 +6,9 @@
 //! stable for the life of a run and the epoch series can index columns by
 //! slot position.
 
-use crate::metric::{Histogram, MetricKind};
-use crate::quantile::QuantileHistogram;
 use crate::json;
-use crate::metric::{Counter, Gauge};
+use crate::metric::{Counter, Gauge, MetricKind};
+use crate::quantile::QuantileHistogram;
 
 /// Handle to a registered metric slot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -22,20 +21,17 @@ pub(crate) enum Metric {
     Counter(Counter),
     /// Gauge slot.
     Gauge(Gauge),
-    /// Histogram slot.
-    Histogram(Histogram),
     /// Quantile-histogram slot.
     Quantile(QuantileHistogram),
 }
 
 impl Metric {
     /// Scalar view of the slot for time-series columns: counters report
-    /// their total, gauges their value, histograms their mean.
+    /// their total, gauges their value, quantile histograms their mean.
     pub(crate) fn scalar(&self) -> f64 {
         match self {
             Metric::Counter(c) => c.get() as f64,
             Metric::Gauge(g) => g.get(),
-            Metric::Histogram(h) => h.mean(),
             Metric::Quantile(q) => q.mean(),
         }
     }
@@ -44,7 +40,6 @@ impl Metric {
         match self {
             Metric::Counter(_) => MetricKind::Counter,
             Metric::Gauge(_) => MetricKind::Gauge,
-            Metric::Histogram(_) => MetricKind::Histogram,
             Metric::Quantile(_) => MetricKind::Quantile,
         }
     }
@@ -98,17 +93,6 @@ impl MetricsRegistry {
         self.register(component, name, Metric::Gauge(Gauge::new()))
     }
 
-    /// Find-or-register a histogram slot over `bounds` (see
-    /// [`Histogram::new`]).
-    pub fn histogram(
-        &mut self,
-        component: &'static str,
-        name: &'static str,
-        bounds: &'static [u64],
-    ) -> MetricId {
-        self.register(component, name, Metric::Histogram(Histogram::new(bounds)))
-    }
-
     /// Overwrite a counter's total (no-op on other kinds).
     #[inline]
     pub fn set_counter(&mut self, id: MetricId, total: u64) {
@@ -154,19 +138,15 @@ impl MetricsRegistry {
         )
     }
 
-    /// Record one distribution sample (no-op on non-distribution kinds).
+    /// Record one distribution sample (no-op on other kinds).
     #[inline]
     pub fn observe(&mut self, id: MetricId, sample: u64) {
-        match self.slots.get_mut(id.0 as usize) {
-            Some(Slot {
-                metric: Metric::Histogram(h),
-                ..
-            }) => h.observe(sample),
-            Some(Slot {
-                metric: Metric::Quantile(q),
-                ..
-            }) => q.observe(sample),
-            _ => {}
+        if let Some(Slot {
+            metric: Metric::Quantile(q),
+            ..
+        }) = self.slots.get_mut(id.0 as usize)
+        {
+            q.observe(sample);
         }
     }
 
@@ -196,8 +176,8 @@ impl MetricsRegistry {
         self.find_slot(component, name).map(MetricId)
     }
 
-    /// Scalar view of a slot (counter total, gauge value, histogram
-    /// mean); 0.0 for an unknown id.
+    /// Scalar view of a slot (counter total, gauge value, quantile
+    /// histogram mean); 0.0 for an unknown id.
     pub fn scalar(&self, id: MetricId) -> f64 {
         self.slots
             .get(id.0 as usize)
@@ -218,26 +198,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Visit every histogram slot as `(component, name, histogram)`.
-    pub fn for_each_histogram(&self, f: &mut dyn FnMut(&'static str, &'static str, &Histogram)) {
-        for s in &self.slots {
-            if let Metric::Histogram(h) = &s.metric {
-                f(s.component, s.name, h);
-            }
-        }
-    }
-
-    /// Read-only access to a quantile-histogram slot.
-    pub fn quantile_ref(&self, id: MetricId) -> Option<&QuantileHistogram> {
-        match self.slots.get(id.0 as usize) {
-            Some(Slot {
-                metric: Metric::Quantile(q),
-                ..
-            }) => Some(q),
-            _ => None,
-        }
-    }
-
     /// Visit every quantile-histogram slot as `(component, name, qh)`.
     pub fn for_each_quantile(
         &self,
@@ -252,9 +212,8 @@ impl MetricsRegistry {
 
     /// Render the registry in Prometheus text exposition format, in
     /// registration order. Metric names are `component.name` with every
-    /// non-alphanumeric byte mapped to `_`; histograms render as
-    /// cumulative `_bucket{le=...}` series plus `_sum`/`_count`, and
-    /// quantile histograms as summaries with `{quantile="..."}` labels.
+    /// non-alphanumeric byte mapped to `_`; quantile histograms render
+    /// as summaries with `{quantile="..."}` labels plus `_sum`/`_count`.
     pub fn render_prometheus(&self) -> String {
         use std::fmt::Write as _;
         fn sanitize(out: &mut String, component: &str, name: &str) {
@@ -280,21 +239,6 @@ impl MetricsRegistry {
                     let mut v = String::new();
                     json::push_f64(&mut v, g.get());
                     let _ = writeln!(out, "{metric} {v}");
-                }
-                Metric::Histogram(h) => {
-                    let _ = writeln!(out, "# TYPE {metric} histogram");
-                    let mut cum = 0u64;
-                    for (i, b) in h.bounds().iter().enumerate() {
-                        cum += h.bucket(i);
-                        let _ = writeln!(out, "{metric}_bucket{{le=\"{b}\"}} {cum}");
-                    }
-                    let _ = writeln!(
-                        out,
-                        "{metric}_bucket{{le=\"+Inf\"}} {}",
-                        h.count()
-                    );
-                    let _ = writeln!(out, "{metric}_sum {}", h.sum());
-                    let _ = writeln!(out, "{metric}_count {}", h.count());
                 }
                 Metric::Quantile(q) => {
                     let _ = writeln!(out, "# TYPE {metric} summary");
@@ -338,15 +282,18 @@ mod tests {
         let mut r = MetricsRegistry::new();
         let c = r.counter("a", "n");
         let g = r.gauge("a", "rate");
-        let h = r.histogram("a", "lat", &[10, 100]);
+        let q = r.quantile_histogram("a", "lat");
         r.set_counter(c, 7);
         r.set_gauge(g, 0.5);
-        r.observe(h, 4);
-        r.observe(h, 6);
+        r.observe(q, 4);
+        r.observe(q, 6);
+        r.observe(c, 100); // not a distribution: ignored
         assert_eq!(r.scalar(c), 7.0);
         assert_eq!(r.scalar(g), 0.5);
-        assert_eq!(r.scalar(h), 5.0);
-        assert_eq!(r.kind(h), Some(MetricKind::Histogram));
+        assert_eq!(r.scalar(q), 5.0);
+        assert_eq!(r.kind(c), Some(MetricKind::Counter));
+        assert_eq!(r.kind(g), Some(MetricKind::Gauge));
+        assert_eq!(r.kind(q), Some(MetricKind::Quantile));
     }
 
     #[test]
@@ -356,14 +303,11 @@ mod tests {
         for v in [10u64, 20, 30, 40] {
             r.observe(q, v);
         }
-        assert_eq!(r.kind(q), Some(MetricKind::Quantile));
-        let qh = r.quantile_ref(q).unwrap();
-        assert_eq!(qh.count(), 4);
-        assert!(qh.quantile(0.99) >= 40);
         let mut seen = 0;
         r.for_each_quantile(&mut |c, n, qh| {
             assert_eq!((c, n), ("svc.latency", "job_total"));
             assert_eq!(qh.count(), 4);
+            assert!(qh.quantile(0.99) >= 40);
             seen += 1;
         });
         assert_eq!(seen, 1);
@@ -374,18 +318,14 @@ mod tests {
         let mut r = MetricsRegistry::new();
         let c = r.counter("svc.queue", "shed_total");
         let g = r.gauge("svc.queue", "depth");
-        let h = r.histogram("a.b", "lat", &[1, 10]);
         let q = r.quantile_histogram("svc.latency", "job_total");
         r.set_counter(c, 3);
         r.set_gauge(g, 2.0);
-        r.observe(h, 5);
         r.observe(q, 100);
         let prom = r.render_prometheus();
         assert!(prom.contains("# TYPE svc_queue_shed_total counter\nsvc_queue_shed_total 3\n"));
         assert!(prom.contains("# TYPE svc_queue_depth gauge\nsvc_queue_depth 2\n"));
-        assert!(prom.contains("a_b_lat_bucket{le=\"1\"} 0"));
-        assert!(prom.contains("a_b_lat_bucket{le=\"+Inf\"} 1"));
-        assert!(prom.contains("a_b_lat_count 1"));
+        assert!(prom.contains("# TYPE svc_latency_job_total summary\n"));
         assert!(prom.contains("svc_latency_job_total{quantile=\"0.99\"} 100"));
         assert!(prom.contains("svc_latency_job_total_count 1"));
     }

@@ -65,15 +65,6 @@ impl FingerprintHasher {
         self.state = self.state.wrapping_mul(FNV_PRIME_128);
     }
 
-    /// Fold raw bytes (length-prefixed so concatenations can't collide).
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        self.byte(0xB1);
-        self.write_u64_raw(bytes.len() as u64);
-        for &b in bytes {
-            self.byte(b);
-        }
-    }
-
     fn write_u64_raw(&mut self, v: u64) {
         for b in v.to_le_bytes() {
             self.byte(b);

@@ -521,25 +521,6 @@ mod tests {
     }
 }
 
-impl Uoc {
-    /// Drop all cached blocks and return to FilterMode, keeping cumulative
-    /// statistics (they describe the run, not the state) — the
-    /// `stats() / clear() / snapshot` surface shared by the stateful
-    /// components.
-    pub fn clear(&mut self) {
-        self.mode = UocMode::Filter;
-        self.blocks.clear();
-        self.used_uops = 0;
-        self.build_edge = 0;
-        self.fetch_edge = 0;
-        self.build_timer = 0;
-        self.stamp = 0;
-        self.cur_block_start = None;
-        self.cur_block_uops = 0;
-        self.find_hint = 0;
-    }
-}
-
 mod snapshot_impl {
     use super::*;
     use exynos_snapshot::{codes, layout, tags, SnapshotError};

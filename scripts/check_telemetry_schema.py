@@ -8,8 +8,8 @@ acceptance floor:
 * every line is a JSON object with "type" in {"epoch", "histogram"};
 * epoch lines carry integer epoch/instructions/cycle (both monotone
   non-decreasing) and a flat metrics object of numbers or nulls;
-* histogram lines carry count/sum/max/mean/p50/p99 and aligned
-  buckets/bounds arrays;
+* histogram lines carry numeric count/sum/min/max/mean/p50/p90/p99,
+  ordered min <= p50 <= p90 <= p99 <= max when count > 0;
 * across the stream, >= 12 distinct metric names drawn from >= 5 distinct
   top-level components (crates).
 
@@ -189,7 +189,7 @@ def check_prom_stream(stream):
         except ValueError:
             fail(lineno, f"sample '{name}' has non-numeric value {value!r}")
         base = name
-        for suffix in ("_bucket", "_sum", "_count"):
+        for suffix in ("_sum", "_count"):
             if base.endswith(suffix) and base[: -len(suffix)] in declared:
                 base = base[: -len(suffix)]
                 break
@@ -245,15 +245,14 @@ def check_metrics_stream(stream):
             histograms += 1
             if not isinstance(rec.get("metric"), str):
                 fail(lineno, "histogram record missing 'metric'")
-            for key in ("count", "sum", "max", "mean", "p50", "p99"):
-                if not isinstance(rec.get(key), (int, float)):
+            keys = ("count", "sum", "min", "max", "mean", "p50", "p90", "p99")
+            for key in keys:
+                value = rec.get(key)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
                     fail(lineno, f"histogram missing numeric '{key}'")
-            buckets = rec.get("buckets")
-            bounds = rec.get("bounds")
-            if not isinstance(buckets, list) or not isinstance(bounds, list):
-                fail(lineno, "histogram missing buckets/bounds arrays")
-            if len(buckets) != len(bounds) + 1:
-                fail(lineno, "buckets must have one more entry than bounds (overflow)")
+            order = [rec[k] for k in ("min", "p50", "p90", "p99", "max")]
+            if rec["count"] > 0 and order != sorted(order):
+                fail(lineno, f"histogram quantiles out of order: min/p50/p90/p99/max = {order}")
         else:
             fail(lineno, f"unknown record type {kind!r}")
     if epochs == 0:

@@ -142,6 +142,12 @@ cmp "$SVC_DIR/prog1.json" "$SVC_DIR/prog2.json"
 grep -q '^service_queue_depth ' "$SVC_DIR/metrics.prom"
 grep -q '^service_queue_shed_total ' "$SVC_DIR/metrics.prom"
 grep -q 'service_latency_job_total{quantile="0.99"}' "$SVC_DIR/metrics.prom"
+# Sheds and retries are exported once, as the queue counters above.
+# (`if`, not `! grep`: set -e does not stop on a negated command.)
+if grep -qE 'service_jobs_(sheds|retries)' "$SVC_DIR/metrics.prom"; then
+  echo "tier1: sheds/retries exported under a second name" >&2
+  exit 1
+fi
 python3 scripts/check_telemetry_schema.py --prom "$SVC_DIR/metrics.prom"
 # The repeated program job above must have produced cache hits.
 HITS="$(awk '$1 == "chunk_cache_hit_total" { print $2 }' "$SVC_DIR/metrics.prom")"
@@ -177,7 +183,10 @@ RC=$?
 set -e
 test "$RC" -eq 2
 grep -q 'asm error' "$ASM_DIR/bad.err"
-! grep -q 'panicked' "$ASM_DIR/bad.err"
+if grep -q 'panicked' "$ASM_DIR/bad.err"; then
+  echo "tier1: malformed program panicked" >&2
+  exit 1
+fi
 rm -rf "$ASM_DIR"
 
 # Format-version gate: the snapshot wire version and the documented one

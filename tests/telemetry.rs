@@ -237,12 +237,49 @@ fn quantile_summary_json_is_byte_identical_for_same_seed() {
             x ^= x << 17;
             h.observe(x % 1_000_000);
         }
-        h.summary_json()
+        let mut json = String::new();
+        h.push_summary_json(&mut json);
+        json
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "same observations must render byte-identical JSON");
     assert!(a.contains("\"p50\":"), "summary carries quantile keys: {a}");
     assert!(a.contains("\"p99\":"), "summary carries quantile keys: {a}");
+}
+
+#[test]
+fn load_latency_quantiles_are_within_an_eighth_of_exact() {
+    // Latencies spread over 520..=600 cycles, plus one tail sample above
+    // 1024 so the reported quantiles cannot hide behind the clamp to the
+    // observed max.
+    let mut samples: Vec<u64> = (0..1_000u64).map(|i| 520 + (i * 37) % 81).collect();
+    samples.push(1_853);
+    let mut tel = small_tel();
+    for &v in &samples {
+        tel.observe_load_latency(v);
+    }
+    samples.sort_unstable();
+    let jsonl = tel.metrics_jsonl();
+    let line = jsonl
+        .lines()
+        .find(|l| l.contains("\"metric\":\"core.mem.load_latency\""))
+        .expect("load-latency histogram line");
+    let field = |key: &str| -> u64 {
+        let tag = format!("\"{key}\":");
+        let rest = &line[line.find(&tag).expect("field present") + tag.len()..];
+        rest[..rest.find([',', '}']).expect("field end")].parse().expect("integer field")
+    };
+    for (key, q) in [("p50", 0.5), ("p99", 0.99)] {
+        let rank = ((q * samples.len() as f64).ceil() as usize).max(1);
+        let exact = samples[rank - 1];
+        let got = field(key);
+        assert!(
+            got >= exact && got - exact <= exact / QUANTILE_SUB_BUCKETS,
+            "{key}: reported {got}, exact {exact}: {line}"
+        );
+    }
+    assert_eq!(field("min"), 520);
+    assert_eq!(field("max"), 1_853);
 }
 
 #[test]
