@@ -1036,8 +1036,7 @@ fn telemetry_run(epoch_len: u64, quick: bool, event_capacity: usize) -> exynos_t
         or_exit(sim.run_slice_with(&mut *gen, SlicePlan::new(warmup, detail), &mut tel));
     }
     // Close the trailing partial epoch so short runs still emit rows.
-    sim.sample_telemetry(&mut tel);
-    tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+    sim.close_epoch(&mut tel);
     tel
 }
 
@@ -1108,8 +1107,7 @@ fn checkpoint_cmd(path: &str, epoch_len: u64, quick: bool) {
     );
     let mut tel = Telemetry::new(TelemetryConfig { epoch_len, event_capacity: 1 << 16 });
     or_exit(sim.run_slice_with(&mut *gen, SlicePlan::new(0, detail), &mut tel));
-    sim.sample_telemetry(&mut tel);
-    tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+    sim.close_epoch(&mut tel);
     print!("{}", tel.metrics_jsonl());
 }
 
@@ -1149,7 +1147,6 @@ fn resume_cmd(path: &str, epoch_len: u64, quick: bool) {
     );
     let mut tel = Telemetry::new(TelemetryConfig { epoch_len, event_capacity: 1 << 16 });
     or_exit(sim.run_slice_with(&mut *gen, SlicePlan::new(0, detail), &mut tel));
-    sim.sample_telemetry(&mut tel);
-    tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+    sim.close_epoch(&mut tel);
     print!("{}", tel.metrics_jsonl());
 }

@@ -179,8 +179,7 @@ impl BenchRunner {
         let r = sim.run_slice_with(&mut *gen, SlicePlan::new(warmup, detail), &mut tel);
         end_slice_span(ctx, sspan, Some(&sim));
         r?;
-        sim.sample_telemetry(&mut tel);
-        tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+        sim.close_epoch(&mut tel);
         Ok(if trace { tel.events_jsonl() } else { tel.metrics_jsonl() })
     }
 

@@ -57,8 +57,7 @@ fn program_telemetry_jsonl_is_byte_identical() {
         let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
         let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 500, event_capacity: 1 << 14 });
         sim.run_slice_with(&mut *gen, SlicePlan::new(500, 2_500), &mut tel).unwrap();
-        sim.sample_telemetry(&mut tel);
-        tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+        sim.close_epoch(&mut tel);
         (tel.metrics_jsonl(), tel.events_jsonl())
     };
     let (metrics_a, events_a) = run();

@@ -51,7 +51,6 @@ fn fast_cfg() -> ServiceConfig {
     ServiceConfig {
         workers: 2,
         queue_capacity: 64,
-        default_deadline_ms: 0,
         default_max_retries: 1,
         backoff_base_ms: 1,
         backoff_cap_ms: 10,

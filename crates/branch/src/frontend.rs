@@ -44,7 +44,7 @@ pub enum Redirect {
 }
 
 /// Per-instruction timing feedback to the core model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchFeedback {
     /// Prediction-pipe bubbles charged before this instruction's fetch
     /// group continues.
@@ -379,19 +379,11 @@ impl FrontEnd {
 
     /// Branch-pair statistics (§IV.A): lead taken / second taken / both NT.
     fn track_pair(&mut self, taken: bool) {
-        if !self.pair_pending_second {
-            if taken {
-                self.stats.pair_lead_taken += 1;
-            } else {
-                self.pair_pending_second = true;
-            }
-        } else {
-            self.pair_pending_second = false;
-            if taken {
-                self.stats.pair_second_taken += 1;
-            } else {
-                self.stats.pair_both_not_taken += 1;
-            }
+        match (std::mem::take(&mut self.pair_pending_second), taken) {
+            (false, true) => self.stats.pair_lead_taken += 1,
+            (false, false) => self.pair_pending_second = true,
+            (true, true) => self.stats.pair_second_taken += 1,
+            (true, false) => self.stats.pair_both_not_taken += 1,
         }
     }
 
@@ -403,10 +395,7 @@ impl FrontEnd {
     pub fn on_inst(&mut self, inst: &Inst) -> Result<FetchFeedback, PredictorError> {
         self.stats.instructions += 1;
         // Trace-gap detection.
-        let gap = match self.expected_pc {
-            Some(e) if e != inst.pc => true,
-            _ => false,
-        };
+        let gap = self.expected_pc.is_some_and(|e| e != inst.pc);
         self.expected_pc = Some(inst.next_pc());
         self.track_line(inst.pc, inst.branch.is_some());
         if gap {
@@ -445,137 +434,116 @@ impl FrontEnd {
         if taken {
             self.stats.taken_branches += 1;
         }
+        let mut p = self.predict(pc, kind)?;
+        let (redirect, correct) = self.resolve(pc, kind, taken, target, &mut p);
+        self.train(pc, kind, taken, target, &p, correct);
+        self.stats.bubbles += p.bubbles as u64;
+        Ok(FetchFeedback { bubbles: p.bubbles, redirect })
+    }
 
-        // ---------------- Prediction ----------------
+    /// Prediction: the locked µBTB serves the branch when it hits;
+    /// otherwise the mBTB hierarchy with the SHP, the RAS and the
+    /// indirect predictor does, and the serving structure sets the
+    /// taken-redirect bubbles. A branch in no BTB is predicted not-taken.
+    #[inline(always)]
+    fn predict(&mut self, pc: u64, kind: BranchKind) -> Result<Prediction, PredictorError> {
+        let mut p = Prediction::default();
         let locked = self.ubtb.is_locked();
         let upred = self.ubtb.predict(pc);
-        let mut used_ubtb = false;
-        let mut pred_taken;
-        let mut pred_target: Option<u64>;
-        let mut bubbles: u32 = 0;
-        let mut btb_entry: Option<(BtbEntry, BtbHit)> = None;
-        let mut indirect_pred: Option<Option<u64>> = None;
-        // SHP lookup made on the prediction path, reused at training time:
-        // nothing between the two points touches the SHP tables, the
-        // histories, or the entry bias, so recomputing it would return the
-        // same rows.
-        let mut shp_pred: Option<ShpPrediction> = None;
-        let mut ras_popped = false;
-
-        if locked {
-            if let UbtbPrediction::Hit { taken: t, target: tg } = upred {
-                used_ubtb = true;
-                pred_taken = match kind {
-                    BranchKind::CondDirect => t,
-                    _ => true,
-                };
-                pred_target = Some(match kind {
-                    BranchKind::Return => {
-                        // Returns still use the RAS even under lock.
-                        ras_popped = true;
-                        self.ras.pop().unwrap_or(tg)
-                    }
-                    _ => tg,
-                });
-                if pred_taken {
-                    self.stats.ubtb_zero_bubble += 1;
+        if let (true, UbtbPrediction::Hit { taken: t, target: tg }) = (locked, upred) {
+            p.used_ubtb = true;
+            p.taken = kind != BranchKind::CondDirect || t;
+            p.target = Some(match kind {
+                BranchKind::Return => {
+                    // Returns still use the RAS even under lock.
+                    p.ras_popped = true;
+                    self.ras.pop().unwrap_or(tg)
                 }
-            } else {
-                pred_taken = false;
-                pred_target = None;
+                _ => tg,
+            });
+            if p.taken {
+                self.stats.ubtb_zero_bubble += 1;
             }
         } else {
-            pred_taken = false;
-            pred_target = None;
+            p.btb_entry = self.btb.lookup(pc)?;
         }
-
-        if !used_ubtb {
-            // Main predictor path.
-            btb_entry = self.btb.lookup(pc)?;
-            match btb_entry {
-                Some((entry, hit)) => {
-                    // Direction.
-                    pred_taken = match kind {
-                        BranchKind::CondDirect => {
-                            self.stats.shp_lookups += 1;
-                            if entry.always_taken {
-                                true
-                            } else {
-                                let p = self.shp.predict(pc, entry.bias, &self.hist);
-                                shp_pred = Some(p);
-                                p.taken
-                            }
-                        }
-                        _ => true,
-                    };
-                    // Target.
-                    pred_target = if pred_taken {
-                        match kind {
-                            BranchKind::Return => {
-                                ras_popped = true;
-                                self.ras.pop()
-                            }
-                            BranchKind::IndirectJump | BranchKind::IndirectCall => {
-                                // Chains store CONTEXT_HASH-sealed targets;
-                                // the raw (sealed) prediction is kept for
-                                // training, the unsealed one drives fetch.
-                                let p = self.indirect.predict(pc, &self.shp, &self.hist);
-                                bubbles += p.extra_cycles;
-                                indirect_pred = Some(p.target);
-                                p.target.map(|t| self.unseal(kind, t))
-                            }
-                            _ => Some(self.unseal(kind, entry.target)),
-                        }
+        if let Some((entry, hit)) = p.btb_entry {
+            p.taken = match kind {
+                BranchKind::CondDirect => {
+                    self.stats.shp_lookups += 1;
+                    if entry.always_taken {
+                        true
                     } else {
-                        None
-                    };
-                    // Taken-redirect bubbles by serving structure.
-                    if pred_taken {
-                        let base = match hit {
-                            BtbHit::Main => {
-                                if self.cfg.zero_bubble_atot
-                                    && self
-                                        .pending_zero_bubble
-                                        .map(|(zpc, ztg)| {
-                                            zpc == pc && Some(ztg) == pred_target
-                                        })
-                                        .unwrap_or(false)
-                                {
-                                    self.stats.zat_zot_zero_bubble += 1;
-                                    0
-                                } else if self.cfg.one_bubble_at && entry.always_taken {
-                                    self.stats.one_bubble_at += 1;
-                                    1
-                                } else {
-                                    self.cfg.taken_bubbles
-                                }
-                            }
-                            BtbHit::Virtual => self.cfg.taken_bubbles + 1,
-                            BtbHit::Level2 => self.cfg.btb.l2_fill_latency,
-                        };
-                        bubbles += base;
+                        let shp = self.shp.predict(pc, entry.bias, &self.hist);
+                        p.shp = Some(shp);
+                        shp.taken
                     }
                 }
-                None => {
-                    // Not in any BTB: implicitly predicted not-taken.
-                    pred_taken = false;
-                    pred_target = None;
-                }
+                _ => true,
+            };
+            if p.taken {
+                p.target = match kind {
+                    BranchKind::Return => {
+                        p.ras_popped = true;
+                        self.ras.pop()
+                    }
+                    BranchKind::IndirectJump | BranchKind::IndirectCall => {
+                        // Chains store CONTEXT_HASH-sealed targets: the raw
+                        // (sealed) prediction is kept for training, the
+                        // unsealed one drives fetch.
+                        let ind = self.indirect.predict(pc, &self.shp, &self.hist);
+                        p.bubbles += ind.extra_cycles;
+                        p.indirect = ind.target;
+                        ind.target.map(|t| self.unseal(kind, t))
+                    }
+                    _ => Some(self.unseal(kind, entry.target)),
+                };
+                p.bubbles += match hit {
+                    BtbHit::Main => {
+                        if self.cfg.zero_bubble_atot
+                            && self
+                                .pending_zero_bubble
+                                .is_some_and(|(zpc, ztg)| zpc == pc && Some(ztg) == p.target)
+                        {
+                            self.stats.zat_zot_zero_bubble += 1;
+                            0
+                        } else if self.cfg.one_bubble_at && entry.always_taken {
+                            self.stats.one_bubble_at += 1;
+                            1
+                        } else {
+                            self.cfg.taken_bubbles
+                        }
+                    }
+                    BtbHit::Virtual => self.cfg.taken_bubbles + 1,
+                    BtbHit::Level2 => self.cfg.btb.l2_fill_latency,
+                };
             }
         }
         self.pending_zero_bubble = None;
+        Ok(p)
+    }
 
-        // ---------------- Resolution ----------------
-        let dir_wrong = pred_taken != taken;
-        let target_wrong = taken && pred_taken && pred_target != Some(target);
-        let discovered = btb_entry.is_none() && !used_ubtb && taken;
+    /// Resolution: count the outcome, let the MRB record or cover the
+    /// redirect, update the confidence table. Returns the redirect and
+    /// whether the branch was predicted correctly.
+    #[inline(always)]
+    fn resolve(
+        &mut self,
+        pc: u64,
+        kind: BranchKind,
+        taken: bool,
+        target: u64,
+        p: &mut Prediction,
+    ) -> (Option<Redirect>, bool) {
+        let dir_wrong = p.taken != taken;
+        let target_wrong = taken && p.taken && p.target != Some(target);
+        let discovered = p.btb_entry.is_none() && !p.used_ubtb && taken;
         let mispredicted = dir_wrong || target_wrong;
         let correct = !mispredicted && !discovered;
 
-        let mut redirect = None;
-        if discovered {
+        let redirect = if discovered {
             self.stats.discoveries += 1;
-            redirect = Some(Redirect::Discovery);
+            Some(Redirect::Discovery)
         } else if mispredicted {
             match kind {
                 BranchKind::CondDirect => self.stats.cond_mispredicts += 1,
@@ -585,10 +553,10 @@ impl FrontEnd {
                 }
                 _ => self.stats.discoveries += 1, // direct target drift
             }
-            redirect = Some(Redirect::Mispredict);
-        }
-
-        // ---------------- MRB ----------------
+            Some(Redirect::Mispredict)
+        } else {
+            None
+        };
         if let Some(mrb) = &mut self.mrb {
             if redirect == Some(Redirect::Mispredict) {
                 if self.confidence.is_low_confidence(pc) {
@@ -598,7 +566,7 @@ impl FrontEnd {
                 // Correct-path taken redirect: MRB playback may cover it.
                 if mrb.on_correct_path_target(target) {
                     self.stats.mrb_covered += 1;
-                    bubbles = 0;
+                    p.bubbles = 0;
                 }
             }
         }
@@ -607,18 +575,30 @@ impl FrontEnd {
             Some(false) => self.stats.conf_flips_to_high += 1,
             None => {}
         }
+        (redirect, correct)
+    }
 
-        // ---------------- Training ----------------
+    /// Training: every structure learns the resolved outcome.
+    #[inline(always)]
+    fn train(
+        &mut self,
+        pc: u64,
+        kind: BranchKind,
+        taken: bool,
+        target: u64,
+        p: &Prediction,
+        correct: bool,
+    ) {
         // RAS: calls push; a return whose prediction path never consulted
         // the RAS (BTB miss) still pops at decode to stay balanced.
         if kind.is_call() {
             self.ras.push(pc + 4);
-        } else if kind.is_return() && !ras_popped {
+        } else if kind.is_return() && !p.ras_popped {
             let _ = self.ras.pop();
         }
         // BTB entry maintenance (discovery, direction counters, targets).
         let sealed_target = self.seal(kind, target);
-        match btb_entry {
+        match p.btb_entry {
             Some((mut entry, _)) => {
                 entry.record_direction(taken);
                 if taken {
@@ -627,19 +607,17 @@ impl FrontEnd {
                 // SHP for conditionals (with always-taken filtering).
                 if kind.is_conditional() {
                     let filtered = entry.always_taken && self.cfg.at_filter;
-                    let p = shp_pred
-                        .unwrap_or_else(|| self.shp.predict(pc, entry.bias, &self.hist));
-                    let d = self.shp.update(&p, taken, filtered);
+                    let shp = p.shp.unwrap_or_else(|| self.shp.predict(pc, entry.bias, &self.hist));
+                    let d = self.shp.update(&shp, taken, filtered);
                     entry.bias = apply_bias_delta(entry.bias, d);
                 }
                 self.btb.update_entry(entry);
             }
-            None if !used_ubtb => {
+            None if !p.used_ubtb => {
                 // Allocate discovered branches (taken, or conditional NT so
                 // the direction predictor owns it next time).
                 if taken || kind.is_conditional() {
-                    self.btb
-                        .install(BtbEntry::discover(pc, sealed_target, kind, taken));
+                    self.btb.install(BtbEntry::discover(pc, sealed_target, kind, taken));
                 }
             }
             _ => {
@@ -652,18 +630,11 @@ impl FrontEnd {
             }
         }
         // Indirect chains + hash table (also commits virtual outcomes into
-        // the histories).
+        // the histories). They train in sealed-target space: the stored
+        // chain entries and the hash table hold ciphertext under the
+        // current context key.
         if kind.is_indirect() && !kind.is_return() && taken {
-            // Train in sealed-target space: the stored chain entries and
-            // the hash table hold ciphertext under the current context key.
-            let predicted_sealed = indirect_pred.unwrap_or(None);
-            self.indirect.update(
-                pc,
-                self.seal(kind, target),
-                predicted_sealed,
-                &mut self.shp,
-                &mut self.hist,
-            );
+            self.indirect.update(pc, sealed_target, p.indirect, &mut self.shp, &mut self.hist);
         }
         // Histories.
         if kind.is_conditional() {
@@ -671,19 +642,15 @@ impl FrontEnd {
         }
         self.hist.push_path(pc);
         // µBTB graph learning.
-        let predicted_correctly = !mispredicted && !discovered;
-        self.ubtb.update(
-            pc,
-            taken,
-            target,
-            matches!(kind, BranchKind::UncondDirect | BranchKind::DirectCall),
-            predicted_correctly,
-        );
+        let direct = matches!(kind, BranchKind::UncondDirect | BranchKind::DirectCall);
+        self.ubtb.update(pc, taken, target, direct, correct);
         // ZAT/ZOT replication learning: if this branch is always/often
         // taken, replicate its target into the previous taken branch's
         // entry; and arm the zero-bubble grant for the *next* occurrence.
         // Replication applies to direct always/often-taken branches (their
         // targets are stored in plaintext; indirect targets stay sealed).
+        // The two probes of `pc` stay separate: when `prev_pc == pc` the
+        // first `update_entry` changes what the second probe reads.
         if self.cfg.zero_bubble_atot && taken && !kind.is_indirect() {
             if let Some((prev_pc, _)) = self.last_taken_branch {
                 if let Some(mut prev_entry) = self.btb.probe(prev_pc) {
@@ -707,10 +674,28 @@ impl FrontEnd {
         if taken {
             self.last_taken_branch = Some((pc, target));
         }
-
-        self.stats.bubbles += bubbles as u64;
-        Ok(FetchFeedback { bubbles, redirect })
     }
+}
+
+/// What [`FrontEnd::predict`] decided for one branch, handed on to
+/// resolution and training.
+#[derive(Default)]
+struct Prediction {
+    taken: bool,
+    /// Unsealed target of a predicted-taken branch.
+    target: Option<u64>,
+    bubbles: u32,
+    /// The locked µBTB served the prediction (the mBTB was gated).
+    used_ubtb: bool,
+    /// The mBTB-hierarchy hit, if looked up and found.
+    btb_entry: Option<(BtbEntry, BtbHit)>,
+    /// The indirect predictor's raw (sealed) target, when consulted.
+    indirect: Option<u64>,
+    /// The SHP lookup, reused at training time: nothing between the two
+    /// points touches the SHP tables, the histories, or the entry bias,
+    /// so recomputing it would return the same rows.
+    shp: Option<ShpPrediction>,
+    ras_popped: bool,
 }
 
 mod snapshot_impl {

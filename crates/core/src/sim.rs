@@ -136,6 +136,33 @@ struct StepProbe {
     malformed: u64,
 }
 
+/// What one step's stages hand on to the later stages and to
+/// [`Simulator::emit_step_events`], in the order the stages write it.
+#[derive(Default)]
+struct StepState {
+    fired: FaultFiring,
+    fb: FetchFeedback,
+    corruption_recovered: bool,
+    uoc_loss: bool,
+    uoc_supply: bool,
+    // Cycles the instruction is fetched, issues, completes (a branch
+    // resolves) and retires, and the gap since the previous retirement.
+    fetch: u64,
+    issue: u64,
+    complete: u64,
+    rt: u64,
+    gap: u64,
+    /// `(gap, rung)` when the watchdog ran a degradation rung.
+    watchdog_trip: Option<(u64, u64)>,
+}
+
+/// Free the oldest entry of a full in-flight queue, returning the cycle
+/// it retires at (dispatch waits for it), or 0 when the queue has room.
+#[inline(always)]
+fn free_oldest(queue: &mut VecDeque<u64>, cap: usize) -> u64 {
+    if queue.len() >= cap { queue.pop_front().unwrap_or(0) } else { 0 }
+}
+
 /// The telemetry tag for a UOC mode.
 fn uoc_tag(mode: UocMode) -> UocModeTag {
     match mode {
@@ -410,40 +437,6 @@ impl Simulator {
         }
     }
 
-    /// Apply the state-corruption components of one injector firing.
-    fn apply_state_faults(&mut self, fired: &FaultFiring) {
-        if let Some(salt) = fired.corrupt_btb_target {
-            let _ = self.frontend.corrupt_btb_target(salt);
-        }
-        if let Some(salt) = fired.corrupt_btb_tag {
-            let _ = self.frontend.corrupt_btb_tag(salt);
-        }
-        if let Some(salt) = fired.flip_shp_weight {
-            self.frontend.flip_shp_weight(salt);
-        }
-        if let Some(keep) = fired.truncate_ras {
-            self.frontend.truncate_ras(keep);
-        }
-        if fired.drop_prefetch {
-            let _ = self.memsys.drop_prefetch_state();
-        }
-    }
-
-    /// Mutate a trace record per the injector firing: a warped PC makes a
-    /// discontinuity gap; a stripped operand makes a malformed memory op.
-    fn mutate_inst(inst: &mut Inst, fired: &FaultFiring) {
-        if fired.gap_inst {
-            inst.pc ^= 0x4000_0000;
-        }
-        if fired.malform_inst {
-            inst.mem = None;
-            if !matches!(inst.kind, InstKind::Load | InstKind::Store) {
-                inst.kind = InstKind::Load;
-                inst.branch = None;
-            }
-        }
-    }
-
     /// A memory op with no address operand: in strict mode this ends the
     /// run; by default it is counted and retired as a 1-cycle no-op.
     fn skip_malformed(&mut self, inst: &Inst, issue: u64) -> Result<u64, SimError> {
@@ -469,242 +462,266 @@ impl Simulator {
         self.step_impl(inst, None)
     }
 
+    /// One instruction through the stages in pipeline order; each stage
+    /// reads what the earlier ones left in the [`StepState`].
+    #[inline(always)]
     fn step_impl(&mut self, inst: &Inst, tel: Option<&mut Telemetry>) -> Result<u64, SimError> {
-        // Cooperative cancellation: one relaxed-load poll per
-        // CANCEL_POLL_PERIOD instructions keeps deadline enforcement off
-        // the per-step critical path.
-        if let Some(tok) = &self.cancel {
-            if self.stats.instructions & (crate::cancel::CANCEL_POLL_PERIOD - 1) == 0 {
-                if let Some(deadline) = tok.should_stop() {
-                    return Err(SimError::Cancelled {
-                        instructions: self.stats.instructions,
-                        deadline,
-                    });
-                }
-            }
-        }
+        self.poll_cancel()?;
         // Snapshot stat counters so post-step deltas become events. Only
         // paid when a sink is attached.
         let probe = tel.as_ref().map(|_| self.capture_probe());
-        let mut corruption_recovered = false;
-        let mut uoc_loss = false;
-        let mut watchdog_trip: Option<(u64, u64)> = None;
-        let width = self.width;
-        // ---------------- Fault injection ----------------
         let mut inst = *inst;
-        let fired = match self.injector.as_mut() {
-            Some(inj) => inj.tick(),
-            None => FaultFiring::default(),
-        };
-        self.apply_state_faults(&fired);
-        Self::mutate_inst(&mut inst, &fired);
+        let mut s = self.inject_faults(&mut inst);
         let inst = &inst;
-        // ---------------- Front end ----------------
-        let fb = match self.frontend.on_inst(inst) {
+        self.front_end(inst, &mut s)?;
+        self.uoc(inst, &mut s);
+        self.ifetch(inst, &mut s)?;
+        self.dispatch_issue(inst, &mut s);
+        self.execute(inst, &mut s)?;
+        self.retire(inst, &mut s)?;
+        if let (Some(tel), Some(p)) = (tel, probe) {
+            self.emit_step_events(tel, &p, inst, &s);
+        }
+        Ok(s.rt)
+    }
+
+    /// Cooperative cancellation: one relaxed-load poll per
+    /// CANCEL_POLL_PERIOD instructions keeps deadline enforcement off
+    /// the per-step critical path.
+    #[inline(always)]
+    fn poll_cancel(&self) -> Result<(), SimError> {
+        let instructions = self.stats.instructions;
+        match &self.cancel {
+            Some(tok) if instructions & (crate::cancel::CANCEL_POLL_PERIOD - 1) == 0 => tok
+                .should_stop()
+                .map_or(Ok(()), |deadline| Err(SimError::Cancelled { instructions, deadline })),
+            _ => Ok(()),
+        }
+    }
+
+    /// Fault injection: tick the injector, corrupt the state it names,
+    /// and mutate the trace record — a warped PC makes a discontinuity
+    /// gap; a stripped operand makes a malformed memory op.
+    #[inline(always)]
+    fn inject_faults(&mut self, inst: &mut Inst) -> StepState {
+        let Some(inj) = self.injector.as_mut() else { return StepState::default() };
+        let fired = inj.tick();
+        if let Some(salt) = fired.corrupt_btb_target {
+            let _ = self.frontend.corrupt_btb_target(salt);
+        }
+        if let Some(salt) = fired.corrupt_btb_tag {
+            let _ = self.frontend.corrupt_btb_tag(salt);
+        }
+        if let Some(salt) = fired.flip_shp_weight {
+            self.frontend.flip_shp_weight(salt);
+        }
+        if let Some(keep) = fired.truncate_ras {
+            self.frontend.truncate_ras(keep);
+        }
+        if fired.drop_prefetch {
+            let _ = self.memsys.drop_prefetch_state();
+        }
+        if fired.gap_inst {
+            inst.pc ^= 0x4000_0000;
+        }
+        if fired.malform_inst {
+            inst.mem = None;
+            if !matches!(inst.kind, InstKind::Load | InstKind::Store) {
+                inst.kind = InstKind::Load;
+                inst.branch = None;
+            }
+        }
+        StepState { fired, ..StepState::default() }
+    }
+
+    /// Front end: prediction feedback, or a flush when it detects
+    /// corrupted predictor state.
+    #[inline(always)]
+    fn front_end(&mut self, inst: &Inst, s: &mut StepState) -> Result<(), SimError> {
+        match self.frontend.on_inst(inst) {
             Ok(fb) => {
                 self.consecutive_corruptions = 0;
-                fb
+                s.fb = fb;
             }
             Err(e) => {
-                // Detected predictor-state corruption (the parity-error
-                // analog): flush the front end and restart fetch. A
-                // genuine soft error clears on the first rebuild, so
-                // back-to-back detections mean the source is live and the
-                // error escalates.
+                // The parity-error analog: flush the front end and
+                // restart fetch. A genuine soft error clears on the first
+                // rebuild, so back-to-back detections mean the source is
+                // live and the error escalates.
                 self.stats.predictor_corruptions += 1;
                 self.consecutive_corruptions += 1;
                 if self.consecutive_corruptions > CORRUPTION_ESCALATION_LIMIT {
                     return Err(e.into());
                 }
-                corruption_recovered = true;
+                s.corruption_recovered = true;
                 self.frontend.flush_predictors();
-                self.fetch_cycle += self.lat_mispredict;
-                self.fetch_slots = 0;
+                self.delay_fetch(self.lat_mispredict);
                 self.cur_fetch_line = u64::MAX;
-                FetchFeedback::NONE
-            }
-        };
-        // UOC mode machine (M5+): feed block structure; FetchMode gates the
-        // instruction cache and decoders.
-        let mut uoc_supply = false;
-        if let Some(uoc) = &mut self.uoc {
-            let broken = fb.redirect.is_some();
-            let taken = inst.is_taken_branch();
-            if uoc
-                .on_inst(inst.pc, inst.branch.is_some(), taken, broken, self.frontend.ubtb_mut())
-                .is_err()
-            {
-                // Lost block state: surrender the µop supply and rebuild
-                // from FilterMode rather than serving a stale block.
-                uoc.demote_to_filter();
-                self.stats.uoc_recoveries += 1;
-                uoc_loss = true;
-            }
-            uoc_supply = uoc.mode() == UocMode::Fetch;
-            if uoc_supply {
-                self.stats.uoc_supplied += 1;
             }
         }
+        Ok(())
+    }
+
+    /// UOC mode machine (M5+): feed block structure; FetchMode gates the
+    /// instruction cache and decoders.
+    #[inline(always)]
+    fn uoc(&mut self, inst: &Inst, s: &mut StepState) {
+        let Some(uoc) = &mut self.uoc else { return };
+        let (taken, broken) = (inst.is_taken_branch(), s.fb.redirect.is_some());
+        if uoc
+            .on_inst(inst.pc, inst.branch.is_some(), taken, broken, self.frontend.ubtb_mut())
+            .is_err()
+        {
+            // Lost block state: surrender the µop supply and rebuild
+            // from FilterMode rather than serving a stale block.
+            uoc.demote_to_filter();
+            self.stats.uoc_recoveries += 1;
+            s.uoc_loss = true;
+        }
+        s.uoc_supply = uoc.mode() == UocMode::Fetch;
+        if s.uoc_supply {
+            self.stats.uoc_supplied += 1;
+        }
+    }
+
+    /// Instruction fetch: trace gaps, prediction bubbles, the L1I
+    /// (skipped while the UOC supplies µops) and fetch-width slotting.
+    #[inline(always)]
+    fn ifetch(&mut self, inst: &Inst, s: &mut StepState) -> Result<(), SimError> {
         // Trace gaps delay THIS instruction's fetch.
-        if fb.redirect == Some(Redirect::TraceGap) {
-            self.fetch_cycle += self.lat_mispredict;
-            self.fetch_slots = 0;
+        if s.fb.redirect == Some(Redirect::TraceGap) {
+            self.delay_fetch(self.lat_mispredict);
         }
         // Prediction-pipe bubbles precede this instruction.
-        if fb.bubbles > 0 {
-            self.fetch_cycle += fb.bubbles as u64;
-            self.fetch_slots = 0;
+        if s.fb.bubbles > 0 {
+            self.delay_fetch(s.fb.bubbles as u64);
         }
-        // Instruction cache (skipped while the UOC supplies µops).
         let line = inst.pc >> 6;
         if line != self.cur_fetch_line {
             self.cur_fetch_line = line;
-            if !uoc_supply {
+            if !s.uoc_supply {
                 let lat = self.memsys.ifetch(inst.pc, self.fetch_cycle)?;
                 if lat > 0 {
-                    self.fetch_cycle += lat;
-                    self.fetch_slots = 0;
+                    self.delay_fetch(lat);
                 }
             }
         }
-        // Fetch-width slotting.
-        if self.fetch_slots >= width {
-            self.fetch_cycle += 1;
-            self.fetch_slots = 0;
+        if self.fetch_slots >= self.width {
+            self.delay_fetch(1);
         }
-        let fetch_time = self.fetch_cycle;
+        s.fetch = self.fetch_cycle;
         self.fetch_slots += 1;
         // A taken branch redirects fetch: it closes the current fetch
         // group, so at most one taken branch is consumed per cycle (the
         // "zero-bubble" paths still deliver one redirect per cycle).
         if inst.is_taken_branch() {
-            self.fetch_slots = width;
+            self.fetch_slots = self.width;
         }
+        Ok(())
+    }
 
-        // ---------------- Dispatch (ROB / PRF limits) ----------------
-        let mut dispatch = fetch_time + self.decode_depth;
-        if self.rob.len() >= self.rob_cap {
-            debug_assert!(!self.rob.is_empty(), "a full ROB cannot be empty");
-            if let Some(oldest) = self.rob.pop_front() {
-                dispatch = dispatch.max(oldest);
-            }
-        }
-        if let Some(dst) = inst.dst {
-            let (q, cap) = if dst.is_int() {
-                (&mut self.int_inflight, self.int_prf_cap)
-            } else {
-                (&mut self.fp_inflight, self.fp_prf_cap)
-            };
-            if q.len() >= cap {
-                debug_assert!(!q.is_empty(), "a full PRF queue cannot be empty");
-                if let Some(freed) = q.pop_front() {
-                    dispatch = dispatch.max(freed);
-                }
-            }
-        }
+    /// Hold fetch for `cycles` and start a new fetch group.
+    #[inline(always)]
+    fn delay_fetch(&mut self, cycles: u64) {
+        self.fetch_cycle += cycles;
+        self.fetch_slots = 0;
+    }
 
-        // ---------------- Ready / issue ----------------
-        let mut ready = dispatch;
+    /// Dispatch under the ROB and PRF limits, then issue once the
+    /// sources are ready and a port is free.
+    #[inline(always)]
+    fn dispatch_issue(&mut self, inst: &Inst, s: &mut StepState) {
+        let rob_freed = free_oldest(&mut self.rob, self.rob_cap);
+        let prf_freed = match inst.dst {
+            Some(dst) if dst.is_int() => free_oldest(&mut self.int_inflight, self.int_prf_cap),
+            Some(_) => free_oldest(&mut self.fp_inflight, self.fp_prf_cap),
+            None => 0,
+        };
+        let mut ready = (s.fetch + self.decode_depth).max(rob_freed).max(prf_freed);
         for src in inst.srcs.iter().flatten() {
             if !src.is_zero() {
                 ready = ready.max(self.reg_ready[src.index()]);
             }
         }
         let eligible = Self::resources_for(inst.kind, inst.branch.map(|b| b.kind));
-        let issue = self.ports.book(eligible, ready);
+        s.issue = self.ports.book(eligible, ready);
+    }
 
-        // ---------------- Execute ----------------
-        let complete = match inst.kind {
-            InstKind::Load => match inst.mem {
-                Some(m) => {
-                    self.stats.loads += 1;
-                    let cascade = self.load_cascade
-                        && inst
-                            .srcs
-                            .iter()
-                            .flatten()
-                            .any(|s| !s.is_zero() && self.reg_by_load[s.index()]);
-                    self.memsys.load(inst.pc, m.vaddr, issue, cascade)?
-                }
-                None => self.skip_malformed(inst, issue)?,
-            },
-            InstKind::Store => match inst.mem {
-                Some(m) => self.memsys.store(inst.pc, m.vaddr, issue)?,
-                None => self.skip_malformed(inst, issue)?,
-            },
-            _ => issue + self.exec_latency(inst.kind),
-        };
-        // Injected completion stall (wedges retirement; the watchdog's
-        // job is to notice).
-        let complete = complete + fired.stall_cycles;
-
-        // ---------------- Redirect resolution ----------------
-        match fb.redirect {
-            Some(Redirect::Mispredict) | Some(Redirect::Discovery) => {
-                // The front end restarts once this branch resolves.
-                self.fetch_cycle = self.fetch_cycle.max(complete + self.fe_restart);
-                self.fetch_slots = 0;
-                self.cur_fetch_line = u64::MAX;
+    /// Execute: memory ops through the memory system, the rest at their
+    /// class latency, plus any injected completion stall (it wedges
+    /// retirement; the watchdog's job is to notice).
+    #[inline(always)]
+    fn execute(&mut self, inst: &Inst, s: &mut StepState) -> Result<(), SimError> {
+        let issue = s.issue;
+        let complete = match (inst.kind, inst.mem) {
+            (InstKind::Load, Some(m)) => {
+                self.stats.loads += 1;
+                let by_load = |r: &Reg| !r.is_zero() && self.reg_by_load[r.index()];
+                let cascade = self.load_cascade && inst.srcs.iter().flatten().any(by_load);
+                self.memsys.load(inst.pc, m.vaddr, issue, cascade)?
             }
-            _ => {}
-        }
+            (InstKind::Store, Some(m)) => self.memsys.store(inst.pc, m.vaddr, issue)?,
+            (InstKind::Load | InstKind::Store, None) => self.skip_malformed(inst, issue)?,
+            (kind, _) => issue + self.exec_latency(kind),
+        };
+        s.complete = complete + s.fired.stall_cycles;
+        Ok(())
+    }
 
-        // ---------------- Writeback ----------------
+    /// Redirect resolution, writeback, in-order retirement, and the
+    /// forward-progress watchdog.
+    #[inline(always)]
+    fn retire(&mut self, inst: &Inst, s: &mut StepState) -> Result<(), SimError> {
+        if matches!(s.fb.redirect, Some(Redirect::Mispredict | Redirect::Discovery)) {
+            // The front end restarts once this branch resolves.
+            let restart = s.complete + self.fe_restart;
+            self.delay_fetch(restart.saturating_sub(self.fetch_cycle));
+            self.cur_fetch_line = u64::MAX;
+        }
         if let Some(dst) = inst.dst {
-            self.reg_ready[dst.index()] = complete;
+            self.reg_ready[dst.index()] = s.complete;
             self.reg_by_load[dst.index()] = inst.kind == InstKind::Load;
         }
-
-        // ---------------- In-order retire ----------------
-        let mut rt = complete.max(self.last_retire);
+        let mut rt = s.complete.max(self.last_retire);
         if rt == self.last_retire {
-            if self.retire_in_cycle >= width {
+            if self.retire_in_cycle >= self.width {
                 rt += 1;
                 self.retire_in_cycle = 0;
             }
         } else {
             self.retire_in_cycle = 0;
         }
-        // ---------------- Forward-progress watchdog ----------------
         // In this instruction-stepped model "N cycles without retirement"
         // is a gap between consecutive retire timestamps.
         let gap = rt - self.last_retire;
+        (s.rt, s.gap) = (rt, gap);
         if gap > self.watchdog.threshold {
+            let rung = self.watchdog.recoveries;
             self.stats.watchdog_events += 1;
             self.watchdog.progress_streak = 0;
-            self.watchdog.last_trip = Some(WatchdogTrip {
-                cycle: rt,
-                gap,
-                rung: self.watchdog.recoveries,
-            });
-            if self.watchdog.recoveries >= self.watchdog.max_recoveries {
+            self.watchdog.last_trip = Some(WatchdogTrip { cycle: rt, gap, rung });
+            if rung >= self.watchdog.max_recoveries {
                 return Err(SimError::ForwardProgressStall {
                     cycle: rt,
                     stalled_cycles: gap,
-                    recoveries: self.watchdog.recoveries,
+                    recoveries: rung,
                     snapshot: self.occupancy_snapshot(),
                 });
             }
-            // Graceful degradation, one rung per event: flush the front
-            // end; then also surrender the UOC; then also re-key the
-            // context cipher in case an encrypted structure went bad.
-            match self.watchdog.recoveries {
-                0 => self.frontend.flush_predictors(),
-                1 => {
-                    if let Some(uoc) = &mut self.uoc {
-                        uoc.demote_to_filter();
-                    }
-                    self.frontend.flush_predictors();
-                }
-                _ => {
-                    self.frontend.rekey(0x5EED_F00D ^ rt);
-                    if let Some(uoc) = &mut self.uoc {
-                        uoc.demote_to_filter();
-                    }
-                    self.frontend.flush_predictors();
+            // Graceful degradation, one rung per event, each adding to
+            // the last: flush the front end; then also surrender the UOC;
+            // then also re-key the context cipher in case an encrypted
+            // structure went bad.
+            if rung >= 2 {
+                self.frontend.rekey(0x5EED_F00D ^ rt);
+            }
+            if rung >= 1 {
+                if let Some(uoc) = &mut self.uoc {
+                    uoc.demote_to_filter();
                 }
             }
-            watchdog_trip = Some((gap, self.watchdog.recoveries as u64));
+            self.frontend.flush_predictors();
+            s.watchdog_trip = Some((gap, rung as u64));
             self.watchdog.recoveries += 1;
             self.stats.watchdog_recoveries += 1;
         } else {
@@ -719,31 +736,14 @@ impl Simulator {
         self.retire_in_cycle += 1;
         self.last_retire = rt;
         self.rob.push_back(rt);
-        if let Some(dst) = inst.dst {
-            if dst.is_int() {
-                self.int_inflight.push_back(rt);
-            } else {
-                self.fp_inflight.push_back(rt);
-            }
+        match inst.dst {
+            Some(dst) if dst.is_int() => self.int_inflight.push_back(rt),
+            Some(_) => self.fp_inflight.push_back(rt),
+            None => {}
         }
         self.stats.instructions += 1;
         self.stats.last_retire = rt;
-        if let (Some(tel), Some(p)) = (tel, probe) {
-            self.emit_step_events(
-                tel,
-                &p,
-                inst,
-                &fired,
-                fb,
-                corruption_recovered,
-                uoc_loss,
-                watchdog_trip,
-                complete,
-                gap,
-                rt,
-            );
-        }
-        Ok(rt)
+        Ok(())
     }
 
     /// Snapshot the counters `emit_step_events` diffs against.
@@ -765,24 +765,15 @@ impl Simulator {
     }
 
     /// Turn one step's stat deltas into pipeline events. Every event is
-    /// stamped at the retirement cycle `rt`; retirement never moves
+    /// stamped at the retirement cycle; retirement never moves
     /// backwards, so the trace stays cycle-monotone by construction.
-    #[allow(clippy::too_many_arguments)]
-    fn emit_step_events(
-        &self,
-        tel: &mut Telemetry,
-        p: &StepProbe,
-        inst: &Inst,
-        fired: &FaultFiring,
-        fb: FetchFeedback,
-        corruption_recovered: bool,
-        uoc_loss: bool,
-        watchdog_trip: Option<(u64, u64)>,
-        resolve_cycle: u64,
-        gap: u64,
-        rt: u64,
-    ) {
-        let n = self.stats.instructions;
+    fn emit_step_events(&self, tel: &mut Telemetry, p: &StepProbe, inst: &Inst, s: &StepState) {
+        let (fired, rt, n, pc) = (&s.fired, s.rt, self.stats.instructions, inst.pc);
+        let mut emit = |hit: bool, event: PipelineEvent| {
+            if hit {
+                tel.record(rt, n, event);
+            }
+        };
         // Injector firings come first: the pipeline's reaction (flushes,
         // gaps, malformed skips) follows from them.
         let firings = [
@@ -796,100 +787,54 @@ impl Simulator {
             (fired.stall_cycles > 0, FaultClass::Stall),
         ];
         for (hit, class) in firings {
-            if hit {
-                tel.record(rt, n, PipelineEvent::FaultInjected { class });
-            }
+            emit(hit, PipelineEvent::FaultInjected { class });
         }
-        if corruption_recovered {
-            tel.record(
-                rt,
-                n,
-                PipelineEvent::CorruptionRecovered {
-                    consecutive: self.consecutive_corruptions as u64,
-                },
-            );
+        let consecutive = self.consecutive_corruptions as u64;
+        emit(s.corruption_recovered, PipelineEvent::CorruptionRecovered { consecutive });
+        let (redirect, class) = (s.fb.redirect, branch_class(inst.branch.map(|b| b.kind)));
+        let mispredict = PipelineEvent::Mispredict { pc, class, resolve_cycle: s.complete };
+        emit(redirect == Some(Redirect::Mispredict), mispredict);
+        emit(redirect == Some(Redirect::Discovery), PipelineEvent::BranchDiscovery { pc });
+        emit(redirect == Some(Redirect::TraceGap), PipelineEvent::TraceGap { pc });
+        let (fe, ubtb) = (self.frontend.stats(), self.frontend.ubtb_stats());
+        let (to_low, to_high) = (fe.conf_flips_to_low, fe.conf_flips_to_high);
+        emit(to_low > p.fe.conf_flips_to_low, PipelineEvent::ShpConfFlip { to_low: true });
+        emit(to_high > p.fe.conf_flips_to_high, PipelineEvent::ShpConfFlip { to_low: false });
+        emit(ubtb.locks > p.ubtb_locks, PipelineEvent::UbtbLock);
+        emit(ubtb.unlocks > p.ubtb_unlocks, PipelineEvent::UbtbUnlock);
+        if let (Some(from), Some(to)) = (p.uoc_mode, self.uoc.as_ref().map(|u| u.mode())) {
+            emit(from != to, PipelineEvent::UocTransition { from: uoc_tag(from), to: uoc_tag(to) });
         }
-        match fb.redirect {
-            Some(Redirect::Mispredict) => tel.record(
-                rt,
-                n,
-                PipelineEvent::Mispredict {
-                    pc: inst.pc,
-                    class: branch_class(inst.branch.map(|b| b.kind)),
-                    resolve_cycle,
-                },
-            ),
-            Some(Redirect::Discovery) => {
-                tel.record(rt, n, PipelineEvent::BranchDiscovery { pc: inst.pc });
-            }
-            Some(Redirect::TraceGap) => {
-                tel.record(rt, n, PipelineEvent::TraceGap { pc: inst.pc });
-            }
-            None => {}
-        }
-        let fe = self.frontend.stats();
-        if fe.conf_flips_to_low > p.fe.conf_flips_to_low {
-            tel.record(rt, n, PipelineEvent::ShpConfFlip { to_low: true });
-        }
-        if fe.conf_flips_to_high > p.fe.conf_flips_to_high {
-            tel.record(rt, n, PipelineEvent::ShpConfFlip { to_low: false });
-        }
-        let ubtb = self.frontend.ubtb_stats();
-        if ubtb.locks > p.ubtb_locks {
-            tel.record(rt, n, PipelineEvent::UbtbLock);
-        }
-        if ubtb.unlocks > p.ubtb_unlocks {
-            tel.record(rt, n, PipelineEvent::UbtbUnlock);
-        }
-        let mode = self.uoc.as_ref().map(|u| u.mode());
-        if let (Some(from), Some(to)) = (p.uoc_mode, mode) {
-            if from != to {
-                tel.record(
-                    rt,
-                    n,
-                    PipelineEvent::UocTransition { from: uoc_tag(from), to: uoc_tag(to) },
-                );
-            }
-        }
-        if uoc_loss {
-            tel.record(rt, n, PipelineEvent::UocStateLoss);
-        }
+        emit(s.uoc_loss, PipelineEvent::UocStateLoss);
         // Prefetch activity: launches from the engines, fills and drops
         // from the memory system.
         let tp = self.memsys.twopass().stats();
         let mem = self.memsys.stats();
-        let flows = [
-            (tp.first_passes - p.tp_first, PrefetchKind::L1, 0u8),
-            (self.memsys.buddy_stats().issued - p.buddy_issued, PrefetchKind::Buddy, 0),
-            (
-                self.memsys.standalone_stats().issued - p.standalone_issued,
-                PrefetchKind::Standalone,
-                0,
-            ),
-            (mem.l1_prefetch_fills - p.mem.l1_prefetch_fills, PrefetchKind::L1, 1),
-            (mem.buddy_fills - p.mem.buddy_fills, PrefetchKind::Buddy, 1),
-            (mem.standalone_fills - p.mem.standalone_fills, PrefetchKind::Standalone, 1),
-            (tp.dropped - p.tp_dropped, PrefetchKind::L1, 2),
+        let launches = [
+            (tp.first_passes - p.tp_first, PrefetchKind::L1),
+            (self.memsys.buddy_stats().issued - p.buddy_issued, PrefetchKind::Buddy),
+            (self.memsys.standalone_stats().issued - p.standalone_issued, PrefetchKind::Standalone),
         ];
-        for (count, kind, stage) in flows {
-            if count > 0 {
-                let event = match stage {
-                    0 => PipelineEvent::PrefetchLaunch { kind, count },
-                    1 => PipelineEvent::PrefetchFill { kind, count },
-                    _ => PipelineEvent::PrefetchDrop { kind, count },
-                };
-                tel.record(rt, n, event);
-            }
+        for (count, kind) in launches {
+            emit(count > 0, PipelineEvent::PrefetchLaunch { kind, count });
         }
-        if self.stats.malformed_insts > p.malformed {
-            tel.record(rt, n, PipelineEvent::MalformedInst { pc: inst.pc });
+        let fills = [
+            (mem.l1_prefetch_fills - p.mem.l1_prefetch_fills, PrefetchKind::L1),
+            (mem.buddy_fills - p.mem.buddy_fills, PrefetchKind::Buddy),
+            (mem.standalone_fills - p.mem.standalone_fills, PrefetchKind::Standalone),
+        ];
+        for (count, kind) in fills {
+            emit(count > 0, PipelineEvent::PrefetchFill { kind, count });
         }
-        if let Some((stall_gap, rung)) = watchdog_trip {
-            tel.record(rt, n, PipelineEvent::WatchdogTrip { gap: stall_gap, rung });
+        let count = tp.dropped - p.tp_dropped;
+        emit(count > 0, PipelineEvent::PrefetchDrop { kind: PrefetchKind::L1, count });
+        emit(self.stats.malformed_insts > p.malformed, PipelineEvent::MalformedInst { pc });
+        if let Some((gap, rung)) = s.watchdog_trip {
+            emit(true, PipelineEvent::WatchdogTrip { gap, rung });
         }
         // Histograms: every retirement gap, and demand-load latency when
         // this step performed a load.
-        tel.observe_retire_gap(gap);
+        tel.observe_retire_gap(s.gap);
         if mem.loads > p.mem.loads {
             tel.observe_load_latency(mem.total_load_latency - p.mem.total_load_latency);
         }
@@ -923,32 +868,34 @@ impl Simulator {
         plan: SlicePlan,
         mut tel: Option<&mut Telemetry>,
     ) -> Result<SliceResult, SimError> {
-        for _ in 0..plan.warmup {
-            let inst = gen.next_inst();
-            match tel.as_deref_mut() {
-                Some(t) => {
-                    self.step_impl(&inst, Some(t))?;
-                    self.maybe_epoch(t);
-                }
-                None => {
-                    self.step(&inst)?;
-                }
-            }
-        }
+        self.run_insts(gen, plan.warmup, tel.as_deref_mut())?;
         let measure = self.measure_begin();
-        for _ in 0..plan.detail {
-            let inst = gen.next_inst();
-            match tel.as_deref_mut() {
-                Some(t) => {
-                    self.step_impl(&inst, Some(t))?;
-                    self.maybe_epoch(t);
-                }
-                None => {
-                    self.step(&inst)?;
-                }
+        self.run_insts(gen, plan.detail, tel)?;
+        Ok(self.measure_end(&measure))
+    }
+
+    /// Step the simulator through `n` instructions from `gen` without
+    /// measuring a detail window — the warm-up half of a
+    /// checkpoint-then-fork workflow.
+    pub fn run_warmup(&mut self, gen: &mut dyn TraceGen, n: u64) -> Result<(), SimError> {
+        self.run_insts(gen, n, None)
+    }
+
+    /// The instruction loop behind every `run_*`: step `n` records of
+    /// `gen`, closing a telemetry epoch whenever one falls due.
+    fn run_insts(
+        &mut self,
+        gen: &mut dyn TraceGen,
+        n: u64,
+        mut tel: Option<&mut Telemetry>,
+    ) -> Result<(), SimError> {
+        for _ in 0..n {
+            self.step_impl(&gen.next_inst(), tel.as_deref_mut())?;
+            if let Some(t) = tel.as_deref_mut().filter(|t| t.epoch_due(self.stats.instructions)) {
+                self.close_epoch(t);
             }
         }
-        Ok(self.measure_end(&measure))
+        Ok(())
     }
 
     /// Snapshot the counters a detail window is measured against. Pair
@@ -997,12 +944,18 @@ impl Simulator {
         Ok(())
     }
 
-    /// Close the current epoch if the instruction count says it is due.
-    fn maybe_epoch(&self, tel: &mut Telemetry) {
-        if tel.epoch_due(self.stats.instructions) {
-            self.sample_telemetry(tel);
-            tel.end_epoch(self.stats.instructions, self.stats.last_retire);
+    /// Sample the machine into `tel` and close an epoch row at the
+    /// current instruction count — unless the last row already stands
+    /// there, so a run that ends on an epoch boundary gets no duplicate
+    /// trailing row.
+    pub fn close_epoch(&self, tel: &mut Telemetry) {
+        let series = tel.series();
+        let last = series.len().checked_sub(1).and_then(|i| series.mark(i));
+        if last.is_some_and(|m| m.instructions == self.stats.instructions) {
+            return;
         }
+        self.sample_telemetry(tel);
+        tel.end_epoch(self.stats.instructions, self.stats.last_retire);
     }
 
     /// Snapshot every statistics producer in the machine into `tel`'s
@@ -1142,17 +1095,6 @@ mod snapshot_impl {
             sim.restore(&mut dec)?;
             dec.finish()?;
             Ok(sim)
-        }
-
-        /// Step the simulator through `n` instructions from `gen` without
-        /// measuring a detail window — the warm-up half of a
-        /// checkpoint-then-fork workflow.
-        pub fn run_warmup(&mut self, gen: &mut dyn TraceGen, n: u64) -> Result<(), SimError> {
-            for _ in 0..n {
-                let inst = gen.next_inst();
-                self.step(&inst)?;
-            }
-            Ok(())
         }
     }
 

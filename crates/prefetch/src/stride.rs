@@ -497,13 +497,13 @@ mod tests {
 
 mod snapshot_impl {
     use super::*;
-    use exynos_snapshot::{layout, tags};
+    use exynos_snapshot::{layout, tags, SnapshotError};
 
     layout! {
         MultiStrideEngine [tags::STRIDE] |s| {
             streams: Bounded(s.cfg.streams, "stride streams"),
             stamp, stats,
-        }
+        } then check_streams
     }
     layout! {
         Stream {
@@ -512,10 +512,115 @@ mod snapshot_impl {
         }
     }
 
+    /// A sequence of `len` entries that live code keeps at or below
+    /// `cap`; above it is `Geometry`.
+    fn within(what: &'static str, len: usize, cap: usize) -> Result<(), SnapshotError> {
+        if len > cap {
+            return Err(SnapshotError::Geometry { what, expected: cap as u64, found: len as u64 });
+        }
+        Ok(())
+    }
+
+    impl MultiStrideEngine {
+        /// Training keeps `delta_window` deltas, detection locks periods
+        /// of at most `max_period`, and only the queue scheme fills the
+        /// queue (to its depth), only the integrated one the expected
+        /// addresses (to its lookahead): a stream past those bounds
+        /// cannot come from a run. A locked pattern's phases index it.
+        fn check_streams(&mut self) -> Result<(), SnapshotError> {
+            let (depth, lookahead) = match self.cfg.confirm {
+                ConfirmScheme::Queue { depth } => (depth, 0),
+                ConfirmScheme::Integrated { lookahead } => (0, lookahead),
+            };
+            for s in &self.streams {
+                within("stride deltas", s.deltas.len(), self.cfg.delta_window)?;
+                within("stride confirmation queue", s.queue.len(), depth)?;
+                within("stride expected addresses", s.expected.len(), lookahead)?;
+                if let Some((pat, phase)) = &s.pattern {
+                    within("stride pattern period", pat.len(), self.cfg.max_period)?;
+                    if *phase >= pat.len() || s.frontier_phase >= pat.len() {
+                        return Err(SnapshotError::Corrupt { what: "stride pattern phase" });
+                    }
+                }
+            }
+            Ok(())
+        }
+    }
+
     /// The blank stream a restored one is decoded into.
     impl Default for Stream {
         fn default() -> Stream {
             Stream::new(0, 0)
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
+
+        fn round_trip(cfg: &StrideConfig, s: Stream) -> Result<(), SnapshotError> {
+            let mut e = MultiStrideEngine::new(cfg.clone());
+            e.streams.push(s);
+            let mut enc = Encoder::new();
+            e.save(&mut enc);
+            let bytes = enc.finish();
+            MultiStrideEngine::new(cfg.clone()).restore(&mut Decoder::new(&bytes))
+        }
+
+        fn geometry(what: &'static str, cap: usize) -> Result<(), SnapshotError> {
+            Err(SnapshotError::Geometry { what, expected: cap as u64, found: cap as u64 + 1 })
+        }
+
+        /// Each per-stream sequence at its live bound resumes; one entry
+        /// more is `Geometry` naming the sequence.
+        #[test]
+        fn over_capacity_stride_stream_is_geometry() {
+            let m1 = StrideConfig::m1();
+            let m3 = StrideConfig::m3();
+            let (ConfirmScheme::Queue { depth }, ConfirmScheme::Integrated { lookahead }) =
+                (m1.confirm, m3.confirm)
+            else {
+                panic!("m1 confirms by queue, m3 by integrated lookahead");
+            };
+            for extra in [0usize, 1] {
+                let want = |what, cap| if extra == 0 { Ok(()) } else { geometry(what, cap) };
+                let mut s = Stream::new(0, 0);
+                s.deltas = (0..(m1.delta_window + extra) as i64).collect();
+                assert_eq!(round_trip(&m1, s), want("stride deltas", m1.delta_window));
+
+                let mut s = Stream::new(0, 0);
+                s.pattern = Some((vec![1; m1.max_period + extra], 0));
+                assert_eq!(round_trip(&m1, s), want("stride pattern period", m1.max_period));
+
+                let mut s = Stream::new(0, 0);
+                s.queue = (0..(depth + extra) as i64).collect();
+                assert_eq!(round_trip(&m1, s), want("stride confirmation queue", depth));
+
+                let mut s = Stream::new(0, 0);
+                s.expected = (0..(lookahead + extra) as i64).collect();
+                assert_eq!(round_trip(&m3, s), want("stride expected addresses", lookahead));
+            }
+            // The integrated scheme never fills the queue.
+            let mut s = Stream::new(0, 0);
+            s.queue.push_back(7);
+            assert_eq!(round_trip(&m3, s), geometry("stride confirmation queue", 0));
+        }
+
+        /// A locked pattern's phases index it: a phase past its end would
+        /// panic the next training step, so it is refused at restore.
+        #[test]
+        fn out_of_range_pattern_phase_is_corrupt() {
+            let cfg = StrideConfig::m1();
+            for (phase, frontier_phase) in [(3, 0), (0, 3)] {
+                let mut s = Stream::new(0, 0);
+                s.pattern = Some((vec![1, 2, 3], phase));
+                s.frontier_phase = frontier_phase;
+                assert_eq!(
+                    round_trip(&cfg, s),
+                    Err(SnapshotError::Corrupt { what: "stride pattern phase" })
+                );
+            }
         }
     }
 }

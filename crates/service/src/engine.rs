@@ -73,9 +73,6 @@ pub struct ServiceConfig {
     /// Bounded queue capacity; beyond it submissions shed with
     /// `Overloaded`.
     pub queue_capacity: usize,
-    /// Default per-job deadline in ms when the envelope omits one
-    /// (0 = no deadline).
-    pub default_deadline_ms: u64,
     /// Default retry budget for retryable errors.
     pub default_max_retries: u32,
     /// First retry backoff in ms (doubles per attempt).
@@ -91,8 +88,6 @@ pub struct ServiceConfig {
     /// Directory receiving flight-recorder post-mortem dumps
     /// (`postmortem-N.jsonl`); `None` keeps dumps in memory only.
     pub postmortem_dir: Option<PathBuf>,
-    /// Flight-recorder ring capacity in lines.
-    pub flight_capacity: usize,
 }
 
 impl Default for ServiceConfig {
@@ -100,7 +95,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 2,
             queue_capacity: 64,
-            default_deadline_ms: 0,
             default_max_retries: 2,
             backoff_base_ms: 10,
             backoff_cap_ms: 1_000,
@@ -108,7 +102,6 @@ impl Default for ServiceConfig {
             breaker_cooldown_jobs: 8,
             journal_path: None,
             postmortem_dir: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
         }
     }
 }
@@ -431,7 +424,7 @@ impl Engine {
             running: AtomicUsize::new(0),
             journal_torn: AtomicBool::new(false),
             ops: Mutex::new(Ops::new()),
-            flight: Mutex::new(FlightRecorder::new(cfg.flight_capacity)),
+            flight: Mutex::new(FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)),
             last_postmortem: Mutex::new(None),
             epoch: Instant::now(),
             cfg,
@@ -450,8 +443,8 @@ impl Engine {
         Ok(Engine { inner, workers: Mutex::new(workers) })
     }
 
-    /// Submit a job. `deadline_ms`/`max_retries` of `None` take the
-    /// engine defaults.
+    /// Submit a job. A `deadline_ms` of `None` (or 0) sets no deadline;
+    /// a `max_retries` of `None` takes the engine default.
     pub fn submit(
         &self,
         spec: JobSpec,
@@ -466,7 +459,7 @@ impl Engine {
             ops_count(inner, |o| o.quarantined, 1);
             return Err(SubmitError::Quarantined { failures });
         }
-        let deadline_ms = deadline_ms.unwrap_or(inner.cfg.default_deadline_ms);
+        let deadline_ms = deadline_ms.unwrap_or(0);
         let max_retries = max_retries.unwrap_or(inner.cfg.default_max_retries);
         let id = inner.next_id.fetch_add(1, Ordering::AcqRel) + 1;
         let mut entry = JobEntry::new(spec, deadline_ms, max_retries);

@@ -233,7 +233,8 @@ impl Uoc {
     }
 
     fn allocate(&mut self, start: u64, branch_pc: u64, uops: u32, ubtb: &mut MicroBtb) {
-        let uops = uops.min(self.cfg.capacity_uops);
+        // A block holds at least its closing branch.
+        let uops = uops.clamp(1, self.cfg.capacity_uops);
         if let Some(i) = self.find(start) {
             // Already present: the build request is squashed and the built
             // bit back-propagated.
@@ -529,10 +530,14 @@ mod snapshot_impl {
         ModeCode: UocMode as u8, "uoc mode tag" { Filter = 0, Build = 1, Fetch = 2 }
     }
 
+    // Every block holds at least one µop (`allocate` clamps to
+    // `1..=capacity_uops`) and the blocks' µops never exceed
+    // `capacity_uops`, so a live UOC holds at most `capacity_uops` blocks.
     layout! {
-        Uoc [tags::UOC] {
+        Uoc [tags::UOC] |s| {
             mode: Via(ModeCode),
-            blocks, used_uops, build_edge, fetch_edge, build_timer, stamp, cur_block_start,
+            blocks: Bounded(s.cfg.capacity_uops as usize, "uoc blocks"),
+            used_uops, build_edge, fetch_edge, build_timer, stamp, cur_block_start,
             cur_block_uops, stats,
         } then reset_find_hint
     }
@@ -544,6 +549,36 @@ mod snapshot_impl {
         fn reset_find_hint(&mut self) -> Result<(), SnapshotError> {
             self.find_hint = 0;
             Ok(())
+        }
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use exynos_snapshot::{Decoder, Encoder, Snapshot};
+
+        /// A live UOC holds at most `capacity_uops` blocks, so an image
+        /// with one more cannot come from a run.
+        #[test]
+        fn over_capacity_blocks_is_geometry() {
+            let cfg = UocConfig { capacity_uops: 16, ..UocConfig::default() };
+            for extra in [0u64, 1] {
+                let mut uoc = Uoc::new(cfg.clone());
+                for b in 0..16 + extra {
+                    let (start, branch_pc) = (b * 64, b * 64 + 60);
+                    uoc.blocks.push(UocBlock { start, branch_pc, uops: 1, lru: b });
+                }
+                let mut enc = Encoder::new();
+                uoc.save(&mut enc);
+                let bytes = enc.finish();
+                let got = Uoc::new(cfg.clone()).restore(&mut Decoder::new(&bytes));
+                let want = if extra == 0 {
+                    Ok(())
+                } else {
+                    Err(SnapshotError::Geometry { what: "uoc blocks", expected: 16, found: 17 })
+                };
+                assert_eq!(got, want);
+            }
         }
     }
 }

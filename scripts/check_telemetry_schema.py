@@ -6,8 +6,9 @@ argv[1] (or stdin) and enforces the telemetry schema plus the PR's
 acceptance floor:
 
 * every line is a JSON object with "type" in {"epoch", "histogram"};
-* epoch lines carry integer epoch/instructions/cycle (both monotone
-  non-decreasing) and a flat metrics object of numbers or nulls;
+* epoch lines carry integer epoch/instructions/cycle (instructions
+  strictly increasing, so no two rows describe the same run position;
+  cycle non-decreasing) and a flat metrics object of numbers or nulls;
 * histogram lines carry numeric count/sum/min/max/mean/p50/p90/p99,
   ordered min <= p50 <= p90 <= p99 <= max when count > 0;
 * across the stream, >= 12 distinct metric names drawn from >= 5 distinct
@@ -225,8 +226,8 @@ def check_metrics_stream(stream):
                     fail(lineno, f"epoch record missing integer '{key}'")
             if rec["epoch"] <= prev_epoch:
                 fail(lineno, f"epoch {rec['epoch']} not increasing")
-            if rec["instructions"] < prev_instructions:
-                fail(lineno, "instructions went backwards")
+            if rec["instructions"] <= prev_instructions:
+                fail(lineno, f"instructions {rec['instructions']} not past the last epoch")
             if rec["cycle"] < prev_cycle:
                 fail(lineno, "cycle went backwards")
             prev_epoch = rec["epoch"]

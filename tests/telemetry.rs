@@ -25,8 +25,7 @@ fn run_instrumented(cfg: CoreConfig, seed: u64) -> (Simulator, Telemetry) {
     let mut gen = LoopNest::new(&LoopNestParams::default(), 7, seed);
     sim.run_slice_with(&mut gen, SlicePlan::new(2_000, 10_000), &mut tel)
         .expect("clean trace");
-    sim.sample_telemetry(&mut tel);
-    tel.end_epoch(sim.stats().instructions, sim.stats().last_retire);
+    sim.close_epoch(&mut tel);
     (sim, tel)
 }
 
@@ -142,7 +141,7 @@ fn registry_covers_the_machine() {
 #[test]
 fn epoch_series_grows_with_run_length() {
     let (_sim, tel) = run_instrumented(CoreConfig::m6(), 3);
-    // 12k instructions at epoch_len 1k, plus the forced final flush.
+    // 12k instructions at epoch_len 1k.
     assert!(tel.series().len() >= 12, "got {} epochs", tel.series().len());
     // Epoch marks must be instruction- and cycle-monotone.
     let mut prev = (0u64, 0u64);
@@ -152,6 +151,29 @@ fn epoch_series_grows_with_run_length() {
         assert!(mark.cycle >= prev.1);
         prev = (mark.instructions, mark.cycle);
     }
+}
+
+/// `close_epoch` after a run that ends on an epoch boundary adds no
+/// second row at the same instruction count; after a run that ends
+/// between boundaries it adds the trailing partial row.
+#[test]
+fn close_epoch_writes_no_duplicate_trailing_row() {
+    let rows = |detail: u64| {
+        let mut sim = SimBuilder::config(CoreConfig::m6()).build().unwrap();
+        let mut tel = small_tel();
+        let mut gen = LoopNest::new(&LoopNestParams::default(), 7, 3);
+        sim.run_slice_with(&mut gen, SlicePlan::new(2_000, detail), &mut tel)
+            .expect("clean trace");
+        sim.close_epoch(&mut tel);
+        sim.close_epoch(&mut tel);
+        let series = tel.series();
+        (0..series.len()).map(|i| series.mark(i).unwrap().instructions).collect::<Vec<_>>()
+    };
+    let boundary: Vec<u64> = (1..=12).map(|k| k * 1_000).collect();
+    assert_eq!(rows(10_000), boundary, "12k instructions at epoch_len 1k: 12 rows");
+    let mut partial = boundary;
+    partial.push(12_500);
+    assert_eq!(rows(10_500), partial, "the partial 13th epoch gets its row");
 }
 
 #[test]
@@ -346,4 +368,75 @@ fn flight_recorder_dump_is_parseable_and_bounded() {
     // Oldest retained line is id 5 (0..=4 were evicted).
     assert!(lines[1].contains("\"id\":5"), "{}", lines[1]);
     assert_eq!(f.dumps(), 1);
+}
+
+// --- Step event counts ----------------------------------------------
+
+use exynos::core::fault::FaultPlan;
+
+/// Event counts of a fixed clean M6 run: LoopNest seed 11, 2k warmup +
+/// 10k detail.
+const M6_EVENT_COUNTS: &[(&str, u64)] = &[
+    ("prefetch_launch", 281),
+    ("prefetch_fill", 193),
+    ("branch_discovery", 2),
+    ("shp_conf_flip", 42),
+    ("ubtb_lock", 21),
+    ("uoc_transition", 62),
+    ("mispredict", 20),
+    ("ubtb_unlock", 20),
+];
+
+/// Event counts of a fixed M6 run under `FaultPlan::chaos(42)` plus a
+/// 60k-cycle completion stall every 500 instructions, with room for 100
+/// watchdog rungs so every rung of the ladder runs: LoopNest seed 17,
+/// 1k warmup + 19k detail.
+const CHAOS_EVENT_COUNTS: &[(&str, u64)] = &[
+    ("prefetch_launch", 302),
+    ("prefetch_fill", 117),
+    ("branch_discovery", 78),
+    ("shp_conf_flip", 151),
+    ("ubtb_lock", 40),
+    ("uoc_transition", 109),
+    ("fault_injected", 155),
+    ("watchdog_trip", 40),
+    ("mispredict", 50),
+    ("malformed_inst", 26),
+    ("prefetch_drop", 1),
+    ("ubtb_unlock", 17),
+    ("trace_gap", 15),
+    ("corruption_recovered", 4),
+];
+
+fn event_counts(
+    sim: &mut Simulator,
+    gen: &mut dyn exynos::trace::TraceGen,
+    plan: SlicePlan,
+) -> Vec<(&'static str, u64)> {
+    let mut tel = Telemetry::new(TelemetryConfig { epoch_len: 1_000, event_capacity: 1 << 20 });
+    sim.run_slice_with(gen, plan, &mut tel).expect("run completes");
+    assert_eq!(tel.events().dropped(), 0, "the ring must hold every event");
+    tel.events().counts_by_name()
+}
+
+/// The events one step emits, counted by name over two fixed runs and
+/// pinned against a checked-in table, so that a rewrite of the step's
+/// event derivation that drops, adds or moves an event fails here.
+/// `uoc_state_loss` fires in neither run: the UOC's block accumulator
+/// always holds a start when a taken branch closes it, so live stepping
+/// never loses block state.
+#[test]
+fn step_event_counts_are_pinned() {
+    let mut sim = SimBuilder::config(CoreConfig::m6()).build().unwrap();
+    let mut gen = LoopNest::new(&LoopNestParams::default(), 7, 11);
+    let clean = event_counts(&mut sim, &mut gen, SlicePlan::new(2_000, 10_000));
+
+    let mut sim = SimBuilder::config(CoreConfig::m6()).build().unwrap();
+    let plan = FaultPlan { stall_every: 500, stall_cycles: 60_000, ..FaultPlan::chaos(42) };
+    sim.attach_fault_injector(plan).unwrap();
+    sim.set_watchdog(50_000, 100).unwrap();
+    let mut gen = LoopNest::new(&LoopNestParams::default(), 7, 17);
+    let chaos = event_counts(&mut sim, &mut gen, SlicePlan::new(1_000, 19_000));
+    assert_eq!(clean, M6_EVENT_COUNTS, "clean M6 run");
+    assert_eq!(chaos, CHAOS_EVENT_COUNTS, "chaos M6 run");
 }
