@@ -571,7 +571,7 @@ fn table1() {
     });
     row("miss buffers", &|c| c.mem.miss_buffers.to_string());
     row("mispredict", &|c| c.lat.mispredict.to_string());
-    row("L1 hit (cascade)", &|c| format!("{}({})", c.lat.l1_hit, c.lat.l1_cascade));
+    row("L1 hit (cascade)", &|c| format!("{}({})", c.mem.l1d.latency, c.lat.l1_cascade));
     row("FP mac/mul/add", &|c| {
         format!("{}/{}/{}", c.lat.fmac, c.lat.fmul, c.lat.fadd)
     });

@@ -212,7 +212,7 @@ impl BenchRunner {
         json::push_key(&mut out, false, "bytes");
         json::push_u64(&mut out, image.len() as u64);
         json::push_key(&mut out, false, "fnv");
-        json::push_str(&mut out, &format!("{:016x}", fnv1a(&image)));
+        json::push_str(&mut out, &format!("{:016x}", exynos_snapshot::fnv1a64(&[&image])));
         out.push('}');
         Ok(out)
     }
@@ -369,14 +369,6 @@ fn program_payload(name: &str, warmup: u64, detail: u64, records: &[SliceRecord]
     out
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
 
 #[cfg(test)]
 mod tests {

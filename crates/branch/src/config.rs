@@ -28,10 +28,6 @@ pub struct FrontendConfig {
     pub indirect_chains: usize,
     /// RAS entries.
     pub ras_entries: usize,
-    /// Front-end fetch width in instructions per cycle.
-    pub fetch_width: u32,
-    /// Pipeline refill penalty of a mispredict, in cycles (Table I).
-    pub mispredict_penalty: u32,
     /// Bubbles for a taken branch predicted from the mBTB.
     pub taken_bubbles: u32,
     /// M3+: always-taken branches redirect one cycle earlier (1AT).
@@ -71,8 +67,6 @@ impl FrontendConfig {
             indirect: IndirectConfig::full_vpc(),
             indirect_chains: 128,
             ras_entries: 32,
-            fetch_width: 4,
-            mispredict_penalty: 14,
             taken_bubbles: 2,
             one_bubble_at: false,
             zero_bubble_atot: false,
@@ -108,8 +102,6 @@ impl FrontendConfig {
                 l2_fill_latency: 5,
                 l2_fill_bandwidth: 1,
             },
-            fetch_width: 6,
-            mispredict_penalty: 16,
             one_bubble_at: true,
             ..FrontendConfig::m1()
         }
@@ -149,7 +141,6 @@ impl FrontendConfig {
         c.btb.l2btb_entries = 65536;
         c.indirect = IndirectConfig::m6_hybrid();
         c.indirect_chains = 192;
-        c.fetch_width = 8;
         c
     }
 

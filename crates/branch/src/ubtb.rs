@@ -27,8 +27,6 @@ pub struct UbtbConfig {
     pub uncond_only_nodes: usize,
     /// Consecutive correct µBTB-covered predictions required to lock.
     pub lock_threshold: u32,
-    /// Cycles of startup penalty when the µBTB takes over the pipe.
-    pub startup_penalty: u32,
     /// LHP local-history length in bits.
     pub lhp_history: usize,
     /// LHP weight-table rows.
@@ -42,7 +40,6 @@ impl UbtbConfig {
             general_nodes: 64,
             uncond_only_nodes: 0,
             lock_threshold: 24,
-            startup_penalty: 2,
             lhp_history: 10,
             lhp_rows: 256,
         }

@@ -17,9 +17,10 @@
 //! assert_eq!(sim.config().gen, Generation::M6);
 //! ```
 //!
-//! The builder validates the configuration before constructing anything,
-//! so an impossible machine (zero-width decode, empty ROB) is a typed
-//! [`SimError`] instead of a downstream panic or a silent hang.
+//! The builder validates the configuration ([`CoreConfig::validate`])
+//! before constructing anything, so an impossible machine (zero-width
+//! decode, empty ROB, a cache with no ways) is a typed [`SimError`]
+//! instead of a downstream panic or a silent hang.
 
 use crate::cancel::CancelToken;
 use crate::config::{CoreConfig, Generation};
@@ -87,9 +88,8 @@ impl SimBuilder {
 
     /// Validate the configuration and construct the simulator.
     pub fn build(self) -> Result<Simulator, SimError> {
-        self.validate()?;
         let SimBuilder { cfg, fault, watchdog, strict_decode, cancel } = self;
-        let mut sim = Simulator::construct(cfg);
+        let mut sim = Simulator::construct(cfg)?;
         if let Some(plan) = fault {
             sim.attach_fault_injector(plan)?;
         }
@@ -102,36 +102,12 @@ impl SimBuilder {
         }
         Ok(sim)
     }
-
-    fn validate(&self) -> Result<(), SimError> {
-        let cfg = &self.cfg;
-        if cfg.width == 0 {
-            return Err(SimError::ResourceInvariant {
-                resource: "decode",
-                detail: "zero-wide machine".into(),
-            });
-        }
-        if cfg.rob == 0 {
-            return Err(SimError::ResourceInvariant {
-                resource: "rob",
-                detail: "zero-entry reorder buffer".into(),
-            });
-        }
-        // The decode-depth derivation subtracts 5 from the mispredict
-        // latency; anything at or below that is not a pipeline.
-        if cfg.lat.mispredict <= 5 {
-            return Err(SimError::ResourceInvariant {
-                resource: "pipeline",
-                detail: format!("mispredict latency {} too short", cfg.lat.mispredict),
-            });
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use exynos_mem::{CacheConfig, TlbConfig};
 
     #[test]
     fn builder_applies_every_option() {
@@ -160,6 +136,74 @@ mod tests {
             SimBuilder::config(cfg).build(),
             Err(SimError::ResourceInvariant { resource: "rob", .. })
         ));
+    }
+
+    fn cache_mut<'a>(cfg: &'a mut CoreConfig, name: &str) -> &'a mut CacheConfig {
+        match name {
+            "mem.l1i" => &mut cfg.mem.l1i,
+            "mem.l1d" => &mut cfg.mem.l1d,
+            "mem.l2" => &mut cfg.mem.l2,
+            _ => cfg.mem.l3.as_mut().expect("M6 has an L3"),
+        }
+    }
+
+    fn tlb_mut<'a>(cfg: &'a mut CoreConfig, name: &str) -> &'a mut TlbConfig {
+        let tlb = &mut cfg.mem.tlb;
+        match name {
+            "mem.tlb.itlb" => &mut tlb.itlb,
+            "mem.tlb.dtlb" => &mut tlb.dtlb,
+            "mem.tlb.dtlb15" => tlb.dtlb15.as_mut().expect("M6 has an L1.5 DTLB"),
+            _ => &mut tlb.l2tlb,
+        }
+    }
+
+    /// Every degenerate value `CoreConfig::validate` checks, each on its
+    /// own M6 config: the builder and `resume_with_config` both return a
+    /// typed error naming the field instead of panicking in a cache, TLB
+    /// or miss-buffer constructor (or wrapping the decode depth).
+    #[test]
+    fn degenerate_configs_are_errors_on_both_paths() {
+        let image = SimBuilder::generation(Generation::M6).build().unwrap().checkpoint();
+        let mut cases: Vec<(&str, CoreConfig)> = Vec::new();
+        let core: [(&str, fn(&mut CoreConfig)); 5] = [
+            ("decode", |c| c.width = 0),
+            ("rob", |c| c.rob = 0),
+            ("pipeline", |c| c.lat.mispredict = 5),
+            ("pipeline", |c| c.lat.mispredict = 0),
+            ("mem.miss_buffers", |c| c.mem.miss_buffers = 0),
+        ];
+        for (name, degrade) in core {
+            let mut cfg = CoreConfig::m6();
+            degrade(&mut cfg);
+            cases.push((name, cfg));
+        }
+        let cache: [fn(&mut CacheConfig); 4] =
+            [|c| c.size_bytes = 0, |c| c.ways = 0, |c| c.sectors_per_tag = 0, |c| c.sectors_per_tag = 3];
+        for name in ["mem.l1i", "mem.l1d", "mem.l2", "mem.l3"] {
+            for degrade in cache {
+                let mut cfg = CoreConfig::m6();
+                degrade(cache_mut(&mut cfg, name));
+                cases.push((name, cfg));
+            }
+        }
+        let tlb: [fn(&mut TlbConfig); 4] = [|t| t.entries = 0, |t| t.ways = 0, |t| t.sectors = 0, |t| t.sectors = 65];
+        for name in ["mem.tlb.itlb", "mem.tlb.dtlb", "mem.tlb.dtlb15", "mem.tlb.l2tlb"] {
+            for degrade in tlb {
+                let mut cfg = CoreConfig::m6();
+                degrade(tlb_mut(&mut cfg, name));
+                cases.push((name, cfg));
+            }
+        }
+        assert_eq!(cases.len(), 37);
+        for (name, cfg) in cases {
+            let named = |got: Result<Simulator, SimError>| match got {
+                Err(SimError::Config { param, .. }) => param,
+                Err(SimError::ResourceInvariant { resource, .. }) => resource,
+                other => panic!("{name}: {other:?}"),
+            };
+            assert_eq!(named(SimBuilder::config(cfg.clone()).build()), name, "build");
+            assert_eq!(named(Simulator::resume_with_config(cfg, &image)), name, "resume_with_config");
+        }
     }
 
     #[test]

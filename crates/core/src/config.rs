@@ -1,8 +1,9 @@
 //! Per-generation core configurations — Table I of the paper.
 
+use crate::error::SimError;
 use exynos_branch::FrontendConfig;
 use exynos_dram::DramConfig;
-use exynos_mem::MemGenConfig;
+use exynos_mem::{CacheConfig, MemGenConfig, TlbConfig};
 use exynos_prefetch::{L1PrefetcherConfig, StandaloneConfig};
 use exynos_uoc::UocConfig;
 
@@ -85,10 +86,9 @@ pub struct Ports {
 pub struct Latencies {
     /// Minimum branch-mispredict pipeline-refill penalty.
     pub mispredict: u32,
-    /// L1D hit latency.
-    pub l1_hit: u32,
-    /// L1D hit latency for load-to-load cascades (M4+; equals `l1_hit`
-    /// otherwise).
+    /// L1D hit latency for a load whose address comes from a load: 3 with
+    /// M4's load-to-load cascading, the L1D hit latency
+    /// (`mem.l1d.latency`) before it.
     pub l1_cascade: u32,
     /// FMAC latency.
     pub fmac: u32,
@@ -149,7 +149,6 @@ impl CoreConfig {
             ports: Ports { s: 2, c: 0, cd: 1, br: 1, ld: 1, st: 1, gen: 0, fmac: 1, fadd: 1 },
             lat: Latencies {
                 mispredict: 14,
-                l1_hit: 4,
                 l1_cascade: 4,
                 fmac: 5,
                 fmul: 4,
@@ -171,15 +170,13 @@ impl CoreConfig {
     /// M2: M1 resources with efficiency improvements — "several
     /// efficiency improvements, including a number of deeper queues not
     /// shown in Table I" (§III) — modeled as a slightly larger ROB and
-    /// deeper miss queues.
+    /// deeper miss queues ([`MemGenConfig::m2`]).
     pub fn m2() -> CoreConfig {
         let mut c = CoreConfig::m1();
         c.gen = Generation::M2;
         c.rob = 100;
         c.frontend = FrontendConfig::m2();
         c.mem = MemGenConfig::m2();
-        c.mem.miss_buffers = 10;
-        c.mem.l2_miss_buffers = 20;
         c
     }
 
@@ -194,7 +191,6 @@ impl CoreConfig {
             ports: Ports { s: 2, c: 1, cd: 1, br: 1, ld: 2, st: 1, gen: 0, fmac: 3, fadd: 0 },
             lat: Latencies {
                 mispredict: 16,
-                l1_hit: 4,
                 l1_cascade: 4,
                 fmac: 4,
                 fmul: 3,
@@ -219,9 +215,7 @@ impl CoreConfig {
         let mut c = CoreConfig::m3();
         c.gen = Generation::M4;
         c.ports = Ports { s: 2, c: 1, cd: 1, br: 1, ld: 1, st: 1, gen: 1, fmac: 3, fadd: 0 };
-        c.lat.l1_hit = 4;
         c.lat.l1_cascade = 3;
-        c.int_prf = 192;
         c.fp_prf = 176;
         c.frontend = FrontendConfig::m4();
         c.mem = MemGenConfig::m4();
@@ -275,6 +269,75 @@ impl CoreConfig {
     pub fn all_generations() -> Vec<CoreConfig> {
         Generation::ALL.iter().map(|&g| CoreConfig::for_generation(g)).collect()
     }
+
+    /// Whether a simulator can be built from this configuration: an
+    /// impossible pipeline (zero-wide decode, empty ROB, a mispredict
+    /// latency at or below the 5-cycle back end the decode depth is
+    /// derived from) is a [`SimError::ResourceInvariant`], and degenerate
+    /// memory geometry the cache, TLB and miss-buffer constructors would
+    /// panic on is a [`SimError::Config`] naming the structure. Every
+    /// construction path (`SimBuilder::build`, `Simulator::resume` and
+    /// `resume_with_config`) runs it first.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invariant = |resource, detail: String| Err(SimError::ResourceInvariant { resource, detail });
+        if self.width == 0 {
+            return invariant("decode", "zero-wide machine".into());
+        }
+        if self.rob == 0 {
+            return invariant("rob", "zero-entry reorder buffer".into());
+        }
+        if self.lat.mispredict <= 5 {
+            return invariant("pipeline", format!("mispredict latency {} too short", self.lat.mispredict));
+        }
+        let mem = &self.mem;
+        let caches = [
+            ("mem.l1i", Some(&mem.l1i)),
+            ("mem.l1d", Some(&mem.l1d)),
+            ("mem.l2", Some(&mem.l2)),
+            ("mem.l3", mem.l3.as_ref()),
+        ];
+        for (param, cache) in caches {
+            if let Some(detail) = cache.and_then(cache_defect) {
+                return Err(SimError::Config { param, detail });
+            }
+        }
+        let tlb = &mem.tlb;
+        let tlbs = [
+            ("mem.tlb.itlb", Some(&tlb.itlb)),
+            ("mem.tlb.dtlb", Some(&tlb.dtlb)),
+            ("mem.tlb.dtlb15", tlb.dtlb15.as_ref()),
+            ("mem.tlb.l2tlb", Some(&tlb.l2tlb)),
+        ];
+        for (param, t) in tlbs {
+            if let Some(detail) = t.and_then(tlb_defect) {
+                return Err(SimError::Config { param, detail });
+            }
+        }
+        if mem.miss_buffers == 0 {
+            let detail = "no miss buffer: every L1 miss would wait forever".into();
+            return Err(SimError::Config { param: "mem.miss_buffers", detail });
+        }
+        Ok(())
+    }
+}
+
+/// Why `Cache::new` would reject `c`, if it would.
+fn cache_defect(c: &CacheConfig) -> Option<String> {
+    if c.size_bytes == 0 || c.ways == 0 {
+        Some(format!("{} bytes in {} ways holds no line", c.size_bytes, c.ways))
+    } else if !matches!(c.sectors_per_tag, 1 | 2) {
+        Some(format!("{} sectors per tag (1 or 2 supported)", c.sectors_per_tag))
+    } else {
+        None
+    }
+}
+
+/// Why `Tlb::new` would reject `t`, or its 64-bit sector mask could not
+/// hold its sectors, if either.
+fn tlb_defect(t: &TlbConfig) -> Option<String> {
+    (t.entries == 0 || t.ways == 0 || !(1..=64).contains(&t.sectors)).then(|| {
+        format!("{} entries, {} ways, {} sectors (nonzero, at most 64 sectors)", t.entries, t.ways, t.sectors)
+    })
 }
 
 #[cfg(test)]
@@ -303,7 +366,6 @@ mod tests {
         let expect = [14, 14, 16, 16, 16, 16];
         for (cfg, p) in CoreConfig::all_generations().iter().zip(expect) {
             assert_eq!(cfg.lat.mispredict, p, "{}", cfg.gen);
-            assert_eq!(cfg.frontend.mispredict_penalty, p, "frontend agrees");
         }
     }
 
@@ -325,10 +387,15 @@ mod tests {
         assert_eq!((m3.fmac, m3.fmul, m3.fadd), (4, 3, 2));
     }
 
+    /// The memory rows the simulator reads: (L1D hit, cascade hit,
+    /// MABs). M2's deeper miss queues and M4's load-to-load cascade are
+    /// the two changes Table I does not show on its own.
     #[test]
-    fn cascade_only_from_m4() {
-        assert_eq!(CoreConfig::m3().lat.l1_cascade, 4);
-        assert_eq!(CoreConfig::m4().lat.l1_cascade, 3);
-        assert!(CoreConfig::m4().mem.load_cascade);
+    fn simulated_memory_rows() {
+        let expect = [(4, 4, 8), (4, 4, 10), (4, 4, 12), (4, 3, 32), (4, 3, 32), (4, 3, 40)];
+        for (cfg, row) in CoreConfig::all_generations().iter().zip(expect) {
+            let got = (cfg.mem.l1d.latency, cfg.lat.l1_cascade, cfg.mem.miss_buffers);
+            assert_eq!(got, row, "{}", cfg.gen);
+        }
     }
 }

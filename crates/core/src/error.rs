@@ -4,13 +4,12 @@
 //! instead of a panic, so a corrupted trace record or an injected
 //! micro-architectural fault degrades a run gracefully (or ends it with a
 //! diagnosable error) rather than aborting the process. Lower layers
-//! surface their own typed errors — [`exynos_branch::PredictorError`],
-//! [`exynos_uoc::UocError`] — and convert into [`SimError`] at the core
-//! boundary via `From`.
+//! surface their own typed errors — [`exynos_branch::PredictorError`] —
+//! and convert into [`SimError`] at the core boundary via `From`.
 
 use exynos_branch::PredictorError;
 use exynos_trace::InstKind;
-use exynos_uoc::{UocError, UocMode};
+use exynos_uoc::UocMode;
 use std::fmt;
 
 /// Occupancy snapshot captured when the forward-progress watchdog gives
@@ -84,9 +83,9 @@ pub enum SimError {
         detail: String,
     },
     /// A predictor array was found in a state it could not legally reach
-    /// (tag mismatch, depth overflow, lost block state).
+    /// (tag mismatch, depth overflow).
     PredictorCorruption {
-        /// Which unit detected it ("branch", "uoc").
+        /// Which unit detected it ("branch").
         unit: &'static str,
         /// PC associated with the detection, when one exists.
         pc: u64,
@@ -115,7 +114,8 @@ pub enum SimError {
     /// A construction-time parameter was out of range. Raised by
     /// [`SimBuilder`](crate::builder::SimBuilder) validation (fault
     /// probabilities outside `[0, 1]`, inconsistent stall knobs, a
-    /// zero-cycle watchdog threshold) and by service-layer job specs.
+    /// zero-cycle watchdog threshold, degenerate cache, TLB or
+    /// miss-buffer geometry) and by service-layer job specs.
     Config {
         /// Which parameter was rejected.
         param: &'static str,
@@ -215,13 +215,6 @@ impl From<PredictorError> for SimError {
 impl From<exynos_snapshot::SnapshotError> for SimError {
     fn from(e: exynos_snapshot::SnapshotError) -> SimError {
         SimError::SnapshotDecode { detail: e.to_string() }
-    }
-}
-
-impl From<UocError> for SimError {
-    fn from(e: UocError) -> SimError {
-        let UocError::BlockStateLost { pc } = e;
-        SimError::PredictorCorruption { unit: "uoc", pc, detail: e.to_string() }
     }
 }
 
@@ -325,18 +318,6 @@ mod tests {
             SimError::PredictorCorruption { unit, pc, .. } => {
                 assert_eq!(unit, "branch");
                 assert_eq!(pc, 0x4000);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn uoc_error_converts() {
-        let e = UocError::BlockStateLost { pc: 0x9000 };
-        match SimError::from(e) {
-            SimError::PredictorCorruption { unit, pc, .. } => {
-                assert_eq!(unit, "uoc");
-                assert_eq!(pc, 0x9000);
             }
             other => panic!("wrong variant: {other:?}"),
         }

@@ -9,7 +9,9 @@
 use crate::config::CoreConfig;
 use crate::error::SimError;
 use exynos_dram::{MemoryController, SnoopFilter, SpecDecision, SpecReadController};
-use exynos_mem::{AccessKind, Cache, InsertPriority, LineMeta, MissBuffers, TlbHierarchy, Victims};
+use exynos_mem::{
+    AccessKind, Cache, InsertPriority, LineMeta, MissBuffers, TlbHierarchy, Victims, LINE_BYTES,
+};
 use exynos_prefetch::{
     BuddyPrefetcher, L1Prefetcher, L1PrefetchRequest, PassMode, StandalonePrefetcher,
     TwoPassController,
@@ -111,7 +113,7 @@ impl MemSystem {
             spec: SpecReadController::new(cfg.spec_read),
             snoop: SnoopFilter::new(65536, 8),
             dram: MemoryController::new(cfg.dram.clone()),
-            l1_hit_lat: cfg.lat.l1_hit,
+            l1_hit_lat: cfg.mem.l1d.latency,
             l1_cascade_lat: cfg.lat.l1_cascade,
             stats: MemStats::default(),
             scratch_lines: Vec::new(),
@@ -190,7 +192,7 @@ impl MemSystem {
         // Buddy usefulness: a buddy-brought line evicted without a demand
         // hit was wasted bandwidth.
         for v in &victims {
-            if let Some(pos) = self.buddy_lines.iter().position(|&l| l == v.addr / 64) {
+            if let Some(pos) = self.buddy_lines.iter().position(|&l| l == v.addr / LINE_BYTES) {
                 self.buddy_lines.remove(pos);
                 if let Some(b) = &mut self.buddy {
                     if v.meta.demand_hit {
@@ -208,7 +210,7 @@ impl MemSystem {
         }
         let Some(l3) = &mut self.l3 else {
             for v in &victims {
-                self.snoop.remove(v.addr / 64);
+                self.snoop.remove(v.addr / LINE_BYTES);
             }
             return;
         };
@@ -226,12 +228,12 @@ impl MemSystem {
                 InsertPriority::Bypass
             };
             if prio == InsertPriority::Bypass {
-                self.snoop.remove(v.addr / 64);
+                self.snoop.remove(v.addr / LINE_BYTES);
                 continue;
             }
             let l3_victims = l3.fill(v.addr, AccessKind::Writeback, v.meta, prio);
             for lv in l3_victims {
-                self.snoop.remove(lv.addr / 64);
+                self.snoop.remove(lv.addr / LINE_BYTES);
             }
         }
     }
@@ -240,7 +242,7 @@ impl MemSystem {
     /// is at the L2 (demand path). Handles L3 exclusivity, DRAM, the §IX
     /// features, buddy + standalone prefetch hooks.
     fn fetch_to_l2(&mut self, pc: u64, addr: u64, now: u64, kind: AccessKind) -> u64 {
-        let line = addr / 64;
+        let line = addr / LINE_BYTES;
         let l2_lat = self.l2.config().latency as u64;
         // Standalone prefetcher observes the L2-level access stream
         // (demands and core prefetches alike).
@@ -250,7 +252,7 @@ impl MemSystem {
                 sp.on_l2_access_into(line, kind == AccessKind::Demand, &mut standalone_pf);
             }
             for &pf_line in &standalone_pf {
-                self.background_fill_l2(pf_line * 64, now, AccessKind::Prefetch);
+                self.background_fill_l2(pf_line * LINE_BYTES, now, AccessKind::Prefetch);
                 self.stats.standalone_fills += 1;
             }
             self.scratch_lines = standalone_pf;
@@ -297,7 +299,7 @@ impl MemSystem {
                 // to memory — it does not get the latency-critical bypass.
                 let l3_lat = self.l3.as_ref().map(|c| c.config().latency as u64).unwrap_or(0);
                 self.background_fill_l2(baddr, now + l3_lat, AccessKind::Prefetch);
-                self.buddy_lines.push_back(baddr / 64);
+                self.buddy_lines.push_back(baddr / LINE_BYTES);
                 if self.buddy_lines.len() > BUDDY_WINDOW {
                     self.buddy_lines.pop_front();
                 }
@@ -378,7 +380,7 @@ impl MemSystem {
         };
         let victims = self.l2.fill(addr, kind, meta, InsertPriority::Ordinary);
         self.castout_l2_victims(victims);
-        self.snoop.insert(addr / 64);
+        self.snoop.insert(addr / LINE_BYTES);
     }
 
     /// Fill `addr` into the L1D (prefetch second pass / one pass).
@@ -416,7 +418,7 @@ impl MemSystem {
     /// scheme (§VII.B), preloading translations along the way.
     fn issue_l1_prefetches(&mut self, requests: &[L1PrefetchRequest], start: u64) {
         for &req in requests {
-            let addr = req.line * 64;
+            let addr = req.line * LINE_BYTES;
             self.tlb.prefetch_translation(addr);
             if self.l1d.probe(addr) {
                 continue;
@@ -460,7 +462,7 @@ impl MemSystem {
         let mut lines = std::mem::take(&mut self.scratch_lines);
         self.twopass.drain_ready_into(now, budget, &mut lines);
         for &line in &lines {
-            let addr = line * 64;
+            let addr = line * LINE_BYTES;
             self.mabs.try_allocate(now, now + self.l1_hit_lat as u64 + 4);
             self.fill_l1(addr, now);
         }
@@ -518,7 +520,9 @@ impl MemSystem {
     }
 
     /// A demand load issued at `now`; returns the cycle its data is
-    /// available. `cascade` selects the load-to-load fast path (M4+).
+    /// available. `cascade` marks a load whose address comes from a load:
+    /// it hits at `lat.l1_cascade` (M4's load-to-load fast path; the L1D
+    /// hit latency on earlier generations).
     pub fn load(&mut self, pc: u64, vaddr: u64, now: u64, cascade: bool) -> Result<u64, SimError> {
         self.stats.loads += 1;
         self.drain_prefetches(now);

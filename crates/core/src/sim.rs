@@ -25,6 +25,7 @@ use crate::fault::{FaultFiring, FaultInjector, FaultPlan, FaultStats};
 use crate::memsys::{MemStats, MemSystem};
 use crate::ports::{PortSchedule, Resource};
 use exynos_branch::{FetchFeedback, FrontEnd, FrontendStats, Redirect};
+use exynos_mem::LINE_BYTES;
 use exynos_telemetry::{
     BranchClass, FaultClass, PipelineEvent, PrefetchKind, Telemetry, UocModeTag,
 };
@@ -48,8 +49,6 @@ exynos_telemetry::counters! {
         pub malformed_insts: u64,
         /// Detected predictor-state corruptions recovered by a flush.
         pub predictor_corruptions: u64,
-        /// UOC block-state losses recovered by demotion to FilterMode.
-        pub uoc_recoveries: u64,
         /// Retirement gaps beyond the watchdog threshold.
         pub watchdog_events: u64,
         /// Graceful-degradation rungs executed by the watchdog.
@@ -143,7 +142,6 @@ struct StepState {
     fired: FaultFiring,
     fb: FetchFeedback,
     corruption_recovered: bool,
-    uoc_loss: bool,
     uoc_supply: bool,
     // Cycles the instruction is fetched, issues, completes (a branch
     // resolves) and retires, and the gap since the previous retirement.
@@ -244,7 +242,6 @@ pub struct Simulator {
     int_prf_cap: usize,
     fp_prf_cap: usize,
     lat_mispredict: u64,
-    load_cascade: bool,
     stats: SimStats,
     // ---- robustness ----
     injector: Option<FaultInjector>,
@@ -257,12 +254,13 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Construction without validation — the builder's backend and the
-    /// resume path. Callers outside the crate go through
+    /// Construction after [`CoreConfig::validate`] — the builder's
+    /// backend and the resume path. Callers outside the crate go through
     /// [`SimBuilder`](crate::builder::SimBuilder).
-    pub(crate) fn construct(cfg: CoreConfig) -> Simulator {
+    pub(crate) fn construct(cfg: CoreConfig) -> Result<Simulator, SimError> {
+        cfg.validate()?;
         let decode_depth = cfg.lat.mispredict as u64 - 5;
-        Simulator {
+        Ok(Simulator {
             frontend: FrontEnd::new(cfg.frontend.clone()),
             uoc: cfg.uoc.clone().map(Uoc::new),
             memsys: MemSystem::new(&cfg),
@@ -284,7 +282,6 @@ impl Simulator {
             int_prf_cap: cfg.int_prf.saturating_sub(32).max(8),
             fp_prf_cap: cfg.fp_prf.saturating_sub(32).max(8),
             lat_mispredict: cfg.lat.mispredict as u64,
-            load_cascade: cfg.mem.load_cascade,
             stats: SimStats::default(),
             injector: None,
             watchdog: Watchdog::default(),
@@ -292,7 +289,7 @@ impl Simulator {
             consecutive_corruptions: 0,
             cancel: None,
             cfg,
-        }
+        })
     }
 
     /// Attach a deterministic fault injector executing `plan`. Replaces
@@ -568,16 +565,7 @@ impl Simulator {
     fn uoc(&mut self, inst: &Inst, s: &mut StepState) {
         let Some(uoc) = &mut self.uoc else { return };
         let (taken, broken) = (inst.is_taken_branch(), s.fb.redirect.is_some());
-        if uoc
-            .on_inst(inst.pc, inst.branch.is_some(), taken, broken, self.frontend.ubtb_mut())
-            .is_err()
-        {
-            // Lost block state: surrender the µop supply and rebuild
-            // from FilterMode rather than serving a stale block.
-            uoc.demote_to_filter();
-            self.stats.uoc_recoveries += 1;
-            s.uoc_loss = true;
-        }
+        uoc.on_inst(inst.pc, inst.branch.is_some(), taken, broken, self.frontend.ubtb_mut());
         s.uoc_supply = uoc.mode() == UocMode::Fetch;
         if s.uoc_supply {
             self.stats.uoc_supplied += 1;
@@ -596,7 +584,7 @@ impl Simulator {
         if s.fb.bubbles > 0 {
             self.delay_fetch(s.fb.bubbles as u64);
         }
-        let line = inst.pc >> 6;
+        let line = inst.pc / LINE_BYTES;
         if line != self.cur_fetch_line {
             self.cur_fetch_line = line;
             if !s.uoc_supply {
@@ -657,7 +645,7 @@ impl Simulator {
             (InstKind::Load, Some(m)) => {
                 self.stats.loads += 1;
                 let by_load = |r: &Reg| !r.is_zero() && self.reg_by_load[r.index()];
-                let cascade = self.load_cascade && inst.srcs.iter().flatten().any(by_load);
+                let cascade = inst.srcs.iter().flatten().any(by_load);
                 self.memsys.load(inst.pc, m.vaddr, issue, cascade)?
             }
             (InstKind::Store, Some(m)) => self.memsys.store(inst.pc, m.vaddr, issue)?,
@@ -805,7 +793,6 @@ impl Simulator {
         if let (Some(from), Some(to)) = (p.uoc_mode, self.uoc.as_ref().map(|u| u.mode())) {
             emit(from != to, PipelineEvent::UocTransition { from: uoc_tag(from), to: uoc_tag(to) });
         }
-        emit(s.uoc_loss, PipelineEvent::UocStateLoss);
         // Prefetch activity: launches from the engines, fills and drops
         // from the memory system.
         let tp = self.memsys.twopass().stats();
@@ -1074,7 +1061,8 @@ mod snapshot_impl {
         /// configuration (for non-stock geometries). The configuration
         /// must match the one the checkpoint was taken from: every
         /// geometry mismatch (table sizes, optional-component presence,
-        /// generation tag) is a typed [`SimError::SnapshotDecode`].
+        /// generation tag) is a typed [`SimError::SnapshotDecode`], and a
+        /// configuration [`CoreConfig::validate`] rejects is its error.
         pub fn resume_with_config(cfg: CoreConfig, bytes: &[u8]) -> Result<Simulator, SimError> {
             let mut dec = Decoder::new(bytes);
             let meta = dec.header()?;
@@ -1091,7 +1079,7 @@ mod snapshot_impl {
         }
 
         fn resume_into(cfg: CoreConfig, mut dec: Decoder<'_>) -> Result<Simulator, SimError> {
-            let mut sim = Simulator::construct(cfg);
+            let mut sim = Simulator::construct(cfg)?;
             sim.restore(&mut dec)?;
             dec.finish()?;
             Ok(sim)

@@ -10,7 +10,7 @@ use exynos_core::config::CoreConfig;
 use exynos_core::error::SimError;
 use exynos_core::fault::FaultPlan;
 use exynos_core::sim::Simulator;
-use exynos_snapshot::{Encoder, Snapshot, SnapshotError};
+use exynos_snapshot::{Encoder, Snapshot, SnapshotError, FORMAT_VERSION};
 use exynos_trace::{standard_suite, SlicePlan, TraceGen};
 
 /// Consume `n` instructions from `g` without simulating them (generator
@@ -245,18 +245,20 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// comparison in the suite is between two images from the same build,
 /// so a field reordered consistently on both the save and the restore
 /// side would pass them all; these digests would change. They may only
-/// move together with a `FORMAT_VERSION` bump.
+/// move together with a `FORMAT_VERSION` bump, so the version they were
+/// recorded at is pinned beside them.
 #[test]
 fn checkpoint_image_bytes_are_pinned() {
+    assert_eq!(FORMAT_VERSION, 2, "re-pin GOLDEN when the format version moves");
     // Per generation M1..M6: (digest without faults, digest under
     // FaultPlan::chaos(7)).
     const GOLDEN: [(u64, u64); 6] = [
-        (0x196a_3aae_c8d5_1072, 0x2930_c21f_f63d_eccf),
-        (0xbbb7_0a0e_9d18_e4a9, 0x33fa_2b0a_55d8_03be),
-        (0x0aa0_0282_94b0_ffb8, 0x0a0c_138c_c6a1_6b52),
-        (0x5592_ec40_766c_a710, 0xb5bb_ac8a_9e5e_8aa5),
-        (0x7f2d_69c7_143a_48a3, 0x45df_dcaf_c833_854d),
-        (0xc813_8732_f9f0_7394, 0x156b_bd03_9bd3_71af),
+        (0x4aff_2c38_dc07_7579, 0x0a81_c7b4_57c0_a7b4),
+        (0xb385_1861_124d_76e2, 0x4644_4962_a2c0_4e65),
+        (0xe7f7_33b6_a3f6_b8af, 0x88d9_c40a_dfb3_1dc9),
+        (0x4d4d_a71d_1dc3_1737, 0x8e31_9414_40f2_8a12),
+        (0x1050_e191_13db_f4f0, 0xb7b4_bde8_25f8_9852),
+        (0xbf2b_614f_c66e_cb1b, 0xf46d_e331_6377_f150),
     ];
     let slice = &standard_suite(1)[4];
     let mut got = Vec::new();

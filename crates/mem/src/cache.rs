@@ -11,6 +11,14 @@
 
 use exynos_snapshot::LazySets;
 
+/// The data line size in bytes, 64 throughout the paper and in every
+/// generation: the one home of the line size for caches, prefetchers and
+/// the core's fetch-line tracking.
+pub const LINE_BYTES: u64 = 64;
+
+/// `log2(LINE_BYTES)`.
+const LINE_SHIFT: u32 = LINE_BYTES.trailing_zeros();
+
 /// How an access entered the cache (affects metadata and policy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -128,8 +136,6 @@ pub struct CacheConfig {
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Data line size in bytes (64 throughout the paper).
-    pub line_bytes: u64,
     /// Tag-sector factor: 1 = one tag per line; 2 = 128 B-sectored tags
     /// (two 64 B sectors share a tag, §VIII.B).
     pub sectors_per_tag: u64,
@@ -140,7 +146,7 @@ pub struct CacheConfig {
 impl CacheConfig {
     /// Number of tag entries.
     pub fn tags(&self) -> u64 {
-        self.size_bytes / (self.line_bytes * self.sectors_per_tag)
+        self.size_bytes / (LINE_BYTES * self.sectors_per_tag)
     }
 
     /// Number of sets.
@@ -273,11 +279,9 @@ impl CacheStats {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// `log2(granule)` when the tag granule is a power of two (every
-    /// shipped geometry), letting `tag_addr` shift instead of divide.
-    granule_shift: Option<u32>,
-    /// `log2(line_bytes)` when the line size is a power of two.
-    line_shift: Option<u32>,
+    /// `log2` of the tag granule, `LINE_BYTES × sectors_per_tag`: a
+    /// power of two, since `sectors_per_tag` is 1 or 2.
+    granule_shift: u32,
     /// `sets - 1` when the set count is a power of two.
     set_mask: Option<u64>,
     entries: LazySets<TagEntry>,
@@ -291,19 +295,14 @@ impl Cache {
     /// Panics if geometry is degenerate (zero ways/size, or more than two
     /// sectors per tag).
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.size_bytes > 0 && cfg.ways > 0 && cfg.line_bytes > 0);
+        assert!(cfg.size_bytes > 0 && cfg.ways > 0);
         assert!(
             cfg.sectors_per_tag == 1 || cfg.sectors_per_tag == 2,
             "1 or 2 sectors per tag supported"
         );
         let sets = cfg.sets();
-        let granule = cfg.line_bytes * cfg.sectors_per_tag;
         Cache {
-            granule_shift: granule.is_power_of_two().then(|| granule.trailing_zeros()),
-            line_shift: cfg
-                .line_bytes
-                .is_power_of_two()
-                .then(|| cfg.line_bytes.trailing_zeros()),
+            granule_shift: LINE_SHIFT + cfg.sectors_per_tag.trailing_zeros(),
             set_mask: sets.is_power_of_two().then(|| sets - 1),
             entries: LazySets::new(sets as usize, cfg.ways, TagEntry::invalid()),
             stats: CacheStats::default(),
@@ -321,27 +320,16 @@ impl Cache {
         self.stats
     }
 
-    fn granule(&self) -> u64 {
-        self.cfg.line_bytes * self.cfg.sectors_per_tag
-    }
-
     #[inline]
     fn tag_addr(&self, addr: u64) -> u64 {
-        match self.granule_shift {
-            Some(s) => addr >> s,
-            None => addr / self.granule(),
-        }
+        addr >> self.granule_shift
     }
 
     #[inline]
     fn sector_of(&self, addr: u64) -> usize {
         // sectors_per_tag is 1 or 2 (asserted in `new`), so it is always
         // a power of two and the modulo can be a mask.
-        let line = match self.line_shift {
-            Some(s) => addr >> s,
-            None => addr / self.cfg.line_bytes,
-        };
-        (line & (self.cfg.sectors_per_tag - 1)) as usize
+        ((addr >> LINE_SHIFT) & (self.cfg.sectors_per_tag - 1)) as usize
     }
 
     #[inline]
@@ -372,7 +360,7 @@ impl Cache {
         if self.cfg.sectors_per_tag != 2 {
             return false;
         }
-        let buddy = addr ^ self.cfg.line_bytes;
+        let buddy = addr ^ LINE_BYTES;
         self.probe(buddy)
     }
 
@@ -440,8 +428,7 @@ impl Cache {
             meta.demand_hit = true;
         }
         let (s, t, sector) = self.locate(addr);
-        let granule = self.granule();
-        let line_bytes = self.cfg.line_bytes;
+        let granule_shift = self.granule_shift;
         let sectors = self.cfg.sectors_per_tag as usize;
         let insert_rrpv = match priority {
             InsertPriority::Elevated => 0,
@@ -498,7 +485,7 @@ impl Cache {
             for s in 0..sectors {
                 if e.sector_valid >> s & 1 == 1 {
                     victims.push(Victim {
-                        addr: e.tag_addr * granule + s as u64 * line_bytes,
+                        addr: (e.tag_addr << granule_shift) + s as u64 * LINE_BYTES,
                         meta: e.meta[s],
                         dirty: e.sector_dirty >> s & 1 == 1,
                     });
@@ -561,7 +548,6 @@ mod tests {
         Cache::new(CacheConfig {
             size_bytes: 4096,
             ways: 4,
-            line_bytes: 64,
             sectors_per_tag: 1,
             latency: 4,
         })
@@ -599,7 +585,6 @@ mod tests {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 4096,
             ways: 2,
-            line_bytes: 64,
             sectors_per_tag: 2,
             latency: 12,
         });
@@ -619,7 +604,6 @@ mod tests {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 512,
             ways: 1,
-            line_bytes: 64,
             sectors_per_tag: 2,
             latency: 12,
         });
@@ -663,7 +647,6 @@ mod tests {
         let mut c = Cache::new(CacheConfig {
             size_bytes: 1024,
             ways: 4,
-            line_bytes: 64,
             sectors_per_tag: 1,
             latency: 30,
         });
@@ -719,7 +702,6 @@ mod tests {
         let mut a = Cache::new(CacheConfig {
             size_bytes: 4096,
             ways: 2,
-            line_bytes: 64,
             sectors_per_tag: 2,
             latency: 12,
         });

@@ -23,6 +23,7 @@ pub mod tlb;
 
 pub use cache::{
     AccessKind, Cache, CacheConfig, CacheStats, InsertPriority, LineMeta, Victim, Victims,
+    LINE_BYTES,
 };
 pub use config::MemGenConfig;
 pub use mshr::MissBuffers;

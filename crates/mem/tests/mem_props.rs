@@ -7,7 +7,6 @@ fn small_cache(sectors: u64) -> Cache {
     Cache::new(CacheConfig {
         size_bytes: 8192,
         ways: 4,
-        line_bytes: 64,
         sectors_per_tag: sectors,
         latency: 4,
     })

@@ -10,6 +10,8 @@
 //! where access patterns are observed to almost always skip the
 //! neighboring sector, the buddy prefetching is disabled."
 
+use exynos_mem::LINE_BYTES;
+
 exynos_telemetry::counters! {
     /// Buddy prefetcher statistics.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -69,7 +71,7 @@ impl BuddyPrefetcher {
             return None;
         }
         self.stats.issued += 1;
-        Some(line ^ 64)
+        Some(line ^ LINE_BYTES)
     }
 
     /// A demand access hit a buddy-prefetched sector: the prefetch was

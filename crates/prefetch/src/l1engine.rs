@@ -5,6 +5,7 @@
 use crate::reorder::AddressReorderBuffer;
 use crate::sms::{SmsConfig, SmsEngine, SmsTarget};
 use crate::stride::{MultiStrideEngine, StrideConfig};
+use exynos_mem::LINE_BYTES;
 
 /// One prefetch produced by the L1 engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,7 +101,7 @@ impl L1Prefetcher {
     /// instead of allocating per call.
     pub fn on_demand_miss_into(&mut self, pc: u64, vaddr: u64, out: &mut Vec<L1PrefetchRequest>) {
         out.clear();
-        let line = vaddr / 64;
+        let line = vaddr / LINE_BYTES;
         let seq = self.seq;
         self.seq += 1;
         // Stride path: through the re-order buffer + duplicate filter.

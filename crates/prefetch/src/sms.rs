@@ -10,10 +10,12 @@
 //! when confidence drops to a lower level, the mechanism will only issue
 //! the first pass (L2) prefetch."
 
+use exynos_mem::LINE_BYTES;
+
 /// Region size tracked (4 KiB — a page).
 pub const REGION_BYTES: u64 = 4096;
-/// 64 B lines per region.
-pub const LINES_PER_REGION: usize = (REGION_BYTES / 64) as usize;
+/// Lines per region.
+pub const LINES_PER_REGION: usize = (REGION_BYTES / LINE_BYTES) as usize;
 
 /// Where an SMS prefetch should go (confidence-dependent).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -135,7 +137,7 @@ impl SmsEngine {
     pub fn on_demand_miss(&mut self, pc: u64, vaddr: u64, stride_confirming: bool) -> Vec<SmsPrefetch> {
         self.stamp += 1;
         let region = vaddr / REGION_BYTES;
-        let line_in_region = ((vaddr % REGION_BYTES) / 64) as usize;
+        let line_in_region = ((vaddr % REGION_BYTES) / LINE_BYTES) as usize;
         // Already recording this region? Attach the access.
         if let Some(ar) = self.active.iter_mut().find(|a| a.region == region) {
             ar.touched |= 1 << line_in_region;
@@ -149,7 +151,7 @@ impl SmsEngine {
         // First miss to the region: this is a primary load. Open a
         // generation and predict from the PC's remembered signature.
         self.open_generation(region, pc, line_in_region);
-        let base_line = region * (REGION_BYTES / 64);
+        let base_line = region * LINES_PER_REGION as u64;
         let mut out = Vec::new();
         if let Some(sig) = self.signatures.iter_mut().find(|s| s.pc == pc) {
             sig.lru = self.stamp;

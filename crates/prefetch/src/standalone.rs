@@ -15,7 +15,11 @@
 //!   monitored through cache metadata (prefetched / demand-hit bits);
 //!   dropping accuracy falls back to low confidence.
 
+use exynos_mem::LINE_BYTES;
 use std::collections::VecDeque;
+
+/// Lines in the 4 KiB physical page that bounds a stream.
+const LINES_PER_PAGE: u64 = 4096 / LINE_BYTES;
 
 /// Confidence mode (Fig. 15).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -161,8 +165,8 @@ impl StandalonePrefetcher {
                 }
             }
         }
-        let page = line / 64;
-        let in_page = (line % 64) as i64;
+        let page = line / LINES_PER_PAGE;
+        let in_page = (line % LINES_PER_PAGE) as i64;
         let si = match self.streams.iter().position(|s| s.page == page) {
             Some(i) => i,
             None => self.alloc_stream(page, in_page),
@@ -190,10 +194,10 @@ impl StandalonePrefetcher {
         let mut next = in_page;
         for _ in 0..self.cfg.distance {
             next += stride;
-            if !(0..64).contains(&next) {
+            if !(0..LINES_PER_PAGE as i64).contains(&next) {
                 break;
             }
-            out.push(page * 64 + next as u64);
+            out.push(page * LINES_PER_PAGE + next as u64);
         }
         match self.mode {
             ConfMode::Low => {
@@ -214,9 +218,10 @@ impl StandalonePrefetcher {
 
     fn alloc_stream(&mut self, page: u64, in_page: i64) -> usize {
         // Cross-page learning reuse: a fresh page whose first access lands
-        // where the recent stride predicts continues training pre-warmed.
-        let warm = self.recent_stride != 0
-            && (in_page % self.recent_stride.abs().max(1) == 0 || in_page < 2 || in_page > 61);
+        // where the recent stride predicts (or within two lines of either
+        // page edge) continues training pre-warmed.
+        let edge = !(2..LINES_PER_PAGE as i64 - 2).contains(&in_page);
+        let warm = self.recent_stride != 0 && (in_page % self.recent_stride.abs().max(1) == 0 || edge);
         if warm {
             self.stats.page_crossings += 1;
         }

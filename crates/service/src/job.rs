@@ -213,12 +213,7 @@ impl JobSpec {
     /// quarantine key. Two submissions of the same configuration share a
     /// key regardless of their deadline/retry envelope.
     pub fn config_key(&self) -> u64 {
-        let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-        for b in self.canonical().bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        h
+        exynos_snapshot::fnv1a64(&[self.canonical().as_bytes()])
     }
 
     /// Reject values the runner cannot execute: a zero sweep scale, an

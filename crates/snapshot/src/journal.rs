@@ -28,21 +28,10 @@ use std::path::Path;
 /// Frame magic: "EXJL" little-endian.
 pub const JOURNAL_MAGIC: u32 = 0x4C4A_5845;
 
-/// FNV-1a 64-bit over `kind`, `seq` (LE bytes) and the payload.
+/// The frame checksum: FNV-1a-64 over `kind`, `seq` (LE bytes) and the
+/// payload.
 fn fnv1a(kind: u8, seq: u64, payload: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |b: u8| {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    };
-    eat(kind);
-    for b in seq.to_le_bytes() {
-        eat(b);
-    }
-    for &b in payload {
-        eat(b);
-    }
-    h
+    crate::fnv1a64(&[&[kind], &seq.to_le_bytes(), payload])
 }
 
 /// One clean frame recovered from a journal.

@@ -161,8 +161,6 @@ pub enum PipelineEvent {
         /// Mode after the step.
         to: UocModeTag,
     },
-    /// The UOC lost cached state to a watchdog/fault recovery.
-    UocStateLoss,
     /// An SHP confidence counter crossed the low-confidence threshold.
     ShpConfFlip {
         /// `true` when the branch became low-confidence.
@@ -219,7 +217,6 @@ impl PipelineEvent {
             PipelineEvent::UbtbLock => "ubtb_lock",
             PipelineEvent::UbtbUnlock => "ubtb_unlock",
             PipelineEvent::UocTransition { .. } => "uoc_transition",
-            PipelineEvent::UocStateLoss => "uoc_state_loss",
             PipelineEvent::ShpConfFlip { .. } => "shp_conf_flip",
             PipelineEvent::PrefetchLaunch { .. } => "prefetch_launch",
             PipelineEvent::PrefetchFill { .. } => "prefetch_fill",
@@ -256,7 +253,7 @@ impl PipelineEvent {
                 json::push_key(out, false, "consecutive");
                 json::push_u64(out, consecutive);
             }
-            PipelineEvent::UbtbLock | PipelineEvent::UbtbUnlock | PipelineEvent::UocStateLoss => {}
+            PipelineEvent::UbtbLock | PipelineEvent::UbtbUnlock => {}
             PipelineEvent::UocTransition { from, to } => {
                 json::push_key(out, false, "from");
                 json::push_str(out, from.tag());

@@ -26,32 +26,6 @@
 #![warn(missing_docs)]
 
 use exynos_branch::ubtb::MicroBtb;
-use std::fmt;
-
-/// Internal inconsistency of the UOC detected during operation. Typed
-/// (instead of a panic) so the core's watchdog can demote the UOC to
-/// FilterMode and continue, or surface the error.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UocError {
-    /// The instruction-level driver lost the current block's start PC
-    /// while a block was being accumulated.
-    BlockStateLost {
-        /// PC of the closing branch that found no block start.
-        pc: u64,
-    },
-}
-
-impl fmt::Display for UocError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            UocError::BlockStateLost { pc } => {
-                write!(f, "UOC block accumulator lost its start PC at {pc:#x}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for UocError {}
 
 /// Operating mode of the µop supply path (Fig. 13).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -69,8 +43,6 @@ pub enum UocMode {
 pub struct UocConfig {
     /// Total µop capacity (384 in M5/M6).
     pub capacity_uops: u32,
-    /// µops supplied per cycle in FetchMode (6 in M5).
-    pub supply_width: u32,
     /// `#FetchEdge / #BuildEdge` ratio that promotes Build → Fetch.
     pub build_to_fetch_ratio: u32,
     /// Minimum edges observed before the promotion ratio is evaluated.
@@ -87,7 +59,6 @@ impl Default for UocConfig {
     fn default() -> UocConfig {
         UocConfig {
             capacity_uops: 384,
-            supply_width: 6,
             build_to_fetch_ratio: 3,
             min_edges: 16,
             build_timer_limit: 2048,
@@ -159,9 +130,9 @@ impl Uoc {
     /// Build a UOC from `cfg`.
     ///
     /// # Panics
-    /// Panics if `capacity_uops` or `supply_width` is zero.
+    /// Panics if `capacity_uops` is zero.
     pub fn new(cfg: UocConfig) -> Uoc {
-        assert!(cfg.capacity_uops > 0 && cfg.supply_width > 0);
+        assert!(cfg.capacity_uops > 0);
         Uoc {
             mode: UocMode::Filter,
             blocks: Vec::new(),
@@ -342,8 +313,7 @@ impl Uoc {
     /// Instruction-level driver: accumulates the current basic block and
     /// calls [`Uoc::on_block`] when a taken branch (or a redirect,
     /// signalled via `block_broken`) closes it. Returns whether the
-    /// *closing* block was supplied by the UOC, or a typed [`UocError`]
-    /// if the accumulator state is inconsistent.
+    /// *closing* block was supplied by the UOC.
     #[inline]
     pub fn on_inst(
         &mut self,
@@ -352,22 +322,17 @@ impl Uoc {
         taken: bool,
         block_broken: bool,
         ubtb: &mut MicroBtb,
-    ) -> Result<bool, UocError> {
+    ) -> bool {
         if block_broken {
             self.cur_block_start = None;
             self.cur_block_uops = 0;
         }
-        if self.cur_block_start.is_none() {
-            self.cur_block_start = Some(pc);
-        }
+        let start = *self.cur_block_start.get_or_insert(pc);
         self.cur_block_uops += 1;
         if is_branch && taken {
-            let Some(start) = self.cur_block_start.take() else {
-                return Err(UocError::BlockStateLost { pc });
-            };
-            let uops = self.cur_block_uops;
-            self.cur_block_uops = 0;
-            return Ok(self.on_block(start, pc, uops, ubtb));
+            self.cur_block_start = None;
+            let uops = std::mem::take(&mut self.cur_block_uops);
+            return self.on_block(start, pc, uops, ubtb);
         }
         // Very long fall-through regions close blocks at fetch width too,
         // but those are uninteresting to the UOC filter; cap block size.
@@ -375,7 +340,7 @@ impl Uoc {
             self.cur_block_start = None;
             self.cur_block_uops = 0;
         }
-        Ok(false)
+        false
     }
 }
 
@@ -513,7 +478,7 @@ mod tests {
         let mut ubtb = locked_ubtb();
         // 3 µops then the taken branch at 0x4100.
         for pc in [0x40F4u64, 0x40F8, 0x40FC] {
-            assert!(!uoc.on_inst(pc, false, false, false, &mut ubtb).unwrap());
+            assert!(!uoc.on_inst(pc, false, false, false, &mut ubtb));
         }
         let _ = uoc.on_inst(0x4100, true, true, false, &mut ubtb);
         // One block processed in Filter mode (observing the lock).

@@ -16,7 +16,7 @@ cargo test -q -p exynos-branch -p exynos-snapshot -p exynos-mem -p exynos-dram
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 # Panic-site gate: library and binary code must propagate typed errors
-# (SimError / PredictorError / UocError) instead of unwrapping or
+# (SimError / PredictorError) instead of unwrapping or
 # calling `panic!`; the few sites left carry an `#[allow]` with the
 # reason. Tests, examples and benches are exempt (no --all-targets) —
 # unwrap there is a legitimate assertion that the simulated trace is

@@ -36,7 +36,6 @@ fn assert_stats_bits_equal(a: &SimStats, b: &SimStats) {
     assert_eq!(a.uoc_supplied, b.uoc_supplied);
     assert_eq!(a.malformed_insts, b.malformed_insts);
     assert_eq!(a.predictor_corruptions, b.predictor_corruptions);
-    assert_eq!(a.uoc_recoveries, b.uoc_recoveries);
     assert_eq!(a.watchdog_events, b.watchdog_events);
     assert_eq!(a.watchdog_recoveries, b.watchdog_recoveries);
 }
@@ -422,9 +421,6 @@ fn event_counts(
 /// The events one step emits, counted by name over two fixed runs and
 /// pinned against a checked-in table, so that a rewrite of the step's
 /// event derivation that drops, adds or moves an event fails here.
-/// `uoc_state_loss` fires in neither run: the UOC's block accumulator
-/// always holds a start when a taken branch closes it, so live stepping
-/// never loses block state.
 #[test]
 fn step_event_counts_are_pinned() {
     let mut sim = SimBuilder::config(CoreConfig::m6()).build().unwrap();
