@@ -67,7 +67,6 @@
 
 use exynos_bench::experiments as exp;
 use exynos_bench::sweep;
-use exynos_branch::config::FrontendConfig;
 use exynos_branch::indirect::IndirectConfig;
 use exynos_core::batch::ChunkCache;
 use exynos_core::builder::SimBuilder;
@@ -512,7 +511,7 @@ fn run_program_cmd(target: &str, gen: Option<&str>, quick: bool) {
 
 fn security_policies() {
     hr("§V design space — mitigation cost after a context switch");
-    for (name, mpki) in exp::security_policy_costs() {
+    for (name, mpki) in or_exit(exp::security_policy_costs()) {
         println!("{name:<30} post-switch MPKI {mpki:>7.2}");
     }
     println!("(paper: erasing all state costs retraining; per-context tagging costs");
@@ -604,16 +603,16 @@ fn fig4() {
 fn fig5() {
     hr("Fig. 5 — taken-branch bubbles (1AT / ZAT / ZOT evolution)");
     println!("{:>4} {:>16}", "gen", "bubbles/taken");
-    for cfg in FrontendConfig::all_generations() {
-        let b = exp::fig5_bubbles_per_taken(cfg.clone());
-        println!("{:>4} {:>16.3}", cfg.name, b);
+    for cfg in CoreConfig::all_generations() {
+        let b = or_exit(exp::fig5_bubbles_per_taken(cfg.frontend));
+        println!("{:>4} {:>16.3}", cfg.gen.name(), b);
     }
     println!("(paper: M3 adds 1-bubble always-taken; M5 reaches zero via replication)");
 }
 
 fn fig7() {
     hr("Fig. 7 — Mispredict Recovery Buffer effect (M5)");
-    let (covered, reduction) = exp::fig7_mrb_effect();
+    let (covered, reduction) = or_exit(exp::fig7_mrb_effect());
     println!("MRB-covered post-mispredict redirects : {covered}");
     println!(
         "front-end bubble reduction            : {:.1}%",
@@ -637,20 +636,20 @@ fn fig8() {
 
 fn table2() {
     hr("Table II — branch predictor storage (KB), computed vs paper");
+    // Paper values, M1..M6.
     let paper = [
-        ("M1", 8.0, 32.5, 58.4),
-        ("M2", 8.0, 32.5, 58.4),
-        ("M3", 16.0, 49.0, 110.8),
-        ("M4", 16.0, 50.5, 221.5),
-        ("M5", 32.0, 53.3, 225.5),
-        ("M6", 32.0, 78.5, 451.0),
+        (8.0, 32.5, 58.4),
+        (8.0, 32.5, 58.4),
+        (16.0, 49.0, 110.8),
+        (16.0, 50.5, 221.5),
+        (32.0, 53.3, 225.5),
+        (32.0, 78.5, 451.0),
     ];
     println!(
         "{:>4} | {:>8} {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8} {:>8}",
         "gen", "SHP", "L1BTBs", "L2BTB", "total", "p.SHP", "p.L1", "p.L2", "p.tot"
     );
-    for ((name, shp, l1, l2), (pn, ps, pl1, pl2)) in exp::table2_storage().into_iter().zip(paper) {
-        assert_eq!(name, pn);
+    for ((name, shp, l1, l2), (ps, pl1, pl2)) in exp::table2_storage().into_iter().zip(paper) {
         println!(
             "{:>4} | {:>8.1} {:>8.1} {:>8.1} {:>8.1} | {:>8.1} {:>8.1} {:>8.1} {:>8.1}",
             name,
@@ -706,7 +705,7 @@ fn fig9(pop: &[exp::SliceRecord]) {
 
 fn fig10(threads: usize) {
     hr("Figs. 10-11 — CONTEXT_HASH target encryption (Spectre v2)");
-    for (enc, h, n) in exp::attack_rate_sweep(256, threads) {
+    for (enc, h, n) in or_exit(exp::attack_rate_sweep(256, threads)) {
         println!(
             "encryption {}: cross-training hijacks {h}/{n}",
             if enc { "ON " } else { "OFF" }
@@ -848,7 +847,7 @@ fn fig17(pop: &[exp::SliceRecord]) {
 
 fn btb_ablation() {
     hr("§IV.D — M4 L2BTB capacity/latency ablation (24k-branch working set)");
-    let ((old_bub, old_mpki), (new_bub, new_mpki)) = exp::btb_ablation_web();
+    let ((old_bub, old_mpki), (new_bub, new_mpki)) = or_exit(exp::btb_ablation_web());
     println!("M4 with M3-era L2BTB     : bubbles/branch {old_bub:.3}  MPKI {old_mpki:.2}");
     println!("M4 (2x L2BTB, fast fills): bubbles/branch {new_bub:.3}  MPKI {new_mpki:.2}");
     println!(

@@ -3,11 +3,11 @@
 //! prints it. Every catalog sweep, cold or warm, goes through [`sweep`].
 
 use exynos_branch::config::FrontendConfig;
-use exynos_branch::frontend::FrontEnd;
+use exynos_branch::frontend::{FrontEnd, FrontendStats};
 use exynos_branch::indirect::{IndirectConfig, IndirectPredictor};
 use exynos_branch::shp::{apply_bias_delta, Shp, ShpConfig};
-use exynos_branch::storage_budget;
 use exynos_branch::ubtb::{MicroBtb, UbtbConfig};
+use exynos_branch::{storage_budget, PredictorError};
 use exynos_core::batch::{lockstep, CachedStream, ChunkCache};
 use exynos_core::builder::SimBuilder;
 use exynos_core::cancel::CancelToken;
@@ -16,10 +16,15 @@ use exynos_core::sim::{Simulator, SliceResult};
 use exynos_core::SimError;
 use exynos_service::job::JobCtx;
 use exynos_telemetry::SpanId;
+use exynos_secure::context::ContextId;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
+use exynos_trace::gen::pointer_chase::PointerChaseParams;
 use exynos_trace::gen::streaming::{MultiStride, MultiStrideParams, StrideComponent};
-use exynos_trace::{standard_suite, Fingerprint, SlicePlan, SliceSpec, TraceError, TraceGen};
+use exynos_trace::{
+    standard_suite, BranchInfo, BranchKind, Inst, Reg, SlicePlan, SliceSpec, SuiteKind, TraceError, TraceGen,
+    WorkloadSpec,
+};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -492,76 +497,76 @@ pub fn fig4_ubtb_graph() -> (Vec<(u64, u64, bool, bool, bool)>, bool) {
 // Fig. 5 / Fig. 7 — taken-branch throughput and MRB refill
 // ---------------------------------------------------------------------
 
+/// Run a fresh front end for `cfg` over `n` records of `gen` and return
+/// its statistics.
+fn frontend_stats(cfg: FrontendConfig, gen: &mut dyn TraceGen, n: u64) -> Result<FrontendStats, PredictorError> {
+    let mut fe = FrontEnd::new(cfg);
+    fe.run(gen, n)?;
+    Ok(*fe.stats())
+}
+
+/// 512 basic blocks of three ALU instructions and an always-taken
+/// conditional branch to the next block, cyclic: a taken-branch chain
+/// larger than the µBTB.
+struct TakenChain {
+    /// Record index within one lap of the chain.
+    next: u64,
+}
+
+impl TakenChain {
+    const BLOCKS: u64 = 512;
+    const BLOCK_INSTS: u64 = 4;
+    const BASE: u64 = 0x7_0000_0000;
+}
+
+impl TraceGen for TakenChain {
+    fn next_inst(&mut self) -> Inst {
+        let i = self.next;
+        self.next = (i + 1) % (Self::BLOCKS * Self::BLOCK_INSTS);
+        let pc = Self::BASE + i * 4;
+        if i % Self::BLOCK_INSTS == Self::BLOCK_INSTS - 1 {
+            let next_block = (i / Self::BLOCK_INSTS + 1) % Self::BLOCKS;
+            let target = Self::BASE + next_block * Self::BLOCK_INSTS * 4;
+            let info = BranchInfo { kind: BranchKind::CondDirect, taken: true, target };
+            Inst::branch(pc, info, [Some(Reg::int(1)), None])
+        } else {
+            Inst::alu(pc, Reg::int(2), [Some(Reg::int(1)), None])
+        }
+    }
+}
+
 /// Bubbles per taken branch on a chain of small always-taken basic blocks
 /// *larger than the µBTB* — the mBTB-path scenario of Fig. 5, where the
 /// 1AT (M3) and ZAT/ZOT (M5) mechanisms cut 2 bubbles to 1 and then 0.
-pub fn fig5_bubbles_per_taken(cfg: FrontendConfig) -> f64 {
-    use exynos_trace::{BranchInfo, BranchKind, Inst, Reg};
-    let mut fe = FrontEnd::new(cfg);
-    // 512 basic blocks of 3 instructions + an always-taken branch, cyclic.
-    const BLOCKS: u64 = 512;
-    const BLOCK_INSTS: u64 = 4;
-    let base = 0x7_0000_0000u64;
-    let block_pc = |b: u64| base + b * BLOCK_INSTS * 4;
-    let mut b = 0u64;
-    for _ in 0..400_000 {
-        for k in 0..BLOCK_INSTS {
-            let pc = block_pc(b) + k * 4;
-            let inst = if k == BLOCK_INSTS - 1 {
-                let next = (b + 1) % BLOCKS;
-                Inst::branch(
-                    pc,
-                    BranchInfo {
-                        kind: BranchKind::CondDirect,
-                        taken: true,
-                        target: block_pc(next),
-                    },
-                    [Some(Reg::int(1)), None],
-                )
-            } else {
-                Inst::alu(pc, Reg::int(2), [Some(Reg::int(1)), None])
-            };
-            let _ = fe.on_inst(&inst);
-        }
-        b = (b + 1) % BLOCKS;
-    }
-    let s = fe.stats();
-    s.bubbles as f64 / s.taken_branches.max(1) as f64
+pub fn fig5_bubbles_per_taken(cfg: FrontendConfig) -> Result<f64, PredictorError> {
+    let s = frontend_stats(cfg, &mut TakenChain { next: 0 }, 1_600_000)?;
+    Ok(s.bubbles as f64 / s.taken_branches.max(1) as f64)
+}
+
+/// The Fig. 7 run pair: M5 front ends with and without the MRB over one
+/// mispredict-prone Markov stream. Returns the (with, without) statistics.
+fn mrb_pair() -> Result<(FrontendStats, FrontendStats), PredictorError> {
+    let run = |mrb_entries| {
+        let cfg = FrontendConfig { mrb_entries, ..FrontendConfig::m5() };
+        let params = MarkovParams {
+            sites: 64,
+            history_depth: 8,
+            noise: 0.10,
+            work_between: 3,
+            load_frac: 0.0,
+            ..Default::default()
+        };
+        frontend_stats(cfg, &mut MarkovBranches::new(&params, 93, 3), 300_000)
+    };
+    Ok((run(FrontendConfig::m5().mrb_entries)?, run(None)?))
 }
 
 /// MRB effect (Fig. 7): run a mispredict-prone workload on M5 with and
 /// without the MRB; returns (covered redirects with MRB, bubble
 /// reduction fraction).
-pub fn fig7_mrb_effect() -> (u64, f64) {
-    let run = |mrb: bool| -> (u64, u64, u64) {
-        let mut cfg = FrontendConfig::m5();
-        if !mrb {
-            cfg.mrb_entries = None;
-        }
-        let mut fe = FrontEnd::new(cfg);
-        let mut gen = MarkovBranches::new(
-            &MarkovParams {
-                sites: 64,
-                history_depth: 8,
-                noise: 0.10,
-                work_between: 3,
-                load_frac: 0.0,
-                ..Default::default()
-            },
-            93,
-            3,
-        );
-        for _ in 0..300_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
-        let s = fe.stats();
-        (s.mrb_covered, s.bubbles, s.taken_branches)
-    };
-    let (covered, bubbles_with, _) = run(true);
-    let (_, bubbles_without, _) = run(false);
-    let reduction = 1.0 - bubbles_with as f64 / bubbles_without.max(1) as f64;
-    (covered, reduction)
+pub fn fig7_mrb_effect() -> Result<(u64, f64), PredictorError> {
+    let (with, without) = mrb_pair()?;
+    Ok((with.mrb_covered, 1.0 - with.bubbles as f64 / without.bubbles.max(1) as f64))
 }
 
 // ---------------------------------------------------------------------
@@ -605,11 +610,11 @@ pub fn fig8_indirect(targets: usize, cfg: IndirectConfig) -> (f64, f64) {
 
 /// Computed storage budgets per generation: (name, shp KB, l1 KB, l2 KB).
 pub fn table2_storage() -> Vec<(&'static str, f64, f64, f64)> {
-    FrontendConfig::all_generations()
+    CoreConfig::all_generations()
         .into_iter()
         .map(|c| {
-            let b = storage_budget(&c);
-            (c.name, b.shp_kb, b.l1btb_kb, b.l2btb_kb)
+            let b = storage_budget(&c.frontend);
+            (c.gen.name(), b.shp_kb, b.l1btb_kb, b.l2btb_kb)
         })
         .collect()
 }
@@ -675,10 +680,13 @@ pub fn fig15_adaptive() -> exynos_prefetch::standalone::StandaloneStats {
 // §IV.D — L2BTB capacity/latency ablation (BBench +2.8% claim)
 // ---------------------------------------------------------------------
 
+/// A front-end run's (bubbles per branch, MPKI).
+pub type BubblesMpki = (f64, f64);
+
 /// The M4 L2BTB capacity/latency change measured in isolation (§IV.D).
 /// Returns ((bubbles/branch, MPKI) with the M3-era L2BTB,
 /// (bubbles/branch, MPKI) with the M4 L2BTB).
-pub fn btb_ablation_web() -> ((f64, f64), (f64, f64)) {
+pub fn btb_ablation_web() -> Result<(BubblesMpki, BubblesMpki), PredictorError> {
     // The paper measured the M4 L2BTB change "in isolation" (+2.8% on
     // BBench). We isolate it the same way: a front-end-only run over a
     // branch working set of ~24k sites — between the M3-era capacity
@@ -687,35 +695,23 @@ pub fn btb_ablation_web() -> ((f64, f64), (f64, f64)) {
     // where MPKI includes the discovery redirects a thrashing L2BTB
     // re-pays every lap.
     let run = |cfg: &FrontendConfig| {
-        let mut fe = FrontEnd::new(cfg.clone());
-        let mut gen = MarkovBranches::new(
-            &MarkovParams {
-                sites: 24_000,
-                history_depth: 4,
-                noise: 0.0,
-                work_between: 4,
-                load_frac: 0.0,
-                ..Default::default()
-            },
-            96,
-            5,
-        );
-        for _ in 0..1_500_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
-        let s = fe.stats();
-        (
-            s.bubbles as f64 / s.branches.max(1) as f64,
-            s.mpki(),
-        )
+        let params = MarkovParams {
+            sites: 24_000,
+            history_depth: 4,
+            noise: 0.0,
+            work_between: 4,
+            load_frac: 0.0,
+            ..Default::default()
+        };
+        let s = frontend_stats(cfg.clone(), &mut MarkovBranches::new(&params, 96, 5), 1_500_000)?;
+        Ok::<_, PredictorError>((s.bubbles as f64 / s.branches.max(1) as f64, s.mpki()))
     };
     let m4 = CoreConfig::m4();
     let mut old = m4.frontend.clone();
     old.btb.l2btb_entries = CoreConfig::m3().frontend.btb.l2btb_entries;
     old.btb.l2_fill_latency = CoreConfig::m3().frontend.btb.l2_fill_latency;
     old.btb.l2_fill_bandwidth = CoreConfig::m3().frontend.btb.l2_fill_bandwidth;
-    (run(&old), run(&m4.frontend))
+    Ok((run(&old)?, run(&m4.frontend)?))
 }
 
 // ---------------------------------------------------------------------
@@ -731,13 +727,7 @@ pub fn branch_pair_stats() -> Result<(f64, f64, f64), SimError> {
         .into_iter()
         .filter(|s| s.name.starts_with("web/") || s.name.starts_with("specint/"))
     {
-        let mut fe = FrontEnd::new(FrontendConfig::m1());
-        let mut gen = slice.build()?;
-        for _ in 0..20_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
-        let s = fe.stats();
+        let s = frontend_stats(FrontendConfig::m1(), &mut *slice.build()?, 20_000)?;
         lead += s.pair_lead_taken;
         second += s.pair_second_taken;
         both_nt += s.pair_both_not_taken;
@@ -782,8 +772,8 @@ mod tests {
 
     #[test]
     fn fig5_m5_fewer_bubbles_than_m3() {
-        let m3 = fig5_bubbles_per_taken(FrontendConfig::m3());
-        let m5 = fig5_bubbles_per_taken(FrontendConfig::m5());
+        let m3 = fig5_bubbles_per_taken(FrontendConfig::m3()).unwrap();
+        let m5 = fig5_bubbles_per_taken(FrontendConfig::m5()).unwrap();
         assert!(m5 < m3, "ZAT/ZOT must cut bubbles/taken: {m5:.3} vs {m3:.3}");
     }
 
@@ -803,6 +793,68 @@ mod tests {
             streaming.first_passes > streaming.one_passes,
             "streaming stays two-pass: {streaming:?}"
         );
+    }
+
+    const PC: u64 = 0x4000_1000;
+    const GADGET: u64 = 0xBAD0_0040;
+
+    fn user(asid: u16) -> ContextId {
+        ContextId::user(asid, 0)
+    }
+
+    /// The hijack the mitigation exists for: the victim fetches the
+    /// attacker's gadget exactly when encryption is off.
+    #[test]
+    fn unencrypted_victim_is_hijacked() {
+        let trial = |encrypt| cross_training_trial(encrypt, user(1), user(2), PC, GADGET).unwrap();
+        assert!(trial(false));
+        assert!(!trial(true), "the hijack must come from the unsealed target");
+    }
+
+    #[test]
+    fn encryption_defeats_cross_training() {
+        assert!(!cross_training_trial(true, user(1), user(2), PC, GADGET).unwrap());
+        let rates = attack_rate_sweep(32, 2).unwrap();
+        assert_eq!(rates, [(false, 32, 32), (true, 0, 32)]);
+    }
+
+    /// The mitigation keeps the common case: under encryption a context
+    /// still predicts the target it trained, while a second context reading
+    /// the same stored state does not.
+    #[test]
+    fn encrypted_context_predicts_its_own_target() {
+        let mut fe = m4_frontend(true);
+        fe.set_context(user(5));
+        train_indirect(&mut fe, PC, GADGET).unwrap();
+        let mut other = fe.clone();
+        other.set_context(user(6));
+        assert!(predicts(&mut fe, PC, GADGET).unwrap());
+        assert!(!predicts(&mut other, PC, GADGET).unwrap());
+    }
+
+    /// Replay: a target the context trained earlier (or an attacker
+    /// replayed into its entries) stops decoding once the key rotates.
+    #[test]
+    fn rekey_defeats_a_stale_trained_target() {
+        let mut fe = m4_frontend(true);
+        fe.set_context(user(5));
+        train_indirect(&mut fe, PC, GADGET).unwrap();
+        fe.rekey(0x5C7_0001);
+        assert!(!predicts(&mut fe, PC, GADGET).unwrap());
+    }
+
+    /// Why the OS rotates the key: without a rotation the stale target
+    /// still decodes for the same context.
+    #[test]
+    fn unrotated_context_still_decodes_a_stale_target() {
+        let mut fe = m4_frontend(true);
+        fe.set_context(user(5));
+        train_indirect(&mut fe, PC, GADGET).unwrap();
+        let mut rotated = fe.clone();
+        rotated.rekey(0x5C7_0001);
+        fe.set_context(user(5));
+        assert!(predicts(&mut fe, PC, GADGET).unwrap());
+        assert!(!predicts(&mut rotated, PC, GADGET).unwrap());
     }
 
     #[test]
@@ -833,31 +885,38 @@ pub struct Ablation {
 }
 
 /// Run a with/without config pair in [`lockstep`] over one pass-through
-/// stream of `gen()`'s trace, so the trace is generated once for both.
-/// Returns (with, without).
-fn ablation_pair<G: TraceGen + Send + 'static>(
+/// stream of `slice`, so the trace is generated once for both. Returns
+/// (with, without) detail-window results.
+fn ablation_pair(
     with_cfg: CoreConfig,
     without_cfg: CoreConfig,
-    gen: impl Fn() -> G + Send + Sync + 'static,
-    plan: SlicePlan,
+    slice: &SliceSpec,
 ) -> Result<(SliceResult, SliceResult), SimError> {
     let mut members = [SimBuilder::config(with_cfg).build()?, SimBuilder::config(without_cfg).build()?];
-    // A zero-budget cache stores nothing, so no lookup can ever hit and
-    // the stream's fingerprint is never compared: any constant will do.
     let cache = Arc::new(ChunkCache::with_budget(Some(0)));
-    let mut stream = CachedStream::new(cache, Fingerprint(0), move || Ok(Box::new(gen())));
-    let r = lockstep(&mut members, &mut stream, plan)?;
+    let mut stream = CachedStream::for_slice(cache, slice);
+    let r = lockstep(&mut members, &mut stream, slice.plan)?;
     Ok((r[0].clone(), r[1].clone()))
 }
 
-fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> f64 {
-    let mut fe = FrontEnd::new(cfg.clone());
-    let mut gen = MarkovBranches::new(mk, 97, 3);
-    for _ in 0..insts {
-        let inst = gen.next_inst();
-        let _ = fe.on_inst(&inst);
-    }
-    fe.stats().mpki()
+/// An ablation workload as a one-off slice: seed 4 in `region`.
+fn ablation_slice(spec: WorkloadSpec, region: u64, plan: SlicePlan) -> SliceSpec {
+    let suite = match spec {
+        WorkloadSpec::Markov(_) => SuiteKind::SpecIntLike,
+        _ => SuiteKind::StreamLike,
+    };
+    SliceSpec { name: format!("ablation/{}#{region}", spec.family()), suite, spec, seed: 4, region, plan }
+}
+
+/// A pointer chase over `working_set` bytes in `chains` chains, as an
+/// ablation slice in `region` with a 5k + 40k window.
+fn chase_slice(working_set: u64, chains: usize, spatial_payload: bool, region: u64) -> SliceSpec {
+    let params = PointerChaseParams { working_set, chains, spatial_payload, ..Default::default() };
+    ablation_slice(WorkloadSpec::PointerChase(params), region, SlicePlan::new(5_000, 40_000))
+}
+
+fn frontend_mpki(cfg: &FrontendConfig, mk: &MarkovParams, insts: u64) -> Result<f64, PredictorError> {
+    Ok(frontend_stats(cfg.clone(), &mut MarkovBranches::new(mk, 97, 3), insts)?.mpki())
 }
 
 /// Run the front-end and memory-side ablation battery on `threads`
@@ -879,10 +938,10 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
 
     // Bias-weight doubling (§IV.A): scale 2 vs 1.
     battery.push(Box::new(move || {
-        let with = frontend_mpki(&FrontendConfig::m1(), &mk, 400_000);
+        let with = frontend_mpki(&FrontendConfig::m1(), &mk, 400_000)?;
         let mut cfg = FrontendConfig::m1();
         cfg.shp.bias_scale = 1;
-        let without = frontend_mpki(&cfg, &mk, 400_000);
+        let without = frontend_mpki(&cfg, &mk, 400_000)?;
         Ok(Ablation { name: "SHP bias doubling", metric: "MPKI", with_feature: with, without_feature: without })
     }));
 
@@ -899,49 +958,33 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         };
         let mut small = FrontendConfig::m1();
         small.shp.rows = 256; // stress aliasing
-        let with = frontend_mpki(&small, &mk_alias, 400_000);
+        let with = frontend_mpki(&small, &mk_alias, 400_000)?;
         let mut nofilter = small.clone();
         nofilter.at_filter = false;
-        let without = frontend_mpki(&nofilter, &mk_alias, 400_000);
+        let without = frontend_mpki(&nofilter, &mk_alias, 400_000)?;
         Ok(Ablation { name: "always-taken SHP filter", metric: "MPKI", with_feature: with, without_feature: without })
     }));
 
     // ZAT/ZOT (§IV.E): bubbles per taken branch.
     battery.push(Box::new(|| {
-        let with = fig5_bubbles_per_taken(FrontendConfig::m5());
+        let with = fig5_bubbles_per_taken(FrontendConfig::m5())?;
         let mut cfg = FrontendConfig::m5();
         cfg.zero_bubble_atot = false;
-        let without = fig5_bubbles_per_taken(cfg);
+        let without = fig5_bubbles_per_taken(cfg)?;
         Ok(Ablation { name: "ZAT/ZOT replication", metric: "bubbles/taken", with_feature: with, without_feature: without })
     }));
 
-    // MRB (§IV.E): front-end bubbles on mispredict-prone code.
+    // MRB (§IV.E): front-end bubbles on mispredict-prone code, from
+    // Fig. 7's run pair.
     battery.push(Box::new(|| {
-        let bubbles = |mrb: bool| {
-            let mut cfg = FrontendConfig::m5();
-            if !mrb {
-                cfg.mrb_entries = None;
-            }
-            let mut fe = FrontEnd::new(cfg);
-            let mut gen = MarkovBranches::new(
-                &MarkovParams {
-                    sites: 64,
-                    history_depth: 8,
-                    noise: 0.10,
-                    work_between: 3,
-                    load_frac: 0.0,
-                    ..Default::default()
-                },
-                93,
-                3,
-            );
-            for _ in 0..300_000 {
-                let inst = gen.next_inst();
-                let _ = fe.on_inst(&inst);
-            }
-            fe.stats().bubbles as f64 / fe.stats().taken_branches.max(1) as f64
-        };
-        Ok(Ablation { name: "Mispredict Recovery Buffer", metric: "bubbles/taken", with_feature: bubbles(true), without_feature: bubbles(false) })
+        let (with, without) = mrb_pair()?;
+        let per_taken = |s: FrontendStats| s.bubbles as f64 / s.taken_branches.max(1) as f64;
+        Ok(Ablation {
+            name: "Mispredict Recovery Buffer",
+            metric: "bubbles/taken",
+            with_feature: per_taken(with),
+            without_feature: per_taken(without),
+        })
     }));
 
     // Integrated vs queue confirmation (§VII.D): stride confirmations.
@@ -980,18 +1023,7 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         with_cfg.dram.early_activate = false;
         let mut without_cfg = with_cfg.clone();
         without_cfg.spec_read = false;
-        let gen = || {
-            exynos_trace::gen::pointer_chase::PointerChase::new(
-                &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                    working_set: 64 << 20,
-                    chains: 4,
-                    ..Default::default()
-                },
-                98,
-                4,
-            )
-        };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &chase_slice(64 << 20, 4, false, 98))?;
         Ok(Ablation {
             name: "speculative DRAM read",
             metric: "avg load lat",
@@ -1006,18 +1038,7 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         with_cfg.dram.fast_path = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.fast_path = false;
-        let gen = || {
-            exynos_trace::gen::pointer_chase::PointerChase::new(
-                &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                    working_set: 64 << 20,
-                    chains: 2,
-                    ..Default::default()
-                },
-                99,
-                4,
-            )
-        };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &chase_slice(64 << 20, 2, false, 99))?;
         Ok(Ablation {
             name: "DRAM data fast path",
             metric: "avg load lat",
@@ -1032,18 +1053,7 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         with_cfg.dram.early_activate = true;
         let mut without_cfg = with_cfg.clone();
         without_cfg.dram.early_activate = false;
-        let gen = || {
-            exynos_trace::gen::pointer_chase::PointerChase::new(
-                &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                    working_set: 64 << 20,
-                    chains: 2,
-                    ..Default::default()
-                },
-                100,
-                4,
-            )
-        };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &chase_slice(64 << 20, 2, false, 100))?;
         Ok(Ablation {
             name: "early page activate",
             metric: "avg load lat",
@@ -1060,19 +1070,7 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         without_cfg.buddy = false;
         // Spatial payloads touch the second sector of each chased line's
         // 128 B granule.
-        let gen = || {
-            exynos_trace::gen::pointer_chase::PointerChase::new(
-                &exynos_trace::gen::pointer_chase::PointerChaseParams {
-                    working_set: 32 << 20,
-                    chains: 4,
-                    spatial_payload: true,
-                    ..Default::default()
-                },
-                101,
-                4,
-            )
-        };
-        let (w, wo) = ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(5_000, 40_000))?;
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &chase_slice(32 << 20, 4, true, 101))?;
         Ok(Ablation {
             name: "Buddy prefetcher",
             metric: "IPC (higher=better)",
@@ -1091,22 +1089,16 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
         without_cfg.standalone = None;
         // ~700 KB of code walked sequentially: every line is an L1I
         // miss; only an L2-level prefetcher can stay ahead of fetch.
-        let gen = || {
-            MarkovBranches::new(
-                &MarkovParams {
-                    sites: 20_000,
-                    history_depth: 4,
-                    noise: 0.0,
-                    work_between: 4,
-                    load_frac: 0.0,
-                    ..Default::default()
-                },
-                102,
-                4,
-            )
+        let params = MarkovParams {
+            sites: 20_000,
+            history_depth: 4,
+            noise: 0.0,
+            work_between: 4,
+            load_frac: 0.0,
+            ..Default::default()
         };
-        let (w, wo) =
-            ablation_pair(with_cfg, without_cfg, gen, SlicePlan::new(10_000, 60_000))?;
+        let slice = ablation_slice(WorkloadSpec::Markov(params), 102, SlicePlan::new(10_000, 60_000));
+        let (w, wo) = ablation_pair(with_cfg, without_cfg, &slice)?;
         Ok(Ablation {
             name: "standalone L2/L3 prefetcher",
             metric: "IPC (higher=better)",
@@ -1122,19 +1114,91 @@ pub fn ablations_with_threads(threads: usize) -> Result<Vec<Ablation>, SimError>
 // Fig. 10 — cross-context attack success rate
 // ---------------------------------------------------------------------
 
-/// The Fig. 10 attack-rate sweep: cross-context BTB training success with
-/// and without CONTEXT_HASH target encryption, `trials` trials each.
-/// Returns `(encrypted, hits, trials)` per setting in catalog order
-/// (plain first); the two settings run as independent jobs on the
+/// An indirect jump at `pc` to `target` and a direct jump back, forever:
+/// the branch a context trains in a Fig. 10 trial.
+struct IndirectLoop {
+    pc: u64,
+    target: u64,
+    /// Whether the next record is the jump back from `target`.
+    at_target: bool,
+}
+
+impl IndirectLoop {
+    fn new(pc: u64, target: u64) -> IndirectLoop {
+        IndirectLoop { pc, target, at_target: false }
+    }
+}
+
+impl TraceGen for IndirectLoop {
+    fn next_inst(&mut self) -> Inst {
+        let (pc, kind, target) = if self.at_target {
+            (self.target, BranchKind::UncondDirect, self.pc)
+        } else {
+            (self.pc, BranchKind::IndirectJump, self.target)
+        };
+        self.at_target = !self.at_target;
+        Inst::branch(pc, BranchInfo { kind, taken: true, target }, [Some(Reg::int(1)), None])
+    }
+}
+
+/// Laps of its [`IndirectLoop`] a context runs to train its branch.
+const TRAIN_LAPS: u64 = 8;
+
+/// Train the indirect branch at `pc` to `target` under `fe`'s current
+/// context. The stream stops at the jump back to `pc`, so the next
+/// record at `pc` is predicted rather than taken as a trace gap.
+fn train_indirect(fe: &mut FrontEnd, pc: u64, target: u64) -> Result<(), PredictorError> {
+    fe.run(&mut IndirectLoop::new(pc, target), 2 * TRAIN_LAPS)
+}
+
+/// Whether `fe` fetches from `target` at the indirect branch at `pc`:
+/// the branch resolves to `target`, so it draws no redirect exactly when
+/// the front end predicted `target`. Training follows as for any branch.
+fn predicts(fe: &mut FrontEnd, pc: u64, target: u64) -> Result<bool, PredictorError> {
+    let branch = IndirectLoop::new(pc, target).next_inst();
+    Ok(fe.on_inst(&branch)?.redirect.is_none())
+}
+
+/// An M4 front end with CONTEXT_HASH target encryption `encrypt`.
+fn m4_frontend(encrypt: bool) -> FrontEnd {
+    FrontEnd::new(FrontendConfig { encrypt_targets: encrypt, ..FrontendConfig::m4() })
+}
+
+/// One cross-training trial: the `attacker` context trains the indirect
+/// branch at `pc` to `gadget`, then the `victim` context runs the same
+/// branch. Returns whether the victim fetched from the gadget.
+fn cross_training_trial(
+    encrypt: bool,
+    attacker: ContextId,
+    victim: ContextId,
+    pc: u64,
+    gadget: u64,
+) -> Result<bool, PredictorError> {
+    let mut fe = m4_frontend(encrypt);
+    fe.set_context(attacker);
+    train_indirect(&mut fe, pc, gadget)?;
+    fe.set_context(victim);
+    predicts(&mut fe, pc, gadget)
+}
+
+/// The Fig. 10 attack-rate sweep: cross-context training hijacks on an
+/// M4 front end without and with CONTEXT_HASH target encryption, `trials`
+/// attacker/victim pairs each. Returns `(encrypted, hijacks, trials)` per
+/// setting (plain first); the two settings run as independent jobs on the
 /// work-stealing executor.
-pub fn attack_rate_sweep(trials: u32, threads: usize) -> Vec<(bool, u32, u32)> {
+pub fn attack_rate_sweep(trials: u32, threads: usize) -> Result<Vec<(bool, u32, u32)>, PredictorError> {
     let settings = [false, true];
-    let Ok(rates) = crate::sweep::run_indexed_result(settings.len(), threads, |i| {
+    crate::sweep::run_indexed_result(settings.len(), threads, |i| {
         let encrypt = settings[i];
-        let (hits, total) = exynos_secure::attack::cross_training_rate(encrypt, trials);
-        Ok::<_, std::convert::Infallible>((encrypt, hits, total))
-    });
-    rates
+        let mut hijacks = 0;
+        for t in 0..trials {
+            let asid = (t % 50) as u16;
+            let (attacker, victim) = (ContextId::user(100 + asid, 0), ContextId::user(200 + asid, 0));
+            let (pc, gadget) = (0x4000_0000 + t as u64 * 4, 0xBAD0_0000 + t as u64 * 64);
+            hijacks += cross_training_trial(encrypt, attacker, victim, pc, gadget)? as u32;
+        }
+        Ok((encrypt, hijacks, trials))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1147,8 +1211,7 @@ pub fn attack_rate_sweep(trials: u32, threads: usize) -> Vec<(bool, u32, u32)> {
 /// CONTEXT_HASH target encryption. The paper's claim: encryption gives
 /// "improved security with minimal performance impact" because only
 /// indirect/RAS targets are lost, while a flush retrains everything.
-pub fn security_policy_costs() -> Vec<(&'static str, f64)> {
-    use exynos_secure::context::ContextId;
+pub fn security_policy_costs() -> Result<Vec<(&'static str, f64)>, PredictorError> {
     use exynos_trace::gen::web::{WebParams, WebWorkload};
     #[derive(Clone, Copy, PartialEq)]
     enum Policy {
@@ -1156,7 +1219,7 @@ pub fn security_policy_costs() -> Vec<(&'static str, f64)> {
         Flush,
         Encrypt,
     }
-    let run = |policy: Policy| -> f64 {
+    let run = |policy: Policy| -> Result<f64, PredictorError> {
         let mut cfg = FrontendConfig::m4();
         cfg.encrypt_targets = policy == Policy::Encrypt;
         let mut fe = FrontEnd::new(cfg);
@@ -1170,10 +1233,7 @@ pub fn security_policy_costs() -> Vec<(&'static str, f64)> {
             9,
         );
         // Train in context 0.
-        for _ in 0..150_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
+        fe.run(&mut gen, 150_000)?;
         // Context switch (same program resumes — e.g. returning from
         // another process's timeslice).
         match policy {
@@ -1181,17 +1241,14 @@ pub fn security_policy_costs() -> Vec<(&'static str, f64)> {
             _ => fe.set_context(ContextId::user(7, 0)),
         }
         let before = *fe.stats();
-        for _ in 0..30_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
+        fe.run(&mut gen, 30_000)?;
         let after = fe.stats();
-        (after.total_mispredicts() - before.total_mispredicts()) as f64 * 1000.0
-            / (after.instructions - before.instructions) as f64
+        Ok((after.total_mispredicts() - before.total_mispredicts()) as f64 * 1000.0
+            / (after.instructions - before.instructions) as f64)
     };
-    vec![
-        ("no protection (vulnerable)", run(Policy::None)),
-        ("flush all predictors", run(Policy::Flush)),
-        ("CONTEXT_HASH encryption", run(Policy::Encrypt)),
-    ]
+    Ok(vec![
+        ("no protection (vulnerable)", run(Policy::None)?),
+        ("flush all predictors", run(Policy::Flush)?),
+        ("CONTEXT_HASH encryption", run(Policy::Encrypt)?),
+    ])
 }

@@ -12,6 +12,7 @@ use exynos_core::batch::ChunkCache;
 use exynos_core::builder::SimBuilder;
 use exynos_core::cancel::CancelToken;
 use exynos_service::job::JobCtx;
+use exynos_snapshot::fnv1a64;
 use exynos_trace::{standard_suite, SlicePlan, SliceSpec};
 use std::sync::Arc;
 
@@ -39,21 +40,15 @@ fn golden_suite() -> Vec<SliceSpec> {
 }
 
 fn digest(records: &[SliceRecord]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    };
+    let mut bytes = Vec::new();
     for r in records {
-        eat(r.name.as_bytes());
-        eat(r.gen.as_bytes());
+        bytes.extend_from_slice(r.name.as_bytes());
+        bytes.extend_from_slice(r.gen.as_bytes());
         for x in [r.ipc, r.mpki, r.load_latency] {
-            eat(&x.to_bits().to_le_bytes());
+            bytes.extend_from_slice(&x.to_bits().to_le_bytes());
         }
     }
-    h
+    fnv1a64(&[&bytes])
 }
 
 #[test]

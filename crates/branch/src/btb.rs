@@ -259,13 +259,30 @@ pub struct BtbHierarchy {
 }
 
 impl BtbHierarchy {
+    /// Why [`BtbHierarchy::new`] would reject `cfg`, if it would: an
+    /// empty level, or a vBTB/L2BTB with more sets than its directory
+    /// indexes.
+    pub fn defect(cfg: &BtbConfig) -> Option<String> {
+        let sets = |entries: usize, ways: usize| entries / ways.max(1);
+        if cfg.mbtb_lines == 0 || cfg.mbtb_ways == 0 || cfg.vbtb_entries == 0 || cfg.l2btb_entries == 0 {
+            Some(format!(
+                "mBTB {} lines x {} ways, vBTB {} entries, L2BTB {} entries (all nonzero)",
+                cfg.mbtb_lines, cfg.mbtb_ways, cfg.vbtb_entries, cfg.l2btb_entries
+            ))
+        } else if sets(cfg.vbtb_entries, cfg.vbtb_ways).max(sets(cfg.l2btb_entries, cfg.l2btb_ways)) >= u32::MAX as usize {
+            Some("vBTB/L2BTB set count does not fit the 32-bit set directory".into())
+        } else {
+            None
+        }
+    }
+
     /// Build the hierarchy from `cfg`.
     ///
     /// # Panics
-    /// Panics if any geometry field is zero.
+    /// Panics if [`BtbHierarchy::defect`] rejects `cfg`.
     pub fn new(cfg: BtbConfig) -> BtbHierarchy {
-        assert!(cfg.mbtb_lines > 0 && cfg.mbtb_ways > 0);
-        assert!(cfg.vbtb_entries > 0 && cfg.l2btb_entries > 0);
+        let defect = BtbHierarchy::defect(&cfg);
+        assert!(defect.is_none(), "BTB geometry: {defect:?}");
         let sets = (cfg.mbtb_lines / cfg.mbtb_ways).max(1);
         BtbHierarchy {
             sets,

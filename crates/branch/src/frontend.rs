@@ -30,7 +30,7 @@ use crate::shp::{apply_bias_delta, Shp, ShpPrediction};
 use crate::ubtb::{MicroBtb, UbtbPrediction};
 use exynos_secure::cipher::{decrypt_target, encrypt_target};
 use exynos_secure::context::{compute_context_hash, ContextHash, ContextId, EntropySources};
-use exynos_trace::{BranchKind, Inst};
+use exynos_trace::{BranchKind, Inst, TraceGen};
 
 /// Why the front end must refill the pipeline at an instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -413,6 +413,17 @@ impl FrontEnd {
         }
     }
 
+    /// Process `n` instructions from `gen`, discarding the per-instruction
+    /// feedback — the front-end twin of `Simulator::run_warmup`, for runs
+    /// that read only [`FrontEnd::stats`]. The first detected corruption
+    /// ends the run with its [`PredictorError`].
+    pub fn run(&mut self, gen: &mut dyn TraceGen, n: u64) -> Result<(), PredictorError> {
+        for _ in 0..n {
+            self.on_inst(&gen.next_inst())?;
+        }
+        Ok(())
+    }
+
     fn on_branch(
         &mut self,
         pc: u64,
@@ -726,32 +737,18 @@ mod snapshot_impl {
         use super::*;
         use crate::config::FrontendConfig;
         use exynos_snapshot::{Decoder, Encoder, Snapshot};
-        use exynos_trace::{BranchInfo, BranchKind, Inst, Reg};
+        use exynos_trace::gen::web::{WebParams, WebWorkload};
 
         fn warmed_frontend(cfg: FrontendConfig) -> FrontEnd {
             let mut fe = FrontEnd::new(cfg);
-            for i in 0..5_000u64 {
-                let pc = 0x1000 + (i % 97) * 4;
-                let inst = if i % 7 == 0 {
-                    let info = BranchInfo {
-                        kind: BranchKind::CondDirect,
-                        taken: i % 3 != 0,
-                        target: pc + 64,
-                    };
-                    Inst::branch(pc, info, [None, None])
-                } else if i % 31 == 0 {
-                    Inst::load(pc, Reg::int(1), None, 0x10_0000 + i * 8)
-                } else {
-                    Inst::alu(pc, Reg::int(2), [None, None])
-                };
-                let _ = fe.on_inst(&inst);
-            }
+            let mut gen = WebWorkload::new(&WebParams::default(), 30, 11);
+            fe.run(&mut gen, 5_000).unwrap();
             fe
         }
 
         #[test]
         fn frontend_roundtrip_is_bit_identical() {
-            for cfg in FrontendConfig::all_generations() {
+            for (g, cfg) in FrontendConfig::all_generations().into_iter().enumerate() {
                 let fe = warmed_frontend(cfg.clone());
                 let mut enc = Encoder::new();
                 fe.save(&mut enc);
@@ -766,7 +763,7 @@ mod snapshot_impl {
                 // exact snapshot bytes: every field round-tripped.
                 let mut enc2 = Encoder::new();
                 fe2.save(&mut enc2);
-                assert_eq!(enc2.finish(), bytes, "gen {}", cfg.name);
+                assert_eq!(enc2.finish(), bytes, "gen M{}", g + 1);
             }
         }
 

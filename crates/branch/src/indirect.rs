@@ -116,21 +116,32 @@ pub struct IndirectPredictor {
 }
 
 impl IndirectPredictor {
+    /// Why [`IndirectPredictor::new`] would reject `cfg` with
+    /// `chain_capacity` chains, if it would: no chain storage, a chain
+    /// that holds no target, a hash table whose size is not a power of
+    /// two, or a target history wider than its 32-bit register.
+    pub fn defect(cfg: &IndirectConfig, chain_capacity: usize) -> Option<String> {
+        if chain_capacity == 0 || cfg.max_chain == 0 {
+            return Some(format!("{chain_capacity} chains of {} targets (both nonzero)", cfg.max_chain));
+        }
+        let h = cfg.hash_table.as_ref()?;
+        (!h.entries.is_power_of_two() || h.target_history_bits > 31).then(|| {
+            format!(
+                "hash table of {} entries, {} history bits (a power of two, at most 31 bits)",
+                h.entries, h.target_history_bits
+            )
+        })
+    }
+
     /// Build an indirect predictor; `chain_capacity` bounds how many
     /// distinct indirect branches can hold chains (vBTB pressure model).
     ///
     /// # Panics
-    /// Panics if `chain_capacity` is zero or the hash-table size is not a
-    /// power of two.
+    /// Panics if [`IndirectPredictor::defect`] rejects the geometry.
     pub fn new(cfg: IndirectConfig, chain_capacity: usize) -> IndirectPredictor {
-        assert!(chain_capacity > 0, "need chain storage");
-        let table = match &cfg.hash_table {
-            Some(h) => {
-                assert!(h.entries.is_power_of_two(), "hash entries must be a power of two");
-                vec![None; h.entries]
-            }
-            None => Vec::new(),
-        };
+        let defect = IndirectPredictor::defect(&cfg, chain_capacity);
+        assert!(defect.is_none(), "indirect predictor: {defect:?}");
+        let table = cfg.hash_table.as_ref().map_or_else(Vec::new, |h| vec![None; h.entries]);
         IndirectPredictor {
             cfg,
             chains: Vec::new(),

@@ -23,14 +23,10 @@
 //! use exynos_branch::config::FrontendConfig;
 //! use exynos_branch::frontend::FrontEnd;
 //! use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
-//! use exynos_trace::TraceGen;
 //!
 //! let mut fe = FrontEnd::new(FrontendConfig::m5());
 //! let mut gen = LoopNest::new(&LoopNestParams::default(), 0, 1);
-//! for _ in 0..10_000 {
-//!     let inst = gen.next_inst();
-//!     let _feedback = fe.on_inst(&inst).expect("predictor state uncorrupted");
-//! }
+//! fe.run(&mut gen, 10_000).expect("predictor state uncorrupted");
 //! assert!(fe.stats().mpki() < 5.0);
 //! ```
 

@@ -52,12 +52,18 @@ pub struct Mrb {
 }
 
 impl Mrb {
+    /// Why [`Mrb::new`] would reject `capacity`, if it would.
+    pub fn defect(capacity: usize) -> Option<String> {
+        (capacity == 0).then(|| "a zero-entry MRB holds no sequence".into())
+    }
+
     /// An MRB holding `capacity` sequences.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if [`Mrb::defect`] rejects `capacity`.
     pub fn new(capacity: usize) -> Mrb {
-        assert!(capacity > 0, "MRB capacity must be positive");
+        let defect = Mrb::defect(capacity);
+        assert!(defect.is_none(), "MRB: {defect:?}");
         Mrb {
             entries: Vec::with_capacity(capacity),
             capacity,

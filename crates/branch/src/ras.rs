@@ -36,12 +36,18 @@ exynos_telemetry::counters! {
 }
 
 impl Ras {
+    /// Why [`Ras::new`] would reject `capacity`, if it would.
+    pub fn defect(capacity: usize) -> Option<String> {
+        (capacity == 0).then(|| "a zero-entry RAS holds no return".into())
+    }
+
     /// A RAS with `capacity` entries, storing targets under `key`.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if [`Ras::defect`] rejects `capacity`.
     pub fn new(capacity: usize, key: ContextHash) -> Ras {
-        assert!(capacity > 0, "RAS capacity must be positive");
+        let defect = Ras::defect(capacity);
+        assert!(defect.is_none(), "RAS: {defect:?}");
         Ras {
             slots: vec![None; capacity],
             top: 0,

@@ -127,15 +127,25 @@ pub struct Shp {
 }
 
 impl Shp {
+    /// Why [`Shp::new`] would reject `cfg`, if it would. The rows bound
+    /// also keeps the history folds ([`ShpHistory`]) at 3..=16 bits.
+    pub fn defect(cfg: &ShpConfig) -> Option<String> {
+        if !cfg.rows.is_power_of_two() || !(8..=1 << 16).contains(&cfg.rows) {
+            Some(format!("{} rows (a power of two in 8..=65536)", cfg.rows))
+        } else if !(1..=MAX_TABLES).contains(&cfg.tables) {
+            Some(format!("{} tables (1..={MAX_TABLES})", cfg.tables))
+        } else {
+            None
+        }
+    }
+
     /// Build an SHP from `cfg`.
     ///
     /// # Panics
-    /// Panics if `rows` is not a power of two in `8..=65536` or `tables`
-    /// is not in `1..=16`.
+    /// Panics if [`Shp::defect`] rejects `cfg`.
     pub fn new(cfg: ShpConfig) -> Shp {
-        assert!(cfg.rows.is_power_of_two(), "rows must be a power of two");
-        assert!((8..=1 << 16).contains(&cfg.rows), "8..=65536 rows supported");
-        assert!(cfg.tables >= 1 && cfg.tables <= MAX_TABLES, "1..=16 tables supported");
+        let defect = Shp::defect(&cfg);
+        assert!(defect.is_none(), "SHP geometry: {defect:?}");
         let intervals = cfg.intervals();
         let plens = intervals
             .iter()

@@ -81,63 +81,46 @@ pub fn storage_budget(cfg: &FrontendConfig) -> StorageBudget {
 mod tests {
     use super::*;
 
-    /// Paper Table II values (KB).
-    const PAPER: [(&str, f64, f64, f64); 5] = [
-        ("M1", 8.0, 32.5, 58.4),
-        ("M3", 16.0, 49.0, 110.8),
-        ("M4", 16.0, 50.5, 221.5),
-        ("M5", 32.0, 53.3, 225.5),
-        ("M6", 32.0, 78.5, 451.0),
+    /// Paper Table II values (KB), by generation index (0 = M1); M2
+    /// shares M1's predictor and is not a row of its own.
+    const PAPER: [(usize, f64, f64, f64); 5] = [
+        (0, 8.0, 32.5, 58.4),
+        (2, 16.0, 49.0, 110.8),
+        (3, 16.0, 50.5, 221.5),
+        (4, 32.0, 53.3, 225.5),
+        (5, 32.0, 78.5, 451.0),
     ];
 
-    fn cfg_by_name(name: &str) -> FrontendConfig {
-        FrontendConfig::all_generations()
-            .into_iter()
-            .find(|c| c.name == name)
-            .unwrap()
+    fn budget(gen: usize) -> StorageBudget {
+        storage_budget(&FrontendConfig::all_generations()[gen])
     }
 
     #[test]
     fn shp_storage_matches_paper_exactly() {
-        for (name, shp, _, _) in PAPER {
-            let b = storage_budget(&cfg_by_name(name));
-            assert!(
-                (b.shp_kb - shp).abs() < 1e-9,
-                "{name}: shp {} vs paper {shp}",
-                b.shp_kb
-            );
+        for (g, shp, _, _) in PAPER {
+            let b = budget(g);
+            assert!((b.shp_kb - shp).abs() < 1e-9, "M{}: shp {} vs paper {shp}", g + 1, b.shp_kb);
         }
     }
 
     #[test]
     fn l1_and_l2_storage_within_20_percent_of_paper() {
-        for (name, _, l1, l2) in PAPER {
-            let b = storage_budget(&cfg_by_name(name));
+        for (g, _, l1, l2) in PAPER {
+            let b = budget(g);
             let l1_err = (b.l1btb_kb - l1).abs() / l1;
             let l2_err = (b.l2btb_kb - l2).abs() / l2;
-            assert!(l1_err < 0.20, "{name}: L1 {:.1} vs paper {l1} ({l1_err:.2})", b.l1btb_kb);
-            assert!(l2_err < 0.20, "{name}: L2 {:.1} vs paper {l2} ({l2_err:.2})", b.l2btb_kb);
+            assert!(l1_err < 0.20, "M{}: L1 {:.1} vs paper {l1} ({l1_err:.2})", g + 1, b.l1btb_kb);
+            assert!(l2_err < 0.20, "M{}: L2 {:.1} vs paper {l2} ({l2_err:.2})", g + 1, b.l2btb_kb);
         }
     }
 
-    /// EXPERIMENTS.md's Table II "total" column (KB), which
+    /// EXPERIMENTS.md's Table II "total" column (KB), M1..M6, which
     /// `harness table2` prints to one decimal.
     #[test]
     fn totals_match_experiments_table() {
-        for (name, total) in [
-            ("M1", 97.7),
-            ("M2", 97.7),
-            ("M3", 175.4),
-            ("M4", 287.4),
-            ("M5", 311.3),
-            ("M6", 568.8),
-        ] {
-            let b = storage_budget(&cfg_by_name(name));
-            assert!(
-                (b.total_kb() - total).abs() <= 0.05,
-                "{name}: total {:.3} vs table {total}",
-                b.total_kb()
-            );
+        for (g, total) in [97.7, 97.7, 175.4, 287.4, 311.3, 568.8].into_iter().enumerate() {
+            let b = budget(g);
+            assert!((b.total_kb() - total).abs() <= 0.05, "M{}: total {:.3} vs table {total}", g + 1, b.total_kb());
         }
     }
 

@@ -136,14 +136,23 @@ pub struct MicroBtb {
 }
 
 impl MicroBtb {
+    /// Why [`MicroBtb::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &UbtbConfig) -> Option<String> {
+        (cfg.general_nodes == 0 || !cfg.lhp_rows.is_power_of_two()).then(|| {
+            format!(
+                "{} general nodes, {} LHP rows (nonzero nodes, a power-of-two row count)",
+                cfg.general_nodes, cfg.lhp_rows
+            )
+        })
+    }
+
     /// Build a µBTB from `cfg`.
     ///
     /// # Panics
-    /// Panics if `general_nodes` is zero or `lhp_rows` is not a power of
-    /// two.
+    /// Panics if [`MicroBtb::defect`] rejects `cfg`.
     pub fn new(cfg: UbtbConfig) -> MicroBtb {
-        assert!(cfg.general_nodes > 0, "need general nodes");
-        assert!(cfg.lhp_rows.is_power_of_two(), "lhp_rows must be a power of two");
+        let defect = MicroBtb::defect(&cfg);
+        assert!(defect.is_none(), "µBTB geometry: {defect:?}");
         MicroBtb {
             lhp: vec![0; cfg.lhp_rows],
             nodes: Vec::with_capacity(cfg.total_nodes()),

@@ -3,23 +3,17 @@
 
 use exynos_branch::config::FrontendConfig;
 use exynos_branch::frontend::{FrontEnd, Redirect};
+use exynos_branch::PredictorError;
 use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
 use exynos_trace::gen::markov::{MarkovBranches, MarkovParams};
 use exynos_trace::gen::web::{WebParams, WebWorkload};
 use exynos_trace::{BoxedGen, TraceGen};
 
-fn run(fe: &mut FrontEnd, gen: &mut dyn TraceGen, n: usize) {
-    for _ in 0..n {
-        let inst = gen.next_inst();
-        let _ = fe.on_inst(&inst);
-    }
-}
-
-fn mpki_on(cfg: FrontendConfig, mut gen: BoxedGen, warmup: usize, detail: usize) -> f64 {
+fn mpki_on(cfg: FrontendConfig, mut gen: BoxedGen, warmup: u64, detail: u64) -> f64 {
     let mut fe = FrontEnd::new(cfg);
-    run(&mut fe, &mut *gen, warmup);
-    let before = fe.stats().clone();
-    run(&mut fe, &mut *gen, detail);
+    fe.run(&mut *gen, warmup).unwrap();
+    let before = *fe.stats();
+    fe.run(&mut *gen, detail).unwrap();
     let after = fe.stats();
     let miss = after.total_mispredicts() - before.total_mispredicts();
     miss as f64 * 1000.0 / (after.instructions - before.instructions) as f64
@@ -52,11 +46,10 @@ fn markov_gen(depth: u32, seed: u64) -> BoxedGen {
 
 #[test]
 fn loop_kernel_is_near_perfect_on_every_generation() {
-    for cfg in FrontendConfig::all_generations() {
-        let name = cfg.name;
+    for (g, cfg) in FrontendConfig::all_generations().into_iter().enumerate() {
         let gen: BoxedGen = Box::new(LoopNest::new(&LoopNestParams::default(), 42, 7));
         let mpki = mpki_on(cfg, gen, 5_000, 30_000);
-        assert!(mpki < 2.0, "{name}: loop kernel MPKI {mpki}");
+        assert!(mpki < 2.0, "M{}: loop kernel MPKI {mpki}", g + 1);
     }
 }
 
@@ -89,8 +82,8 @@ fn generational_mpki_is_monotone_down_on_mixed_suite() {
     // modulo small noise.
     let gens = FrontendConfig::all_generations();
     let mut avgs = Vec::new();
-    for cfg in gens {
-        let name = cfg.name;
+    for (g, cfg) in gens.into_iter().enumerate() {
+        let name = format!("M{}", g + 1);
         let mut total = 0.0;
         total += mpki_on(cfg.clone(), web_gen(11), 20_000, 80_000);
         total += mpki_on(cfg.clone(), markov_gen(32, 13), 20_000, 80_000);
@@ -124,7 +117,7 @@ fn trace_gap_reports_redirect() {
     let mut fe = FrontEnd::new(FrontendConfig::m3());
     let mut gen = LoopNest::new(&LoopNestParams::default(), 42, 7);
     let first = gen.next_inst();
-    let _ = fe.on_inst(&first);
+    fe.on_inst(&first).unwrap();
     // Jump to a wildly different PC without a branch.
     let mut far = gen.next_inst();
     far.pc += 0x100_0000;
@@ -151,13 +144,13 @@ fn zat_zot_produces_zero_bubble_redirects_on_m5() {
         ))
     };
     let mut m5 = FrontEnd::new(FrontendConfig::m5());
-    run(&mut m5, &mut *mk(), 60_000);
+    m5.run(&mut *mk(), 60_000).unwrap();
     assert!(
         m5.stats().zat_zot_zero_bubble > 0 || m5.stats().ubtb_zero_bubble > 0,
         "M5 must serve zero-bubble taken redirects"
     );
     let mut m4 = FrontEnd::new(FrontendConfig::m4());
-    run(&mut m4, &mut *mk(), 60_000);
+    m4.run(&mut *mk(), 60_000).unwrap();
     assert_eq!(m4.stats().zat_zot_zero_bubble, 0);
 }
 
@@ -168,7 +161,7 @@ fn m5_taken_bubbles_not_worse_than_m3() {
     let bubbles_per_taken = |cfg: FrontendConfig| -> f64 {
         let mut fe = FrontEnd::new(cfg);
         let mut g = web_gen(17);
-        run(&mut fe, &mut *g, 150_000);
+        fe.run(&mut *g, 150_000).unwrap();
         fe.stats().bubbles as f64 / fe.stats().taken_branches as f64
     };
     let m3 = bubbles_per_taken(FrontendConfig::m3());
@@ -180,7 +173,7 @@ fn m5_taken_bubbles_not_worse_than_m3() {
 fn branch_pair_stats_have_all_three_classes() {
     let mut fe = FrontEnd::new(FrontendConfig::m1());
     let mut g = web_gen(23);
-    run(&mut fe, &mut *g, 100_000);
+    fe.run(&mut *g, 100_000).unwrap();
     let s = fe.stats();
     assert!(s.pair_lead_taken > 0);
     assert!(s.pair_second_taken > 0);
@@ -195,7 +188,7 @@ fn mrb_covers_refills_on_m5() {
     // MRB should cover some post-mispredict redirects.
     let mut fe = FrontEnd::new(FrontendConfig::m5());
     let mut g = markov_gen(8, 29);
-    run(&mut fe, &mut *g, 200_000);
+    fe.run(&mut *g, 200_000).unwrap();
     assert!(
         fe.stats().mrb_covered > 0,
         "MRB must cover some post-mispredict refills: {:?}",
@@ -220,10 +213,10 @@ fn empty_line_optimization_only_on_m5_plus() {
         ))
     };
     let mut m5 = FrontEnd::new(FrontendConfig::m5());
-    run(&mut m5, &mut *mk(), 50_000);
+    m5.run(&mut *mk(), 50_000).unwrap();
     assert!(m5.stats().elo_skipped_lookups > 0, "ELO must kick in on M5");
     let mut m4 = FrontEnd::new(FrontendConfig::m4());
-    run(&mut m4, &mut *mk(), 50_000);
+    m4.run(&mut *mk(), 50_000).unwrap();
     assert_eq!(m4.stats().elo_skipped_lookups, 0);
 }
 
@@ -244,7 +237,7 @@ fn shp_gated_under_ubtb_lock() {
         45,
         5,
     );
-    run(&mut fe, &mut g, 100_000);
+    fe.run(&mut g, 100_000).unwrap();
     let s = fe.stats();
     assert!(
         s.shp_lookups < s.cond_branches / 2,
@@ -252,4 +245,16 @@ fn shp_gated_under_ubtb_lock() {
         s.shp_lookups,
         s.cond_branches
     );
+}
+
+#[test]
+fn run_returns_the_first_predictor_error() {
+    let mut fe = FrontEnd::new(FrontendConfig::m1());
+    let mut g = markov_gen(8, 31);
+    fe.run(&mut *g, 20_000).unwrap();
+    assert!(fe.corrupt_btb_tag(3), "a trained mBTB holds entries");
+    let err = fe.run(&mut *g, 100_000).unwrap_err();
+    assert!(matches!(err, PredictorError::BtbTagMismatch { .. }), "{err}");
+    // The run stops at the failing record instead of stepping past it.
+    assert!(fe.stats().instructions < 120_000, "{}", fe.stats().instructions);
 }

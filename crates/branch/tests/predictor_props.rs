@@ -125,10 +125,7 @@ proptest! {
             30,
             seed,
         );
-        for _ in 0..5_000 {
-            let inst = gen.next_inst();
-            let _ = fe.on_inst(&inst);
-        }
+        prop_assert!(fe.run(&mut gen, 5_000).is_ok());
         let s = fe.stats();
         prop_assert!(s.branches <= s.instructions);
         prop_assert!(s.cond_branches <= s.branches);
@@ -232,12 +229,11 @@ fn check_folds(shp: &Shp, h: &ShpHistory) -> Result<(), TestCaseError> {
 /// folds and steps on bit-identically.
 #[test]
 fn restored_frontend_carries_the_live_folds() {
-    for cfg in FrontendConfig::all_generations() {
+    for (g, cfg) in FrontendConfig::all_generations().into_iter().enumerate() {
+        let name = format!("M{}", g + 1);
         let mut gen = WebWorkload::new(&WebParams::default(), 30, 11);
         let mut live = FrontEnd::new(cfg.clone());
-        for _ in 0..20_000 {
-            live.on_inst(&gen.next_inst()).unwrap();
-        }
+        live.run(&mut gen, 20_000).unwrap();
         let mut enc = Encoder::new();
         live.save(&mut enc);
         let image = enc.finish();
@@ -245,19 +241,19 @@ fn restored_frontend_carries_the_live_folds() {
         let mut dec = Decoder::new(&image);
         restored.restore(&mut dec).unwrap();
         dec.finish().unwrap();
-        assert_eq!(restored.shp_history(), live.shp_history(), "gen {}", cfg.name);
+        assert_eq!(restored.shp_history(), live.shp_history(), "gen {name}");
         let shp = Shp::new(cfg.shp.clone());
         check_folds(&shp, restored.shp_history()).unwrap();
         for i in 0..20_000 {
             let inst = gen.next_inst();
             let a = live.on_inst(&inst).unwrap();
             let b = restored.on_inst(&inst).unwrap();
-            assert_eq!(a, b, "gen {} diverged at instruction {i}", cfg.name);
+            assert_eq!(a, b, "gen {name} diverged at instruction {i}");
         }
-        assert_eq!(restored.shp_history(), live.shp_history(), "gen {}", cfg.name);
+        assert_eq!(restored.shp_history(), live.shp_history(), "gen {name}");
         let (mut ea, mut eb) = (Encoder::new(), Encoder::new());
         live.save(&mut ea);
         restored.save(&mut eb);
-        assert!(ea.finish() == eb.finish(), "gen {}: states differ after stepping", cfg.name);
+        assert!(ea.finish() == eb.finish(), "gen {name}: states differ after stepping");
     }
 }

@@ -17,7 +17,7 @@
 use crate::error::SimError;
 use crate::sim::{Simulator, SliceMeasure, SliceResult};
 use exynos_trace::suite::SliceSpec;
-use exynos_trace::{Fingerprint, Inst, SlicePlan, TraceError, TraceGen};
+use exynos_trace::{BoxedGen, Fingerprint, Inst, SlicePlan, TraceError, TraceGen};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -251,8 +251,9 @@ impl ChunkCache {
     }
 }
 
-/// A record-level cursor over one fingerprinted stream, backed by a
-/// shared [`ChunkCache`].
+/// A record-level cursor over one catalog slice's stream, backed by a
+/// shared [`ChunkCache`] and keyed by the slice's
+/// [`SliceSpec::stream_fingerprint`].
 ///
 /// The stream holds the decoded chunk under its cursor and hands out
 /// sub-slices of it, so consumers with arbitrary (non-chunk-aligned)
@@ -268,8 +269,9 @@ impl ChunkCache {
 pub struct CachedStream {
     cache: Arc<ChunkCache>,
     stream: Fingerprint,
-    build: Box<dyn Fn() -> Result<Box<dyn TraceGen + Send>, TraceError> + Send + Sync>,
-    gen: Option<Box<dyn TraceGen + Send>>,
+    /// The slice the generator is (re)built from.
+    slice: SliceSpec,
+    gen: Option<BoxedGen>,
     /// Absolute record position of `gen` (records already drawn from it).
     gen_pos: u64,
     /// Absolute record position of the consumer cursor.
@@ -289,33 +291,20 @@ impl std::fmt::Debug for CachedStream {
 }
 
 impl CachedStream {
-    /// A stream over `build()`'s output, identified by `stream`.
-    ///
-    /// The caller asserts that `build` is pure and that `stream` is a
-    /// faithful content digest (two streams with equal fingerprints must
-    /// emit byte-identical records) — [`SliceSpec::stream_fingerprint`]
-    /// and the [`exynos_trace::TraceSource`] contract provide exactly
-    /// that.
-    pub fn new<F>(cache: Arc<ChunkCache>, stream: Fingerprint, build: F) -> CachedStream
-    where
-        F: Fn() -> Result<Box<dyn TraceGen + Send>, TraceError> + Send + Sync + 'static,
-    {
+    /// A stream over `slice`'s records. Its cache identity is the
+    /// slice's stream fingerprint, which the [`exynos_trace::TraceSource`]
+    /// contract makes a faithful content digest: equal fingerprints mean
+    /// byte-identical records.
+    pub fn for_slice(cache: Arc<ChunkCache>, slice: &SliceSpec) -> CachedStream {
         CachedStream {
             cache,
-            stream,
-            build: Box::new(build),
+            stream: slice.stream_fingerprint(),
+            slice: slice.clone(),
             gen: None,
             gen_pos: 0,
             pos: 0,
             current: None,
         }
-    }
-
-    /// A stream over a catalog slice (the common case).
-    pub fn for_slice(cache: Arc<ChunkCache>, slice: &SliceSpec) -> CachedStream {
-        let fp = slice.stream_fingerprint();
-        let spec = slice.clone();
-        CachedStream::new(cache, fp, move || spec.build())
     }
 
     /// Advance the cursor by `n` records without producing them. Free on
@@ -336,7 +325,7 @@ impl CachedStream {
         // The generator can only move forward; a cursor that regressed
         // (or a fresh stream) rebuilds it from the pure source.
         if self.gen.is_none() || self.gen_pos > start {
-            self.gen = Some((self.build)()?);
+            self.gen = Some(self.slice.build()?);
             self.gen_pos = 0;
         }
         // `materialize` is only called with `gen` freshly assigned above
@@ -430,6 +419,7 @@ pub fn lockstep(
 mod tests {
     use super::*;
     use exynos_trace::gen::loops::{LoopNest, LoopNestParams};
+    use exynos_trace::{SuiteKind, WorkloadSpec};
 
     #[test]
     fn refill_matches_direct_generation() {
@@ -448,13 +438,17 @@ mod tests {
         assert_eq!(block[0].pc, b.next_inst().pc);
     }
 
+    /// A stream over the default loop nest in region 0 with `seed`.
     fn loop_stream(cache: &Arc<ChunkCache>, seed: u64) -> CachedStream {
-        let params = LoopNestParams::default();
-        CachedStream::new(
-            Arc::clone(cache),
-            Fingerprint(0x1234 + seed as u128),
-            move || Ok(Box::new(LoopNest::new(&params, 0, seed))),
-        )
+        let slice = SliceSpec {
+            name: format!("loop#{seed}"),
+            suite: SuiteKind::SpecFpLike,
+            spec: WorkloadSpec::LoopNest(LoopNestParams::default()),
+            seed,
+            region: 0,
+            plan: SlicePlan::default(),
+        };
+        CachedStream::for_slice(Arc::clone(cache), &slice)
     }
 
     /// Drain `n` records through arbitrary block sizes and collect PCs.

@@ -159,18 +159,40 @@ mod tests {
 
     /// Every degenerate value `CoreConfig::validate` checks, each on its
     /// own M6 config: the builder and `resume_with_config` both return a
-    /// typed error naming the field instead of panicking in a cache, TLB
-    /// or miss-buffer constructor (or wrapping the decode depth).
+    /// typed error naming the field instead of panicking in a front-end,
+    /// UOC, cache, TLB or miss-buffer constructor (or wrapping the decode
+    /// depth).
     #[test]
     fn degenerate_configs_are_errors_on_both_paths() {
         let image = SimBuilder::generation(Generation::M6).build().unwrap().checkpoint();
         let mut cases: Vec<(&str, CoreConfig)> = Vec::new();
-        let core: [(&str, fn(&mut CoreConfig)); 5] = [
+        fn hash(c: &mut CoreConfig) -> &mut exynos_branch::indirect::IndirectHashConfig {
+            c.frontend.indirect.hash_table.as_mut().expect("M6 has the hash table")
+        }
+        let core: [(&str, fn(&mut CoreConfig)); 23] = [
             ("decode", |c| c.width = 0),
             ("rob", |c| c.rob = 0),
             ("pipeline", |c| c.lat.mispredict = 5),
             ("pipeline", |c| c.lat.mispredict = 0),
             ("mem.miss_buffers", |c| c.mem.miss_buffers = 0),
+            ("uoc", |c| c.uoc.as_mut().expect("M6 has a UOC").capacity_uops = 0),
+            ("frontend.shp", |c| c.frontend.shp.rows = 1000),
+            ("frontend.shp", |c| c.frontend.shp.rows = 4),
+            ("frontend.shp", |c| c.frontend.shp.tables = 0),
+            ("frontend.shp", |c| c.frontend.shp.tables = 17),
+            ("frontend.ubtb", |c| c.frontend.ubtb.general_nodes = 0),
+            ("frontend.ubtb", |c| c.frontend.ubtb.lhp_rows = 100),
+            ("frontend.btb", |c| c.frontend.btb.mbtb_lines = 0),
+            ("frontend.btb", |c| c.frontend.btb.mbtb_ways = 0),
+            ("frontend.btb", |c| c.frontend.btb.vbtb_entries = 0),
+            ("frontend.btb", |c| c.frontend.btb.l2btb_entries = 0),
+            ("frontend.btb", |c| c.frontend.btb.l2btb_entries = 1 << 40),
+            ("frontend.indirect", |c| c.frontend.indirect_chains = 0),
+            ("frontend.indirect", |c| c.frontend.indirect.max_chain = 0),
+            ("frontend.indirect", |c| hash(c).entries = 1000),
+            ("frontend.indirect", |c| hash(c).target_history_bits = 32),
+            ("frontend.ras_entries", |c| c.frontend.ras_entries = 0),
+            ("frontend.mrb_entries", |c| c.frontend.mrb_entries = Some(0)),
         ];
         for (name, degrade) in core {
             let mut cfg = CoreConfig::m6();
@@ -194,7 +216,7 @@ mod tests {
                 cases.push((name, cfg));
             }
         }
-        assert_eq!(cases.len(), 37);
+        assert_eq!(cases.len(), 55);
         for (name, cfg) in cases {
             let named = |got: Result<Simulator, SimError>| match got {
                 Err(SimError::Config { param, .. }) => param,

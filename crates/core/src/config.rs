@@ -3,9 +3,9 @@
 use crate::error::SimError;
 use exynos_branch::FrontendConfig;
 use exynos_dram::DramConfig;
-use exynos_mem::{CacheConfig, MemGenConfig, TlbConfig};
+use exynos_mem::{Cache, MemGenConfig, MissBuffers, Tlb};
 use exynos_prefetch::{L1PrefetcherConfig, StandaloneConfig};
-use exynos_uoc::UocConfig;
+use exynos_uoc::{Uoc, UocConfig};
 
 /// The six Exynos M-series generations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -273,11 +273,12 @@ impl CoreConfig {
     /// Whether a simulator can be built from this configuration: an
     /// impossible pipeline (zero-wide decode, empty ROB, a mispredict
     /// latency at or below the 5-cycle back end the decode depth is
-    /// derived from) is a [`SimError::ResourceInvariant`], and degenerate
-    /// memory geometry the cache, TLB and miss-buffer constructors would
-    /// panic on is a [`SimError::Config`] naming the structure. Every
-    /// construction path (`SimBuilder::build`, `Simulator::resume` and
-    /// `resume_with_config`) runs it first.
+    /// derived from) is a [`SimError::ResourceInvariant`], and geometry a
+    /// front-end, UOC, cache, TLB or miss-buffer constructor would panic
+    /// on is a [`SimError::Config`] naming the field. Each geometry rule
+    /// lives beside its constructor (`Shp::defect`, `Cache::defect`, ...).
+    /// Every construction path (`SimBuilder::build`, `Simulator::resume`
+    /// and `resume_with_config`) runs it first.
     pub fn validate(&self) -> Result<(), SimError> {
         let invariant = |resource, detail: String| Err(SimError::ResourceInvariant { resource, detail });
         if self.width == 0 {
@@ -290,54 +291,25 @@ impl CoreConfig {
             return invariant("pipeline", format!("mispredict latency {} too short", self.lat.mispredict));
         }
         let mem = &self.mem;
-        let caches = [
-            ("mem.l1i", Some(&mem.l1i)),
-            ("mem.l1d", Some(&mem.l1d)),
-            ("mem.l2", Some(&mem.l2)),
-            ("mem.l3", mem.l3.as_ref()),
-        ];
-        for (param, cache) in caches {
-            if let Some(detail) = cache.and_then(cache_defect) {
-                return Err(SimError::Config { param, detail });
-            }
-        }
         let tlb = &mem.tlb;
-        let tlbs = [
-            ("mem.tlb.itlb", Some(&tlb.itlb)),
-            ("mem.tlb.dtlb", Some(&tlb.dtlb)),
-            ("mem.tlb.dtlb15", tlb.dtlb15.as_ref()),
-            ("mem.tlb.l2tlb", Some(&tlb.l2tlb)),
+        let defects = [
+            ("mem.l1i", Cache::defect(&mem.l1i)),
+            ("mem.l1d", Cache::defect(&mem.l1d)),
+            ("mem.l2", Cache::defect(&mem.l2)),
+            ("mem.l3", mem.l3.as_ref().and_then(Cache::defect)),
+            ("mem.tlb.itlb", Tlb::defect(&tlb.itlb)),
+            ("mem.tlb.dtlb", Tlb::defect(&tlb.dtlb)),
+            ("mem.tlb.dtlb15", tlb.dtlb15.as_ref().and_then(Tlb::defect)),
+            ("mem.tlb.l2tlb", Tlb::defect(&tlb.l2tlb)),
+            ("mem.miss_buffers", MissBuffers::defect(mem.miss_buffers)),
+            ("uoc", self.uoc.as_ref().and_then(Uoc::defect)),
         ];
-        for (param, t) in tlbs {
-            if let Some(detail) = t.and_then(tlb_defect) {
-                return Err(SimError::Config { param, detail });
-            }
+        let defect = self.frontend.defect().or_else(|| defects.into_iter().find_map(|(p, d)| Some((p, d?))));
+        match defect {
+            Some((param, detail)) => Err(SimError::Config { param, detail }),
+            None => Ok(()),
         }
-        if mem.miss_buffers == 0 {
-            let detail = "no miss buffer: every L1 miss would wait forever".into();
-            return Err(SimError::Config { param: "mem.miss_buffers", detail });
-        }
-        Ok(())
     }
-}
-
-/// Why `Cache::new` would reject `c`, if it would.
-fn cache_defect(c: &CacheConfig) -> Option<String> {
-    if c.size_bytes == 0 || c.ways == 0 {
-        Some(format!("{} bytes in {} ways holds no line", c.size_bytes, c.ways))
-    } else if !matches!(c.sectors_per_tag, 1 | 2) {
-        Some(format!("{} sectors per tag (1 or 2 supported)", c.sectors_per_tag))
-    } else {
-        None
-    }
-}
-
-/// Why `Tlb::new` would reject `t`, or its 64-bit sector mask could not
-/// hold its sectors, if either.
-fn tlb_defect(t: &TlbConfig) -> Option<String> {
-    (t.entries == 0 || t.ways == 0 || !(1..=64).contains(&t.sectors)).then(|| {
-        format!("{} entries, {} ways, {} sectors (nonzero, at most 64 sectors)", t.entries, t.ways, t.sectors)
-    })
 }
 
 #[cfg(test)]

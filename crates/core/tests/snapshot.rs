@@ -10,7 +10,7 @@ use exynos_core::config::CoreConfig;
 use exynos_core::error::SimError;
 use exynos_core::fault::FaultPlan;
 use exynos_core::sim::Simulator;
-use exynos_snapshot::{Encoder, Snapshot, SnapshotError, FORMAT_VERSION};
+use exynos_snapshot::{fnv1a64, Encoder, Snapshot, SnapshotError, FORMAT_VERSION};
 use exynos_trace::{standard_suite, SlicePlan, TraceGen};
 
 /// Consume `n` instructions from `g` without simulating them (generator
@@ -231,16 +231,6 @@ fn restored_fault_plan_that_validate_rejects_is_rejected() {
     assert_resume_rejects(&image, SnapshotError::Corrupt { what: "fault plan stall knobs" });
 }
 
-/// FNV-1a, 64-bit: a dependency-free digest for pinning image bytes.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Pins the on-disk checkpoint format byte for byte. Every other image
 /// comparison in the suite is between two images from the same build,
 /// so a field reordered consistently on both the save and the restore
@@ -271,7 +261,7 @@ fn checkpoint_image_bytes_are_pinned() {
             }
             let mut g = slice.build().unwrap();
             sim.run_warmup(&mut *g, 3_000).unwrap();
-            pair[k] = fnv1a64(&sim.checkpoint());
+            pair[k] = fnv1a64(&[&sim.checkpoint()]);
         }
         got.push((pair[0], pair[1]));
     }

@@ -289,17 +289,24 @@ pub struct Cache {
 }
 
 impl Cache {
+    /// Why [`Cache::new`] would reject `c`, if it would.
+    pub fn defect(c: &CacheConfig) -> Option<String> {
+        if c.size_bytes == 0 || c.ways == 0 {
+            Some(format!("{} bytes in {} ways holds no line", c.size_bytes, c.ways))
+        } else if !matches!(c.sectors_per_tag, 1 | 2) {
+            Some(format!("{} sectors per tag (1 or 2 supported)", c.sectors_per_tag))
+        } else {
+            None
+        }
+    }
+
     /// Build a cache from `cfg`.
     ///
     /// # Panics
-    /// Panics if geometry is degenerate (zero ways/size, or more than two
-    /// sectors per tag).
+    /// Panics if [`Cache::defect`] rejects `cfg`.
     pub fn new(cfg: CacheConfig) -> Cache {
-        assert!(cfg.size_bytes > 0 && cfg.ways > 0);
-        assert!(
-            cfg.sectors_per_tag == 1 || cfg.sectors_per_tag == 2,
-            "1 or 2 sectors per tag supported"
-        );
+        let defect = Cache::defect(&cfg);
+        assert!(defect.is_none(), "cache geometry: {defect:?}");
         let sets = cfg.sets();
         Cache {
             granule_shift: LINE_SHIFT + cfg.sectors_per_tag.trailing_zeros(),

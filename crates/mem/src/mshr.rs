@@ -25,12 +25,18 @@ pub struct MissBuffers {
 }
 
 impl MissBuffers {
+    /// Why [`MissBuffers::new`] would reject `n`, if it would.
+    pub fn defect(n: usize) -> Option<String> {
+        (n == 0).then(|| "no miss buffer: every L1 miss would wait forever".into())
+    }
+
     /// A bank with `n` slots.
     ///
     /// # Panics
-    /// Panics if `n` is zero.
+    /// Panics if [`MissBuffers::defect`] rejects `n`.
     pub fn new(n: usize) -> MissBuffers {
-        assert!(n > 0, "need at least one miss buffer");
+        let defect = MissBuffers::defect(n);
+        assert!(defect.is_none(), "miss buffers: {defect:?}");
         MissBuffers {
             slots: vec![0; n],
             peak: 0,

@@ -51,12 +51,21 @@ pub struct Tlb {
 }
 
 impl Tlb {
+    /// Why [`Tlb::new`] would reject `t`, if it would: no entry, or a
+    /// sector count its 64-bit sector mask cannot hold.
+    pub fn defect(t: &TlbConfig) -> Option<String> {
+        (t.entries == 0 || t.ways == 0 || !(1..=64).contains(&t.sectors)).then(|| {
+            format!("{} entries, {} ways, {} sectors (nonzero, at most 64 sectors)", t.entries, t.ways, t.sectors)
+        })
+    }
+
     /// Build a TLB from `cfg`.
     ///
     /// # Panics
-    /// Panics if entries or ways are zero.
+    /// Panics if [`Tlb::defect`] rejects `cfg`.
     pub fn new(cfg: TlbConfig) -> Tlb {
-        assert!(cfg.entries > 0 && cfg.ways > 0 && cfg.sectors > 0);
+        let defect = Tlb::defect(&cfg);
+        assert!(defect.is_none(), "TLB geometry: {defect:?}");
         let sets = (cfg.entries / cfg.ways).max(1);
         Tlb {
             sets,

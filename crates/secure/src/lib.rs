@@ -3,9 +3,11 @@
 //! Implements the paper's Spectre-v2 mitigation: a hardware-computed,
 //! software-invisible per-context key ([`context::ContextHash`], Fig. 10)
 //! used as a fast stream cipher over indirect-branch and return targets
-//! stored in shared predictor structures ([`cipher`], Fig. 11), plus an
-//! attack harness ([`attack`]) that demonstrates cross-training and replay
-//! protection.
+//! stored in shared predictor structures ([`cipher`], Fig. 11). The
+//! `exynos-branch` front end seals its BTB, indirect-chain and RAS targets
+//! with it; the cross-training and replay attacks that show what the
+//! sealing buys run against that front end (`exynos-bench`'s
+//! `attack_rate_sweep`, `harness fig10`).
 //!
 //! ## Example
 //!
@@ -22,7 +24,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod attack;
 pub mod cipher;
 pub mod context;
 

@@ -127,12 +127,18 @@ pub struct Uoc {
 }
 
 impl Uoc {
+    /// Why [`Uoc::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &UocConfig) -> Option<String> {
+        (cfg.capacity_uops == 0).then(|| "a zero-µop UOC holds no block".into())
+    }
+
     /// Build a UOC from `cfg`.
     ///
     /// # Panics
-    /// Panics if `capacity_uops` is zero.
+    /// Panics if [`Uoc::defect`] rejects `cfg`.
     pub fn new(cfg: UocConfig) -> Uoc {
-        assert!(cfg.capacity_uops > 0);
+        let defect = Uoc::defect(&cfg);
+        assert!(defect.is_none(), "UOC: {defect:?}");
         Uoc {
             mode: UocMode::Filter,
             blocks: Vec::new(),

@@ -25,6 +25,16 @@ cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 # level.
 cargo clippy --workspace -- -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic -W clippy::perf
 
+# Spectre-v2 example smoke: `cargo test` builds the examples but never
+# runs them. On the M4 front end with CONTEXT_HASH target encryption no
+# cross-training trial may hijack the victim.
+SPECTRE_OUT="$(cargo run --release -q --example spectre_mitigation)"
+if ! grep -q '^encryption ON : 0/128 hijacks$' <<< "$SPECTRE_OUT"; then
+  echo "tier1: encrypted cross-training hijacked the victim:" >&2
+  echo "$SPECTRE_OUT" >&2
+  exit 1
+fi
+
 # Telemetry smoke: the instrumented quick run must emit schema-valid
 # JSONL covering the whole machine (>= 12 metrics from >= 5 crates).
 cargo run --release -q -p exynos-bench --bin harness -- metrics --quick 2>/dev/null \

@@ -13,8 +13,8 @@
 //!   corpus under `asm/` joins the catalog as `program/*` slices);
 //! * [`branch`] — the SHP/µBTB/mBTB/vBTB/L2BTB/VPC/MRB prediction stack
 //!   (§IV) with per-generation configurations;
-//! * [`secure`] — CONTEXT_HASH target encryption and the Spectre-v2
-//!   attack harness (§V);
+//! * [`secure`] — CONTEXT_HASH keys and the target cipher the front end
+//!   seals its shared predictor targets with (§V);
 //! * [`uoc`] — the M5 micro-operation cache (§VI);
 //! * [`mem`] — caches (sectored L2 tags, reuse metadata), TLBs and miss
 //!   buffers (§III, §VIII);
