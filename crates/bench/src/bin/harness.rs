@@ -723,9 +723,9 @@ fn uoc() {
     println!("UOC stats: {:?}", sim.uoc_stats());
     println!(
         "µops supplied by UOC: {} of {} instructions ({:.1}%)",
-        sim.stats().uoc_supplied,
-        r.instructions,
-        100.0 * sim.stats().uoc_supplied as f64 / r.instructions as f64
+        r.sim.uoc_supplied,
+        r.sim.instructions,
+        100.0 * r.sim.uoc_supplied as f64 / r.sim.instructions as f64
     );
 }
 

@@ -1242,9 +1242,7 @@ pub fn security_policy_costs() -> Result<Vec<(&'static str, f64)>, PredictorErro
         }
         let before = *fe.stats();
         fe.run(&mut gen, 30_000)?;
-        let after = fe.stats();
-        Ok((after.total_mispredicts() - before.total_mispredicts()) as f64 * 1000.0
-            / (after.instructions - before.instructions) as f64)
+        Ok(fe.stats().delta(&before).mpki())
     };
     Ok(vec![
         ("no protection (vulnerable)", run(Policy::None)?),

@@ -5,9 +5,9 @@
 //! generator.
 //!
 //! Stats are compared through their `Debug` rendering of the full
-//! [`SliceResult`] — instructions, cycles, IPC/MPKI/latency floats and
-//! the embedded frontend/memory stat blocks — so any divergence in any
-//! counter fails, not just the three headline floats.
+//! [`SliceResult`] — the IPC/MPKI/latency floats and the detail
+//! window's simulation, front-end and memory counter blocks — so any
+//! divergence in any counter fails, not just the three headline floats.
 
 use exynos_bench::experiments::{self as exp, SliceRecord, Start};
 use exynos_core::batch::{lockstep, CachedStream, ChunkCache, CHUNK_LEN};

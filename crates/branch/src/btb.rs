@@ -306,6 +306,12 @@ impl BtbHierarchy {
         self.stats
     }
 
+    /// Flush every entry (pipeline-flush recovery) while keeping the
+    /// cumulative statistics.
+    pub fn clear(&mut self) {
+        *self = BtbHierarchy { stats: self.stats, ..BtbHierarchy::new(self.cfg.clone()) };
+    }
+
     #[inline]
     fn set_of_line(&self, line_addr: u64) -> usize {
         let h = line_addr as usize ^ (line_addr >> 11) as usize;

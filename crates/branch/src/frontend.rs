@@ -118,11 +118,7 @@ impl FrontendStats {
         if self.instructions == 0 {
             return 0.0;
         }
-        let miss = self.cond_mispredicts
-            + self.indirect_mispredicts
-            + self.return_mispredicts
-            + self.discoveries;
-        miss as f64 * 1000.0 / self.instructions as f64
+        self.total_mispredicts() as f64 * 1000.0 / self.instructions as f64
     }
 
     /// Total mispredict-class events.
@@ -269,14 +265,16 @@ impl FrontEnd {
     /// and the recovery action after a detected [`PredictorError`].
     pub fn flush_predictors(&mut self) {
         self.shp = Shp::new(self.cfg.shp.clone());
-        self.ubtb = MicroBtb::new(self.cfg.ubtb.clone());
-        self.btb = BtbHierarchy::new(self.cfg.btb.clone());
-        // The RAS is cleared in place so its cumulative overflow/underflow
+        // The other structures are cleared in place so their cumulative
         // stats survive the flush (they describe the run, not the state).
+        self.ubtb.clear();
+        self.btb.clear();
         self.ras.clear();
-        self.indirect = IndirectPredictor::new(self.cfg.indirect.clone(), self.cfg.indirect_chains);
+        self.indirect.clear();
         self.hist = self.shp.history();
-        self.mrb = self.cfg.mrb_entries.map(Mrb::new);
+        if let Some(mrb) = &mut self.mrb {
+            mrb.clear();
+        }
         self.last_taken_branch = None;
         self.pending_zero_bubble = None;
         self.expected_pc = None;

@@ -163,6 +163,13 @@ impl IndirectPredictor {
         self.stats
     }
 
+    /// Flush every entry (pipeline-flush recovery) while keeping the
+    /// cumulative statistics.
+    pub fn clear(&mut self) {
+        let fresh = IndirectPredictor::new(self.cfg.clone(), self.chain_capacity);
+        *self = IndirectPredictor { stats: self.stats, ..fresh };
+    }
+
     /// The virtual PC for chain position `i` of branch `pc` (Fig. 3).
     fn virtual_pc(pc: u64, i: usize) -> u64 {
         pc ^ ((i as u64 + 1).wrapping_mul(0x1F3_5151) << 2)

@@ -79,6 +79,12 @@ impl Mrb {
         self.stats
     }
 
+    /// Flush every entry (pipeline-flush recovery) while keeping the
+    /// cumulative statistics.
+    pub fn clear(&mut self) {
+        *self = Mrb { stats: self.stats, ..Mrb::new(self.capacity) };
+    }
+
     /// A low-confidence branch at `branch_pc` just mispredicted. Starts
     /// playback if a sequence is recorded, and begins (re)recording the
     /// correct-path sequence that follows. Returns the number of fetch

@@ -181,6 +181,12 @@ impl MicroBtb {
         self.stats
     }
 
+    /// Flush every entry (pipeline-flush recovery) while keeping the
+    /// cumulative statistics.
+    pub fn clear(&mut self) {
+        *self = MicroBtb { stats: self.stats, ..MicroBtb::new(self.cfg.clone()) };
+    }
+
     fn lhp_index(&self, pc: u64, hist: u16) -> usize {
         let h = (pc >> 2) as u32 ^ ((hist as u32) << 3).wrapping_mul(0x9E37_79B9);
         (h as usize ^ (h >> 13) as usize) & (self.cfg.lhp_rows - 1)

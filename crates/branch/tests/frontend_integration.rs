@@ -14,9 +14,7 @@ fn mpki_on(cfg: FrontendConfig, mut gen: BoxedGen, warmup: u64, detail: u64) -> 
     fe.run(&mut *gen, warmup).unwrap();
     let before = *fe.stats();
     fe.run(&mut *gen, detail).unwrap();
-    let after = fe.stats();
-    let miss = after.total_mispredicts() - before.total_mispredicts();
-    miss as f64 * 1000.0 / (after.instructions - before.instructions) as f64
+    fe.stats().delta(&before).mpki()
 }
 
 fn web_gen(seed: u64) -> BoxedGen {
@@ -51,6 +49,25 @@ fn loop_kernel_is_near_perfect_on_every_generation() {
         let mpki = mpki_on(cfg, gen, 5_000, 30_000);
         assert!(mpki < 2.0, "M{}: loop kernel MPKI {mpki}", g + 1);
     }
+}
+
+#[test]
+fn flush_keeps_every_components_stats() {
+    let mut fe = FrontEnd::new(FrontendConfig::m6());
+    // Web code trains the BTB, the indirect predictor and the MRB; a
+    // loop kernel then locks the µBTB.
+    fe.run(&mut *web_gen(3), 20_000).unwrap();
+    fe.run(&mut LoopNest::new(&LoopNestParams::default(), 42, 7), 9_000).unwrap();
+    let stats = |fe: &FrontEnd| {
+        let s = (fe.ubtb_stats(), fe.btb_stats(), fe.ras_stats(), fe.indirect_stats(), fe.mrb_stats());
+        (format!("{:?}", fe.stats()), s)
+    };
+    let before = stats(&fe);
+    let (_, (ubtb, btb, _, indirect, mrb)) = before;
+    assert!(ubtb.locked_predictions > 0 && btb.main_hits > 0, "{before:?}");
+    assert!(indirect.lookups > 0 && mrb.hits + mrb.misses > 0, "{before:?}");
+    fe.flush_predictors();
+    assert_eq!(stats(&fe), before, "a flush must not reset a component's run counters");
 }
 
 #[test]

@@ -160,8 +160,8 @@ mod tests {
     /// Every degenerate value `CoreConfig::validate` checks, each on its
     /// own M6 config: the builder and `resume_with_config` both return a
     /// typed error naming the field instead of panicking in a front-end,
-    /// UOC, cache, TLB or miss-buffer constructor (or wrapping the decode
-    /// depth).
+    /// UOC, cache, TLB, miss-buffer, prefetcher or DRAM constructor (or
+    /// wrapping the decode depth).
     #[test]
     fn degenerate_configs_are_errors_on_both_paths() {
         let image = SimBuilder::generation(Generation::M6).build().unwrap().checkpoint();
@@ -169,7 +169,7 @@ mod tests {
         fn hash(c: &mut CoreConfig) -> &mut exynos_branch::indirect::IndirectHashConfig {
             c.frontend.indirect.hash_table.as_mut().expect("M6 has the hash table")
         }
-        let core: [(&str, fn(&mut CoreConfig)); 23] = [
+        let core: [(&str, fn(&mut CoreConfig)); 28] = [
             ("decode", |c| c.width = 0),
             ("rob", |c| c.rob = 0),
             ("pipeline", |c| c.lat.mispredict = 5),
@@ -193,6 +193,11 @@ mod tests {
             ("frontend.indirect", |c| hash(c).target_history_bits = 32),
             ("frontend.ras_entries", |c| c.frontend.ras_entries = 0),
             ("frontend.mrb_entries", |c| c.frontend.mrb_entries = Some(0)),
+            ("l1_prefetch.reorder_capacity", |c| c.l1_prefetch.reorder_capacity = 0),
+            ("l1_prefetch.stride", |c| c.l1_prefetch.stride.delta_window = 1),
+            ("l1_prefetch.sms", |c| c.l1_prefetch.sms.as_mut().expect("M6 has SMS").low_confidence = u8::MAX),
+            ("standalone", |c| c.standalone.as_mut().expect("M6 has the standalone prefetcher").distance = 0),
+            ("dram.banks", |c| c.dram.banks = 0),
         ];
         for (name, degrade) in core {
             let mut cfg = CoreConfig::m6();
@@ -216,7 +221,7 @@ mod tests {
                 cases.push((name, cfg));
             }
         }
-        assert_eq!(cases.len(), 55);
+        assert_eq!(cases.len(), 60);
         for (name, cfg) in cases {
             let named = |got: Result<Simulator, SimError>| match got {
                 Err(SimError::Config { param, .. }) => param,

@@ -2,9 +2,10 @@
 
 use crate::error::SimError;
 use exynos_branch::FrontendConfig;
-use exynos_dram::DramConfig;
+use exynos_dram::{DramConfig, MemoryController};
 use exynos_mem::{Cache, MemGenConfig, MissBuffers, Tlb};
-use exynos_prefetch::{L1PrefetcherConfig, StandaloneConfig};
+use exynos_prefetch::reorder::AddressReorderBuffer;
+use exynos_prefetch::{L1PrefetcherConfig, MultiStrideEngine, SmsEngine, StandaloneConfig, StandalonePrefetcher};
 use exynos_uoc::{Uoc, UocConfig};
 
 /// The six Exynos M-series generations.
@@ -274,8 +275,9 @@ impl CoreConfig {
     /// impossible pipeline (zero-wide decode, empty ROB, a mispredict
     /// latency at or below the 5-cycle back end the decode depth is
     /// derived from) is a [`SimError::ResourceInvariant`], and geometry a
-    /// front-end, UOC, cache, TLB or miss-buffer constructor would panic
-    /// on is a [`SimError::Config`] naming the field. Each geometry rule
+    /// front-end, UOC, cache, TLB, miss-buffer, prefetcher or DRAM
+    /// constructor would panic on is a [`SimError::Config`] naming the
+    /// field. Each geometry rule
     /// lives beside its constructor (`Shp::defect`, `Cache::defect`, ...).
     /// Every construction path (`SimBuilder::build`, `Simulator::resume`
     /// and `resume_with_config`) runs it first.
@@ -303,6 +305,11 @@ impl CoreConfig {
             ("mem.tlb.l2tlb", Tlb::defect(&tlb.l2tlb)),
             ("mem.miss_buffers", MissBuffers::defect(mem.miss_buffers)),
             ("uoc", self.uoc.as_ref().and_then(Uoc::defect)),
+            ("l1_prefetch.reorder_capacity", AddressReorderBuffer::defect(self.l1_prefetch.reorder_capacity)),
+            ("l1_prefetch.stride", MultiStrideEngine::defect(&self.l1_prefetch.stride)),
+            ("l1_prefetch.sms", self.l1_prefetch.sms.as_ref().and_then(SmsEngine::defect)),
+            ("standalone", self.standalone.as_ref().and_then(StandalonePrefetcher::defect)),
+            ("dram.banks", MemoryController::defect(&self.dram)),
         ];
         let defect = self.frontend.defect().or_else(|| defects.into_iter().find_map(|(p, d)| Some((p, d?))));
         match defect {

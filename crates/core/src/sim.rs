@@ -123,7 +123,7 @@ const WATCHDOG_DECAY_STREAK: u32 = 1024;
 /// deltas one instruction produces. Only captured when a [`Telemetry`]
 /// sink is attached, so the plain [`Simulator::step`] path pays nothing.
 struct StepProbe {
-    fe: FrontendStats,
+    counters: SliceMeasure,
     ubtb_locks: u64,
     ubtb_unlocks: u64,
     uoc_mode: Option<UocMode>,
@@ -131,8 +131,6 @@ struct StepProbe {
     tp_dropped: u64,
     buddy_issued: u64,
     standalone_issued: u64,
-    mem: MemStats,
-    malformed: u64,
 }
 
 /// What one step's stages hand on to the later stages and to
@@ -180,35 +178,45 @@ fn branch_class(kind: Option<BranchKind>) -> BranchClass {
     }
 }
 
-/// Measurement baseline captured at the start of a detail window by
-/// [`Simulator::measure_begin`]. The batched lockstep engine and the
-/// scalar [`Simulator::run_slice`] path both derive their
+/// The simulator's aggregate counters at the start of a detail window,
+/// captured by [`Simulator::measure_begin`]. The batched lockstep engine
+/// and the scalar [`Simulator::run_slice`] path both derive their
 /// [`SliceResult`]s through this one pair of helpers, so batched stats
 /// are byte-equal to serial stats by construction.
 #[derive(Debug, Clone, Copy)]
 pub struct SliceMeasure {
-    start_insts: u64,
-    start_cycle: u64,
-    fe0: FrontendStats,
-    mem0: MemStats,
+    sim: SimStats,
+    frontend: FrontendStats,
+    mem: MemStats,
 }
 
-/// Results of one measured slice.
+impl SliceMeasure {
+    /// The counts between `earlier` and `self`.
+    fn delta(&self, earlier: &SliceMeasure) -> SliceMeasure {
+        SliceMeasure {
+            sim: self.sim.delta(&earlier.sim),
+            frontend: self.frontend.delta(&earlier.frontend),
+            mem: self.mem.delta(&earlier.mem),
+        }
+    }
+}
+
+/// Results of one measured slice: the aggregate counters over the detail
+/// window alone (warmup excluded) and the three figures derived from them.
 #[derive(Debug, Clone)]
 pub struct SliceResult {
-    /// Instructions measured.
-    pub instructions: u64,
-    /// Cycles elapsed over the detail window.
-    pub cycles: u64,
-    /// Instructions per cycle.
+    /// Instructions per cycle: `sim.ipc()`.
     pub ipc: f64,
-    /// Branch mispredicts per kilo-instruction.
+    /// Branch mispredicts per kilo-instruction: `frontend.mpki()`.
     pub mpki: f64,
-    /// Average demand-load latency in cycles.
+    /// Average demand-load latency in cycles: `mem.avg_load_latency()`.
     pub avg_load_latency: f64,
-    /// Front-end statistics over the whole run (warmup + detail).
+    /// Simulation counters over the detail window; `last_retire` is the
+    /// window's length in cycles.
+    pub sim: SimStats,
+    /// Front-end counters over the detail window.
     pub frontend: FrontendStats,
-    /// Memory statistics over the whole run.
+    /// Memory counters over the detail window.
     pub mem: MemStats,
 }
 
@@ -739,7 +747,7 @@ impl Simulator {
         let ubtb = self.frontend.ubtb_stats();
         let tp = self.memsys.twopass().stats();
         StepProbe {
-            fe: *self.frontend.stats(),
+            counters: self.measure_begin(),
             ubtb_locks: ubtb.locks,
             ubtb_unlocks: ubtb.unlocks,
             uoc_mode: self.uoc.as_ref().map(|u| u.mode()),
@@ -747,8 +755,6 @@ impl Simulator {
             tp_dropped: tp.dropped,
             buddy_issued: self.memsys.buddy_stats().issued,
             standalone_issued: self.memsys.standalone_stats().issued,
-            mem: self.memsys.stats(),
-            malformed: self.stats.malformed_insts,
         }
     }
 
@@ -784,10 +790,10 @@ impl Simulator {
         emit(redirect == Some(Redirect::Mispredict), mispredict);
         emit(redirect == Some(Redirect::Discovery), PipelineEvent::BranchDiscovery { pc });
         emit(redirect == Some(Redirect::TraceGap), PipelineEvent::TraceGap { pc });
-        let (fe, ubtb) = (self.frontend.stats(), self.frontend.ubtb_stats());
-        let (to_low, to_high) = (fe.conf_flips_to_low, fe.conf_flips_to_high);
-        emit(to_low > p.fe.conf_flips_to_low, PipelineEvent::ShpConfFlip { to_low: true });
-        emit(to_high > p.fe.conf_flips_to_high, PipelineEvent::ShpConfFlip { to_low: false });
+        let d = self.measure_begin().delta(&p.counters);
+        let (fe, ubtb) = (d.frontend, self.frontend.ubtb_stats());
+        emit(fe.conf_flips_to_low > 0, PipelineEvent::ShpConfFlip { to_low: true });
+        emit(fe.conf_flips_to_high > 0, PipelineEvent::ShpConfFlip { to_low: false });
         emit(ubtb.locks > p.ubtb_locks, PipelineEvent::UbtbLock);
         emit(ubtb.unlocks > p.ubtb_unlocks, PipelineEvent::UbtbUnlock);
         if let (Some(from), Some(to)) = (p.uoc_mode, self.uoc.as_ref().map(|u| u.mode())) {
@@ -795,8 +801,7 @@ impl Simulator {
         }
         // Prefetch activity: launches from the engines, fills and drops
         // from the memory system.
-        let tp = self.memsys.twopass().stats();
-        let mem = self.memsys.stats();
+        let (tp, mem) = (self.memsys.twopass().stats(), d.mem);
         let launches = [
             (tp.first_passes - p.tp_first, PrefetchKind::L1),
             (self.memsys.buddy_stats().issued - p.buddy_issued, PrefetchKind::Buddy),
@@ -806,24 +811,24 @@ impl Simulator {
             emit(count > 0, PipelineEvent::PrefetchLaunch { kind, count });
         }
         let fills = [
-            (mem.l1_prefetch_fills - p.mem.l1_prefetch_fills, PrefetchKind::L1),
-            (mem.buddy_fills - p.mem.buddy_fills, PrefetchKind::Buddy),
-            (mem.standalone_fills - p.mem.standalone_fills, PrefetchKind::Standalone),
+            (mem.l1_prefetch_fills, PrefetchKind::L1),
+            (mem.buddy_fills, PrefetchKind::Buddy),
+            (mem.standalone_fills, PrefetchKind::Standalone),
         ];
         for (count, kind) in fills {
             emit(count > 0, PipelineEvent::PrefetchFill { kind, count });
         }
         let count = tp.dropped - p.tp_dropped;
         emit(count > 0, PipelineEvent::PrefetchDrop { kind: PrefetchKind::L1, count });
-        emit(self.stats.malformed_insts > p.malformed, PipelineEvent::MalformedInst { pc });
+        emit(d.sim.malformed_insts > 0, PipelineEvent::MalformedInst { pc });
         if let Some((gap, rung)) = s.watchdog_trip {
             emit(true, PipelineEvent::WatchdogTrip { gap, rung });
         }
         // Histograms: every retirement gap, and demand-load latency when
         // this step performed a load.
         tel.observe_retire_gap(s.gap);
-        if mem.loads > p.mem.loads {
-            tel.observe_load_latency(mem.total_load_latency - p.mem.total_load_latency);
+        if mem.loads > 0 {
+            tel.observe_load_latency(mem.total_load_latency);
         }
     }
 
@@ -889,33 +894,20 @@ impl Simulator {
     /// with [`Simulator::measure_end`]; the scalar slice runner and the
     /// batched lockstep engine share this math.
     pub fn measure_begin(&self) -> SliceMeasure {
-        SliceMeasure {
-            start_insts: self.stats.instructions,
-            start_cycle: self.stats.last_retire,
-            fe0: *self.frontend.stats(),
-            mem0: self.memsys.stats(),
-        }
+        SliceMeasure { sim: self.stats, frontend: *self.frontend.stats(), mem: self.memsys.stats() }
     }
 
-    /// Derive the [`SliceResult`] for everything stepped since the
-    /// paired [`Simulator::measure_begin`].
+    /// The [`SliceResult`] of everything stepped since the paired
+    /// [`Simulator::measure_begin`].
     pub fn measure_end(&self, m: &SliceMeasure) -> SliceResult {
-        let instructions = self.stats.instructions - m.start_insts;
-        let cycles = (self.stats.last_retire - m.start_cycle).max(1);
-        let fe1 = *self.frontend.stats();
-        let mem1 = self.memsys.stats();
-        let mpki = (fe1.total_mispredicts() - m.fe0.total_mispredicts()) as f64 * 1000.0
-            / instructions.max(1) as f64;
-        let lat_num = mem1.total_load_latency - m.mem0.total_load_latency;
-        let lat_den = (mem1.loads - m.mem0.loads).max(1);
+        let SliceMeasure { sim, frontend, mem } = self.measure_begin().delta(m);
         SliceResult {
-            instructions,
-            cycles,
-            ipc: instructions as f64 / cycles as f64,
-            mpki,
-            avg_load_latency: lat_num as f64 / lat_den as f64,
-            frontend: fe1,
-            mem: mem1,
+            ipc: sim.ipc(),
+            mpki: frontend.mpki(),
+            avg_load_latency: mem.avg_load_latency(),
+            sim,
+            frontend,
+            mem,
         }
     }
 

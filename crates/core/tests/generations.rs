@@ -130,7 +130,7 @@ fn deterministic_replay() {
         let mut sim = SimBuilder::config(CoreConfig::m5()).build().unwrap();
         let mut g = s.build().unwrap();
         let r = sim.run_slice(&mut *g, SlicePlan::new(2_000, 10_000)).unwrap();
-        (r.cycles, r.mpki.to_bits(), r.avg_load_latency.to_bits())
+        (r.sim.last_retire, r.mpki.to_bits(), r.avg_load_latency.to_bits())
     };
     assert_eq!(run(), run(), "simulation must be fully deterministic");
 }

@@ -53,7 +53,7 @@ proptest! {
             let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
             let mut gen = slice.build().unwrap();
             let r = sim.run_slice(&mut *gen, SlicePlan::new(500, 2_500)).unwrap();
-            (r.cycles, r.mpki.to_bits())
+            (r.sim.last_retire, r.mpki.to_bits())
         };
         prop_assert_eq!(run(), run());
     }

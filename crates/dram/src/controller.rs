@@ -106,12 +106,18 @@ pub struct MemoryController {
 }
 
 impl MemoryController {
+    /// Why [`MemoryController::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &DramConfig) -> Option<String> {
+        (cfg.banks == 0).then(|| "a zero-bank DRAM holds no row".into())
+    }
+
     /// Build a controller from `cfg`.
     ///
     /// # Panics
-    /// Panics if `banks` is zero.
+    /// Panics if [`MemoryController::defect`] rejects `cfg`.
     pub fn new(cfg: DramConfig) -> MemoryController {
-        assert!(cfg.banks > 0);
+        let defect = MemoryController::defect(&cfg);
+        assert!(defect.is_none(), "DRAM controller: {defect:?}");
         MemoryController {
             banks: (0..cfg.banks).map(|_| Bank::new(cfg.timing)).collect(),
             stats: DramStats::default(),

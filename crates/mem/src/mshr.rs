@@ -113,7 +113,7 @@ exynos_telemetry::counters! {
         pub rejections: u64,
         /// Peak simultaneous occupancy observed.
         pub peak: u64,
-    }
+    } gauges(peak)
 }
 
 #[cfg(test)]

@@ -40,13 +40,20 @@ pub struct AddressReorderBuffer {
 }
 
 impl AddressReorderBuffer {
+    /// Why [`AddressReorderBuffer::new`] would reject `capacity`, if it
+    /// would.
+    pub fn defect(capacity: usize) -> Option<String> {
+        (capacity == 0).then(|| "a zero-entry re-order buffer holds no prefetch".into())
+    }
+
     /// A buffer of `capacity` entries with a `filter_depth`-line duplicate
     /// filter.
     ///
     /// # Panics
-    /// Panics if `capacity` is zero.
+    /// Panics if [`AddressReorderBuffer::defect`] rejects `capacity`.
     pub fn new(capacity: usize, filter_depth: usize) -> AddressReorderBuffer {
-        assert!(capacity > 0);
+        let defect = AddressReorderBuffer::defect(capacity);
+        assert!(defect.is_none(), "re-order buffer: {defect:?}");
         AddressReorderBuffer {
             pending: Vec::new(),
             next_seq: 0,

@@ -108,14 +108,25 @@ pub struct SmsEngine {
 }
 
 impl SmsEngine {
+    /// Why [`SmsEngine::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &SmsConfig) -> Option<String> {
+        let (low, high, max) = (cfg.low_confidence, cfg.high_confidence, cfg.max_confidence);
+        if cfg.signatures == 0 || cfg.active_regions == 0 {
+            Some(format!("{} signatures and {} active regions hold no region", cfg.signatures, cfg.active_regions))
+        } else if low > high || high > max {
+            Some(format!("confidence thresholds {low} <= {high} <= {max} out of order"))
+        } else {
+            None
+        }
+    }
+
     /// Build an engine from `cfg`.
     ///
     /// # Panics
-    /// Panics if table sizes are zero or thresholds are inconsistent.
+    /// Panics if [`SmsEngine::defect`] rejects `cfg`.
     pub fn new(cfg: SmsConfig) -> SmsEngine {
-        assert!(cfg.signatures > 0 && cfg.active_regions > 0);
-        assert!(cfg.low_confidence <= cfg.high_confidence);
-        assert!(cfg.high_confidence <= cfg.max_confidence);
+        let defect = SmsEngine::defect(&cfg);
+        assert!(defect.is_none(), "SMS engine: {defect:?}");
         SmsEngine {
             cfg,
             signatures: Vec::new(),

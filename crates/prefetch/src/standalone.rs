@@ -109,12 +109,23 @@ pub struct StandalonePrefetcher {
 }
 
 impl StandalonePrefetcher {
+    /// Why [`StandalonePrefetcher::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &StandaloneConfig) -> Option<String> {
+        (cfg.streams == 0 || cfg.distance == 0 || cfg.filter_depth == 0).then(|| {
+            format!(
+                "{} streams, distance {} and a {}-line filter: every one must be non-zero",
+                cfg.streams, cfg.distance, cfg.filter_depth
+            )
+        })
+    }
+
     /// Build a prefetcher from `cfg`.
     ///
     /// # Panics
-    /// Panics on degenerate geometry.
+    /// Panics if [`StandalonePrefetcher::defect`] rejects `cfg`.
     pub fn new(cfg: StandaloneConfig) -> StandalonePrefetcher {
-        assert!(cfg.streams > 0 && cfg.distance > 0 && cfg.filter_depth > 0);
+        let defect = StandalonePrefetcher::defect(&cfg);
+        assert!(defect.is_none(), "standalone prefetcher: {defect:?}");
         StandalonePrefetcher {
             cfg,
             streams: Vec::new(),

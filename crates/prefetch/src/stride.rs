@@ -138,12 +138,26 @@ pub struct MultiStrideEngine {
 }
 
 impl MultiStrideEngine {
+    /// Why [`MultiStrideEngine::new`] would reject `cfg`, if it would.
+    pub fn defect(cfg: &StrideConfig) -> Option<String> {
+        if cfg.streams == 0 {
+            Some("no stream to train".into())
+        } else if cfg.max_period == 0 {
+            Some("a zero-period pattern never repeats".into())
+        } else if cfg.delta_window < 2 * cfg.max_period {
+            Some(format!("a {}-delta window cannot confirm period {}", cfg.delta_window, cfg.max_period))
+        } else {
+            None
+        }
+    }
+
     /// Build an engine from `cfg`.
     ///
     /// # Panics
-    /// Panics on degenerate geometry.
+    /// Panics if [`MultiStrideEngine::defect`] rejects `cfg`.
     pub fn new(cfg: StrideConfig) -> MultiStrideEngine {
-        assert!(cfg.streams > 0 && cfg.max_period >= 1 && cfg.delta_window >= 2 * cfg.max_period);
+        let defect = MultiStrideEngine::defect(&cfg);
+        assert!(defect.is_none(), "stride engine: {defect:?}");
         MultiStrideEngine {
             cfg,
             streams: Vec::new(),

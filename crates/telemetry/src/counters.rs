@@ -17,6 +17,10 @@
 /// }
 /// ```
 ///
+/// A `gauges(..)` clause after the field list (and after `derived(..)`,
+/// when both are given) names the fields that hold a level rather than a
+/// count, such as a running maximum.
+///
 /// expands to:
 ///
 /// - the struct, with its attributes and field docs as written;
@@ -27,7 +31,11 @@
 ///   gauge);
 /// - `exynos_snapshot::layout!` over the same fields, wrapped in a section
 ///   under `[tag]` when one is given, so the image carries the fields in
-///   declaration order too.
+///   declaration order too;
+/// - `pub fn delta(&self, earlier: &Self) -> Self`, the counts between two
+///   readings of the struct: every field is `self - earlier` except the
+///   gauges, which keep `self`'s value. The subtraction is plain `-`, so a
+///   counter that runs backwards panics under overflow checks.
 ///
 /// The calling crate must depend on `exynos-snapshot`.
 #[macro_export]
@@ -38,6 +46,7 @@ macro_rules! counters {
             $( $(#[$fmeta:meta])* $fvis:vis $field:ident : $fty:ty ),* $(,)?
         }
         $(derived($($derived:ident),* $(,)?))?
+        $(gauges($($gauge:ident),* $(,)?))?
     ) => {
         $(#[$meta])*
         $vis struct $name {
@@ -52,6 +61,18 @@ macro_rules! counters {
             fn visit(&self, f: &mut dyn FnMut(&'static str, $crate::Value)) {
                 $( f(::core::stringify!($field), $crate::Value::from(self.$field)); )*
                 $($( f(::core::stringify!($derived), $crate::Value::from(self.$derived())); )*)?
+            }
+        }
+
+        impl $name {
+            /// The counts accumulated between `earlier` and `self`; gauges
+            /// keep `self`'s value.
+            pub fn delta(&self, earlier: &Self) -> Self {
+                // A gauge's base is zero, so the subtraction keeps it.
+                #[allow(unused_mut)]
+                let mut base = Self { $($field: earlier.$field),* };
+                $($( base.$gauge = 0; )*)?
+                Self { $($field: self.$field - base.$field),* }
             }
         }
 
@@ -90,6 +111,17 @@ mod tests {
             /// Only.
             pub events: u64,
         }
+    }
+
+    crate::counters! {
+        /// A count next to a running maximum.
+        #[derive(Debug, Default, PartialEq, Eq)]
+        pub struct Levels in "test.levels" {
+            /// Count.
+            pub allocations: u64,
+            /// Running maximum.
+            pub peak: u64,
+        } gauges(peak)
     }
 
     fn visited(obs: &dyn Observable) -> Vec<(&'static str, Value)> {
@@ -137,5 +169,23 @@ mod tests {
             }),
             "a tag wraps the fields in its section"
         );
+    }
+
+    #[test]
+    fn delta_subtracts_counters_and_keeps_gauges() {
+        let (early, late) = (Plain { hits: 3, misses: 1 }, Plain { hits: 10, misses: 4 });
+        let d = late.delta(&early);
+        assert_eq!((d.hits, d.misses), (7, 3));
+        assert_eq!(Tagged { events: 9 }.delta(&Tagged { events: 4 }).events, 5);
+        let (early, late) = (Levels { allocations: 2, peak: 5 }, Levels { allocations: 9, peak: 7 });
+        assert_eq!(late.delta(&early), Levels { allocations: 7, peak: 7 }, "a gauge keeps the later value");
+        assert_eq!(late.delta(&late), Levels { allocations: 0, peak: 7 });
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic]
+    fn delta_of_a_counter_that_ran_backwards_panics() {
+        let _ = Plain { hits: 1, misses: 0 }.delta(&Plain { hits: 2, misses: 0 });
     }
 }

@@ -67,7 +67,7 @@ fn main() {
         let mut gen = MarkovBranches::new(&MarkovParams::default(), 92, 13);
         let r = sim.run_slice(&mut gen, SlicePlan::new(1_000, 20_000));
         let f = sim.fault_stats().unwrap_or_default();
-        (r.map(|r| r.cycles).map_err(|e| e.to_string()), f.total())
+        (r.map(|r| r.sim.last_retire).map_err(|e| e.to_string()), f.total())
     };
     let (a, b, c) = (fingerprint(42), fingerprint(42), fingerprint(43));
     println!("seed 42 run 1: {a:?}");

@@ -16,6 +16,8 @@ use exynos::trace::gen::streaming::{MultiStride, MultiStrideParams, StrideCompon
 use exynos::trace::SlicePlan;
 
 fn main() {
+    // Hit rates and latencies come from the detail-window record; the
+    // engine counters are read from the simulator and cover the whole run.
     println!("=== Multi-stride engine on the paper's +2x2,+5x1 stream (M3) ===\n");
     let mut sim = SimBuilder::config(CoreConfig::m3()).build().unwrap();
     let mut gen = MultiStride::new(&MultiStrideParams::default(), 0, 1);

@@ -21,9 +21,10 @@ fn main() {
 
     let result = sim.run_slice(&mut workload, SlicePlan::new(10_000, 100_000)).expect("clean example slice");
 
+    // Every figure below covers the 100k-instruction detail window.
     println!("=== Exynos M5, loop-nest kernel ===");
-    println!("instructions     : {}", result.instructions);
-    println!("cycles           : {}", result.cycles);
+    println!("instructions     : {}", result.sim.instructions);
+    println!("cycles           : {}", result.sim.last_retire);
     println!("IPC              : {:.2}", result.ipc);
     println!("MPKI             : {:.2}", result.mpki);
     println!("avg load latency : {:.1} cycles", result.avg_load_latency);
@@ -34,7 +35,7 @@ fn main() {
     println!("  ZAT/ZOT zero-bubble    : {}", result.frontend.zat_zot_zero_bubble);
     println!("  SHP lookups (gated)    : {}", result.frontend.shp_lookups);
     println!("µop cache:");
-    println!("  µops supplied by UOC   : {}", sim.stats().uoc_supplied);
+    println!("  µops supplied by UOC   : {}", result.sim.uoc_supplied);
     println!("memory:");
     println!("  L1 hit rate            : {:.1}%", 100.0 * result.mem.l1_hits as f64 / result.mem.loads.max(1) as f64);
     println!("  L1 prefetch fills      : {}", result.mem.l1_prefetch_fills);

@@ -31,12 +31,13 @@ fn main() {
         let mut g = slice.build().unwrap();
         let r = sim.run_slice(&mut *g, SlicePlan::new(4_000, 25_000)).expect("clean example slice");
         let l1 = 100.0 * r.mem.l1_hits as f64 / r.mem.loads.max(1) as f64;
-        let dram_ki = r.mem.dram_loads as f64 * 1000.0 / (r.instructions.max(1)) as f64;
+        let dram_ki = r.mem.dram_loads as f64 * 1000.0 / r.sim.instructions.max(1) as f64;
         println!(
             "{:<26} {:>6.2} {:>7.2} {:>9.1} {:>8.1} {:>8.2}",
             slice.name, r.ipc, r.mpki, r.avg_load_latency, l1, dram_ki
         );
     }
     println!("\nColumns: IPC, branch MPKI, average load latency (cycles), L1D hit");
-    println!("rate, demand DRAM accesses per kilo-instruction.");
+    println!("rate, demand DRAM accesses per kilo-instruction, all over the");
+    println!("25k-instruction detail window (warmup excluded).");
 }

@@ -35,6 +35,12 @@ if ! grep -q '^encryption ON : 0/128 hijacks$' <<< "$SPECTRE_OUT"; then
   exit 1
 fi
 
+# Example smokes: the other five examples must run to a zero exit
+# (under a second together in release).
+for example in quickstart fault_injection generation_sweep workload_zoo prefetch_explorer; do
+  cargo run --release -q --example "$example" > /dev/null
+done
+
 # Telemetry smoke: the instrumented quick run must emit schema-valid
 # JSONL covering the whole machine (>= 12 metrics from >= 5 crates).
 cargo run --release -q -p exynos-bench --bin harness -- metrics --quick 2>/dev/null \

@@ -172,7 +172,7 @@ fn chaos_injection_is_deterministic() {
         let r = sim.run_slice(&mut gen, SlicePlan::new(1_000, 20_000));
         let s = sim.stats();
         (
-            r.map(|r| (r.cycles, r.mpki.to_bits())).map_err(|e| e.to_string()),
+            r.map(|r| (r.sim.last_retire, r.mpki.to_bits())).map_err(|e| e.to_string()),
             s.malformed_insts,
             s.predictor_corruptions,
             sim.fault_stats().map(|f| f.total()),
@@ -315,13 +315,12 @@ fn watchdog_ladder_fires_in_order_on_every_generation() {
         // instruction without erroring.
         sim.attach_fault_injector(FaultPlan::none()).unwrap();
         sim.set_watchdog(50_000, 10).unwrap();
-        let before = sim.stats().instructions;
         let r = sim
             .run_slice(&mut gen, SlicePlan::new(0, 5_000))
             .unwrap_or_else(|e| panic!("{name}: progress must resume after the wedge clears: {e}"));
         assert!(r.ipc > 0.0, "{name}: resumed IPC {}", r.ipc);
-        assert_eq!(sim.stats().instructions, before + 5_000, "{name}: forward progress");
-        let residual = sim.stats().watchdog_events - 4;
+        assert_eq!(r.sim.instructions, 5_000, "{name}: forward progress");
+        let residual = r.sim.watchdog_events;
         assert!(residual <= 4, "{name}: only inflight wedges may still trip: {residual}");
     }
 }
