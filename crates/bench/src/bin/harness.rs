@@ -4,8 +4,15 @@
 //! ```text
 //! cargo run --release -p exynos-bench --bin harness -- all
 //! cargo run --release -p exynos-bench --bin harness -- fig9 --scale 4 --threads 8
-//! cargo run --release -p exynos-bench --bin harness -- fig17 --csv fig17.csv
+//! cargo run --release -p exynos-bench --bin harness -- fig17 --csv records.csv
 //! ```
+//!
+//! `fig9`, `fig16` and `fig17` share one population sweep
+//! (`experiments::population`, default `--scale 2`, the synthetic suite
+//! plus the embedded assembler corpus as `program/*` slices). Each prints
+//! its distribution table and the paper's claims on it as the markdown
+//! EXPERIMENTS.md shows; `--csv PATH` writes the per-slice records in
+//! the form of the checked-in `population.csv`.
 //!
 //! Subcommands: table1 table2 table3 table4 fig1 fig4 fig5 fig7 fig8 fig9
 //! fig10 fig14 fig15 fig16 fig17 uoc btb_ablation branchstats ablations
@@ -16,16 +23,14 @@
 //! error's message on stderr; a usage or input error with status 2.
 //!
 //! Program-driven traces (see DESIGN.md, "Assembler frontend &
-//! program-driven traces"): `asm` inspects a program, `run` executes one
-//! across the generations, and `--programs` mixes the embedded corpus
-//! into the population sweep as `program/*` slices.
+//! program-driven traces"): `asm` inspects a program and `run` executes
+//! one across the generations.
 //!
 //! ```text
 //! cargo run --release -p exynos-bench --bin harness -- asm fib_recursive
 //! cargo run --release -p exynos-bench --bin harness -- asm path/to/kernel.s
 //! cargo run --release -p exynos-bench --bin harness -- run --program computed_goto --quick
 //! cargo run --release -p exynos-bench --bin harness -- run --program kernel.s --gen m5
-//! cargo run --release -p exynos-bench --bin harness -- fig9 --programs
 //! ```
 //!
 //! Sweep-as-a-service (see DESIGN.md, "Service tier & failure model"):
@@ -70,9 +75,7 @@ use exynos_bench::sweep;
 use exynos_branch::indirect::IndirectConfig;
 use exynos_core::batch::ChunkCache;
 use exynos_core::builder::SimBuilder;
-use exynos_core::cancel::CancelToken;
 use exynos_core::config::CoreConfig;
-use exynos_service::job::JobCtx;
 
 /// Every recognized subcommand; anything else is a usage error.
 const SUBCOMMANDS: &[&str] = &[
@@ -82,20 +85,20 @@ const SUBCOMMANDS: &[&str] = &[
     "spans", "asm", "run",
 ];
 
+/// What `--help` prints and a usage error repeats, before the subcommands.
+const USAGE: &str = "usage: harness [SUBCOMMAND] [FILE] [--scale N] [--csv PATH] [--threads N] [--epoch N] [--quick]
+               [--socket PATH] [--journal PATH] [--workers N] [--queue N]
+               [--postmortem-dir DIR] [--prom] [--program FILE|NAME] [--gen mN]
+--scale N sizes the Fig. 9/16/17 population (default 2, as EXPERIMENTS.md reports);
+FILE is required by checkpoint/resume (the on-disk image path),
+by call (the JSON request line, e.g. '{\"cmd\":\"ping\"}') and by asm
+(an assembly file path or embedded corpus program name);
+spans takes an optional job id (no id: latency quantiles);
+run needs --program FILE|NAME (all generations; --gen mN for one)";
+
 fn usage_error(msg: &str) -> ! {
     eprintln!("harness: {msg}");
-    eprintln!(
-        "usage: harness [SUBCOMMAND] [FILE] [--scale N] [--csv PATH] [--threads N] [--epoch N] [--quick]"
-    );
-    eprintln!("               [--socket PATH] [--journal PATH] [--workers N] [--queue N]");
-    eprintln!("               [--postmortem-dir DIR] [--prom] [--programs]");
-    eprintln!("               [--program FILE|NAME] [--gen mN]");
-    eprintln!("subcommands: {}", SUBCOMMANDS.join(" "));
-    eprintln!("FILE is required by checkpoint/resume (the on-disk image path),");
-    eprintln!("by call (the JSON request line, e.g. '{{\"cmd\":\"ping\"}}') and by asm");
-    eprintln!("(an assembly file path or embedded corpus program name);");
-    eprintln!("spans takes an optional job id (no id: latency quantiles);");
-    eprintln!("run needs --program FILE|NAME (all generations; --gen mN for one)");
+    eprintln!("{USAGE}\nsubcommands: {}", SUBCOMMANDS.join(" "));
     std::process::exit(2);
 }
 
@@ -130,14 +133,13 @@ struct Options {
     prom: bool,
     program: Option<String>,
     gen: Option<String>,
-    programs: bool,
 }
 
 fn parse_args(args: &[String]) -> Options {
     let mut opts = Options {
         cmd: "all".to_string(),
         file: None,
-        scale: 1,
+        scale: 2,
         csv_path: None,
         threads: None,
         epoch: 10_000,
@@ -150,7 +152,6 @@ fn parse_args(args: &[String]) -> Options {
         prom: false,
         program: None,
         gen: None,
-        programs: false,
     };
     let mut saw_cmd = false;
     let mut it = args.iter();
@@ -207,12 +208,8 @@ fn parse_args(args: &[String]) -> Options {
                 Some(v) if !v.starts_with("--") => opts.gen = Some(v.clone()),
                 _ => usage_error("--gen is missing its generation name (m1..m6)"),
             },
-            "--programs" => opts.programs = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: harness [SUBCOMMAND] [--scale N] [--csv PATH] [--threads N] [--epoch N] [--quick]"
-                );
-                println!("subcommands: {}", SUBCOMMANDS.join(" "));
+                println!("{USAGE}\nsubcommands: {}", SUBCOMMANDS.join(" "));
                 std::process::exit(0);
             }
             flag if flag.starts_with("--") => {
@@ -255,7 +252,6 @@ fn main() {
         prom,
         program,
         gen,
-        programs,
     } = opts;
     if cmd == "asm" {
         let Some(target) = file else {
@@ -324,34 +320,21 @@ fn main() {
     let want = |name: &str| run_all || cmd == name;
     let sweep_threads = threads.unwrap_or_else(sweep::default_threads);
 
-    // Population-based figures share one (expensive) sweep. With
-    // --programs the embedded exynos-asm corpus joins the catalog as
-    // program/* slices alongside the synthetic families.
+    // The population figures share one sweep. The CSV file is opened
+    // first, so a bad path fails before any simulation.
     let population = if want("fig9") || want("fig16") || want("fig17") || want("table4") {
-        let suite = or_exit(exp::catalog_suite(scale, programs));
-        println!(
-            "# running population sweep (scale {scale}; {} slices x 6 generations; {sweep_threads} threads)...",
-            suite.len()
-        );
-        let cache = std::sync::Arc::new(ChunkCache::with_budget(Some(0)));
-        let build = |cfg| SimBuilder::config(cfg).build();
-        let start = exp::Start::Cold { suite: &suite, warmup: 5_000, build: &build };
-        let ctx = JobCtx::detached(CancelToken::new());
-        let (pop, _) = or_exit(exp::sweep(start, 30_000, sweep_threads, &cache, &ctx));
-        if let Some(path) = &csv_path {
-            let mut out = String::from("slice,generation,ipc,mpki,load_latency\n");
-            for r in &pop {
-                out.push_str(&format!(
-                    "{},{},{:.4},{:.4},{:.2}\n",
-                    r.name, r.gen, r.ipc, r.mpki, r.load_latency
-                ));
-            }
-            match std::fs::write(path, out) {
-                Ok(()) => println!("# wrote per-slice results to {path}"),
-                Err(e) => eprintln!("# failed to write {path}: {e}"),
-            }
+        let csv = csv_path.map(|path| {
+            let file = std::fs::File::create(&path).map_err(|e| format!("failed to write {path}: {e}"));
+            (or_exit(file), path)
+        });
+        let pop = or_exit(exp::population(scale, sweep_threads));
+        println!("# population sweep: scale {scale}, {} records, {sweep_threads} threads", pop.len());
+        if let Some((mut file, path)) = csv {
+            use std::io::Write;
+            or_exit(file.write_all(exp::population_csv(&pop).as_bytes()).map_err(|e| format!("failed to write {path}: {e}")));
+            println!("# wrote per-slice results to {path}");
         }
-        Some(pop)
+        Some((exp::claims(&pop), pop))
     } else {
         None
     };
@@ -377,9 +360,9 @@ fn main() {
     if want("table2") {
         table2();
     }
-    if let Some(pop) = &population {
+    if let Some((claims, pop)) = &population {
         if want("fig9") {
-            fig9(pop);
+            figure("Fig. 9 — MPKI across workload slices, by generation", &exp::FIG9, pop, claims);
         }
     }
     if want("fig10") {
@@ -397,12 +380,12 @@ fn main() {
     if want("table3") {
         table3();
     }
-    if let Some(pop) = &population {
+    if let Some((claims, pop)) = &population {
         if want("fig16") || want("table4") {
-            fig16(pop);
+            figure("Fig. 16 / Table IV — average load latency by generation", &exp::FIG16, pop, claims);
         }
         if want("fig17") {
-            fig17(pop);
+            figure("Fig. 17 — IPC across workload slices, by generation", &exp::FIG17, pop, claims);
         }
     }
     if want("btb_ablation") {
@@ -665,42 +648,14 @@ fn table2() {
     }
 }
 
-fn fig9(pop: &[exp::SliceRecord]) {
-    hr("Fig. 9 — MPKI across workload slices, by generation");
-    // The paper omits M2 (identical predictor to M1).
-    for gen in ["M1", "M3", "M4", "M5", "M6"] {
-        let curve = exp::gen_curve(pop, gen, |r| r.mpki);
-        let n = curve.len();
-        let pick = |q: f64| curve[((n - 1) as f64 * q) as usize];
-        println!(
-            "{gen}: p10 {:>6.2}  p50 {:>6.2}  p90 {:>6.2}  max {:>6.2}  avg {:>6.2}",
-            pick(0.10),
-            pick(0.50),
-            pick(0.90),
-            curve[n - 1],
-            exp::gen_mean(pop, gen, |r| r.mpki)
-        );
+/// A population figure: its distribution table, then its claim rows.
+fn figure(title: &str, fig: &exp::Figure, pop: &[exp::SliceRecord], claims: &[exp::Claim]) {
+    hr(title);
+    print!("{}", exp::distribution_table(pop, fig));
+    println!("\n{}", exp::CLAIM_HEADER);
+    for c in claims.iter().filter(|c| c.figure == fig.id) {
+        println!("{}", c.row());
     }
-    let m1 = exp::gen_mean(pop, "M1", |r| r.mpki);
-    let m6 = exp::gen_mean(pop, "M6", |r| r.mpki);
-    println!(
-        "average MPKI M1 -> M6: {m1:.2} -> {m6:.2} ({:+.1}%)   [paper: 3.62 -> 2.54, -29.8%]",
-        100.0 * (m6 / m1 - 1.0)
-    );
-    // SPECint-like subset (the paper's -25.6% M1 -> M6 claim).
-    let subset = |gen: &str| {
-        let v: Vec<f64> = pop
-            .iter()
-            .filter(|r| r.gen == gen && r.name.starts_with("specint/"))
-            .map(|r| r.mpki)
-            .collect();
-        v.iter().sum::<f64>() / v.len().max(1) as f64
-    };
-    let (s1, s6) = (subset("M1"), subset("M6"));
-    println!(
-        "SPECint-like MPKI M1 -> M6: {s1:.2} -> {s6:.2} ({:+.1}%)   [paper: -25.6%]",
-        100.0 * (s6 / s1 - 1.0)
-    );
 }
 
 fn fig10(threads: usize) {
@@ -719,8 +674,10 @@ fn uoc() {
     use exynos_trace::SlicePlan;
     let mut sim = or_exit(SimBuilder::config(CoreConfig::m5()).build());
     let mut gen = LoopNest::new(&LoopNestParams::default(), 95, 5);
-    let r = or_exit(sim.run_slice(&mut gen, SlicePlan::new(10_000, 100_000)));
-    println!("UOC stats: {:?}", sim.uoc_stats());
+    or_exit(sim.run_warmup(&mut gen, 10_000));
+    let warm = sim.uoc_stats();
+    let r = or_exit(sim.run_slice(&mut gen, SlicePlan::new(0, 100_000)));
+    println!("UOC stats: {:?}", sim.uoc_stats().delta(&warm));
     println!(
         "µops supplied by UOC: {} of {} instructions ({:.1}%)",
         r.sim.uoc_supplied,
@@ -757,91 +714,6 @@ fn table3() {
                 .map(|c| format!("{}K", c.size_bytes >> 10))
                 .unwrap_or_else(|| "-".into())
         );
-    }
-}
-
-fn fig16(pop: &[exp::SliceRecord]) {
-    hr("Fig. 16 / Table IV — average load latency by generation");
-    println!("{:>4} {:>10} {:>10} {:>10} {:>10}", "gen", "p25", "p50", "p90", "avg");
-    let mut avgs = Vec::new();
-    for gen in ["M1", "M2", "M3", "M4", "M5", "M6"] {
-        let curve = exp::gen_curve(pop, gen, |r| r.load_latency);
-        let n = curve.len();
-        let pick = |q: f64| curve[((n - 1) as f64 * q) as usize];
-        let avg = exp::gen_mean(pop, gen, |r| r.load_latency);
-        avgs.push(avg);
-        println!(
-            "{gen:>4} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-            pick(0.25),
-            pick(0.50),
-            pick(0.90),
-            avg
-        );
-    }
-    println!(
-        "avg load latency M1 -> M6: {:.1} -> {:.1} ({:+.1}%)   [paper Table IV: 14.9 -> 8.3, -44%]",
-        avgs[0],
-        avgs[5],
-        100.0 * (avgs[5] / avgs[0] - 1.0)
-    );
-}
-
-fn fig17(pop: &[exp::SliceRecord]) {
-    hr("Fig. 17 — IPC across workload slices, by generation");
-    let mut m1_avg = 0.0;
-    for gen in ["M1", "M2", "M3", "M4", "M5", "M6"] {
-        let curve = exp::gen_curve(pop, gen, |r| r.ipc);
-        let n = curve.len();
-        let pick = |q: f64| curve[((n - 1) as f64 * q) as usize];
-        let avg = exp::gen_mean(pop, gen, |r| r.ipc);
-        if gen == "M1" {
-            m1_avg = avg;
-        }
-        println!(
-            "{gen}: p10 {:>5.2}  p50 {:>5.2}  p90 {:>5.2}  max {:>5.2}  avg {:>5.2}  ({:+.0}% vs M1)",
-            pick(0.10),
-            pick(0.50),
-            pick(0.90),
-            curve[n - 1],
-            avg,
-            100.0 * (avg / m1_avg - 1.0)
-        );
-    }
-    let m6 = exp::gen_mean(pop, "M6", |r| r.ipc);
-    let cagr = ((m6 / m1_avg).powf(1.0 / 5.0) - 1.0) * 100.0;
-    println!(
-        "IPC M1 -> M6: {m1_avg:.2} -> {m6:.2}; compounded {cagr:.1}%/generation   [paper: 1.06 -> 2.71, 20.6%/yr]"
-    );
-    // §XI's three regimes: classify slices by their M1 IPC tercile and
-    // report each regime's M6 gain — low-IPC moves with the memory path,
-    // the middle with MPKI/resources, high-IPC with machine width.
-    let mut m1_slices: Vec<(&str, f64)> = pop
-        .iter()
-        .filter(|r| r.gen == "M1")
-        .map(|r| (r.name.as_str(), r.ipc))
-        .collect();
-    m1_slices.sort_by(|a, b| a.1.total_cmp(&b.1));
-    let n = m1_slices.len();
-    let tercile = |range: std::ops::Range<usize>| -> (f64, f64) {
-        let names: Vec<&str> = m1_slices[range].iter().map(|(n, _)| *n).collect();
-        let mean = |gen: &str| {
-            let v: Vec<f64> = pop
-                .iter()
-                .filter(|r| r.gen == gen && names.contains(&r.name.as_str()))
-                .map(|r| r.ipc)
-                .collect();
-            v.iter().sum::<f64>() / v.len().max(1) as f64
-        };
-        (mean("M1"), mean("M6"))
-    };
-    println!("\n§XI regimes (by M1 IPC tercile):");
-    for (label, range) in [
-        ("low-IPC (memory-bound)", 0..n / 3),
-        ("medium-IPC", n / 3..2 * n / 3),
-        ("high-IPC (width-capped)", 2 * n / 3..n),
-    ] {
-        let (a, b) = tercile(range);
-        println!("  {label:<26} M1 {a:>5.2} -> M6 {b:>5.2}  ({:+.0}%)", 100.0 * (b / a - 1.0));
     }
 }
 
@@ -889,13 +761,8 @@ fn serve_cmd(
         postmortem_dir: postmortem_dir.map(std::path::PathBuf::from),
         ..ServiceConfig::default()
     };
-    let engine = match Engine::start(Box::new(BenchRunner::new(pool_threads)), cfg) {
-        Ok(e) => e,
-        Err(e) => {
-            eprintln!("harness: failed to start the service engine: {e}");
-            std::process::exit(1);
-        }
-    };
+    let engine = Engine::start(Box::new(BenchRunner::new(pool_threads)), cfg);
+    let engine = or_exit(engine.map_err(|e| format!("failed to start the service engine: {e}")));
     eprintln!(
         "# serving on {socket}: {workers} workers, queue capacity {queue_cap}{}",
         journal.map(|j| format!(", journal {j}")).unwrap_or_default()
@@ -919,17 +786,7 @@ fn serve_cmd(
 /// can branch on the exit code alone.
 fn call_cmd(socket: &str, request: &str) {
     use exynos_service::json::Json;
-    let resp = match exynos_service::socket::call(
-        std::path::Path::new(socket),
-        request,
-        std::time::Duration::from_secs(60),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("harness: call to {socket} failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let resp = call(socket, request);
     println!("{resp}");
     let ok = Json::parse(&resp)
         .ok()
@@ -940,29 +797,19 @@ fn call_cmd(socket: &str, request: &str) {
     }
 }
 
+/// One protocol round trip, exiting on a transport failure.
+fn call(socket: &str, request: &str) -> String {
+    let resp = exynos_service::socket::call(std::path::Path::new(socket), request, std::time::Duration::from_secs(60));
+    or_exit(resp.map_err(|e| format!("call to {socket} failed: {e}")))
+}
+
 /// One protocol round trip, exiting on transport or server refusal, so
 /// the observability subcommands share error handling. Returns the
 /// parsed response plus the raw line.
 fn call_checked(socket: &str, request: &str) -> (exynos_service::json::Json, String) {
     use exynos_service::json::Json;
-    let resp = match exynos_service::socket::call(
-        std::path::Path::new(socket),
-        request,
-        std::time::Duration::from_secs(60),
-    ) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("harness: call to {socket} failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let v = match Json::parse(&resp) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("harness: unparseable response {resp:?}: {e}");
-            std::process::exit(1);
-        }
-    };
+    let resp = call(socket, request);
+    let v = or_exit(Json::parse(&resp).map_err(|e| format!("unparseable response {resp:?}: {e}")));
     if v.get("ok").and_then(Json::as_bool) != Some(true) {
         eprintln!("harness: server refused: {resp}");
         std::process::exit(1);
@@ -1046,13 +893,8 @@ fn telemetry_metrics(epoch_len: u64, quick: bool, csv_path: Option<&str>) {
     let tel = telemetry_run(epoch_len, quick, 1 << 16);
     print!("{}", tel.metrics_jsonl());
     if let Some(path) = csv_path {
-        match std::fs::write(path, tel.metrics_csv()) {
-            Ok(()) => eprintln!("# wrote epoch series to {path}"),
-            Err(e) => {
-                eprintln!("harness: failed to write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        or_exit(std::fs::write(path, tel.metrics_csv()).map_err(|e| format!("failed to write {path}: {e}")));
+        eprintln!("# wrote epoch series to {path}");
     }
     eprint!("{}", tel.summary());
 }
@@ -1094,10 +936,7 @@ fn checkpoint_cmd(path: &str, epoch_len: u64, quick: bool) {
     let mut gen = or_exit(slice.build());
     or_exit(sim.run_warmup(&mut *gen, warmup));
     let image = sim.checkpoint();
-    if let Err(e) = std::fs::write(path, &image) {
-        eprintln!("harness: failed to write {path}: {e}");
-        std::process::exit(1);
-    }
+    or_exit(std::fs::write(path, &image).map_err(|e| format!("failed to write {path}: {e}")));
     eprintln!(
         "# checkpoint: {} bytes at instruction {} ({})",
         image.len(),
@@ -1119,20 +958,8 @@ fn resume_cmd(path: &str, epoch_len: u64, quick: bool) {
     use exynos_telemetry::{Telemetry, TelemetryConfig};
     use exynos_trace::SlicePlan;
     let (_, detail) = roundtrip_windows(quick);
-    let bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("harness: failed to read {path}: {e}");
-            std::process::exit(1);
-        }
-    };
-    let mut sim = match Simulator::resume(&bytes) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("harness: {e}");
-            std::process::exit(1);
-        }
-    };
+    let bytes = or_exit(std::fs::read(path).map_err(|e| format!("failed to read {path}: {e}")));
+    let mut sim = or_exit(Simulator::resume(&bytes));
     let suite = exynos_trace::standard_suite(1);
     let slice = &suite[0];
     let mut gen = or_exit(slice.build());

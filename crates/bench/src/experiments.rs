@@ -33,15 +33,12 @@ use std::time::Instant;
 /// 1M+ band `WorkloadSpec::Mix` reserves for its children.
 pub const PROGRAM_REGION_BASE: u64 = 500_000;
 
-/// The sweep catalog: the synthetic standard suite at `scale`, plus —
-/// when `programs` is set — the embedded `exynos-asm` corpus as
-/// `program/*` slices. Both populations build through the same fallible
-/// [`TraceSource`](exynos_trace::TraceSource) API.
-pub fn catalog_suite(scale: usize, programs: bool) -> Result<Vec<SliceSpec>, TraceError> {
+/// The sweep catalog: the synthetic standard suite at `scale`, then the
+/// embedded `exynos-asm` corpus as `program/*` slices. Both build through
+/// the same fallible [`TraceSource`](exynos_trace::TraceSource) API.
+pub fn catalog_suite(scale: usize) -> Result<Vec<SliceSpec>, TraceError> {
     let mut suite = standard_suite(scale);
-    if programs {
-        suite.extend(exynos_asm::corpus_slices(SlicePlan::default(), PROGRAM_REGION_BASE)?);
-    }
+    suite.extend(exynos_asm::corpus_slices(SlicePlan::default(), PROGRAM_REGION_BASE)?);
     // Collapse any program slices with identical content digests onto one
     // shared source (drops duplicate assemblies; see the trace crate).
     exynos_trace::dedupe_shared_sources(&mut suite);
@@ -366,18 +363,192 @@ pub fn run_population_warm_resident(
     }
 }
 
-/// Mean of a per-generation metric over records.
-pub fn gen_mean(records: &[SliceRecord], gen: &str, metric: impl Fn(&SliceRecord) -> f64) -> f64 {
-    let vals: Vec<f64> = records.iter().filter(|r| r.gen == gen).map(metric).collect();
+// ---------------------------------------------------------------------
+// Figs. 9, 16, 17 — the population and the paper's claims on it
+// ---------------------------------------------------------------------
+
+/// The population behind Figs. 9, 16 and 17: [`catalog_suite`]`(scale)`
+/// swept cold, 5k warmup and 30k detail records per slice, records in
+/// sweep order.
+pub fn population(scale: usize, threads: usize) -> Result<Vec<SliceRecord>, SimError> {
+    let suite = catalog_suite(scale)?;
+    let start = Start::Cold { suite: &suite, warmup: 5_000, build: &|cfg| SimBuilder::config(cfg).build() };
+    let cache = Arc::new(ChunkCache::with_budget(Some(0)));
+    Ok(sweep(start, 30_000, threads, &cache, &JobCtx::detached(CancelToken::new()))?.0)
+}
+
+/// The records as the table `population.csv` pins: a header, then one
+/// `slice,generation,ipc,mpki,load_latency` row per record, each float
+/// in its shortest decimal form, which parses back to the same bits.
+pub fn population_csv(records: &[SliceRecord]) -> String {
+    let mut out = String::from("slice,generation,ipc,mpki,load_latency\n");
+    for r in records {
+        out.push_str(&format!("{},{},{},{},{}\n", r.name, r.gen, r.ipc, r.mpki, r.load_latency));
+    }
+    out
+}
+
+/// A per-record metric under its telemetry registry name.
+#[derive(Debug, Clone, Copy)]
+pub struct Metric {
+    /// Registry name of the detail-window value.
+    pub name: &'static str,
+    /// The value on one record.
+    pub of: fn(&SliceRecord) -> f64,
+}
+
+/// Instructions per cycle.
+const IPC: Metric = Metric { name: "core.sim.ipc", of: |r| r.ipc };
+/// Mispredicts per kilo-instruction.
+const MPKI: Metric = Metric { name: "branch.frontend.mpki", of: |r| r.mpki };
+/// Average demand-load latency (cycles).
+const LOAD_LATENCY: Metric = Metric { name: "core.mem.avg_load_latency", of: |r| r.load_latency };
+
+/// A population figure: the metric it plots across the slices, and for
+/// which generations.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The figure's name, as its claims carry it.
+    pub id: &'static str,
+    /// The plotted metric.
+    pub metric: Metric,
+    /// The plotted generations, M1 first.
+    pub gens: &'static [&'static str],
+}
+
+const ALL_GENS: &[&str] = &["M1", "M2", "M3", "M4", "M5", "M6"];
+
+/// Fig. 9, MPKI. The paper omits M2, whose predictor is M1's.
+pub const FIG9: Figure = Figure { id: "Fig. 9", metric: MPKI, gens: &["M1", "M3", "M4", "M5", "M6"] };
+/// Fig. 16 and Table IV, average load latency.
+pub const FIG16: Figure = Figure { id: "Fig. 16", metric: LOAD_LATENCY, gens: ALL_GENS };
+/// Fig. 17, IPC.
+pub const FIG17: Figure = Figure { id: "Fig. 17", metric: IPC, gens: ALL_GENS };
+
+/// Mean of `metric` over the records of `gen` that `keep` admits.
+fn mean(pop: &[SliceRecord], gen: &str, metric: Metric, keep: &dyn Fn(&SliceRecord) -> bool) -> f64 {
+    let vals: Vec<f64> = pop.iter().filter(|r| r.gen == gen && keep(r)).map(metric.of).collect();
     vals.iter().sum::<f64>() / vals.len().max(1) as f64
 }
 
-/// Sorted per-slice values of a metric for one generation (the X axis of
-/// the paper's Figs. 9/16/17 "across workload slices" plots).
-pub fn gen_curve(records: &[SliceRecord], gen: &str, metric: impl Fn(&SliceRecord) -> f64) -> Vec<f64> {
-    let mut vals: Vec<f64> = records.iter().filter(|r| r.gen == gen).map(metric).collect();
-    vals.sort_by(|a, b| a.total_cmp(b));
-    vals
+/// Percent change from `from` to `to`.
+fn change(from: f64, to: f64) -> f64 {
+    100.0 * (to / from - 1.0)
+}
+
+/// `fig`'s markdown table, as EXPERIMENTS.md shows it: per generation,
+/// quantiles and maximum of the sorted per-slice values, their mean, and
+/// the mean's change from M1's.
+pub fn distribution_table(pop: &[SliceRecord], fig: &Figure) -> String {
+    let mut out = String::from("| gen | p10 | p25 | p50 | p90 | max | avg | vs M1 |\n|---|---|---|---|---|---|---|---|\n");
+    let m1 = mean(pop, "M1", fig.metric, &|_| true);
+    for &gen in fig.gens {
+        let mut curve: Vec<f64> = pop.iter().filter(|r| r.gen == gen).map(fig.metric.of).collect();
+        curve.sort_by(f64::total_cmp);
+        let pick = |q: f64| curve.get((curve.len().saturating_sub(1) as f64 * q) as usize).copied().unwrap_or(f64::NAN);
+        let avg = mean(pop, gen, fig.metric, &|_| true);
+        let vs = if gen == "M1" { "—".to_owned() } else { format!("{:+.1}%", change(m1, avg)) };
+        let mut cells: Vec<String> = [0.1, 0.25, 0.5, 0.9, 1.0].map(|q| format!("{:.2}", pick(q))).into();
+        cells.push(format!("{avg:.2}"));
+        out.push_str(&format!("| {gen} | {} | {vs} |\n", cells.join(" | ")));
+    }
+    out
+}
+
+/// The way a paper result goes, and so the side of its floor a measured
+/// value must be on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Direction {
+    /// It rises: the measured value must reach the floor or more.
+    Up,
+    /// It falls: the measured value must reach the floor or less.
+    Down,
+}
+
+/// One claim of the paper's evaluation, measured on the population.
+#[derive(Debug, Clone)]
+pub struct Claim {
+    /// The [`Figure::id`] it belongs to.
+    pub figure: &'static str,
+    /// What is measured.
+    pub what: &'static str,
+    /// Registry name of the metric it is computed from.
+    pub metric: &'static str,
+    /// Unit of the values below: `"%"` for a change, `""` for the metric.
+    pub unit: &'static str,
+    /// The paper's value, where it gives one.
+    pub paper: Option<f64>,
+    /// The value on the population.
+    pub measured: f64,
+    /// The way the paper's result goes.
+    pub direction: Direction,
+    /// The value `measured` must reach in `direction`.
+    pub floor: f64,
+    /// Where the floor sits against the measured value, and why.
+    pub margin: &'static str,
+}
+
+/// Header of the markdown table of [`Claim::row`]s.
+pub const CLAIM_HEADER: &str = "| figure | claim | metric | paper | measured | floor | margin |\n|---|---|---|---|---|---|---|";
+
+impl Claim {
+    /// Whether the measured value reaches the floor.
+    pub fn holds(&self) -> bool {
+        match self.direction {
+            Direction::Up => self.measured >= self.floor,
+            Direction::Down => self.measured <= self.floor,
+        }
+    }
+
+    /// The claim as a row of the [`CLAIM_HEADER`] table.
+    pub fn row(&self) -> String {
+        let v = |x: f64| if self.unit == "%" { format!("{x:+.1}%") } else { format!("{x:.2}") };
+        let bound = if self.direction == Direction::Up { "≥" } else { "≤" };
+        let paper = self.paper.map_or("—".to_owned(), v);
+        let (what, metric, margin) = (self.what, self.metric, self.margin);
+        format!("| {} | {what} | `{metric}` | {paper} | {} | {bound} {} | {margin} |", self.figure, v(self.measured), v(self.floor))
+    }
+}
+
+/// The paper's claims on the population (§XI, Figs. 9, 16 and 17, Table
+/// IV), measured on `pop`. The floors come from [`population`] at scale
+/// 2: each sits inside the value measured there by the margin it states,
+/// so a change that bends a curve fails them. The paper's values appear
+/// only here.
+pub fn claims(pop: &[SliceRecord]) -> Vec<Claim> {
+    use Direction::{Down, Up};
+    let claim = |figure, what, metric: Metric, unit, paper, measured, direction, floor, margin| {
+        Claim { figure, what, metric: metric.name, unit, paper, measured, direction, floor, margin }
+    };
+    let m1_m6 = |metric, keep: &dyn Fn(&SliceRecord) -> bool| change(mean(pop, "M1", metric, keep), mean(pop, "M6", metric, keep));
+    let ipc = |gen| mean(pop, gen, IPC, &|_| true);
+    let two_thirds = "about two thirds of the measured value";
+    // §XI's regimes: slices by M1 IPC tercile, each tercile's M6 gain.
+    let mut by_m1: Vec<&SliceRecord> = pop.iter().filter(|r| r.gen == "M1").collect();
+    by_m1.sort_by(|a, b| a.ipc.total_cmp(&b.ipc));
+    let tercile = |t: usize| {
+        let names: Vec<&str> = by_m1[t * by_m1.len() / 3..(t + 1) * by_m1.len() / 3].iter().map(|r| r.name.as_str()).collect();
+        m1_m6(IPC, &|r| names.contains(&r.name.as_str()))
+    };
+    // Fig. 17's left/right split, on M3.
+    let first_on_m3 = |family: &str| pop.iter().find(|r| r.gen == "M3" && r.name.starts_with(family)).map_or(f64::NAN, |r| r.ipc);
+    let smallest_step = ALL_GENS.windows(2).map(|w| change(ipc(w[0]), ipc(w[1]))).fold(f64::INFINITY, f64::min);
+    vec![
+        claim("Fig. 9", "average MPKI, M1 → M6", MPKI, "%", Some(change(3.62, 2.54)), m1_m6(MPKI, &|_| true), Down, -4.0,
+            "we get about -6% against the paper's -29.8%, as the noise and parity tail does not shrink; two thirds of it"),
+        claim("Fig. 9", "SPECint-like average MPKI, M1 → M6", MPKI, "%", Some(-25.6), m1_m6(MPKI, &|r| r.name.starts_with("specint/")), Down, -12.0, two_thirds),
+        claim("Fig. 16", "average load latency, M1 → M6", LOAD_LATENCY, "%", Some(change(14.9, 8.3)), m1_m6(LOAD_LATENCY, &|_| true), Down, -38.0,
+            "endpoints only, as M5 → M6 is flat; about two thirds of the measured value"),
+        claim("Fig. 17", "average IPC, M1 → M6", IPC, "%", Some(change(1.06, 2.71)), m1_m6(IPC, &|_| true), Up, 74.0, two_thirds),
+        claim("Fig. 17", "IPC gain compounded per generation", IPC, "%", Some(20.6), change(1.0, (ipc("M6") / ipc("M1")).powf(0.2)), Up, 10.5, two_thirds),
+        claim("Fig. 17", "smallest IPC step from one generation to the next", IPC, "%", None, smallest_step, Up, -3.0,
+            "no generation below 0.97× its predecessor"),
+        claim("Fig. 17", "§XI low-IPC (memory-bound) tercile, IPC M1 → M6", IPC, "%", None, tercile(0), Up, 110.0, two_thirds),
+        claim("Fig. 17", "§XI medium-IPC tercile, IPC M1 → M6", IPC, "%", None, tercile(1), Up, 84.0, two_thirds),
+        claim("Fig. 17", "§XI high-IPC (width-capped) tercile, IPC M1 → M6", IPC, "%", None, tercile(2), Up, 70.0, two_thirds),
+        claim("Fig. 17", "IPC of the first `specfp` slice on M3", IPC, "", None, first_on_m3("specfp/"), Up, 2.0, two_thirds),
+        claim("Fig. 17", "first `specfp` over first `game` slice on M3, IPC", IPC, "%", None, change(first_on_m3("game/"), first_on_m3("specfp/")), Up, 165.0, two_thirds),
+    ]
 }
 
 // ---------------------------------------------------------------------

@@ -229,7 +229,7 @@ fn program_slices_match_scalar_across_all_generations() {
 /// programs in the population.
 #[test]
 fn mixed_catalog_sweep_matches_scalar() {
-    let suite = exp::catalog_suite(1, true).unwrap();
+    let suite = exp::catalog_suite(1).unwrap();
     assert!(suite.iter().any(|s| s.name.starts_with("program/")), "corpus missing from catalog");
     let scalar = exp::scalar_sweep(&suite, 300, 500, 1).unwrap();
     let start = Start::Cold { suite: &suite, warmup: 300, build: &stock };

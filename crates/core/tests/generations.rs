@@ -1,63 +1,10 @@
-//! Cross-generation properties the paper's evaluation claims (Figs. 16–17,
-//! Tables I/IV): IPC grows every generation, load latency falls.
+//! Cross-generation mechanisms of the paper's §XI, each on one
+//! purpose-built workload. The population claims (Figs. 9, 16, 17) are
+//! checked on the whole sweep by `crates/bench/tests/population.rs`.
 
 use exynos_core::builder::SimBuilder;
 use exynos_core::config::CoreConfig;
 use exynos_trace::{standard_suite, SlicePlan};
-
-/// Simulate a subset of the catalog on one generation; returns
-/// (geo-ish mean IPC, mean load latency).
-fn run_suite(cfg: &CoreConfig, max_slices: usize) -> (f64, f64) {
-    let suite = standard_suite(1);
-    let mut ipcs = Vec::new();
-    let mut lats = Vec::new();
-    for slice in suite.iter().take(max_slices) {
-        let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
-        let mut g = slice.build().unwrap();
-        let r = sim.run_slice(&mut *g, SlicePlan::new(4_000, 25_000)).unwrap();
-        ipcs.push(r.ipc);
-        lats.push(r.avg_load_latency);
-    }
-    let mean_ipc = ipcs.iter().sum::<f64>() / ipcs.len() as f64;
-    let mean_lat = lats.iter().sum::<f64>() / lats.len() as f64;
-    (mean_ipc, mean_lat)
-}
-
-#[test]
-fn ipc_improves_m1_to_m6() {
-    let (m1, _) = run_suite(&CoreConfig::m1(), 14);
-    let (m6, _) = run_suite(&CoreConfig::m6(), 14);
-    assert!(
-        m6 > m1 * 1.5,
-        "M6 must deliver a large frequency-neutral IPC gain over M1: {m1:.2} -> {m6:.2}"
-    );
-}
-
-#[test]
-fn ipc_never_regresses_badly_across_generations() {
-    let mut prev = 0.0;
-    let mut prev_name = "";
-    for cfg in CoreConfig::all_generations() {
-        let name = cfg.gen.name();
-        let (ipc, _) = run_suite(&cfg, 12);
-        assert!(
-            ipc >= prev * 0.97,
-            "{name} regressed vs {prev_name}: {ipc:.2} vs {prev:.2}"
-        );
-        prev = ipc;
-        prev_name = name;
-    }
-}
-
-#[test]
-fn load_latency_falls_m1_to_m6() {
-    let (_, l1) = run_suite(&CoreConfig::m1(), 14);
-    let (_, l6) = run_suite(&CoreConfig::m6(), 14);
-    assert!(
-        l6 < l1 * 0.75,
-        "average load latency must fall substantially: {l1:.1} -> {l6:.1}"
-    );
-}
 
 #[test]
 fn high_ipc_workloads_unlocked_by_width() {

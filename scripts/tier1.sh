@@ -46,6 +46,21 @@ done
 cargo run --release -q -p exynos-bench --bin harness -- metrics --quick 2>/dev/null \
   | python3 scripts/check_telemetry_schema.py
 
+# Figure smoke: every table and figure, the population sweep included,
+# must run to a zero exit (a few seconds in release).
+cargo run --release -q -p exynos-bench --bin harness -- all > /dev/null
+# An unwritable --csv path must fail the harness before the population
+# sweep runs.
+if CSV_OUT="$(cargo run --release -q -p exynos-bench --bin harness -- fig9 --csv /nonexistent/dir/p.csv 2>&1)"; then
+  echo "tier1: harness accepted an unwritable --csv path" >&2
+  exit 1
+fi
+if grep -q 'population sweep' <<< "$CSV_OUT"; then
+  echo "tier1: harness swept before failing on the --csv path:" >&2
+  echo "$CSV_OUT" >&2
+  exit 1
+fi
+
 # Checkpoint round-trip smoke: a resume from an on-disk image must emit
 # byte-identical telemetry to the run that wrote it.
 CKPT_DIR="$(mktemp -d)"

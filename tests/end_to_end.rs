@@ -5,42 +5,7 @@ use exynos::core::config::CoreConfig;
 use exynos::core::fault::FaultPlan;
 use exynos::secure::context::ContextId;
 use exynos::trace::gen::web::{WebParams, WebWorkload};
-use exynos::trace::{standard_suite, SlicePlan, SuiteKind};
-
-#[test]
-fn whole_suite_smoke_on_m1_and_m6() {
-    // Every catalog slice must simulate without panicking and produce
-    // sane metrics on the first and last generations.
-    for cfg in [CoreConfig::m1(), CoreConfig::m6()] {
-        for slice in standard_suite(1) {
-            let mut sim = SimBuilder::config(cfg.clone()).build().unwrap();
-            let mut gen = slice.build().unwrap();
-            let r = sim.run_slice(&mut *gen, SlicePlan::new(1_000, 6_000)).unwrap();
-            assert!(r.ipc > 0.0 && r.ipc <= cfg.width as f64 + 1e-9,
-                "{} on {}: ipc {}", slice.name, cfg.gen, r.ipc);
-            assert!(r.mpki >= 0.0 && r.mpki < 300.0, "{}: mpki {}", slice.name, r.mpki);
-            assert!(r.avg_load_latency < 2_000.0,
-                "{} on {}: lat {}", slice.name, cfg.gen, r.avg_load_latency);
-        }
-    }
-}
-
-#[test]
-fn all_suite_kinds_have_distinct_behaviour_profiles() {
-    // Loop kernels must be clearly higher-IPC than pointer chases on the
-    // same generation — the left/right split of Fig. 17.
-    let suite = standard_suite(1);
-    let run = |kind: SuiteKind| -> f64 {
-        let slice = suite.iter().find(|s| s.suite == kind).unwrap();
-        let mut sim = SimBuilder::config(CoreConfig::m3()).build().unwrap();
-        let mut gen = slice.build().unwrap();
-        sim.run_slice(&mut *gen, SlicePlan::new(2_000, 12_000)).unwrap().ipc
-    };
-    let fp = run(SuiteKind::SpecFpLike);
-    let game = run(SuiteKind::GameLike);
-    assert!(fp > 2.0, "loop kernels are high-IPC: {fp}");
-    assert!(game < fp, "irregular workloads sit below kernels: {game} vs {fp}");
-}
+use exynos::trace::{standard_suite, SlicePlan};
 
 #[test]
 fn slice_result_covers_the_detail_window_only() {
