@@ -21,6 +21,14 @@ use std::collections::VecDeque;
 /// Buddy-filled lines tracked for usefulness; the oldest is dropped first.
 const BUDDY_WINDOW: usize = 64;
 
+/// The level that served a demand which missed the L1.
+#[derive(Debug, Clone, Copy)]
+enum Served {
+    L2,
+    L3,
+    Dram,
+}
+
 exynos_telemetry::counters! {
     /// Aggregate memory-system statistics.
     #[derive(Debug, Clone, Copy, Default)]
@@ -185,13 +193,17 @@ impl MemSystem {
     // Inner-level plumbing
     // ------------------------------------------------------------------
 
-    /// Handle L2 victims into the exclusive L3 with the coordinated
-    /// castout policy (§VIII.A): reuse ≥ 2 → elevated; reuse ≥ 1 →
-    /// ordinary; never-reused (or pure second-pass) lines bypass the L3.
-    fn castout_l2_victims(&mut self, victims: Victims) {
-        // Buddy usefulness: a buddy-brought line evicted without a demand
-        // hit was wasted bandwidth.
-        for v in &victims {
+    /// Install `addr`'s line in the L2, dirty if `dirty`, and send on what
+    /// it displaces. A victim first settles its prefetcher bookkeeping,
+    /// then takes the coordinated castout policy into the exclusive L3
+    /// (§VIII.A): reuse ≥ 2 → elevated; demanded or dirty → ordinary;
+    /// never-reused (or pure second-pass) lines bypass the L3. This is the
+    /// one place a line leaves the model: a bypassed victim, an L3 victim,
+    /// and on M1/M2 every L2 victim.
+    fn fill_l2(&mut self, addr: u64, kind: AccessKind, meta: LineMeta, dirty: bool, prio: InsertPriority) {
+        for v in self.l2.fill(addr, kind, meta, dirty, prio) {
+            // Buddy usefulness: a buddy-brought line evicted without a
+            // demand hit was wasted bandwidth.
             if let Some(pos) = self.buddy_lines.iter().position(|&l| l == v.addr / LINE_BYTES) {
                 self.buddy_lines.remove(pos);
                 if let Some(b) = &mut self.buddy {
@@ -207,49 +219,42 @@ impl MemSystem {
                     sp.on_prefetch_outcome(v.meta.demand_hit);
                 }
             }
-        }
-        let Some(l3) = &mut self.l3 else {
-            for v in &victims {
-                self.snoop.remove(v.addr / LINE_BYTES);
-            }
-            return;
-        };
-        for v in victims {
-            // Coordinated policy: observed reuse (L2 hits / L3
-            // re-allocations) earns the elevated state; demanded lines
-            // allocate ordinarily; prefetched-but-never-demanded lines
-            // (dead prefetches, incl. second-pass fills) bypass the L3
-            // entirely so transient streams don't wash it out.
-            let prio = if v.meta.reuse >= 2 {
+            // Observed reuse (L2 hits / L3 re-allocations) earns the
+            // elevated state; demanded lines allocate ordinarily;
+            // prefetched-but-never-demanded lines (dead prefetches, incl.
+            // second-pass fills) bypass the L3 entirely so transient
+            // streams don't wash it out.
+            let castout = if v.meta.reuse >= 2 {
                 InsertPriority::Elevated
             } else if v.meta.demand_hit || v.dirty {
                 InsertPriority::Ordinary
             } else {
                 InsertPriority::Bypass
             };
-            if prio == InsertPriority::Bypass {
-                self.snoop.remove(v.addr / LINE_BYTES);
-                continue;
-            }
-            let l3_victims = l3.fill(v.addr, AccessKind::Writeback, v.meta, prio);
-            for lv in l3_victims {
-                self.snoop.remove(lv.addr / LINE_BYTES);
+            let (evicted, bypassed) = match &mut self.l3 {
+                Some(l3) if castout != InsertPriority::Bypass => {
+                    (l3.fill(v.addr, AccessKind::Writeback, v.meta, v.dirty, castout), None)
+                }
+                _ => (Victims::default(), Some(v)),
+            };
+            for gone in evicted.into_iter().chain(bypassed) {
+                self.snoop.remove(gone.addr / LINE_BYTES);
             }
         }
     }
 
-    /// Bring `addr`'s line to the L2 level and return the cycle its data
-    /// is at the L2 (demand path). Handles L3 exclusivity, DRAM, the §IX
-    /// features, buddy + standalone prefetch hooks.
-    fn fetch_to_l2(&mut self, pc: u64, addr: u64, now: u64, kind: AccessKind) -> u64 {
+    /// Bring the line of a demand that missed the L1 to the L2. Returns
+    /// the cycle its data is at the L2 and the level that served it.
+    /// Handles L3 exclusivity, DRAM, the §IX features, buddy + standalone
+    /// prefetch hooks.
+    fn fetch_to_l2(&mut self, pc: u64, addr: u64, now: u64) -> (u64, Served) {
         let line = addr / LINE_BYTES;
         let l2_lat = self.l2.config().latency as u64;
-        // Standalone prefetcher observes the L2-level access stream
-        // (demands and core prefetches alike).
+        // Standalone prefetcher observes the L2-level demand stream.
         if self.standalone.is_some() {
             let mut standalone_pf = std::mem::take(&mut self.scratch_lines);
             if let Some(sp) = &mut self.standalone {
-                sp.on_l2_access_into(line, kind == AccessKind::Demand, &mut standalone_pf);
+                sp.on_l2_access_into(line, true, &mut standalone_pf);
             }
             for &pf_line in &standalone_pf {
                 self.background_fill_l2(pf_line * LINE_BYTES, now, AccessKind::Prefetch);
@@ -258,57 +263,46 @@ impl MemSystem {
             self.scratch_lines = standalone_pf;
         }
         // Speculative read decision happens in parallel with the L2 tags.
-        let spec = if kind == AccessKind::Demand {
-            self.spec.decide(pc, line, &self.snoop)
-        } else {
-            SpecDecision::NoSpeculation
-        };
+        let spec = self.spec.decide(pc, line, &self.snoop);
         // L2 tags.
-        if let Some(m) = self.l2.access(addr, kind) {
-            if kind == AccessKind::Demand {
-                self.stats.l2_hits += 1;
-                // Buddy usefulness: first demand touch of a buddy line.
-                if m.prefetched && !m.demand_hit {
-                    if let Some(pos) = self.buddy_lines.iter().position(|&l| l == line) {
-                        self.buddy_lines.remove(pos);
-                        if let Some(b) = &mut self.buddy {
-                            b.on_buddy_used();
-                        }
-                    } else if let Some(sp) = &mut self.standalone {
-                        sp.on_prefetch_outcome(true);
+        if let Some(m) = self.l2.access(addr, AccessKind::Demand) {
+            // Buddy usefulness: first demand touch of a buddy line.
+            if m.prefetched && !m.demand_hit {
+                if let Some(pos) = self.buddy_lines.iter().position(|&l| l == line) {
+                    self.buddy_lines.remove(pos);
+                    if let Some(b) = &mut self.buddy {
+                        b.on_buddy_used();
                     }
+                } else if let Some(sp) = &mut self.standalone {
+                    sp.on_prefetch_outcome(true);
                 }
             }
             self.spec.resolve(pc, spec, true);
-            return now + l2_lat;
+            return (now + l2_lat, Served::L2);
         }
         // L2 demand miss: the early page-activate hint fires as soon as
         // the read is classified latency-critical (§IX) — ahead of the
         // buddy prefetch and the L3 tag check.
-        if kind == AccessKind::Demand {
-            self.dram.activate_hint(addr, now);
-        }
+        self.dram.activate_hint(addr, now);
         // Buddy prefetch of the neighbour sector.
-        if kind == AccessKind::Demand {
-            let buddy_req = match &mut self.buddy {
-                Some(b) => b.on_l2_demand_miss(addr, self.l2.buddy_valid(addr)),
-                None => None,
-            };
-            if let Some(baddr) = buddy_req {
-                // The buddy request flows the ordinary (tag-checked) path
-                // to memory — it does not get the latency-critical bypass.
-                let l3_lat = self.l3.as_ref().map(|c| c.config().latency as u64).unwrap_or(0);
-                self.background_fill_l2(baddr, now + l3_lat, AccessKind::Prefetch);
-                self.buddy_lines.push_back(baddr / LINE_BYTES);
-                if self.buddy_lines.len() > BUDDY_WINDOW {
-                    self.buddy_lines.pop_front();
-                }
-                self.stats.buddy_fills += 1;
+        let buddy_req = match &mut self.buddy {
+            Some(b) => b.on_l2_demand_miss(addr, self.l2.buddy_valid(addr)),
+            None => None,
+        };
+        if let Some(baddr) = buddy_req {
+            // The buddy request flows the ordinary (tag-checked) path
+            // to memory — it does not get the latency-critical bypass.
+            let l3_lat = self.l3.as_ref().map(|c| c.config().latency as u64).unwrap_or(0);
+            self.background_fill_l2(baddr, now + l3_lat, AccessKind::Prefetch);
+            self.buddy_lines.push_back(baddr / LINE_BYTES);
+            if self.buddy_lines.len() > BUDDY_WINDOW {
+                self.buddy_lines.pop_front();
             }
+            self.stats.buddy_fills += 1;
         }
         // L3 (exclusive) tags, checked after the L2.
         let l3_swap = self.l3.as_mut().and_then(|l3| {
-            let (mut meta, dirty) = l3.access_and_take(addr, kind)?;
+            let (mut meta, dirty) = l3.access_and_take(addr, AccessKind::Demand)?;
             if !meta.second_pass {
                 meta.reuse = meta.reuse.saturating_add(1).min(3);
             }
@@ -317,16 +311,9 @@ impl MemSystem {
         if let Some((meta, dirty, l3_lat)) = l3_swap {
             // Exclusive swap: line moves L3 → L2, reuse credited
             // ("subsequent re-allocation from L3").
-            let victims = self.l2.fill(addr, kind, meta, InsertPriority::Elevated);
-            if dirty {
-                self.l2.mark_dirty(addr);
-            }
-            self.castout_l2_victims(victims);
-            if kind == AccessKind::Demand {
-                self.stats.l3_hits += 1;
-            }
+            self.fill_l2(addr, AccessKind::Demand, meta, dirty, InsertPriority::Elevated);
             self.spec.resolve(pc, spec, true);
-            return now + l2_lat + l3_lat;
+            return (now + l2_lat + l3_lat, Served::L3);
         }
         // Full miss: DRAM (the activate hint already fired at L2-miss
         // classification); the read launches after the (possibly bypassed)
@@ -340,19 +327,11 @@ impl MemSystem {
             _ => now + l2_lat + l3_lat,
         };
         let done = self.dram.read(addr, launch);
-        if kind == AccessKind::Demand {
-            self.stats.dram_loads += 1;
-        }
         self.spec.resolve(pc, spec, false);
         // Fill the L2 (the L3 stays out of the way: exclusive).
-        let meta = LineMeta {
-            second_pass: kind == AccessKind::PrefetchFirstPass,
-            ..LineMeta::default()
-        };
-        let victims = self.l2.fill(addr, kind, meta, InsertPriority::Elevated);
-        self.castout_l2_victims(victims);
+        self.fill_l2(addr, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         self.snoop.insert(line);
-        done
+        (done, Served::Dram)
     }
 
     /// A background (prefetch) fill to the L2 level: affects cache and
@@ -362,13 +341,8 @@ impl MemSystem {
             return;
         }
         // L3 hit satisfies the prefetch without DRAM traffic.
-        let l3_line = self.l3.as_mut().and_then(|l3| l3.invalidate(addr));
-        if let Some((meta, dirty)) = l3_line {
-            let victims = self.l2.fill(addr, kind, meta, InsertPriority::Ordinary);
-            if dirty {
-                self.l2.mark_dirty(addr);
-            }
-            self.castout_l2_victims(victims);
+        if let Some((meta, dirty)) = self.l3.as_mut().and_then(|l3| l3.invalidate(addr)) {
+            self.fill_l2(addr, kind, meta, dirty, InsertPriority::Ordinary);
             return;
         }
         // Low-priority DRAM read: deprioritized behind demand traffic, so
@@ -378,9 +352,19 @@ impl MemSystem {
             second_pass: kind == AccessKind::PrefetchFirstPass,
             ..LineMeta::default()
         };
-        let victims = self.l2.fill(addr, kind, meta, InsertPriority::Ordinary);
-        self.castout_l2_victims(victims);
+        self.fill_l2(addr, kind, meta, false, InsertPriority::Ordinary);
         self.snoop.insert(addr / LINE_BYTES);
+    }
+
+    /// Fill `addr` into the L1D, dirty if `dirty`, and retire what it
+    /// displaces. The L2 does not include the L1D: a clean victim just
+    /// leaves; a dirty one marks the L2's copy dirty or allocates one.
+    fn fill_l1d(&mut self, addr: u64, kind: AccessKind, dirty: bool) {
+        for v in self.l1d.fill(addr, kind, LineMeta::default(), dirty, InsertPriority::Elevated) {
+            if v.dirty && !self.l2.mark_dirty(v.addr) {
+                self.fill_l2(v.addr, AccessKind::Writeback, v.meta, true, InsertPriority::Ordinary);
+            }
+        }
     }
 
     /// Fill `addr` into the L1D (prefetch second pass / one pass).
@@ -397,20 +381,7 @@ impl MemSystem {
         } else {
             self.l2.access(addr, AccessKind::Prefetch);
         }
-        let victims = self.l1d.fill(addr, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Elevated);
-        for v in victims {
-            // L1 victims retire into the L2 (which is not exclusive of the
-            // L1 here; only refresh recency / dirtiness).
-            if v.dirty {
-                if self.l2.probe(v.addr) {
-                    self.l2.mark_dirty(v.addr);
-                } else {
-                    let vict = self.l2.fill(v.addr, AccessKind::Writeback, v.meta, InsertPriority::Ordinary);
-                    self.l2.mark_dirty(v.addr);
-                    self.castout_l2_victims(vict);
-                }
-            }
-        }
+        self.fill_l1d(addr, AccessKind::Prefetch, false);
         self.stats.l1_prefetch_fills += 1;
     }
 
@@ -558,22 +529,15 @@ impl MemSystem {
         // Train the L1 prefetchers on the miss and issue their requests.
         let mut requests = std::mem::take(&mut self.scratch_reqs);
         self.l1pf.on_demand_miss_into(pc, vaddr, &mut requests);
-        let data_at_l2 = self.fetch_to_l2(pc, vaddr, start, AccessKind::Demand);
+        let (data_at_l2, served) = self.fetch_to_l2(pc, vaddr, start);
+        match served {
+            Served::L2 => self.stats.l2_hits += 1,
+            Served::L3 => self.stats.l3_hits += 1,
+            Served::Dram => self.stats.dram_loads += 1,
+        }
         // Reserve the MAB until the fill returns.
         let _ = self.mabs.try_allocate(start, data_at_l2);
-        // Fill L1.
-        let victims = self.l1d.fill(vaddr, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-        for v in victims {
-            if v.dirty {
-                if self.l2.probe(v.addr) {
-                    self.l2.mark_dirty(v.addr);
-                } else {
-                    let vict = self.l2.fill(v.addr, AccessKind::Writeback, v.meta, InsertPriority::Ordinary);
-                    self.l2.mark_dirty(v.addr);
-                    self.castout_l2_victims(vict);
-                }
-            }
-        }
+        self.fill_l1d(vaddr, AccessKind::Demand, false);
         // Issue the prefetch requests (two-pass scheme + TLB preload).
         self.issue_l1_prefetches(&requests, start);
         self.scratch_reqs = requests;
@@ -593,15 +557,8 @@ impl MemSystem {
             let mut reqs = std::mem::take(&mut self.scratch_reqs);
             self.l1pf.on_demand_miss_into(pc, vaddr, &mut reqs);
             self.scratch_reqs = reqs;
-            let _ = self.fetch_to_l2(pc, vaddr, now, AccessKind::Demand);
-            let victims = self.l1d.fill(vaddr, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-            self.l1d.mark_dirty(vaddr);
-            for v in victims {
-                if v.dirty && !self.l2.probe(v.addr) {
-                    let vict = self.l2.fill(v.addr, AccessKind::Writeback, v.meta, InsertPriority::Ordinary);
-                    self.castout_l2_victims(vict);
-                }
-            }
+            let _ = self.fetch_to_l2(pc, vaddr, now);
+            self.fill_l1d(vaddr, AccessKind::Demand, true);
         }
         Ok(now + 1)
     }
@@ -615,8 +572,8 @@ impl MemSystem {
         }
         self.check_mab_invariant(now)?;
         self.stats.icache_misses += 1;
-        let done = self.fetch_to_l2(pc, pc, now + tlb_lat, AccessKind::Demand);
-        let _ = self.l1i.fill(pc, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        let (done, _) = self.fetch_to_l2(pc, pc, now + tlb_lat);
+        let _ = self.l1i.fill(pc, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         // Clean instruction lines need no writeback.
         Ok(done.saturating_sub(now))
     }
@@ -626,9 +583,156 @@ impl MemSystem {
 mod tests {
     use super::*;
     use crate::config::CoreConfig;
+    use exynos_trace::{standard_suite, InstKind};
+    use std::collections::{BTreeMap, HashMap, HashSet};
 
     fn ms(cfg: CoreConfig) -> MemSystem {
         MemSystem::new(&cfg)
+    }
+
+    /// The hierarchy's conservation rules over `m`'s current state: one
+    /// (rule, detail) pair per violation. `dirtied` holds the lines stores
+    /// have dirtied; a line no level holds any more has been written back
+    /// and is dropped from it. `touched` holds the lines the run accessed.
+    fn audit(m: &MemSystem, dirtied: &mut HashSet<u64>, touched: &HashSet<u64>) -> Vec<(&'static str, String)> {
+        let lines = |c: Option<&Cache>| -> HashMap<u64, bool> {
+            c.into_iter().flat_map(Cache::lines).map(|(a, _, dirty)| (a / LINE_BYTES, dirty)).collect()
+        };
+        let (l1d, l2, l3) = (lines(Some(&m.l1d)), lines(Some(&m.l2)), lines(m.l3.as_ref()));
+        let levels = [&l1d, &l2, &l3];
+        let mut bad = Vec::new();
+        // The L2 and the L3 are exclusive.
+        for line in l2.keys().filter(|l| l3.contains_key(l)) {
+            bad.push(("L2 ∩ L3 = ∅", format!("line {line:#x}")));
+        }
+        // A line a store dirtied stays dirty at some level until it leaves.
+        dirtied.retain(|l| levels.iter().any(|c| c.contains_key(l)));
+        for line in dirtied.iter().filter(|l| !levels.iter().any(|c| c.get(l) == Some(&true))) {
+            bad.push(("stored lines stay dirty", format!("line {line:#x} is resident but clean")));
+        }
+        for line in m.buddy_lines.iter().filter(|l| !l2.contains_key(l)) {
+            bad.push(("buddy lines ⊆ L2", format!("line {line:#x}")));
+        }
+        // The directory never claims a line the L2 and L3 do not hold. It
+        // may miss lines: its 65,536 entries are fewer than M5/M6's L2 + L3
+        // lines, and a dirty L1D victim allocates in the L2 without one.
+        for line in touched.iter().filter(|&&l| m.snoop.may_be_cached(l)) {
+            if !l2.contains_key(line) && !l3.contains_key(line) {
+                bad.push(("directory ⊆ L2 ∪ L3", format!("line {line:#x}")));
+            }
+        }
+        let s = m.stats;
+        if s.l1_hits + s.l2_hits + s.l3_hits + s.dram_loads != s.loads {
+            bad.push(("per-level loads sum to loads", format!("{s:?}")));
+        }
+        bad
+    }
+
+    /// Whether `c` holds `addr`'s line, and dirty.
+    fn held_dirty(c: &Cache, addr: u64) -> Option<bool> {
+        c.lines().find(|l| l.0 == addr).map(|l| l.2)
+    }
+
+    /// Drives `MemSystem` with the instruction fetches, loads and stores
+    /// of `insts` instructions of each named `standard_suite(1)` slice, one
+    /// instruction a cycle, and audits the hierarchy every `every`
+    /// instructions. Returns the violations, labelled by slice.
+    fn audited_run(cfg: &CoreConfig, slices: &[&str], insts: u64, every: u64) -> Vec<(&'static str, String)> {
+        let mut bad = Vec::new();
+        for spec in standard_suite(1).iter().filter(|s| slices.contains(&s.name.as_str())) {
+            let mut m = MemSystem::new(cfg);
+            let mut gen = spec.build().unwrap();
+            let (mut dirtied, mut touched) = (HashSet::new(), HashSet::new());
+            let mut fetch_line = u64::MAX;
+            for now in 0..insts {
+                let inst = gen.next_inst();
+                if inst.pc / LINE_BYTES != fetch_line {
+                    fetch_line = inst.pc / LINE_BYTES;
+                    touched.insert(fetch_line);
+                    m.ifetch(inst.pc, now).unwrap();
+                }
+                if let Some(r) = inst.mem {
+                    touched.insert(r.vaddr / LINE_BYTES);
+                    match inst.kind {
+                        InstKind::Load => {
+                            m.load(inst.pc, r.vaddr, now, false).unwrap();
+                        }
+                        InstKind::Store => {
+                            m.store(inst.pc, r.vaddr, now).unwrap();
+                            dirtied.insert(r.vaddr / LINE_BYTES);
+                        }
+                        _ => {}
+                    }
+                }
+                if (now + 1) % every == 0 {
+                    let found = audit(&m, &mut dirtied, &touched);
+                    bad.extend(found.into_iter().map(|(rule, v)| (rule, format!("{} @{now}: {v}", spec.name))));
+                }
+            }
+        }
+        bad
+    }
+
+    /// A store stream (`stream/copy0`, whose write-allocates evict dirty
+    /// L1D lines), a multi-stride stream, a 16 MB pointer chase and a
+    /// mixed mobile slice, on every generation.
+    #[test]
+    fn the_hierarchy_conserves_lines_and_dirtiness() {
+        let slices = ["stream/copy0", "stream/ms1", "game/chase2_ws16m", "mobile/geek0"];
+        for cfg in CoreConfig::all_generations() {
+            let bad = audited_run(&cfg, &slices, 20_000, 64);
+            let mut per_rule = BTreeMap::new();
+            for (rule, v) in &bad {
+                per_rule.entry(*rule).or_insert((0, v)).0 += 1;
+            }
+            assert!(bad.is_empty(), "{:?}: violations per rule (count, first): {per_rule:?}", cfg.gen);
+        }
+    }
+
+    #[test]
+    fn a_store_evicting_a_dirty_l1d_line_keeps_it_dirty() {
+        for l2_holds in [true, false] {
+            let mut m = ms(CoreConfig::m3());
+            let a = 0x50_0000;
+            m.store(0x4000, a, 0).unwrap();
+            if !l2_holds {
+                // The L2 does not include the L1D: drop its copy, as a
+                // castout would.
+                assert!(m.l2.invalidate(a).is_some());
+            }
+            // Write-allocate stores to lines of the same L1D set until one
+            // evicts `a`.
+            let stride = m.l1d.config().sets() * LINE_BYTES;
+            let mut k = 0;
+            while m.l1d.probe(a) {
+                k += 1;
+                assert!(k <= 64, "the L1D never evicted the line");
+                m.store(0x4000, a + k * stride, k).unwrap();
+            }
+            assert_eq!(held_dirty(&m.l2, a), Some(true), "l2_holds {l2_holds}: the L2 must hold the victim dirty");
+        }
+    }
+
+    #[test]
+    fn lines_a_store_dirtied_stay_dirty_through_the_l3_and_back() {
+        for cfg in [CoreConfig::m3(), CoreConfig::m4(), CoreConfig::m5(), CoreConfig::m6()] {
+            let gen = cfg.gen;
+            let mut m = ms(cfg);
+            let lines = 4 * m.l2.config().size_bytes / LINE_BYTES;
+            for i in 0..lines {
+                m.store(0x4000, 0x1000_0000 + i * LINE_BYTES, i).unwrap();
+            }
+            let l3 = m.l3.as_ref().unwrap();
+            let clean = l3.lines().filter(|l| !l.2).count();
+            assert_eq!(clean, 0, "{gen:?}: {clean} of {} L3 lines clean", l3.lines().count());
+            // The exclusive swap back into the L2 keeps the line dirty. The
+            // last line cast out is the one a buddy fill's castouts are
+            // least likely to push out of the L3 first.
+            let addr = l3.lines().map(|l| l.0).max().unwrap();
+            m.load(0x4000, addr, 2 * lines, false).unwrap();
+            assert_eq!(m.stats().l3_hits, 1, "{gen:?}: the load must be served by the L3");
+            assert_eq!(held_dirty(&m.l2, addr), Some(true), "{gen:?}: the line swapped back clean");
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// IPC can never exceed the machine width, retirement is monotone,
-    /// and the exclusive-hierarchy invariant holds at the end of any run.
+    /// the per-level load counters sum to the loads, and the
+    /// exclusive-hierarchy invariant holds at the end of any run.
     #[test]
     fn simulator_physical_sanity(slice_idx in 0usize..20, gen_idx in 0usize..6, seed in 0u64..50) {
         let suite = standard_suite(1);
@@ -35,6 +36,9 @@ proptest! {
         let s = sim.stats();
         let ipc = s.instructions as f64 / s.last_retire.max(1) as f64;
         prop_assert!(ipc <= width as f64 + 1e-9, "IPC {ipc} exceeds width {width}");
+        // Every load is served by exactly one level.
+        let m = sim.memsys().stats();
+        prop_assert_eq!(m.l1_hits + m.l2_hits + m.l3_hits + m.dram_loads, m.loads, "{:?}", m);
         // Exclusive hierarchy: no line resident in both L2 and L3.
         for addr in touched {
             let (_, l2, l3) = sim.memsys().line_residency(addr);

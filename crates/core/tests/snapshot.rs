@@ -239,16 +239,16 @@ fn restored_fault_plan_that_validate_rejects_is_rejected() {
 /// recorded at is pinned beside them.
 #[test]
 fn checkpoint_image_bytes_are_pinned() {
-    assert_eq!(FORMAT_VERSION, 2, "re-pin GOLDEN when the format version moves");
+    assert_eq!(FORMAT_VERSION, 3, "re-pin GOLDEN when the format version moves");
     // Per generation M1..M6: (digest without faults, digest under
     // FaultPlan::chaos(7)).
     const GOLDEN: [(u64, u64); 6] = [
-        (0x4aff_2c38_dc07_7579, 0x0a81_c7b4_57c0_a7b4),
-        (0xb385_1861_124d_76e2, 0x4644_4962_a2c0_4e65),
-        (0xe7f7_33b6_a3f6_b8af, 0x88d9_c40a_dfb3_1dc9),
-        (0x4d4d_a71d_1dc3_1737, 0x8e31_9414_40f2_8a12),
-        (0x1050_e191_13db_f4f0, 0xb7b4_bde8_25f8_9852),
-        (0xbf2b_614f_c66e_cb1b, 0xf46d_e331_6377_f150),
+        (0x50af_a93e_b5f4_6a8d, 0x89ff_c615_e5a1_4f7c),
+        (0xbb8b_cba5_dd56_8e0a, 0x7e72_09ac_c634_99cd),
+        (0xb654_18ad_befa_03df, 0x8846_2f8a_8a5c_03ed),
+        (0xb4c2_e5e3_8fca_1e7f, 0x34b4_cb72_4fc1_b68a),
+        (0x1315_f158_13ab_7e68, 0x45b4_c243_0719_cbf6),
+        (0xa5b4_b735_109f_14df, 0x81f0_f152_2709_9bc0),
     ];
     let slice = &standard_suite(1)[4];
     let mut got = Vec::new();

@@ -215,6 +215,16 @@ impl TagEntry {
         }
     }
 
+    /// The valid sectors as lines, each with its metadata and dirtiness.
+    #[inline]
+    fn lines(&self, sectors: usize, granule_shift: u32) -> impl Iterator<Item = Victim> + '_ {
+        (0..sectors).filter(move |&s| self.sector_valid >> s & 1 == 1).map(move |s| Victim {
+            addr: (self.tag_addr << granule_shift) + s as u64 * LINE_BYTES,
+            meta: self.meta[s],
+            dirty: self.sector_dirty >> s & 1 == 1,
+        })
+    }
+
     /// Drop sector `sector`, freeing the tag when no sector is left.
     /// Returns the sector's metadata and dirtiness.
     #[inline]
@@ -423,9 +433,17 @@ impl Cache {
         }
     }
 
-    /// Fill the 64 B line at `addr`. Returns victims displaced by the fill
-    /// (up to both sectors of an evicted sectored tag).
-    pub fn fill(&mut self, addr: u64, kind: AccessKind, mut meta: LineMeta, priority: InsertPriority) -> Victims {
+    /// Fill the 64 B line at `addr`, dirty if `dirty` (a refill keeps a
+    /// dirty bit it finds). Returns victims displaced by the fill (up to
+    /// both sectors of an evicted sectored tag).
+    pub fn fill(
+        &mut self,
+        addr: u64,
+        kind: AccessKind,
+        mut meta: LineMeta,
+        dirty: bool,
+        priority: InsertPriority,
+    ) -> Victims {
         if priority == InsertPriority::Bypass {
             return Victims::default();
         }
@@ -442,10 +460,12 @@ impl Cache {
             InsertPriority::Ordinary => 2,
             InsertPriority::Bypass => unreachable!("checked above"),
         };
+        let dirty_bit = u8::from(dirty) << sector;
         let set = self.entries.set_mut(s);
         // Same tag already present (other sector valid, or refill)?
         if let Some(e) = set.iter_mut().find(|e| e.tag_addr == t) {
             e.sector_valid |= 1 << sector;
+            e.sector_dirty |= dirty_bit;
             e.meta[sector] = meta;
             e.rrpv = e.rrpv.min(insert_rrpv);
             return Victims::default();
@@ -488,21 +508,14 @@ impl Cache {
         };
         let mut victims = Victims::default();
         let e = &mut set[victim_way];
-        if e.sector_valid != 0 {
-            for s in 0..sectors {
-                if e.sector_valid >> s & 1 == 1 {
-                    victims.push(Victim {
-                        addr: (e.tag_addr << granule_shift) + s as u64 * LINE_BYTES,
-                        meta: e.meta[s],
-                        dirty: e.sector_dirty >> s & 1 == 1,
-                    });
-                }
-            }
-            self.stats.evictions += victims.len() as u64;
+        for v in e.lines(sectors, granule_shift) {
+            victims.push(v);
         }
+        self.stats.evictions += victims.len() as u64;
         *e = TagEntry::invalid();
         e.tag_addr = t;
         e.sector_valid = 1 << sector;
+        e.sector_dirty = dirty_bit;
         e.meta[sector] = meta;
         e.rrpv = insert_rrpv;
         victims
@@ -515,11 +528,16 @@ impl Cache {
         hit_mut(self.entries.written_mut(s), t, sector).map(|e| e.take_sector(sector))
     }
 
-    /// Mark the line dirty (store hit).
-    pub fn mark_dirty(&mut self, addr: u64) {
+    /// Mark the line dirty if it is present (an inner level's dirty
+    /// victim). Returns whether it was.
+    pub fn mark_dirty(&mut self, addr: u64) -> bool {
         let (s, t, sector) = self.locate(addr);
-        if let Some(e) = hit_mut(self.entries.written_mut(s), t, sector) {
-            e.sector_dirty |= 1 << sector;
+        match hit_mut(self.entries.written_mut(s), t, sector) {
+            Some(e) => {
+                e.sector_dirty |= 1 << sector;
+                true
+            }
+            None => false,
         }
     }
 
@@ -537,13 +555,15 @@ impl Cache {
         }
     }
 
-    /// Number of valid 64 B lines resident.
-    pub fn occupancy(&self) -> usize {
+    /// Every resident 64 B line as (line address, metadata, dirty), over
+    /// the written sets in no particular order.
+    pub fn lines(&self) -> impl Iterator<Item = (u64, LineMeta, bool)> + '_ {
+        let sectors = self.cfg.sectors_per_tag as usize;
         self.entries
             .written()
             .flatten()
-            .map(|e| e.sector_valid.count_ones() as usize)
-            .sum()
+            .flat_map(move |e| e.lines(sectors, self.granule_shift))
+            .map(|v| (v.addr, v.meta, v.dirty))
     }
 }
 
@@ -564,7 +584,7 @@ mod tests {
     fn miss_then_fill_then_hit() {
         let mut c = small();
         assert!(c.access(0x1000, AccessKind::Demand).is_none());
-        c.fill(0x1000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        c.fill(0x1000, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         assert!(c.access(0x1000, AccessKind::Demand).is_some());
         assert_eq!(c.stats().demand_hits, 1);
         assert_eq!(c.stats().demand_misses, 1);
@@ -580,7 +600,7 @@ mod tests {
         for i in 0..5u64 {
             let a = 0x10_0000 + i * stride;
             c.access(a, AccessKind::Demand);
-            c.fill(a, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+            c.fill(a, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         }
         assert!(!c.probe(0x10_0000), "oldest line evicted");
         assert!(c.probe(0x10_0000 + 4 * stride));
@@ -595,13 +615,13 @@ mod tests {
             sectors_per_tag: 2,
             latency: 12,
         });
-        c.fill(0x2000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        c.fill(0x2000, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         assert!(c.probe(0x2000));
         assert!(!c.probe(0x2040), "buddy sector invalid until filled");
         assert!(!c.buddy_valid(0x2040) == false || c.buddy_valid(0x2040));
         assert!(c.buddy_valid(0x2040), "0x2000 is 0x2040's buddy");
         // Filling the buddy does not evict anything (same tag).
-        let v = c.fill(0x2040, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Ordinary);
+        let v = c.fill(0x2040, AccessKind::Prefetch, LineMeta::default(), false, InsertPriority::Ordinary);
         assert!(v.is_empty());
         assert!(c.probe(0x2040));
     }
@@ -616,16 +636,16 @@ mod tests {
         });
         let sets = c.config().sets();
         let stride = sets * 128;
-        c.fill(0x4000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-        c.fill(0x4040, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-        let v = c.fill(0x4000 + stride, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        c.fill(0x4000, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
+        c.fill(0x4040, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
+        let v = c.fill(0x4000 + stride, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         assert_eq!(v.len(), 2, "both sectors evicted with the tag");
     }
 
     #[test]
     fn useful_prefetch_tracked_once() {
         let mut c = small();
-        c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Ordinary);
+        c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), false, InsertPriority::Ordinary);
         assert!(c.access(0x3000, AccessKind::Demand).is_some());
         assert!(c.access(0x3000, AccessKind::Demand).is_some());
         assert_eq!(c.stats().useful_prefetch_hits, 1);
@@ -636,13 +656,13 @@ mod tests {
         let mut c = small();
         let mut meta = LineMeta::default();
         meta.second_pass = true;
-        c.fill(0x3000, AccessKind::PrefetchFirstPass, meta, InsertPriority::Ordinary);
+        c.fill(0x3000, AccessKind::PrefetchFirstPass, meta, false, InsertPriority::Ordinary);
         for _ in 0..5 {
             c.access(0x3000, AccessKind::Demand);
         }
         let reuse = |c: &mut Cache, a| c.access(a, AccessKind::Demand).unwrap().reuse;
         assert_eq!(reuse(&mut c, 0x3000), 0, "second-pass lines don't mark reuse");
-        c.fill(0x3040, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        c.fill(0x3040, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         for _ in 0..5 {
             c.access(0x3040, AccessKind::Demand);
         }
@@ -660,16 +680,16 @@ mod tests {
         let sets = c.config().sets();
         let stride = sets * 64;
         // One elevated (hot) line.
-        c.fill(0x8000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+        c.fill(0x8000, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         // An ordinary transient stream through the same set.
         for i in 1..9u64 {
-            c.fill(0x8000 + i * stride, AccessKind::Demand, LineMeta::default(), InsertPriority::Ordinary);
+            c.fill(0x8000 + i * stride, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Ordinary);
         }
         assert!(c.probe(0x8000), "elevated line survives a transient stream");
         // But protection ages out eventually — a cold elevated line cannot
         // pin its way forever.
         for i in 9..40u64 {
-            c.fill(0x8000 + i * stride, AccessKind::Demand, LineMeta::default(), InsertPriority::Ordinary);
+            c.fill(0x8000 + i * stride, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Ordinary);
         }
         assert!(!c.probe(0x8000), "unreferenced elevated line ages out");
     }
@@ -677,8 +697,7 @@ mod tests {
     #[test]
     fn invalidate_supports_exclusive_swaps() {
         let mut c = small();
-        c.fill(0x9000, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
-        c.mark_dirty(0x9000);
+        c.fill(0x9000, AccessKind::Demand, LineMeta::default(), true, InsertPriority::Elevated);
         let (meta, dirty) = c.invalidate(0x9000).unwrap();
         assert!(dirty);
         assert!(meta.demand_hit);
@@ -690,7 +709,7 @@ mod tests {
     fn access_returns_the_metadata_from_before_it() {
         let mut c = small();
         assert_eq!(c.access(0x3000, AccessKind::Demand), None);
-        c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Ordinary);
+        c.fill(0x3000, AccessKind::Prefetch, LineMeta::default(), false, InsertPriority::Ordinary);
         let m = c.access(0x3000, AccessKind::Demand).unwrap();
         assert!(m.prefetched && !m.demand_hit && m.reuse == 0);
         let m = c.access(0x3000, AccessKind::Demand).unwrap();
@@ -715,8 +734,8 @@ mod tests {
         let stride = a.config().sets() * 128;
         for i in 0..6u64 {
             let kind = if i % 2 == 0 { AccessKind::Prefetch } else { AccessKind::Demand };
-            a.fill(0x4000 + i * stride, kind, LineMeta::default(), InsertPriority::Ordinary);
-            a.fill(0x4040 + i * stride, AccessKind::Demand, LineMeta::default(), InsertPriority::Ordinary);
+            a.fill(0x4000 + i * stride, kind, LineMeta::default(), false, InsertPriority::Ordinary);
+            a.fill(0x4040 + i * stride, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Ordinary);
         }
         let mut b = a.clone();
         for i in 0..8u64 {
@@ -728,7 +747,7 @@ mod tests {
             // store = demand access + mark_dirty.
             let hit = a.access(addr + 8, AccessKind::Demand).is_some();
             if hit {
-                a.mark_dirty(addr + 8);
+                assert!(a.mark_dirty(addr + 8));
             }
             assert_eq!(b.store(addr + 8), hit);
             assert_eq!(image(&a), image(&b));
@@ -749,12 +768,40 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_counts_valid_lines() {
+    fn lines_lists_the_valid_lines() {
         let mut c = small();
         for i in 0..10u64 {
-            c.fill(0xA000 + i * 64, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+            c.fill(0xA000 + i * 64, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
         }
-        assert_eq!(c.occupancy(), 10);
+        assert_eq!(c.lines().count(), 10);
+        let mut addrs: Vec<u64> = c.lines().map(|(a, _, _)| a).collect();
+        addrs.sort_unstable();
+        assert_eq!(addrs, (0..10u64).map(|i| 0xA000 + i * 64).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn fills_carry_dirtiness() {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4096,
+            ways: 2,
+            sectors_per_tag: 2,
+            latency: 12,
+        });
+        let dirty = |c: &Cache, a: u64| c.lines().find(|l| l.0 == a).map(|l| l.2);
+        c.fill(0x2000, AccessKind::Writeback, LineMeta::default(), true, InsertPriority::Ordinary);
+        c.fill(0x2040, AccessKind::Prefetch, LineMeta::default(), false, InsertPriority::Ordinary);
+        assert_eq!((dirty(&c, 0x2000), dirty(&c, 0x2040)), (Some(true), Some(false)));
+        // A clean refill keeps the dirty bit; a dirty one sets it.
+        c.fill(0x2000, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
+        c.fill(0x2040, AccessKind::Writeback, LineMeta::default(), true, InsertPriority::Ordinary);
+        assert_eq!((dirty(&c, 0x2000), dirty(&c, 0x2040)), (Some(true), Some(true)));
+        assert_eq!(c.invalidate(0x2040).map(|t| t.1), Some(true));
+        // Re-filling a freed sector of a live tag starts it clean.
+        c.fill(0x2040, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
+        assert_eq!(dirty(&c, 0x2040), Some(false));
+        assert!(c.mark_dirty(0x2040));
+        assert!(!c.mark_dirty(0x3000), "an absent line is not marked");
+        assert_eq!(dirty(&c, 0x2040), Some(true));
     }
 }
 

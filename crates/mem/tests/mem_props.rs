@@ -27,13 +27,13 @@ proptest! {
         for (line, fill) in ops {
             let addr = line * 64;
             if fill {
-                c.fill(addr, AccessKind::Demand, LineMeta::default(), InsertPriority::Elevated);
+                c.fill(addr, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Elevated);
                 prop_assert!(c.probe(addr), "fill must leave the line resident");
             } else {
                 let _ = c.invalidate(addr);
                 prop_assert!(!c.probe(addr), "invalidate must remove the line");
             }
-            prop_assert!(c.occupancy() <= lines_cap as usize);
+            prop_assert!(c.lines().count() <= lines_cap as usize);
         }
     }
 
@@ -47,12 +47,12 @@ proptest! {
         for line in lines {
             let addr = line * 64;
             if !c.probe(addr) {
-                let victims = c.fill(addr, AccessKind::Demand, LineMeta::default(), InsertPriority::Ordinary);
+                let victims = c.fill(addr, AccessKind::Demand, LineMeta::default(), false, InsertPriority::Ordinary);
                 filled += 1;
                 evicted += victims.len() as i64;
             }
         }
-        prop_assert_eq!(c.occupancy() as i64, filled - evicted);
+        prop_assert_eq!(c.lines().count() as i64, filled - evicted);
     }
 
     /// Bypass-priority fills never allocate.
@@ -60,11 +60,11 @@ proptest! {
     fn bypass_never_allocates(lines in prop::collection::vec(0u64..1024, 50)) {
         let mut c = small_cache(1);
         for line in lines {
-            let v = c.fill(line * 64, AccessKind::Prefetch, LineMeta::default(), InsertPriority::Bypass);
+            let v = c.fill(line * 64, AccessKind::Prefetch, LineMeta::default(), false, InsertPriority::Bypass);
             prop_assert!(v.is_empty());
             prop_assert!(!c.probe(line * 64));
         }
-        prop_assert_eq!(c.occupancy(), 0);
+        prop_assert_eq!(c.lines().count(), 0);
     }
 
     /// TLB: a translation hit follows every fill; sectored entries never

@@ -38,7 +38,7 @@ use std::fmt;
 pub const MAGIC: u32 = 0x5359_5845;
 
 /// Current encoder format version. Decoders accept exactly this version.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 pub mod journal;
 pub mod layout;

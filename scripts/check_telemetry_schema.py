@@ -11,6 +11,9 @@ acceptance floor:
   cycle non-decreasing) and a flat metrics object of numbers or nulls;
 * histogram lines carry numeric count/sum/min/max/mean/p50/p90/p99,
   ordered min <= p50 <= p90 <= p99 <= max when count > 0;
+* an epoch line carrying `core.mem.loads` serves every load from exactly
+  one level: core.mem.l1_hits + l2_hits + l3_hits + dram_loads ==
+  core.mem.loads, and core.sim.loads == core.mem.loads;
 * across the stream, >= 12 distinct metric names drawn from >= 5 distinct
   top-level components (crates).
 
@@ -49,6 +52,8 @@ import sys
 
 MIN_METRICS = 12
 MIN_CRATES = 5
+# The memory-system counters of the level that served each load.
+LOAD_LEVELS = ("l1_hits", "l2_hits", "l3_hits", "dram_loads")
 
 
 def fail(lineno, msg):
@@ -210,6 +215,20 @@ def check_prom_stream(stream):
     )
 
 
+def check_load_levels(lineno, metrics):
+    loads = metrics.get("core.mem.loads")
+    if loads is None:
+        return
+    levels = [metrics.get(f"core.mem.{k}") for k in LOAD_LEVELS]
+    if None in levels:
+        fail(lineno, f"core.mem.loads without all of {LOAD_LEVELS}")
+    if sum(levels) != loads:
+        fail(lineno, f"load levels {dict(zip(LOAD_LEVELS, levels))} sum to {sum(levels)}, not core.mem.loads {loads}")
+    sim_loads = metrics.get("core.sim.loads")
+    if sim_loads is not None and sim_loads != loads:
+        fail(lineno, f"core.sim.loads {sim_loads} != core.mem.loads {loads}")
+
+
 def check_metrics_stream(stream):
     metric_names = set()
     epochs = 0
@@ -242,6 +261,7 @@ def check_metrics_stream(stream):
                 if value is not None and not isinstance(value, (int, float)):
                     fail(lineno, f"metric '{name}' is not numeric or null")
                 metric_names.add(name)
+            check_load_levels(lineno, metrics)
         elif kind == "histogram":
             histograms += 1
             if not isinstance(rec.get("metric"), str):
